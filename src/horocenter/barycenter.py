@@ -98,14 +98,7 @@ def two_point_center(space: Space, a: WeightedPoint, b: WeightedPoint):
 
 
 def config_diameter(space: Space, config: Configuration) -> float:
-    pts = config.points
-    best = 0.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = spaces.distance(space, pts[i], pts[j])
-            if d > best:
-                best = d
-    return best
+    return spaces.diameter(space, config.points)
 
 
 def leave_one_out_step(

@@ -68,14 +68,7 @@ class ConvexBody:
 
 
 def body_diameter(space: Space, body: ConvexBody) -> float:
-    gens = body.generators
-    best = 0.0
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            d = spaces.distance(space, gens[i], gens[j])
-            if d > best:
-                best = d
-    return best
+    return spaces.diameter(space, body.generators)
 
 
 @dataclass(frozen=True)
@@ -113,7 +106,7 @@ def first_horosphere(space: Space, body: ConvexBody, xi: IdealPoint, o):
     Returns the touching level and the generators achieving it (ties
     within a small absolute slack all count as contact).
     """
-    spaces.validate_ideal(space, xi, o)
+    spaces.validate_ideal(space, xi)
     levels = [spaces.busemann(space, xi, o, g) for g in body.generators]
     t_star = min(levels)
     contact = [

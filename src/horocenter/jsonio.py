@@ -17,6 +17,7 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import json
+import math
 
 from .barycenter import BarycenterResult, Configuration, WeightedPoint
 from .horosphere import ConvexBody
@@ -107,12 +108,16 @@ def point_from_json(space: Space, doc, where: str = "point"):
     if space.kind == TREE:
         edge = _require(doc, "edge", str, where)
         offset = _require(doc, "offset", (int, float), where)
+        if not math.isfinite(offset):
+            raise InputError(f"{where}.offset: must be finite")
         return TreePoint(edge, float(offset))
     coords = doc if isinstance(doc, list) else _require(doc, "coords", list, where)
     out = []
     for i, c in enumerate(coords):
         if not isinstance(c, (int, float)) or isinstance(c, bool):
             raise InputError(f"{where}.coords[{i}]: must be a number")
+        if not math.isfinite(c):
+            raise InputError(f"{where}.coords[{i}]: must be finite")
         out.append(float(c))
     return tuple(out)
 
@@ -126,12 +131,17 @@ def point_to_json(space: Space, point):
 def ideal_from_json(space: Space, doc, where: str = "ideal") -> IdealPoint:
     if not isinstance(doc, dict):
         raise InputError(f"{where}: expected an object")
-    if "direction" in doc:
-        return IdealPoint.direction(_require(doc, "direction", list, where))
-    if "null_vector" in doc:
-        return IdealPoint.null_vector(_require(doc, "null_vector", list, where))
-    if "end_leaf" in doc:
-        return IdealPoint.end(_require(doc, "end_leaf", str, where))
+    for key, kind, build in (
+        ("direction", list, IdealPoint.direction),
+        ("null_vector", list, IdealPoint.null_vector),
+        ("end_leaf", str, IdealPoint.end),
+    ):
+        if key in doc:
+            value = _require(doc, key, kind, where)
+            try:
+                return build(value)
+            except (TypeError, ValueError) as exc:  # GeometryError is a ValueError
+                raise InputError(f"{where}: {exc}") from None
     raise InputError(f"{where}: need one of direction / null_vector / end_leaf")
 
 

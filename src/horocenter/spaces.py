@@ -13,10 +13,10 @@ its kind:
 * ``tree`` -- a finite metric tree with marked ends (see ``trees``).
 
 Ideal points are unit directions (euclidean), future-pointing null
-vectors normalized against the basepoint (hyperbolic), or marked leaf
-ids (tree).  Horofunction levels follow the convention b(o) = 0 with b
-decreasing at unit rate along rays toward the ideal point, so horoballs
-{b <= t} expand as t grows.
+vectors of any positive scale (hyperbolic), or marked leaf ids (tree).
+Horofunction levels follow the convention b(o) = 0 with b decreasing at
+unit rate along rays toward the ideal point, so horoballs {b <= t}
+expand as t grows.
 
 Hyperbolic closed forms used below:
 
@@ -33,7 +33,6 @@ Hyperbolic closed forms used below:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +47,8 @@ TREE = "tree"
 
 HYPERBOLOID_TOL = 1e-9
 IDEAL_TOL = 1e-9
+_T_BITS = 26  # fractional bits of the stereographic parameter of a null vector
+_TINY = 2.0**-400  # below this, squares underflow inside _mink_exact
 
 _SEED_MASK = 0x7FFF_FFFF_FFFF_FFFF
 
@@ -87,15 +88,14 @@ class IdealPoint:
     @classmethod
     def direction(cls, components) -> "IdealPoint":
         vec = tuple(float(c) for c in components)
-        norm = math.sqrt(sum(c * c for c in vec))
-        if norm == 0.0:
-            raise GeometryError("direction must be nonzero")
+        norm = math.hypot(*vec)
+        if not (math.isfinite(norm) and norm > 0.0):
+            raise GeometryError(f"direction must be finite and nonzero, got {vec}")
         return cls(vector=tuple(c / norm for c in vec))
 
     @classmethod
     def null_vector(cls, components) -> "IdealPoint":
-        vec, _ = _polish_null([float(c) for c in components])
-        return cls(vector=vec)
+        return cls(vector=_null_vector(components))
 
     @classmethod
     def end(cls, leaf: str) -> "IdealPoint":
@@ -153,38 +153,47 @@ def _mink_exact(x, y) -> float:
     return math.fsum(terms)
 
 
-def _ulp_steps(x: float, k: int) -> float:
-    target = math.inf if k > 0 else -math.inf
-    for _ in range(abs(k)):
-        x = math.nextafter(x, target)
-    return x
+def _checked_null(v) -> list[float]:
+    """Raise unless v is finite, future pointing and null to IDEAL_TOL v0^2;
+    return v scaled exactly, by a power of two, to v0 in [0.5, 1)."""
+    if len(v) < 2 or not all(math.isfinite(c) for c in v):
+        raise GeometryError(f"ideal vector must have >= 2 finite components, got {v}")
+    if v[0] <= 0.0:
+        raise GeometryError("ideal vector must be future pointing")
+    u = [math.ldexp(c, -math.frexp(v[0])[1]) for c in v]
+    if not any(u[1:]):
+        raise GeometryError("ideal vector needs a nonzero spatial part")
+    if not abs(_mink(u, u)) <= IDEAL_TOL * u[0] * u[0]:
+        raise GeometryError(f"ideal vector must be null, <xi,xi> = {_mink(v, v)}")
+    return u
 
 
-def _polish_null(vec, window: int = 8, good: float = 1e-18):
-    """Nudge spatial components by ulps to minimize the null defect.
+def _null_vector(components) -> tuple[float, ...]:
+    """Future-pointing vector that is null in exact arithmetic.
 
-    A null vector's defect after ordinary normalization is ~1e-16, which
-    rays amplify by exp(2s); pairs of one-ulp nudges interpolate the
-    defect down to ~1e-18 because their step sizes are incommensurate.
+    Exactly null input comes back unchanged.  Other input near the light
+    cone is snapped: with w its unit spatial direction, the pole on the
+    axis p of largest |w_p| and t = w'/(1 + |w_p|) on the other axes
+    rounded to _T_BITS fractional bits, (1+|t|^2, 2t, sign(w_p)(1-|t|^2))
+    has double entries and norm exactly 0.  The direction moves by at most
+    sqrt(n-1) 2^-26 rad.  The scale is free: levels and rays use xi only
+    through ratios of <., xi>.
     """
-    vec = list(vec)
-    best_defect = abs(_mink_exact(vec, vec))
-    best = tuple(vec)
-    if best_defect < good:
-        return best, best_defect
-    for i, j in itertools.combinations(range(1, len(vec)), 2):
-        bi, bj = vec[i], vec[j]
-        for ki in range(-window, window + 1):
-            vec[i] = _ulp_steps(bi, ki)
-            for kj in range(-window, window + 1):
-                vec[j] = _ulp_steps(bj, kj)
-                d = abs(_mink_exact(vec, vec))
-                if d < best_defect:
-                    best_defect, best = d, tuple(vec)
-                    if d < good:
-                        return best, best_defect
-        vec[i], vec[j] = bi, bj
-    return best, best_defect
+    v = tuple(float(c) for c in components)
+    u = _checked_null(v)
+    # squares of components below _TINY underflow inside _mink_exact
+    if _mink_exact(u, u) == 0.0 and all(c == 0.0 or abs(c) >= _TINY for c in u):
+        return v
+    norm = math.hypot(*u[1:])
+    w = [c / norm for c in u[1:]]
+    pole = max(range(len(w)), key=lambda i: abs(w[i]))
+    wp = w.pop(pole)
+    k = [round(c * 2.0**_T_BITS / (1.0 + abs(wp))) for c in w]
+    # |w_p| >= n^-1/2 keeps |t| < 1: 2^52 (1 +- |t|^2) are integers below 2^53
+    one, kk = 1 << 2 * _T_BITS, sum(j * j for j in k)
+    spatial = [math.ldexp(j, 1 - _T_BITS) for j in k]
+    spatial.insert(pole, math.copysign(math.ldexp(one - kk, -2 * _T_BITS), wp))
+    return (math.ldexp(one + kk, -2 * _T_BITS),) + tuple(spatial)
 
 
 def _project_hyperboloid(x):
@@ -205,6 +214,8 @@ def validate_point(space: Space, p) -> None:
         return
     if not isinstance(p, tuple) or not all(isinstance(c, float) for c in p):
         raise GeometryError("point must be a tuple of floats")
+    if not all(map(math.isfinite, p)):
+        raise GeometryError(f"point coordinates must be finite, got {p}")
     if space.kind == EUCLIDEAN:
         if len(p) != space.dim:
             raise GeometryError(f"expected {space.dim} coordinates, got {len(p)}")
@@ -224,7 +235,7 @@ def canonical_point(space: Space, p):
     return tuple(float(c) for c in p)
 
 
-def validate_ideal(space: Space, xi: IdealPoint, o=None) -> None:
+def validate_ideal(space: Space, xi: IdealPoint) -> None:
     if space.kind == TREE:
         if xi.leaf is None:
             raise GeometryError("tree ideal point must name a marked leaf")
@@ -237,35 +248,33 @@ def validate_ideal(space: Space, xi: IdealPoint, o=None) -> None:
         if len(v) != space.dim:
             raise GeometryError(f"expected {space.dim} components, got {len(v)}")
         norm = math.sqrt(sum(c * c for c in v))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise GeometryError(f"direction must be unit, |u| = {norm}")
         return
     if len(v) != space.dim + 1:
         raise GeometryError(f"expected {space.dim + 1} components, got {len(v)}")
-    if abs(_mink(v, v)) > IDEAL_TOL:
-        raise GeometryError(f"ideal vector must be null, <xi,xi> = {_mink(v, v)}")
-    if v[0] <= 0.0:
-        raise GeometryError("ideal vector must be future pointing")
-    base = basepoint(space) if o is None else o
-    if abs(_mink(base, v) + 1.0) > IDEAL_TOL:
-        raise GeometryError(
-            f"ideal vector not normalized against basepoint, <o,xi> = {_mink(base, v)}"
-        )
+    _checked_null(v)
 
 
-def normalize_ideal(space: Space, xi: IdealPoint, o=None) -> IdealPoint:
-    """Rescale a hyperbolic null vector so <o, xi> = -1; no-op otherwise."""
+def normalize_ideal(space: Space, xi: IdealPoint) -> IdealPoint:
+    """Snap a hyperbolic ideal vector to an exactly null one; no-op otherwise."""
     if space.kind != HYPERBOLIC or xi.vector is None:
         return xi
-    base = basepoint(space) if o is None else o
-    prod = _mink(base, xi.vector)
-    if prod >= 0.0:
-        raise GeometryError("ideal vector points away from the sheet")
-    vec, _ = _polish_null([c / -prod for c in xi.vector])
-    return IdealPoint(vector=vec)
+    return IdealPoint(vector=_null_vector(xi.vector))
 
 
 # -- metric and geodesics ---------------------------------------------------
+
+
+def diameter(space: Space, points) -> float:
+    """Largest pairwise distance of a finite point set (0 below two points)."""
+    best = 0.0
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            d = distance(space, points[i], points[j])
+            if d > best:
+                best = d
+    return best
 
 
 def distance(space: Space, x, y) -> float:
@@ -448,16 +457,7 @@ def draw_ideal(space: Space, rng: np.random.Generator) -> IdealPoint:
     if space.kind == EUCLIDEAN:
         return IdealPoint(vector=_unit_gauss(rng, space.dim))
     if space.kind == HYPERBOLIC:
-        # redraw until the null defect polishes out; a residual defect is
-        # amplified by exp(2s) along rays, so near-exact nullity matters
-        best, best_defect = None, math.inf
-        for _ in range(20):
-            vec, defect = _polish_null((1.0,) + _unit_gauss(rng, space.dim))
-            if defect < best_defect:
-                best, best_defect = vec, defect
-            if best_defect < 1e-18:
-                break
-        return IdealPoint(vector=best)
+        return IdealPoint(vector=_null_vector((1.0,) + _unit_gauss(rng, space.dim)))
     leaves = sorted(space.tree.ideal_leaves)
     if not leaves:
         raise GeometryError("tree has no marked ideal leaves")

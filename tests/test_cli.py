@@ -160,6 +160,36 @@ def test_exit_1_on_malformed_input(tmp_path, capsys):
     assert "mass" in capsys.readouterr().err
 
 
+def test_exit_1_on_nan_coordinate(tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text(
+        '{"points": [{"coords": [0.0, 0.0], "mass": 1.0},'
+        ' {"coords": [1.0, NaN], "mass": 1.0}]}'
+    )
+    code = main(
+        ["barycenter", "--space", "euclidean", "--dim", "2", "--input", str(bad)]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "points[1].coords[1]: must be finite" in captured.err
+    assert captured.out == ""
+
+
+def test_exit_1_on_non_null_ideal(tmp_path, capsys):
+    body = tmp_path / "body.json"
+    body.write_text(
+        json.dumps(
+            {
+                "generators": [{"coords": [1.0, 0.0, 0.0]}],
+                "ideal": {"null_vector": [1.0, 0.5, 0.0]},
+            }
+        )
+    )
+    code = main(["select", "--space", "hyperbolic", "--dim", "2", "--input", str(body)])
+    assert code == 1
+    assert "error: ideal: ideal vector must be null" in capsys.readouterr().err
+
+
 def test_exit_1_on_missing_file(capsys):
     code = main(
         ["barycenter", "--space", "euclidean", "--dim", "2", "--input", "/no/such.json"]

@@ -65,6 +65,27 @@ def test_ideal_round_trip():
         jsonio.ideal_from_json(eu, {})
 
 
+def test_non_finite_input_names_its_field():
+    eu = Space.euclidean(2)
+    hyp = Space.hyperbolic(2)
+    tr = Space.tree_space(TREE_EDGES, TREE_LEAVES)
+    doc = jsonio.loads('{"points": [{"coords": [0, 0], "mass": 1},'
+                       ' {"coords": [1, NaN], "mass": 1}]}')
+    with pytest.raises(InputError, match=r"configuration\.points\[1\]\.coords\[1\]: must be finite"):
+        jsonio.configuration_from_json(eu, doc)
+    with pytest.raises(InputError, match=r"body\.generators\[0\]\.offset: must be finite"):
+        jsonio.body_from_json(tr, {"generators": [{"edge": "A-B", "offset": float("inf")}]})
+    for space, doc in (
+        (hyp, {"null_vector": [1.0, float("nan"), 0.0]}),
+        (hyp, {"null_vector": [1.0, 0.5, 0.0]}),
+        (eu, {"direction": [float("nan"), 1.0]}),
+        (eu, {"direction": [0.0, 0.0]}),
+        (hyp, {"null_vector": ["a", 1.0, 0.0]}),
+    ):
+        with pytest.raises(InputError, match="^ideal: "):
+            jsonio.ideal_from_json(space, doc)
+
+
 def test_configuration_round_trip_and_errors():
     eu = Space.euclidean(2)
     doc = {"points": [{"coords": [0.0, 0.0], "mass": 1.0},

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from horocenter import GeometryError, IdealPoint, basepoint
@@ -194,12 +195,105 @@ def test_ideal_validation(euclid2, hyp2, tree_space):
         sp.validate_ideal(euclid2, IdealPoint(vector=(2.0, 0.0)))
     with pytest.raises(GeometryError):
         sp.validate_ideal(hyp2, IdealPoint(vector=(1.0, 0.5, 0.0)))  # not null
+    sp.validate_ideal(hyp2, IdealPoint(vector=(2.0, 2.0, 0.0)))  # any positive scale
     with pytest.raises(GeometryError):
-        sp.validate_ideal(hyp2, IdealPoint(vector=(2.0, 2.0, 0.0)))  # not normalized
+        sp.validate_ideal(hyp2, IdealPoint(vector=(-1.0, 1.0, 0.0)))  # past pointing
     with pytest.raises(GeometryError):
         sp.validate_ideal(tree_space, IdealPoint.end("D"))  # unmarked leaf
     norm = sp.normalize_ideal(hyp2, IdealPoint(vector=(2.0, 2.0, 0.0)))
     sp.validate_ideal(hyp2, norm)
+
+
+def test_point_validation_rejects_non_finite(euclid2, hyp2):
+    for space, p in (
+        (euclid2, (math.nan, 0.0)),
+        (euclid2, (0.0, -math.inf)),
+        (hyp2, (1.0, math.nan, 0.0)),
+        (hyp2, (math.inf, 0.0, 0.0)),
+    ):
+        with pytest.raises(GeometryError, match="finite"):
+            sp.validate_point(space, p)
+
+
+# -- exactly null ideal vectors ----------------------------------------------------
+
+
+def exact_null_defect(v) -> Fraction:
+    f = [Fraction(c) for c in v]
+    return -f[0] * f[0] + sum(c * c for c in f[1:])
+
+
+def spatial_angle(a, b) -> float:
+    """Angle between the spatial parts of a and b, stable for tiny angles."""
+    ua = [c / math.hypot(*a[1:]) for c in a[1:]]
+    ub = [c / math.hypot(*b[1:]) for c in b[1:]]
+    summed = math.hypot(*(x + y for x, y in zip(ua, ub)))
+    return 2.0 * math.atan2(math.dist(ua, ub), summed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    spatial=st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.lists(
+            st.floats(min_value=-1.0, max_value=1.0, allow_subnormal=False),
+            min_size=n,
+            max_size=n,
+        )
+    ),
+    scale=st.floats(min_value=1e-3, max_value=1e3),
+)
+def test_null_vector_is_exactly_null_near_its_input(spatial, scale):
+    norm = math.hypot(*spatial)
+    assume(norm > 0.0)
+    v = (scale,) + tuple(scale * (c / norm) for c in spatial)
+    xi = IdealPoint.null_vector(v).vector
+    assert len(xi) == len(v) and xi[0] > 0.0
+    assert exact_null_defect(xi) == 0
+    assert spatial_angle(v, xi) <= 3e-8
+    assert IdealPoint.null_vector(xi).vector == xi
+
+
+@pytest.mark.parametrize(
+    "v", [(1.0, 1.0, 0.0), (2.0, 2.0, 0.0), (5.0, 3.0, 4.0), (1e200, 0.0, -1e200)]
+)
+def test_exactly_null_vectors_come_back_unchanged(v):
+    assert IdealPoint.null_vector(v).vector == v
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        (1.0, 0.5, 0.0),  # timelike
+        (-1.0, 1.0, 0.0),  # past pointing
+        (1.0, 0.0, 0.0),  # no spatial part
+        (math.nan, 1.0, 0.0),
+        (1.0, math.inf, 0.0),
+        (1.0,),
+    ],
+)
+def test_null_vector_rejects(v):
+    with pytest.raises(GeometryError):
+        IdealPoint.null_vector(v)
+
+
+def test_null_vector_with_underflowing_component():
+    # the square of 1e-200 underflows, so a float defect of 0 proves nothing
+    xi = IdealPoint.null_vector((1.0, 1.0, 1e-200)).vector
+    assert exact_null_defect(xi) == 0
+    assert spatial_angle((1.0, 1.0, 1e-200), xi) <= 3e-8
+
+
+def test_drawn_and_normalized_ideals_are_exactly_null():
+    rng = np.random.default_rng(3)
+    for dim in range(1, 6):
+        space = sp.Space.hyperbolic(dim)
+        for _ in range(40):
+            xi = sp.draw_ideal(space, rng)
+            assert exact_null_defect(xi.vector) == 0
+            scaled = IdealPoint(vector=tuple(3.0 * c for c in xi.vector))
+            snapped = sp.normalize_ideal(space, scaled).vector
+            assert exact_null_defect(snapped) == 0
+            assert spatial_angle(scaled.vector, snapped) <= 3e-8
 
 
 # -- properties ------------------------------------------------------------------

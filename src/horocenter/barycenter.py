@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import spaces
-from .spaces import GeometryError, Space
+from .spaces import TREE, GeometryError, Space
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 200
@@ -101,6 +101,20 @@ def config_diameter(space: Space, config: Configuration) -> float:
     return spaces.diameter(space, config.points)
 
 
+def _finite_diameter(space: Space, config: Configuration) -> float:
+    d = config_diameter(space, config)
+    if not math.isfinite(d):
+        raise GeometryError(f"configuration overflows: diameter {d}")
+    return d
+
+
+def _finite_center(space: Space, center):
+    coords = (center.offset,) if space.kind == TREE else center
+    if not all(map(math.isfinite, coords)):
+        raise GeometryError(f"configuration overflows: center {center}")
+    return center
+
+
 def leave_one_out_step(
     space: Space,
     config: Configuration,
@@ -149,9 +163,11 @@ def center_of_mass(
     if n == 1:
         return BarycenterResult(config.items[0].point, 0, [0.0], True)
     if n == 2:
-        center = two_point_center(space, config.items[0], config.items[1])
+        center = _finite_center(
+            space, two_point_center(space, config.items[0], config.items[1])
+        )
         return BarycenterResult(center, 0, [0.0], True)
-    trace = [config_diameter(space, config)]
+    trace = [_finite_diameter(space, config)]
     iterations = 0
     while trace[-1] >= tol:
         if iterations >= max_iters:
@@ -164,7 +180,7 @@ def center_of_mass(
                 partial,
             )
         config = leave_one_out_step(space, config, tol, max_iters, max_points)
-        trace.append(config_diameter(space, config))
+        trace.append(_finite_diameter(space, config))
         iterations += 1
     return BarycenterResult(config.items[0].point, iterations, trace, True)
 

@@ -3,8 +3,9 @@
 Subcommands: barycenter, select, classify, scan-shift, scan-mass,
 scan-selector.  Structured results are emitted as JSON; traces and scan
 records can be emitted as CSV.  Exit codes: 0 success, 1 input error,
-2 non-convergence or unresolved classification (the partial artifact is
-still written).
+2 non-convergence (the partial artifact is still written).  The
+deprecated --horizon flag of select and classify is accepted and
+ignored.
 
 All randomness flows from --seed; the HOROCENTER_SEED environment
 variable overrides the default when the flag is absent.
@@ -18,12 +19,7 @@ import sys
 
 from . import jsonio
 from .barycenter import ConvergenceError, center_of_mass
-from .horosphere import (
-    ClassificationError,
-    SelectOptions,
-    classify_body,
-    select,
-)
+from .horosphere import SelectOptions, classify_body, select
 from .jsonio import InputError
 from .lipschitz import (
     ScanParams,
@@ -59,6 +55,11 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", help="output path (default: standard output)")
 
 
+def _add_horizon_flag(parser: argparse.ArgumentParser) -> None:
+    # classification uses the closed-form ray limit; kept so old scripts run
+    parser.add_argument("--horizon", type=float, help=argparse.SUPPRESS)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="horocenter",
@@ -81,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ideal", help="inline ideal-point JSON (overrides the document)")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--horizon", type=float, default=64.0)
+    _add_horizon_flag(p)
     p.add_argument("--classify-tol", type=float, default=1e-6)
     p.add_argument("--snap-tol", type=float, default=1e-4)
     p.add_argument("--no-smoothing", action="store_true")
@@ -91,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_space_flags(p)
     p.add_argument("--input", required=True)
     p.add_argument("--ideal", help="inline ideal-point JSON (overrides the document)")
-    p.add_argument("--horizon", type=float, default=64.0)
+    _add_horizon_flag(p)
     p.add_argument("--classify-tol", type=float, default=1e-6)
     _add_output_flags(p)
 
@@ -199,14 +200,13 @@ def _run_select(args) -> int:
     opts = SelectOptions(
         tol=args.tol,
         max_iters=args.max_iters,
-        horizon=args.horizon,
         classify_tol=args.classify_tol,
         snap_tol=args.snap_tol,
         smoothing=not args.no_smoothing,
     )
     try:
         point = select(space, body, xi, opts=opts)
-    except (ConvergenceError, ClassificationError) as exc:
+    except ConvergenceError as exc:
         print(f"select: {exc}", file=sys.stderr)
         return 2
     _emit(jsonio.dumps({"point": jsonio.point_to_json(space, point)}), args.output)
@@ -218,17 +218,12 @@ def _run_classify(args) -> int:
     doc = jsonio.loads(_read_file(args.input), "body")
     body = jsonio.body_from_json(space, doc)
     xi = _resolve_ideal(space, args, doc)
-    try:
-        shrink = classify_body(space, body, xi, args.horizon, args.classify_tol)
-    except ClassificationError as exc:
-        print(f"classify: {exc}", file=sys.stderr)
-        return 2
+    shrink = classify_body(space, body, xi, args.classify_tol)
     _emit(
         jsonio.dumps(
             {
                 "verdict": shrink.verdict,
                 "max_limit_separation": shrink.max_limit_separation,
-                "probe_horizon": shrink.probe_horizon,
             }
         ),
         args.output,
@@ -279,6 +274,8 @@ def _run_scan(args, kind: str) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "horizon", None) is not None:
+        print(f"{args.command}: --horizon is deprecated and ignored", file=sys.stderr)
     try:
         if args.command == "barycenter":
             return _run_barycenter(args)

@@ -1,8 +1,12 @@
 """Horofunction sweeps, the limit pseudometric, and the selector.
 
-A convex body is represented by its finite generator set; diameters and
-sweeps reduce to generator-level computations (the hull diameter equals
-the max pairwise generator distance, so hulls never need materializing).
+A convex body is represented by its finite generator set.  Diameters
+reduce to the generators (the hull diameter equals the max pairwise
+generator distance, so hulls never need materializing).  Sweeps only do
+so in flat space, where horofunctions are affine: in hyperbolic space
+horoballs are strictly convex, and tree geodesics dip through branch
+vertices, so the hull can touch a lower horosphere between generators
+than the generator sweep below finds.
 
 The selector maps a body to a point through a fixed pipeline: find the
 first horosphere touching the generators, project everything onto it,
@@ -13,14 +17,15 @@ output across tree branch vertices.  Singletons short-circuit, so
 select({x}) == x holds exactly.
 
 Classification targets sets on a common horosphere (the projected stage
-of the pipeline): pairs at different horofunction levels keep at least
-their level gap along the rays and never shrink to a point.
+of the pipeline) and uses the closed-form limit of the ray separation:
+pairs at different horofunction levels keep their level gap along the
+rays and never shrink to a point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import combinations
 
 from . import spaces
 from .barycenter import (
@@ -29,20 +34,14 @@ from .barycenter import (
     center_of_mass,
     unit_configuration,
 )
-from .spaces import GeometryError, IdealPoint, Space, TREE
+from .spaces import EUCLIDEAN, GeometryError, IdealPoint, Space, TREE
 
 SHRINKING = "shrinking"
 NON_SHRINKING = "non-shrinking"
 
-DEFAULT_HORIZON = 64.0
 DEFAULT_CLASSIFY_TOL = 1e-6
 DEFAULT_SNAP_TOL = 1e-4
 CONTACT_SLACK = 1e-9
-MONOTONE_SLACK = 1e-9
-
-
-class ClassificationError(RuntimeError):
-    """A pairwise separation limit did not resolve within the horizon."""
 
 
 @dataclass(frozen=True)
@@ -82,19 +81,12 @@ class HorosphereLevel:
 class ShrinkClass:
     verdict: str
     max_limit_separation: float
-    probe_horizon: float
-
-
-class LimitSeparation(NamedTuple):
-    value: float
-    resolved: bool
 
 
 @dataclass(frozen=True)
 class SelectOptions:
     tol: float = DEFAULT_TOL
     max_iters: int = DEFAULT_MAX_ITERS
-    horizon: float = DEFAULT_HORIZON
     classify_tol: float = DEFAULT_CLASSIFY_TOL
     snap_tol: float = DEFAULT_SNAP_TOL
     smoothing: bool = True
@@ -126,73 +118,37 @@ def project_to_level(space: Space, x, xi: IdealPoint, o, t: float):
     return spaces.ray_point(space, x, xi, max(level - t, 0.0))
 
 
-def probe_schedule(horizon: float) -> list[float]:
-    if horizon <= 0.0:
-        raise GeometryError(f"horizon must be positive, got {horizon}")
-    probes = []
-    s = 1.0
-    while s < horizon:
-        probes.append(s)
-        s *= 2.0
-    probes.append(float(horizon))
-    return probes
+def limit_separation(space: Space, x, y, xi: IdealPoint) -> float:
+    """Limit of the separation of the rays from x and y toward xi.
 
-
-def limit_separation(
-    space: Space,
-    x,
-    y,
-    xi: IdealPoint,
-    horizon: float = DEFAULT_HORIZON,
-    tol: float = DEFAULT_CLASSIFY_TOL,
-) -> LimitSeparation:
-    """Separation of the rays from x and y toward xi, probed geometrically.
-
-    The probe sequence is nonincreasing (distance between asymptotic rays
-    is convex and bounded, hence nonincreasing); a violation beyond slack
-    signals a geometry bug and raises.  Resolution means the last value
-    dropped below tol, or two successive probes agreed to within tol.
+    Closed form per space: parallel euclidean rays keep d(x, y), while
+    hyperbolic rays and tree rays toward one end converge to the level
+    gap |b(x) - b(y)|.  Gaps within CONTACT_SLACK count as one
+    horosphere, the tie rule of first_horosphere and project_to_level,
+    and give exactly 0.0.
     """
-    if tol <= 0.0:
-        raise GeometryError(f"tol must be positive, got {tol}")
     spaces.validate_ideal(space, xi)
-    previous = None
-    value = spaces.distance(space, x, y)
-    resolved = value < tol
-    for s in probe_schedule(horizon):
-        probe = spaces.ray_separation(space, x, y, xi, s)
-        if probe > value + MONOTONE_SLACK:
-            raise GeometryError(
-                f"ray separation increased from {value} to {probe} at s={s}"
-            )
-        previous, value = value, probe
-        if value < tol or abs(previous - value) < tol:
-            resolved = True
-    return LimitSeparation(value, resolved)
+    if space.kind == EUCLIDEAN:
+        return spaces.distance(space, x, y)
+    o = spaces.basepoint(space)
+    gap = abs(spaces.busemann(space, xi, o, x) - spaces.busemann(space, xi, o, y))
+    return 0.0 if gap <= CONTACT_SLACK else gap
 
 
 def classify_body(
     space: Space,
     body: ConvexBody,
     xi: IdealPoint,
-    horizon: float = DEFAULT_HORIZON,
     tol: float = DEFAULT_CLASSIFY_TOL,
 ) -> ShrinkClass:
     """Shrinking iff every generator pair's limit separation is below tol."""
-    gens = body.generators
-    worst = 0.0
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            sep = limit_separation(space, gens[i], gens[j], xi, horizon, tol)
-            if not sep.resolved:
-                raise ClassificationError(
-                    f"pair ({i}, {j}) unresolved at horizon {horizon}; "
-                    "raise the horizon"
-                )
-            if sep.value > worst:
-                worst = sep.value
-    verdict = SHRINKING if worst < tol else NON_SHRINKING
-    return ShrinkClass(verdict, worst, float(horizon))
+    if tol <= 0.0:
+        raise GeometryError(f"tol must be positive, got {tol}")
+    worst = max(
+        (limit_separation(space, x, y, xi) for x, y in combinations(body.generators, 2)),
+        default=0.0,
+    )
+    return ShrinkClass(SHRINKING if worst < tol else NON_SHRINKING, worst)
 
 
 def snap_singular(space: Space, x, snap_tol: float = DEFAULT_SNAP_TOL):
@@ -236,7 +192,7 @@ def select(
         project_to_level(space, g, xi, o, level.level) for g in body.generators
     ]
     verdict = classify_body(
-        space, ConvexBody.of(space, projected), xi, opts.horizon, opts.classify_tol
+        space, ConvexBody.of(space, projected), xi, opts.classify_tol
     )
     if verdict.verdict == SHRINKING:
         if len(contact) == 1:

@@ -49,7 +49,8 @@ def loads(text: str, where: str = "input"):
 
 
 def dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return text + "\n"
 
 
 # -- spaces -------------------------------------------------------------------

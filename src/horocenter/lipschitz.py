@@ -35,12 +35,7 @@ from .barycenter import (
     replace_mass,
     replace_point,
 )
-from .horosphere import (
-    ClassificationError,
-    ConvexBody,
-    SelectOptions,
-    select,
-)
+from .horosphere import ConvexBody, SelectOptions, select
 from .spaces import GeometryError, IdealPoint, Space, TREE
 
 DEFAULT_SCALE = 2.0
@@ -232,7 +227,7 @@ def selector_scan(params: ScanParams) -> LipschitzReport:
                 select(space, body, xi, opts=opts),
                 select(space, perturbed, xi, opts=opts),
             )
-        except (ConvergenceError, ClassificationError):
+        except ConvergenceError:
             failures += 1
             continue
         records.append(ScanRecord(i, denom, out_disp, out_disp / denom))

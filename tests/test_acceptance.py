@@ -214,8 +214,7 @@ def test_c08_shrinking_dichotomy():
         assert verdict.verdict == NON_SHRINKING
         for i, x in enumerate(body.generators):
             for y in body.generators[i + 1 :]:
-                value, resolved = limit_separation(EUCLID, x, y, u)
-                assert resolved
+                value = limit_separation(EUCLID, x, y, u)
                 assert abs(value - sp.distance(EUCLID, x, y)) <= 1e-9
 
     xi = ideal_for(HYP)
@@ -227,7 +226,7 @@ def test_c08_shrinking_dichotomy():
         body = ConvexBody.of(
             HYP, [project_to_level(HYP, g, xi, oH, floor) for g in raw]
         )
-        verdict = classify_body(HYP, body, xi, horizon=64.0, tol=1e-6)
+        verdict = classify_body(HYP, body, xi, tol=1e-6)
         assert verdict.verdict == SHRINKING
         assert verdict.max_limit_separation < 1e-6
 

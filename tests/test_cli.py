@@ -207,9 +207,9 @@ def test_exit_1_on_bad_json(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
-def test_exit_2_on_unresolved_classification(tmp_path, capsys):
+def test_horizon_flag_is_deprecated_and_ignored(tmp_path, capsys):
     body = tmp_path / "pair.json"
-    # same-level hyperbolic pair still decaying at a tiny horizon
+    # same-level hyperbolic pair whose rays are far from merged at s = 2
     body.write_text(
         json.dumps(
             {
@@ -221,12 +221,40 @@ def test_exit_2_on_unresolved_classification(tmp_path, capsys):
             }
         )
     )
-    code = main(
-        ["classify", "--space", "hyperbolic", "--dim", "2", "--input", str(body),
-         "--horizon", "2"]
-    )
-    assert code == 2
-    assert "unresolved" in capsys.readouterr().err
+    args = ["--space", "hyperbolic", "--dim", "2", "--input", str(body)]
+    assert main(["classify", *args]) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert main(["classify", *args, "--horizon", "2"]) == 0
+    flagged = capsys.readouterr()
+    assert json.loads(flagged.out)["verdict"] == "shrinking"
+    assert flagged.out == plain.out
+    assert flagged.err == "classify: --horizon is deprecated and ignored\n"
+    assert main(["select", *args, "--horizon", "2"]) == 0
+    assert "deprecated" in capsys.readouterr().err
+    for command in ("classify", "select"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--horizon" not in capsys.readouterr().out
+
+
+def test_exit_1_on_overflowing_configuration(tmp_path, capsys):
+    # finite input whose center or diameter overflows double precision
+    for points in (
+        [[1e308, 0.0], [-1e308, 0.0]],
+        [[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]],
+    ):
+        conf = tmp_path / "huge.json"
+        conf.write_text(
+            json.dumps({"points": [{"coords": c, "mass": 1.0} for c in points]})
+        )
+        code = main(
+            ["barycenter", "--space", "euclidean", "--dim", "2", "--input", str(conf)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "configuration" in captured.err
 
 
 def test_exit_2_on_non_convergence_with_partial_trace(tri_file, tmp_path, capsys):

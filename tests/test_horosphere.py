@@ -2,26 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from horocenter import GeometryError, IdealPoint, basepoint, spaces as sp
+from horocenter import GeometryError, IdealPoint, Space, basepoint, spaces as sp
 from horocenter.horosphere import (
+    CONTACT_SLACK,
     NON_SHRINKING,
     SHRINKING,
-    ClassificationError,
     ConvexBody,
     SelectOptions,
     body_diameter,
     classify_body,
     first_horosphere,
     limit_separation,
-    probe_schedule,
     project_to_level,
     select,
     snap_singular,
 )
 from horocenter.trees import TreePoint
 
-from conftest import ideal_for
+from conftest import TREE_EDGES, TREE_LEAVES, ideal_for
 
 
 def common_level_body(space, xi, o, rng, n, scale=1.5):
@@ -106,27 +107,16 @@ def test_projection_level_and_idempotence(any_space):
 # -- the limit pseudometric -----------------------------------------------------------
 
 
-def test_probe_schedule():
-    assert probe_schedule(64.0) == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
-    assert probe_schedule(40.0) == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 40.0]
-    with pytest.raises(GeometryError):
-        probe_schedule(0.0)
-
-
 def test_limit_separation_identical_points(any_space):
     xi = ideal_for(any_space)
     rng = np.random.default_rng(41)
     x = sp.draw_point(any_space, rng, 1.0)
-    value, resolved = limit_separation(any_space, x, x, xi)
-    assert value == 0.0
-    assert resolved
+    assert limit_separation(any_space, x, x, xi) == 0.0
 
 
 def test_limit_separation_euclidean_constant(euclid2):
     u = IdealPoint.direction((1.0, 0.0))
-    value, resolved = limit_separation(euclid2, (0.0, 0.0), (0.0, 1.0), u)
-    assert value == 1.0
-    assert resolved
+    assert limit_separation(euclid2, (0.0, 0.0), (0.0, 1.0), u) == 1.0
 
 
 def test_limit_separation_hyperbolic_same_level(hyp2):
@@ -141,9 +131,7 @@ def test_limit_separation_hyperbolic_same_level(hyp2):
         x, y = body.generators
         if sp.distance(hyp2, x, y) > 1.0:
             continue
-        value, resolved = limit_separation(hyp2, x, y, xi, horizon=40.0)
-        assert resolved
-        assert value < 1e-6
+        assert limit_separation(hyp2, x, y, xi) < 1e-6
 
 
 def test_limit_separation_level_gap_floor(hyp2):
@@ -152,9 +140,7 @@ def test_limit_separation_level_gap_floor(hyp2):
     o = basepoint(hyp2)
     x = sp.draw_point(hyp2, np.random.default_rng(1), 1.0)
     y = sp.ray_point(hyp2, x, xi, 0.75)
-    value, resolved = limit_separation(hyp2, x, y, xi)
-    assert resolved
-    assert value == pytest.approx(0.75, abs=1e-9)
+    assert limit_separation(hyp2, x, y, xi) == pytest.approx(0.75, abs=1e-9)
 
 
 def test_limit_separation_monotone_probes(any_space):
@@ -164,7 +150,7 @@ def test_limit_separation_monotone_probes(any_space):
         x = sp.draw_point(any_space, rng, 1.5)
         y = sp.draw_point(any_space, rng, 1.5)
         previous = sp.distance(any_space, x, y)
-        for s in probe_schedule(64.0):
+        for s in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0):
             value = sp.ray_separation(any_space, x, y, xi, s)
             assert value <= previous + 1e-9
             previous = value
@@ -177,8 +163,7 @@ def test_lemma1_witness_euclidean(euclid2):
     for _ in range(50):
         y0, y1 = float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3))
         x, y = (1.0, y0), (1.0, y1)  # both on the hyperplane b = -1
-        value, resolved = limit_separation(euclid2, x, y, u)
-        assert resolved
+        value = limit_separation(euclid2, x, y, u)
         assert value == pytest.approx(abs(y0 - y1), abs=1e-9)
 
 
@@ -193,9 +178,7 @@ def test_hyperbolic_horospheres_carry_no_segments(hyp2):
         if len(body) < 2:
             continue
         x, y = body.generators
-        value, resolved = limit_separation(hyp2, x, y, xi)
-        assert resolved
-        assert value < 1e-6
+        assert limit_separation(hyp2, x, y, xi) < 1e-6
         found += 1
     assert found >= 20
 
@@ -246,24 +229,57 @@ def test_classification_dichotomy(any_space):
         assert verdict.verdict in (SHRINKING, NON_SHRINKING)
 
 
-def test_unresolved_raises(hyp2):
-    # a same-level pair is still decaying fast at a short horizon: probes
-    # neither stabilize nor drop below tol, so classification must refuse
-    xi = ideal_for(hyp2)
-    o = basepoint(hyp2)
-    x = sp.draw_point(hyp2, np.random.default_rng(6), 1.5)
-    y = project_to_level(
-        hyp2,
-        sp.draw_point(hyp2, np.random.default_rng(7), 1.5),
-        xi,
-        o,
-        sp.busemann(hyp2, xi, o, x),
+def test_long_tree_edges_same_level_shrink():
+    # both generators sit 150 from B, so their rays toward C merge at B
+    # and the limit separation is 0, though no ray gets there by s = 64
+    space = Space.tree_space(
+        [("A", "B", 200.0), ("B", "C", 3.0), ("B", "D", 200.0)], ["C"]
     )
-    body = ConvexBody.of(hyp2, [x, y])
-    value, resolved = limit_separation(hyp2, x, y, xi, horizon=2.0)
-    assert not resolved
-    with pytest.raises(ClassificationError):
-        classify_body(hyp2, body, xi, horizon=2.0)
+    xi = IdealPoint.end("C")
+    body = ConvexBody.of(space, [TreePoint("A-B", 50.0), TreePoint("B-D", 150.0)])
+    verdict = classify_body(space, body, xi)
+    assert verdict.verdict == SHRINKING
+    assert verdict.max_limit_separation == 0.0
+    assert select(space, body, xi) == space.tree.vertex_point("B")
+
+
+ORACLE_SPACES = {
+    "euclid2": Space.euclidean(2),
+    "hyp2": Space.hyperbolic(2),
+    "hyp3": Space.hyperbolic(3),
+    "tree": Space.tree_space(TREE_EDGES, TREE_LEAVES),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPACES))
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1), same_level=st.booleans())
+def test_limit_separation_matches_far_ray_separation(name, seed, same_level):
+    """The closed form agrees with the ray separation evaluated far out."""
+    space = ORACLE_SPACES[name]
+    rng = np.random.default_rng(seed)
+    xi = sp.draw_ideal(space, rng)
+    o = basepoint(space)
+    x, y = (sp.draw_point(space, rng, 2.0) for _ in range(2))
+    if same_level:
+        x, y = sorted((x, y), key=lambda p: sp.busemann(space, xi, o, p))
+        y = project_to_level(space, y, xi, o, sp.busemann(space, xi, o, x))
+    value = limit_separation(space, x, y, xi)
+    if space.kind == "euclidean":
+        assert value == sp.ray_separation(space, x, y, xi, 64.0)
+        return
+    if space.kind == "hyperbolic":
+        assume(sp.distance(space, x, y) <= 4.0)
+        far = 64.0
+    else:
+        # past both depths toward the end, both rays run on the leaf edge
+        far = max(space.tree.depth_toward_end(p, xi.leaf) for p in (x, y))
+    probe = sp.ray_separation(space, x, y, xi, far)
+    if value == 0.0:
+        assert probe <= CONTACT_SLACK + 1e-12
+    else:
+        assert value > CONTACT_SLACK
+        assert abs(value - probe) <= 1e-12
 
 
 # -- smoothing -----------------------------------------------------------------------

@@ -149,3 +149,10 @@ def test_report_round_trip():
 def test_invalid_json_named():
     with pytest.raises(InputError, match="invalid JSON"):
         jsonio.loads("{not json", "configuration")
+
+
+def test_dumps_is_strict_json():
+    assert jsonio.dumps({"b": 1.5, "a": [0.0]}) == '{"a":[0.0],"b":1.5}\n'
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError):
+            jsonio.dumps({"diameter": bad})

@@ -152,8 +152,8 @@ def center_of_mass(
     max_points: int = DEFAULT_MAX_POINTS,
 ) -> BarycenterResult:
     """Iterate the construction until the configuration diameter < tol."""
-    if tol <= 0.0:
-        raise GeometryError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise GeometryError(f"tol must be positive and finite, got {tol}")
     n = len(config)
     if n > max_points:
         raise GeometryError(

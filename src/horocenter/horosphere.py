@@ -17,15 +17,15 @@ output across tree branch vertices.  Singletons short-circuit, so
 select({x}) == x holds exactly.
 
 Classification targets sets on a common horosphere (the projected stage
-of the pipeline) and uses the closed-form limit of the ray separation:
-pairs at different horofunction levels keep their level gap along the
-rays and never shrink to a point.
+of the pipeline) and reads the closed-form ray limit as a spread: the
+diameter in flat space, else the level spread max(b) - min(b) from one
+level per generator, so sets off one horosphere never shrink to a point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import spaces
 from .barycenter import (
@@ -71,13 +71,6 @@ def body_diameter(space: Space, body: ConvexBody) -> float:
 
 
 @dataclass(frozen=True)
-class HorosphereLevel:
-    ideal: IdealPoint
-    level: float
-    basepoint: object
-
-
-@dataclass(frozen=True)
 class ShrinkClass:
     verdict: str
     max_limit_separation: float
@@ -104,7 +97,7 @@ def first_horosphere(space: Space, body: ConvexBody, xi: IdealPoint, o):
     contact = [
         g for g, b in zip(body.generators, levels) if b <= t_star + CONTACT_SLACK
     ]
-    return HorosphereLevel(xi, t_star, o), contact
+    return t_star, contact
 
 
 def project_to_level(space: Space, x, xi: IdealPoint, o, t: float):
@@ -118,21 +111,26 @@ def project_to_level(space: Space, x, xi: IdealPoint, o, t: float):
     return spaces.ray_point(space, x, xi, max(level - t, 0.0))
 
 
-def limit_separation(space: Space, x, y, xi: IdealPoint) -> float:
-    """Limit of the separation of the rays from x and y toward xi.
+def _limit_spread(space: Space, points, xi: IdealPoint) -> float:
+    """Largest limit separation of the rays from points toward xi.
 
-    Closed form per space: parallel euclidean rays keep d(x, y), while
-    hyperbolic rays and tree rays toward one end converge to the level
-    gap |b(x) - b(y)|.  Gaps within CONTACT_SLACK count as one
-    horosphere, the tie rule of first_horosphere and project_to_level,
-    and give exactly 0.0.
+    Parallel euclidean rays keep their distances; hyperbolic rays and
+    tree rays toward one end converge to their level gap.  A spread
+    within CONTACT_SLACK counts as one horosphere, the tie rule of
+    first_horosphere and project_to_level, and gives exactly 0.0.
     """
     spaces.validate_ideal(space, xi)
     if space.kind == EUCLIDEAN:
-        return spaces.distance(space, x, y)
+        return spaces.diameter(space, points)
     o = spaces.basepoint(space)
-    gap = abs(spaces.busemann(space, xi, o, x) - spaces.busemann(space, xi, o, y))
+    levels = [spaces.busemann(space, xi, o, p) for p in points]
+    gap = max(levels, default=0.0) - min(levels, default=0.0)
     return 0.0 if gap <= CONTACT_SLACK else gap
+
+
+def limit_separation(space: Space, x, y, xi: IdealPoint) -> float:
+    """Limit of the separation of the rays from x and y toward xi."""
+    return _limit_spread(space, (x, y), xi)
 
 
 def classify_body(
@@ -141,13 +139,10 @@ def classify_body(
     xi: IdealPoint,
     tol: float = DEFAULT_CLASSIFY_TOL,
 ) -> ShrinkClass:
-    """Shrinking iff every generator pair's limit separation is below tol."""
-    if tol <= 0.0:
-        raise GeometryError(f"tol must be positive, got {tol}")
-    worst = max(
-        (limit_separation(space, x, y, xi) for x, y in combinations(body.generators, 2)),
-        default=0.0,
-    )
+    """Shrinking iff the generators' limit spread is below tol."""
+    if not 0.0 < tol < math.inf:
+        raise GeometryError(f"classify_tol must be positive and finite, got {tol}")
+    worst = _limit_spread(space, body.generators, xi)
     return ShrinkClass(SHRINKING if worst < tol else NON_SHRINKING, worst)
 
 
@@ -158,8 +153,8 @@ def snap_singular(space: Space, x, snap_tol: float = DEFAULT_SNAP_TOL):
     selector locally constant around them, trading a jump discontinuity
     for a flat spot.  Smooth spaces have no singular points.
     """
-    if snap_tol <= 0.0:
-        raise GeometryError(f"snap_tol must be positive, got {snap_tol}")
+    if not 0.0 < snap_tol < math.inf:
+        raise GeometryError(f"snap_tol must be positive and finite, got {snap_tol}")
     if space.kind != TREE:
         return x
     vertex, d = space.tree.nearest_branch_vertex(x)
@@ -189,7 +184,7 @@ def select(
         return body.generators[0]
     level, contact = first_horosphere(space, body, xi, o)
     projected = [
-        project_to_level(space, g, xi, o, level.level) for g in body.generators
+        project_to_level(space, g, xi, o, level) for g in body.generators
     ]
     verdict = classify_body(
         space, ConvexBody.of(space, projected), xi, opts.classify_tol

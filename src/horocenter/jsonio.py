@@ -41,6 +41,19 @@ def _require(obj, key, kind, where):
     return value
 
 
+def _number(value, where) -> float:
+    """A finite JSON number (not a bool) as a float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise InputError(f"{where}: must be a number")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the double range
+        number = math.inf
+    if not math.isfinite(number):
+        raise InputError(f"{where}: must be finite")
+    return number
+
+
 def loads(text: str, where: str = "input"):
     try:
         return json.loads(text)
@@ -73,9 +86,7 @@ def space_from_json(doc) -> Space:
         u, v, length = edge
         if not isinstance(u, str) or not isinstance(v, str):
             raise InputError(f"space.edges[{i}]: vertex names must be strings")
-        if not isinstance(length, (int, float)) or isinstance(length, bool):
-            raise InputError(f"space.edges[{i}]: length must be a number")
-        parsed.append((u, v, float(length)))
+        parsed.append((u, v, _number(length, f"space.edges[{i}][2]")))
     leaves = doc.get("ideal_leaves", [])
     if not isinstance(leaves, list):
         raise InputError("space.ideal_leaves: expected a list")
@@ -83,7 +94,7 @@ def space_from_json(doc) -> Space:
     if base is not None:
         if not (isinstance(base, list) and len(base) == 2 and isinstance(base[0], str)):
             raise InputError("space.basepoint: expected [edge-id, offset]")
-        base = TreePoint(base[0], float(base[1]))
+        base = TreePoint(base[0], _number(base[1], "space.basepoint[1]"))
     try:
         return Space.tree_space(parsed, leaves, base)
     except ValueError as exc:
@@ -108,19 +119,10 @@ def space_to_json(space: Space) -> dict:
 def point_from_json(space: Space, doc, where: str = "point"):
     if space.kind == TREE:
         edge = _require(doc, "edge", str, where)
-        offset = _require(doc, "offset", (int, float), where)
-        if not math.isfinite(offset):
-            raise InputError(f"{where}.offset: must be finite")
-        return TreePoint(edge, float(offset))
+        offset = _number(_require(doc, "offset", None, where), f"{where}.offset")
+        return TreePoint(edge, offset)
     coords = doc if isinstance(doc, list) else _require(doc, "coords", list, where)
-    out = []
-    for i, c in enumerate(coords):
-        if not isinstance(c, (int, float)) or isinstance(c, bool):
-            raise InputError(f"{where}.coords[{i}]: must be a number")
-        if not math.isfinite(c):
-            raise InputError(f"{where}.coords[{i}]: must be finite")
-        out.append(float(c))
-    return tuple(out)
+    return tuple(_number(c, f"{where}.coords[{i}]") for i, c in enumerate(coords))
 
 
 def point_to_json(space: Space, point):
@@ -162,10 +164,10 @@ def configuration_from_json(space: Space, doc) -> Configuration:
     items = []
     for i, entry in enumerate(entries):
         where = f"configuration.points[{i}]"
-        mass = _require(entry, "mass", (int, float), where)
-        if isinstance(mass, bool) or mass <= 0:
+        mass = _number(_require(entry, "mass", None, where), f"{where}.mass")
+        if mass <= 0.0:
             raise InputError(f"{where}.mass: must be a positive number")
-        items.append(WeightedPoint(point_from_json(space, entry, where), float(mass)))
+        items.append(WeightedPoint(point_from_json(space, entry, where), mass))
     try:
         return Configuration.of(space, items)
     except ValueError as exc:

@@ -1,8 +1,9 @@
 """Seeded perturbation scans estimating Lipschitz moduli.
 
-Three scans share one sampling scheme: per-sample generators are derived
-as seed xor sample-index, so reports are bit-identical across runs and
-independent of execution order.
+Three scans share one sampling scheme: each sample draws from its own
+generator seeded by the pair (seed, sample-index), so reports are
+bit-identical across runs, independent of execution order, and distinct
+seeds never share a sample.
 
 * point shift -- move one point of a weighted configuration by a geodesic
   step of size epsilon, ratio = center displacement / point displacement;
@@ -23,6 +24,7 @@ the proxy upper-bounds the hull distance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -58,8 +60,10 @@ class ScanParams:
     def validated(self) -> "ScanParams":
         if self.samples < 1:
             raise GeometryError(f"samples must be >= 1, got {self.samples}")
-        if self.epsilon <= 0.0:
-            raise GeometryError(f"epsilon must be positive, got {self.epsilon}")
+        for name in ("epsilon", "scale"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise GeometryError(f"{name} must be positive and finite, got {value}")
         if self.n_points < 1:
             raise GeometryError(f"n_points must be >= 1, got {self.n_points}")
         return self

@@ -424,8 +424,13 @@ def ray_separation(space: Space, x, y, xi: IdealPoint, s: float) -> float:
 
 
 def sub_rng(seed: int, index: int = 0) -> np.random.Generator:
-    """Per-sample generator; xor keeps parallel and sequential runs equal."""
-    return np.random.default_rng((int(seed) ^ int(index)) & _SEED_MASK)
+    """Per-sample generator seeded by the pair (seed, index).
+
+    Distinct pairs give independent streams, so no two seeds share a
+    sample, and each sample depends on nothing but its own pair, so
+    parallel and sequential runs agree.
+    """
+    return np.random.default_rng([int(seed) & _SEED_MASK, int(index) & _SEED_MASK])
 
 
 def draw_point(space: Space, rng: np.random.Generator, scale: float):

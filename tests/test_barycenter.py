@@ -223,6 +223,13 @@ def test_point_cap_and_override(euclid2):
     assert res.converged
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_tol_must_be_positive_and_finite(euclid2, tol):
+    cfg = unit_configuration(euclid2, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    with pytest.raises(GeometryError, match="tol must be positive and finite"):
+        center_of_mass(euclid2, cfg, tol, max_iters=0)
+
+
 def test_non_convergence_reported(hyp2):
     rng = np.random.default_rng(3)
     cfg = random_config(hyp2, rng, 3, scale=2.0)

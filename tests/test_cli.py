@@ -175,6 +175,33 @@ def test_exit_1_on_nan_coordinate(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["barycenter", "--tol", "nan", "--max-iters", "0"], "tol must be"),
+        (["select", "--classify-tol", "nan"], "classify_tol must be"),
+        (["select", "--snap-tol", "nan"], "snap_tol must be"),
+        (["scan-shift", "--epsilon", "nan"], "epsilon must be"),
+        (["scan-shift", "--scale", "nan"], "scale must be"),
+    ],
+)
+def test_exit_1_on_nan_tolerance(argv, message, tri_file, tree_file, tmp_path, capsys):
+    body = tmp_path / "body.json"
+    gens = [{"edge": "A-B", "offset": 0.5}, {"edge": "B-D", "offset": 1.0}]
+    body.write_text(json.dumps({"generators": gens}))
+    inputs = {
+        "barycenter": ["--space", "euclidean", "--dim", "2", "--input", tri_file],
+        "select": ["--space-json", tree_file, "--input", str(body)],
+        "scan-shift": ["--space", "euclidean", "--dim", "2", "--samples", "2"],
+    }
+    code = main(argv[:1] + inputs[argv[0]] + argv[1:])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert f"{message} positive and finite, got nan" in captured.err
+    assert captured.out == ""
+
+
 def test_exit_1_on_non_null_ideal(tmp_path, capsys):
     body = tmp_path / "body.json"
     body.write_text(

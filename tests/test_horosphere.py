@@ -58,12 +58,12 @@ def test_first_horosphere_examples(euclid2):
     o = (0.0, 0.0)
     body = ConvexBody.of(euclid2, [(0.0, 0.0), (2.0, 1.0)])
     level, contact = first_horosphere(euclid2, body, u, o)
-    assert level.level == -2.0
+    assert level == -2.0
     assert contact == [(2.0, 1.0)]
 
     single = ConvexBody.of(euclid2, [(5.0, 5.0)])
     level, contact = first_horosphere(euclid2, single, u, o)
-    assert level.level == -5.0
+    assert level == -5.0
     assert contact == [(5.0, 5.0)]
 
 
@@ -229,6 +229,38 @@ def test_classification_dichotomy(any_space):
         assert verdict.verdict in (SHRINKING, NON_SHRINKING)
 
 
+@pytest.mark.parametrize("name", ["hyp2", "tree"])
+def test_classify_reads_one_level_per_generator(name, monkeypatch):
+    space = ORACLE_SPACES[name]
+    xi = ideal_for(space)
+    rng = np.random.default_rng(131)
+    body = ConvexBody.of(space, [sp.draw_point(space, rng, 2.0) for _ in range(6)])
+    assert len(body) == 6
+    calls = []
+    busemann = sp.busemann
+
+    def counted(*args):
+        calls.append(args)
+        return busemann(*args)
+
+    monkeypatch.setattr(sp, "busemann", counted)
+    verdict = classify_body(space, body, xi)
+    assert len(calls) == 6
+    pairs = [
+        limit_separation(space, x, y, xi)
+        for i, x in enumerate(body.generators)
+        for y in body.generators[i + 1 :]
+    ]
+    assert verdict.max_limit_separation == max(pairs)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_classify_rejects_bad_tol(euclid2, tol):
+    body = ConvexBody.of(euclid2, [(0.0, 0.0), (0.0, 1.0)])
+    with pytest.raises(GeometryError, match="classify_tol must be positive"):
+        classify_body(euclid2, body, ideal_for(euclid2), tol)
+
+
 def test_long_tree_edges_same_level_shrink():
     # both generators sit 150 from B, so their rays toward C merge at B
     # and the limit separation is 0, though no ray gets there by s = 64
@@ -297,6 +329,12 @@ def test_snap_tree_branch_vertex(tree_space):
     assert tree_space.tree.at_vertex(snapped) == "B"
     mid = TreePoint("B-C", 1.5)
     assert snap_singular(tree_space, mid) == mid
+
+
+@pytest.mark.parametrize("snap_tol", [0.0, -1.0, math.nan, math.inf])
+def test_snap_rejects_bad_tol(tree_space, snap_tol):
+    with pytest.raises(GeometryError, match="snap_tol must be positive and finite"):
+        snap_singular(tree_space, TreePoint("B-C", 1.5), snap_tol)
 
 
 # -- the selector ----------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from horocenter import jsonio
@@ -34,6 +36,32 @@ def test_space_errors():
         jsonio.space_from_json({"space": "tree", "edges": [["A", "B"]]})
     with pytest.raises(InputError, match="unknown kind"):
         jsonio.space_from_json({"space": "spherical", "dim": 2})
+
+
+@pytest.mark.parametrize(
+    "offset, message",
+    [
+        ("x", "must be a number"),
+        ("0.5", "must be a number"),
+        (None, "must be a number"),
+        (True, "must be a number"),
+        (math.nan, "must be finite"),
+        (10**400, "must be finite"),
+    ],
+)
+def test_tree_basepoint_offset_is_a_finite_number(offset, message):
+    doc = {"space": "tree", "edges": [["A", "B", 2.0]], "basepoint": ["A-B", offset]}
+    with pytest.raises(InputError, match=rf"space\.basepoint\[1\]: {message}"):
+        jsonio.space_from_json(doc)
+
+
+def test_huge_integer_coordinate_and_mass_are_not_finite():
+    eu = Space.euclidean(2)
+    with pytest.raises(InputError, match=r"point\.coords\[0\]: must be finite"):
+        jsonio.point_from_json(eu, {"coords": [10**400, 0]})
+    doc = {"points": [{"coords": [0, 0], "mass": 10**400}]}
+    with pytest.raises(InputError, match=r"points\[0\]\.mass: must be finite"):
+        jsonio.configuration_from_json(eu, doc)
 
 
 def test_point_round_trip():

@@ -8,6 +8,7 @@ from horocenter.barycenter import Configuration, center_of_mass, replace_mass
 from horocenter.horosphere import ConvexBody
 from horocenter.lipschitz import (
     ScanParams,
+    body_case,
     branch_straddle_probe,
     hausdorff,
     mass_case,
@@ -58,6 +59,23 @@ def test_scans_bit_identical(any_space):
         ideal=ideal_for(any_space),
     )
     assert selector_scan(params) == selector_scan(params)
+
+
+def test_seeds_draw_different_samples(hyp2):
+    # seeds 0 and 5 pair up under seed ^ index, the aliasing this guards against
+    def ratios(seed):
+        params = ScanParams(space=hyp2, n_points=4, samples=16, seed=seed)
+        return sorted(r.ratio for r in point_shift_scan(params).records)
+
+    assert ratios(0) != ratios(5)
+
+
+@pytest.mark.parametrize("field", ["epsilon", "scale"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_scan_params_reject_bad_epsilon_and_scale(euclid2, field, value):
+    params = ScanParams(space=euclid2, n_points=2, samples=1, **{field: value})
+    with pytest.raises(GeometryError, match=f"{field} must be positive and finite"):
+        point_shift_scan(params)
 
 
 def test_records_ordered_and_sane(any_space):
@@ -154,10 +172,16 @@ def test_selector_identical_bodies_skipped(euclid2):
         space=euclid2, n_points=3, samples=10, epsilon=1e-18, seed=2, ideal=xi
     )
     report = selector_scan(params)
-    # displacements this small collapse to the original body after rounding
-    assert report.skipped == 10
-    assert report.records == []
-    assert report.max_ratio == 0.0
+    # a sample is skipped iff its perturbation rounds back onto the body
+    collapsed = [
+        i for i in range(10) if hausdorff(euclid2, *body_case(params, i)) == 0.0
+    ]
+    assert collapsed
+    assert report.skipped == len(collapsed)
+    assert sorted(r.sample for r in report.records) == sorted(
+        set(range(10)) - set(collapsed)
+    )
+    assert all(r.in_disp > 0.0 for r in report.records)
 
 
 def test_selector_scan_requires_ideal(euclid2):

@@ -12,9 +12,9 @@ diameter drops below tolerance.
 The complement centers use the full recursive construction, so the cost
 is super-exponential in n; ``max_points`` caps the size (default 7) and
 can be raised explicitly.  In euclidean space one step collapses any
-configuration onto the weighted mean exactly; in curved spaces the
-contraction is superlinear once the diameter is small, so iteration
-counts stay modest.
+configuration onto the weighted mean exactly; in curved spaces every
+step shrinks the diameter, but convergence can be only linear: near a
+tree branch vertex the ratio per step stays constant.
 """
 
 from __future__ import annotations

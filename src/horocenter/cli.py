@@ -3,9 +3,8 @@
 Subcommands: barycenter, select, classify, scan-shift, scan-mass,
 scan-selector.  Structured results are emitted as JSON; traces and scan
 records can be emitted as CSV.  Exit codes: 0 success, 1 input error,
-2 non-convergence (the partial artifact is still written).  The
-deprecated --horizon flag of select and classify is accepted and
-ignored.
+2 non-convergence (the partial artifact is still written); usage errors
+such as an unknown flag are input errors and exit 1.
 
 All randomness flows from --seed; the HOROCENTER_SEED environment
 variable overrides the default when the flag is absent.
@@ -55,13 +54,16 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", help="output path (default: standard output)")
 
 
-def _add_horizon_flag(parser: argparse.ArgumentParser) -> None:
-    # classification uses the closed-form ray limit; kept so old scripts run
-    parser.add_argument("--horizon", type=float, help=argparse.SUPPRESS)
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the input-error code; 2 means non-convergence."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="horocenter",
         description="Weighted centers, horosphere selectors and Lipschitz scans "
         "in three model Hadamard spaces.",
@@ -82,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ideal", help="inline ideal-point JSON (overrides the document)")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iters", type=int, default=200)
-    _add_horizon_flag(p)
     p.add_argument("--classify-tol", type=float, default=1e-6)
     p.add_argument("--snap-tol", type=float, default=1e-4)
     p.add_argument("--no-smoothing", action="store_true")
@@ -92,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_space_flags(p)
     p.add_argument("--input", required=True)
     p.add_argument("--ideal", help="inline ideal-point JSON (overrides the document)")
-    _add_horizon_flag(p)
     p.add_argument("--classify-tol", type=float, default=1e-6)
     _add_output_flags(p)
 
@@ -274,8 +274,6 @@ def _run_scan(args, kind: str) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "horizon", None) is not None:
-        print(f"{args.command}: --horizon is deprecated and ignored", file=sys.stderr)
     try:
         if args.command == "barycenter":
             return _run_barycenter(args)

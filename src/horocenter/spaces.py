@@ -23,7 +23,8 @@ Hyperbolic closed forms used below:
 * distance(x, y) = 2 asinh(sqrt(<x-y, x-y>)/2), which is exact for nearby
   points where acosh(-<x,y>) loses half the significand;
 * ray(x, xi, s) = exp(-s) x + sinh(s) xi / alpha with alpha = -<x, xi>,
-  which lies on the sheet identically in exact arithmetic;
+  which lies on the sheet identically in exact arithmetic; each component
+  is a double-double sum of Dekker products, rounded once;
 * separation of two rays toward the same end,
   cosh d(s) - 1 = 2 sinh^2(g/2) + 2 (sinh^2(d0/2) - sinh^2(g/2)) e^{-2s}
   with g the horofunction gap b(x) - b(y) and d0 = distance(x, y).  The
@@ -35,17 +36,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import GeometryError
 from .trees import Tree, TreePoint
+
+if TYPE_CHECKING:
+    from numpy.random import Generator
 
 EUCLIDEAN = "euclidean"
 HYPERBOLIC = "hyperbolic"
 TREE = "tree"
 
-HYPERBOLOID_TOL = 1e-9
+HYPERBOLOID_TOL = 1e-9  # relative to x0^2, the scale of the rounding in <x,x>
+MAX_DIM = 1024  # keeps coordinate tuples and draws small; far above desk scale
 IDEAL_TOL = 1e-9
 _T_BITS = 26  # fractional bits of the stereographic parameter of a null vector
 _TINY = 2.0**-400  # below this, squares underflow inside _mink_exact
@@ -63,14 +67,14 @@ class Space:
 
     @classmethod
     def euclidean(cls, dim: int) -> "Space":
-        if dim < 1:
-            raise GeometryError(f"dim must be >= 1, got {dim}")
+        if not 1 <= dim <= MAX_DIM:
+            raise GeometryError(f"dim must lie in [1, {MAX_DIM}], got {dim}")
         return cls(EUCLIDEAN, dim)
 
     @classmethod
     def hyperbolic(cls, dim: int) -> "Space":
-        if dim < 1:
-            raise GeometryError(f"dim must be >= 1, got {dim}")
+        if not 1 <= dim <= MAX_DIM:
+            raise GeometryError(f"dim must lie in [1, {MAX_DIM}], got {dim}")
         return cls(HYPERBOLIC, dim)
 
     @classmethod
@@ -133,6 +137,13 @@ def _two_product(a: float, b: float):
     bhi = c - (c - b)
     blo = b - bhi
     return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+
+
+def _two_sum(a: float, b: float):
+    """Error-free sum: returns (fl(a+b), rounding remainder)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
 
 
 def _mink_exact(x, y) -> float:
@@ -224,7 +235,8 @@ def validate_point(space: Space, p) -> None:
         raise GeometryError(f"expected {space.dim + 1} coordinates, got {len(p)}")
     if p[0] <= 0.0:
         raise GeometryError("hyperboloid point must have positive first coordinate")
-    if abs(_mink(p, p) + 1.0) > HYPERBOLOID_TOL:
+    tol = HYPERBOLOID_TOL * p[0] * p[0]  # an overflowing x0^2 accepts nothing
+    if not abs(_mink(p, p) + 1.0) <= tol < math.inf:
         raise GeometryError(f"point is off the hyperboloid: <x,x> = {_mink(p, p)}")
 
 
@@ -335,55 +347,41 @@ def ray_point(space: Space, x, xi: IdealPoint, s: float):
         alpha = -_mink_exact(x, xi.vector)
         if alpha <= 0.0:
             raise GeometryError("ideal vector points away from the sheet")
-        # Assemble exp(-s) x + sinh(s) xi/alpha (on the sheet identically)
-        # in extended precision: the xi spine grows like exp(s) and would
-        # otherwise absorb the low bits that carry the transverse part.
-        ls = np.longdouble(-s)
-        decay = np.exp(ls)
-        grow = np.sinh(-ls) / np.longdouble(alpha)
-        comps = [
-            decay * np.longdouble(a) + grow * np.longdouble(n)
-            for a, n in zip(x, xi.vector)
-        ]
-        n2 = comps[0] * comps[0]
-        for c in comps[1:]:
-            n2 = n2 - c * c
-        # Renormalize while the measured norm is trustworthy; past the
-        # window the cancellation noise exceeds the signal even in
-        # extended precision and the symbolic form is the best available.
-        if 0.5 < float(n2) < 2.0:
-            root = np.sqrt(n2)
-            comps = [c / root for c in comps]
+        # Rounding decay or grow only slides the point along the null xi.
+        # The xi spine grows like exp(s); summing exact products keeps the
+        # low bits that carry the transverse part until the final rounding.
+        decay = math.exp(-s)
+        grow = math.sinh(s) / alpha
+        comps = []
+        for a, n in zip(x, xi.vector):
+            p, e = _two_product(decay, a)
+            q, f = _two_product(grow, n)
+            hi, lo = _two_sum(p, q)
+            comps.append(_two_sum(hi, lo + e + f))
         if s >= 5.0 and len(comps) <= 8:
-            target = float(np.longdouble(alpha) * np.exp(ls))
-            return _round_minimizing_level(comps, xi.vector, target)
-        return tuple(float(c) for c in comps)
+            return _round_minimizing_level(comps, xi.vector, alpha * decay)
+        return tuple(hi for hi, _ in comps)
     return space.tree.ray(x, xi.leaf, s)
 
 
 def _round_minimizing_level(comps, xi_vec, target: float) -> tuple[float, ...]:
-    """Round extended-precision components to doubles, choosing per-component
-    directions that best preserve -<r, xi> = target.
+    """Round (hi, lo) double-double components to doubles, choosing
+    per-component directions that best preserve -<r, xi> = target.
 
     Far along a ray the per-component rounding granularity exceeds the
     horofunction residual being represented, so the nearest rounding is
     not the best one; every candidate stays within one ulp of the true
     point, leaving all metric identities untouched.
     """
-    nearest = [float(c) for c in comps]
+    nearest = [hi for hi, _ in comps]
     alts = [
-        math.nextafter(n, math.inf if float(c) < c else -math.inf)
-        for n, c in zip(nearest, comps)
+        math.nextafter(hi, math.inf if lo > 0.0 else -math.inf) for hi, lo in comps
     ]
-    best, best_score = None, math.inf
-    for mask in range(1 << len(nearest)):
-        cand = tuple(
-            alts[i] if mask >> i & 1 else nearest[i] for i in range(len(nearest))
-        )
-        score = abs(_mink_exact(cand, xi_vec) + target)
-        if score < best_score:
-            best, best_score = cand, score
-    return best
+    cands = (
+        tuple(alts[i] if mask >> i & 1 else nearest[i] for i in range(len(nearest)))
+        for mask in range(1 << len(nearest))
+    )
+    return min(cands, key=lambda c: abs(_mink_exact(c, xi_vec) + target))
 
 
 def busemann(space: Space, xi: IdealPoint, o, x) -> float:
@@ -423,17 +421,18 @@ def ray_separation(space: Space, x, y, xi: IdealPoint, s: float) -> float:
 # -- seeded generation -------------------------------------------------------
 
 
-def sub_rng(seed: int, index: int = 0) -> np.random.Generator:
+def sub_rng(seed: int, index: int = 0) -> Generator:
     """Per-sample generator seeded by the pair (seed, index).
 
     Distinct pairs give independent streams, so no two seeds share a
     sample, and each sample depends on nothing but its own pair, so
     parallel and sequential runs agree.
     """
-    return np.random.default_rng([int(seed) & _SEED_MASK, int(index) & _SEED_MASK])
+    from numpy.random import default_rng  # only seeded draws load numpy
+    return default_rng([int(seed) & _SEED_MASK, int(index) & _SEED_MASK])
 
 
-def draw_point(space: Space, rng: np.random.Generator, scale: float):
+def draw_point(space: Space, rng: Generator, scale: float):
     """One point within distance `scale` of the basepoint."""
     if scale <= 0.0:
         raise GeometryError(f"scale must be positive, got {scale}")
@@ -458,7 +457,7 @@ def random_point(space: Space, seed: int, scale: float):
     return draw_point(space, sub_rng(seed), scale)
 
 
-def draw_ideal(space: Space, rng: np.random.Generator) -> IdealPoint:
+def draw_ideal(space: Space, rng: Generator) -> IdealPoint:
     if space.kind == EUCLIDEAN:
         return IdealPoint(vector=_unit_gauss(rng, space.dim))
     if space.kind == HYPERBOLIC:
@@ -469,7 +468,7 @@ def draw_ideal(space: Space, rng: np.random.Generator) -> IdealPoint:
     return IdealPoint(leaf=leaves[int(rng.integers(len(leaves)))])
 
 
-def random_shift(space: Space, x, step: float, rng: np.random.Generator):
+def random_shift(space: Space, x, step: float, rng: Generator):
     """Geodesic exponential step of size `step` in a random direction."""
     if step < 0.0:
         raise GeometryError(f"step must be nonnegative, got {step}")
@@ -493,9 +492,9 @@ def random_shift(space: Space, x, step: float, rng: np.random.Generator):
     return space.tree.random_walk_shift(x, step, rng)
 
 
-def _unit_gauss(rng: np.random.Generator, dim: int) -> tuple[float, ...]:
+def _unit_gauss(rng: Generator, dim: int) -> tuple[float, ...]:
     while True:
         g = rng.normal(size=dim)
-        norm = float(np.linalg.norm(g))
+        norm = math.sqrt(float(g.dot(g)))
         if norm > 1e-12:
             return tuple(float(c / norm) for c in g)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import horocenter
 from horocenter.cli import main
 
 TRI = {
@@ -234,35 +238,107 @@ def test_exit_1_on_bad_json(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
-def test_horizon_flag_is_deprecated_and_ignored(tmp_path, capsys):
+def _usage_exit(argv) -> int:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+def test_usage_errors_exit_1(tri_file, capsys):
+    # exit 2 is reserved for non-convergence
+    args = ["--space", "euclidean", "--dim", "2"]
+    assert _usage_exit(["select", *args, "--input", tri_file, "--bogus"]) == 1
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert _usage_exit(["select", *args]) == 1
+    assert "--input" in capsys.readouterr().err
+    assert _usage_exit(["barycenter", *args, "--input", tri_file, "--tol", "x"]) == 1
+    assert _usage_exit(["frobnicate"]) == 1
+    assert _usage_exit(["select", "--help"]) == 0
+
+
+def test_horizon_flag_is_a_usage_error(tmp_path, capsys):
     body = tmp_path / "pair.json"
-    # same-level hyperbolic pair whose rays are far from merged at s = 2
     body.write_text(
         json.dumps(
             {
-                "generators": [
-                    {"coords": [2.352409615243247, 2.1292794550948173, 0.0]},
-                    {"coords": [2.352409615243247, -2.1292794550948173, 0.0]},
-                ],
+                "generators": [{"coords": [1.0, 0.0, 0.0]}],
                 "ideal": {"null_vector": [1.0, 0.0, 1.0]},
             }
         )
     )
     args = ["--space", "hyperbolic", "--dim", "2", "--input", str(body)]
-    assert main(["classify", *args]) == 0
-    plain = capsys.readouterr()
-    assert plain.err == ""
-    assert main(["classify", *args, "--horizon", "2"]) == 0
-    flagged = capsys.readouterr()
-    assert json.loads(flagged.out)["verdict"] == "shrinking"
-    assert flagged.out == plain.out
-    assert flagged.err == "classify: --horizon is deprecated and ignored\n"
-    assert main(["select", *args, "--horizon", "2"]) == 0
-    assert "deprecated" in capsys.readouterr().err
     for command in ("classify", "select"):
-        with pytest.raises(SystemExit):
-            main([command, "--help"])
-        assert "--horizon" not in capsys.readouterr().out
+        assert main([command, *args]) == 0
+        capsys.readouterr()
+        assert _usage_exit([command, *args, "--horizon", "2"]) == 1
+        assert "--horizon" in capsys.readouterr().err
+
+
+def test_huge_dim_exits_1(tmp_path, capsys):
+    huge = "1" + "0" * 39
+    code = main(["scan-shift", "--space", "euclidean", "--dim", huge, "--samples", "1"])
+    assert code == 1
+    assert "dim" in capsys.readouterr().err
+    space = tmp_path / "space.json"
+    space.write_text('{"space": "hyperbolic", "dim": ' + huge + "}")
+    body = tmp_path / "body.json"
+    body.write_text(json.dumps({"generators": [{"coords": [1.0, 0.0]}]}))
+    assert main(["classify", "--space-json", str(space), "--input", str(body)]) == 1
+    assert "dim" in capsys.readouterr().err
+
+
+def test_far_hyperbolic_scan_accepts_its_draws(tmp_path, capsys):
+    # radius-9 draws used to fail an absolute hyperboloid check
+    out = tmp_path / "scan.json"
+    code = main(
+        ["scan-shift", "--space", "hyperbolic", "--dim", "2", "--scale", "9",
+         "--seed", "1", "--output", str(out)]
+    )
+    assert code == 0
+    assert json.loads(out.read_text())["summary"]["failures"] == 0
+
+
+def test_barycenter_select_and_classify_never_load_numpy(tmp_path, tree_file):
+    # numpy serves only seeded draws; one document is both a configuration
+    # and a body
+    docs = {
+        "euclid.json": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+        "hyp.json": [[1.0, 0.0, 0.0], [1.5430806348152437, 1.1752011936438014, 0.0]],
+        "tree_doc.json": [("A-B", 0.5), ("B-D", 1.0)],
+    }
+    for name, points in docs.items():
+        pts = [
+            {"edge": p[0], "offset": p[1]} if name == "tree_doc.json" else {"coords": p}
+            for p in points
+        ]
+        doc = {"points": [dict(p, mass=1.0) for p in pts], "generators": pts}
+        (tmp_path / name).write_text(json.dumps(doc))
+    runs = [
+        [*space, "--input", str(tmp_path / name), "--output", str(tmp_path / "out")]
+        for space, name in (
+            (["--space", "euclidean", "--dim", "2"], "euclid.json"),
+            (["--space", "hyperbolic", "--dim", "2"], "hyp.json"),
+            (["--space-json", tree_file], "tree_doc.json"),
+        )
+    ]
+    script = (
+        "import sys, horocenter\n"
+        "from horocenter.cli import main\n"
+        f"for args in {runs!r}:\n"
+        "    for command in ('barycenter', 'select', 'classify'):\n"
+        "        assert main([command, *args]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(horocenter.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_exit_1_on_overflowing_configuration(tmp_path, capsys):

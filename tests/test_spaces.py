@@ -137,6 +137,35 @@ def test_ray_unit_speed(any_space):
         assert sp.distance(any_space, x, r) == pytest.approx(s, abs=1e-9)
 
 
+def _hyperbolic_ray_draws():
+    for dim in range(1, 6):
+        space = sp.Space.hyperbolic(dim)
+        rng = sp.sub_rng(21, dim)
+        for _ in range(200):
+            x = sp.draw_point(space, rng, 2.0)
+            yield space, x, sp.draw_ideal(space, rng), float(rng.uniform(0.0, 5.0))
+
+
+def test_hyperbolic_ray_is_the_exact_sum_rounded():
+    # below s = 5 no rounding search runs: each component is the double
+    # nearest fl(exp(-s)) x + fl(sinh(s)/alpha) xi, within one ulp
+    for space, x, xi, s in _hyperbolic_ray_draws():
+        alpha = -sp._mink_exact(x, xi.vector)
+        decay, grow = Fraction(math.exp(-s)), Fraction(math.sinh(s) / alpha)
+        r = sp.ray_point(space, x, xi, s)
+        for c, a, n in zip(r, x, xi.vector):
+            exact = decay * Fraction(a) + grow * Fraction(n)
+            assert abs(Fraction(c) - exact) <= Fraction(math.ulp(float(exact)))
+
+
+def test_hyperbolic_rays_do_not_depend_on_long_double(monkeypatch):
+    # long double is plain double on Windows and macOS arm64
+    draws = list(_hyperbolic_ray_draws())
+    rays = [sp.ray_point(space, x, xi, 2.0 * s) for space, x, xi, s in draws]
+    monkeypatch.setattr(np, "longdouble", np.float64)
+    assert rays == [sp.ray_point(space, x, xi, 2.0 * s) for space, x, xi, s in draws]
+
+
 def test_ray_separation_matches_naive_evaluation(any_space):
     """The per-space closed forms agree with literally moving both points."""
     xi = ideal_for(any_space)
@@ -188,6 +217,26 @@ def test_point_validation(euclid2, hyp2):
         sp.validate_point(hyp2, (1.0, 0.5, 0.0))  # off the sheet
     with pytest.raises(GeometryError):
         sp.validate_point(hyp2, (-1.0, 0.0, 0.0))  # wrong sheet
+
+
+def test_far_hyperboloid_points_pass_the_relative_check(hyp2):
+    # radius-9 draw (coordinates ~4e3) whose <x,x> misses -1 by 1.9e-9
+    rng = sp.sub_rng(1, 4)
+    sp.draw_point(hyp2, rng, 9.0)
+    x = sp.draw_point(hyp2, rng, 9.0)
+    assert abs(sp._mink(x, x) + 1.0) > sp.HYPERBOLOID_TOL
+    sp.validate_point(hyp2, x)
+    for off in ((x[0] * (1.0 + 1e-8),) + x[1:], (1e200, 0.0, 0.0)):
+        with pytest.raises(GeometryError, match="off the hyperboloid"):
+            sp.validate_point(hyp2, off)
+
+
+def test_dim_is_capped():
+    assert sp.Space.hyperbolic(sp.MAX_DIM).dim == sp.MAX_DIM
+    for make in (sp.Space.euclidean, sp.Space.hyperbolic):
+        for dim in (0, sp.MAX_DIM + 1, 10**40):
+            with pytest.raises(GeometryError, match="dim"):
+                make(dim)
 
 
 def test_ideal_validation(euclid2, hyp2, tree_space):

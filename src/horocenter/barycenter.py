@@ -154,6 +154,8 @@ def center_of_mass(
     """Iterate the construction until the configuration diameter < tol."""
     if not 0.0 < tol < math.inf:
         raise GeometryError(f"tol must be positive and finite, got {tol}")
+    if max_iters < 0:
+        raise GeometryError(f"max_iters must be >= 0, got {max_iters}")
     n = len(config)
     if n > max_points:
         raise GeometryError(

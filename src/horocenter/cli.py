@@ -282,10 +282,7 @@ def main(argv=None) -> int:
         if args.command == "classify":
             return _run_classify(args)
         return _run_scan(args, args.command.removeprefix("scan-"))
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except GeometryError as exc:
+    except (InputError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,9 +9,10 @@ Bodies: {"generators": [...]} with optional "ideal".
 Ideal points: {"direction": [...]}, {"null_vector": [...]},
 or {"end_leaf": "C"}.
 
-Every emitted document re-parses into the producing type; emission is
-deterministic (sorted keys, fixed separators) so identical runs produce
-byte-identical artifacts.
+The command line reads spaces, points, ideal points, configurations and
+bodies, and writes points, results and reports, so each type converts one
+way only.  Emission is deterministic (sorted keys, fixed separators), so
+identical runs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 
 from .barycenter import BarycenterResult, Configuration, WeightedPoint
 from .horosphere import ConvexBody
-from .lipschitz import LipschitzReport, ScanRecord
+from .lipschitz import LipschitzReport
 from .spaces import EUCLIDEAN, HYPERBOLIC, TREE, IdealPoint, Space
 from .trees import TreePoint
 
@@ -101,18 +102,6 @@ def space_from_json(doc) -> Space:
         raise InputError(f"space: {exc}") from None
 
 
-def space_to_json(space: Space) -> dict:
-    if space.kind == TREE:
-        tree = space.tree
-        return {
-            "space": TREE,
-            "edges": [[e.u, e.v, e.length] for e in tree.edges],
-            "ideal_leaves": sorted(tree.ideal_leaves),
-            "basepoint": [tree.basepoint.edge, tree.basepoint.offset],
-        }
-    return {"space": space.kind, "dim": space.dim}
-
-
 # -- points -------------------------------------------------------------------
 
 
@@ -148,14 +137,6 @@ def ideal_from_json(space: Space, doc, where: str = "ideal") -> IdealPoint:
     raise InputError(f"{where}: need one of direction / null_vector / end_leaf")
 
 
-def ideal_to_json(space: Space, xi: IdealPoint) -> dict:
-    if xi.leaf is not None:
-        return {"end_leaf": xi.leaf}
-    if space.kind == EUCLIDEAN:
-        return {"direction": list(xi.vector)}
-    return {"null_vector": list(xi.vector)}
-
-
 # -- aggregates ---------------------------------------------------------------
 
 
@@ -174,15 +155,6 @@ def configuration_from_json(space: Space, doc) -> Configuration:
         raise InputError(f"configuration: {exc}") from None
 
 
-def configuration_to_json(space: Space, config: Configuration) -> dict:
-    points = []
-    for item in config.items:
-        entry = point_to_json(space, item.point)
-        entry["mass"] = item.mass
-        points.append(entry)
-    return {"points": points}
-
-
 def body_from_json(space: Space, doc) -> ConvexBody:
     entries = _require(doc, "generators", list, "body")
     points = [
@@ -193,10 +165,6 @@ def body_from_json(space: Space, doc) -> ConvexBody:
         return ConvexBody.of(space, points)
     except ValueError as exc:
         raise InputError(f"body: {exc}") from None
-
-
-def body_to_json(space: Space, body: ConvexBody) -> dict:
-    return {"generators": [point_to_json(space, g) for g in body.generators]}
 
 
 # -- results and reports --------------------------------------------------------
@@ -211,15 +179,6 @@ def result_to_json(space: Space, result: BarycenterResult) -> dict:
     }
 
 
-def result_from_json(space: Space, doc) -> BarycenterResult:
-    return BarycenterResult(
-        center=point_from_json(space, _require(doc, "center", None, "result")),
-        iterations=_require(doc, "iterations", int, "result"),
-        diameter_trace=[float(d) for d in _require(doc, "diameter_trace", list, "result")],
-        converged=_require(doc, "converged", bool, "result"),
-    )
-
-
 def trace_csv(result: BarycenterResult) -> str:
     lines = ["iter,diameter"]
     for i, d in enumerate(result.diameter_trace):
@@ -229,15 +188,7 @@ def trace_csv(result: BarycenterResult) -> str:
 
 def report_to_json(report: LipschitzReport) -> dict:
     doc = {
-        "records": [
-            {
-                "sample": r.sample,
-                "in_disp": r.in_disp,
-                "out_disp": r.out_disp,
-                "ratio": r.ratio,
-            }
-            for r in report.records
-        ],
+        "records": [r._asdict() for r in report.records],
         "summary": {
             "max_ratio": report.max_ratio,
             "mean_ratio": report.mean_ratio,
@@ -248,28 +199,6 @@ def report_to_json(report: LipschitzReport) -> dict:
     if report.straddle is not None:
         doc["straddle_ratios"] = list(report.straddle)
     return doc
-
-
-def report_from_json(doc) -> LipschitzReport:
-    summary = _require(doc, "summary", dict, "report")
-    records = [
-        ScanRecord(
-            int(_require(r, "sample", int, f"report.records[{i}]")),
-            float(_require(r, "in_disp", (int, float), f"report.records[{i}]")),
-            float(_require(r, "out_disp", (int, float), f"report.records[{i}]")),
-            float(_require(r, "ratio", (int, float), f"report.records[{i}]")),
-        )
-        for i, r in enumerate(_require(doc, "records", list, "report"))
-    ]
-    straddle = doc.get("straddle_ratios")
-    return LipschitzReport(
-        records=records,
-        max_ratio=float(_require(summary, "max_ratio", (int, float), "report.summary")),
-        mean_ratio=float(_require(summary, "mean_ratio", (int, float), "report.summary")),
-        failures=int(_require(summary, "failures", int, "report.summary")),
-        skipped=int(_require(summary, "skipped", int, "report.summary")),
-        straddle=None if straddle is None else [float(x) for x in straddle],
-    )
 
 
 def report_csv(report: LipschitzReport) -> str:

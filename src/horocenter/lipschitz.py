@@ -66,6 +66,8 @@ class ScanParams:
                 raise GeometryError(f"{name} must be positive and finite, got {value}")
         if self.n_points < 1:
             raise GeometryError(f"n_points must be >= 1, got {self.n_points}")
+        if self.max_iters < 0:
+            raise GeometryError(f"max_iters must be >= 0, got {self.max_iters}")
         return self
 
 
@@ -251,15 +253,13 @@ def branch_straddle_probe(
     xi: IdealPoint,
     eps0: float | None = None,
     halvings: int = 4,
-    contact_depth: float | None = None,
     smoothing: bool = False,
-    snap_tol: float = SelectOptions.snap_tol,
-    opts: SelectOptions | None = None,
 ) -> list[float]:
     """Selector ratios for a two-generator family straddling a branch vertex.
 
     Generators sit on two distinct branches below the first branch vertex
-    at depths contact_depth -/+ delta; the paired body swaps the signs.
+    at depths contact_depth -/+ delta, with contact_depth half the snap
+    band; the paired body swaps the signs.
     The contact generator flips between branches while the bodies differ
     by 2*delta, so without smoothing the ratio grows like 1/delta as
     delta halves.  With smoothing both outputs clamp to the vertex
@@ -278,14 +278,13 @@ def branch_straddle_probe(
     branches = [ei for _, ei in tree.adjacency[vertex] if ei != toward_end][:2]
     if len(branches) < 2:
         raise GeometryError(f"vertex {vertex!r} lacks two branches off the end")
-    if contact_depth is None:
-        contact_depth = 0.5 * snap_tol
+    opts = SelectOptions(smoothing=smoothing)
+    contact_depth = 0.5 * opts.snap_tol
     if eps0 is None or eps0 >= contact_depth:
         eps0 = 0.5 * contact_depth
     limit = min(tree.edges[ei].length for ei in branches)
     if contact_depth + eps0 >= limit:
         raise GeometryError("branch edges too short for the straddle family")
-    opts = opts or SelectOptions(smoothing=smoothing, snap_tol=snap_tol)
 
     def family(delta: float):
         lo = ConvexBody.of(

@@ -133,9 +133,6 @@ class Tree:
         _, ei = self.adjacency[leaf][0]
         return self.edges[ei]
 
-    def vertex_distance(self, a: str, b: str) -> float:
-        return self._dist[a][b]
-
     def vertex_path(self, a: str, b: str) -> list[int]:
         """Edge indices along the unique vertex path from a to b."""
         prev = self._prev[a]

@@ -230,6 +230,13 @@ def test_tol_must_be_positive_and_finite(euclid2, tol):
         center_of_mass(euclid2, cfg, tol, max_iters=0)
 
 
+def test_max_iters_must_be_nonnegative(euclid2):
+    cfg = unit_configuration(euclid2, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    with pytest.raises(GeometryError, match="max_iters must be >= 0, got -1"):
+        center_of_mass(euclid2, cfg, max_iters=-1)
+    assert center_of_mass(euclid2, cfg, max_iters=1).converged
+
+
 def test_non_convergence_reported(hyp2):
     rng = np.random.default_rng(3)
     cfg = random_config(hyp2, rng, 3, scale=2.0)

@@ -206,6 +206,23 @@ def test_exit_1_on_nan_tolerance(argv, message, tri_file, tree_file, tmp_path, c
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["barycenter", "select", "scan-shift"])
+def test_negative_max_iters_exits_1(command, tri_file, tmp_path, capsys):
+    body = tmp_path / "body.json"
+    body.write_text(json.dumps({"generators": [p["coords"] for p in TRI["points"]]}))
+    inputs = {
+        "barycenter": ["--space", "euclidean", "--dim", "2", "--input", tri_file],
+        "select": ["--space", "euclidean", "--dim", "2", "--input", str(body)],
+        "scan-shift": ["--space", "hyperbolic", "--dim", "2", "--samples", "5"],
+    }
+    code = main([command, *inputs[command], "--max-iters", "-1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "max_iters must be >= 0, got -1" in captured.err
+    assert captured.out == ""
+
+
 def test_exit_1_on_non_null_ideal(tmp_path, capsys):
     body = tmp_path / "body.json"
     body.write_text(

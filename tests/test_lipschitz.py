@@ -78,6 +78,12 @@ def test_scan_params_reject_bad_epsilon_and_scale(euclid2, field, value):
         point_shift_scan(params)
 
 
+def test_scan_params_reject_negative_max_iters(hyp2):
+    params = ScanParams(space=hyp2, n_points=2, samples=5, max_iters=-1)
+    with pytest.raises(GeometryError, match="max_iters must be >= 0, got -1"):
+        point_shift_scan(params)
+
+
 def test_records_ordered_and_sane(any_space):
     params = ScanParams(space=any_space, n_points=4, samples=40, epsilon=0.05, seed=3)
     report = point_shift_scan(params)

@@ -131,8 +131,10 @@ def ideal_from_json(space: Space, doc, where: str = "ideal") -> IdealPoint:
         if key in doc:
             value = _require(doc, key, kind, where)
             try:
+                if kind is list:
+                    value = [_number(c, f"{key}[{i}]") for i, c in enumerate(value)]
                 return build(value)
-            except (TypeError, ValueError) as exc:  # GeometryError is a ValueError
+            except ValueError as exc:  # InputError and GeometryError are ValueErrors
                 raise InputError(f"{where}: {exc}") from None
     raise InputError(f"{where}: need one of direction / null_vector / end_leaf")
 

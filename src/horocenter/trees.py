@@ -9,8 +9,11 @@ there.  That extension is how rays to infinity, and hence horofunctions,
 are realized on a finite topology.
 
 Distances between arbitrary edge points reduce to leg-to-endpoint plus
-vertex-to-vertex terms; both legs use |offset| / |length - offset|, which
+vertex-to-vertex terms; both legs use |offset - endpoint offset|, which
 stays correct on extended edges (the path simply runs through the leaf).
+Every route adds its two legs before the vertex distance, and the vertex
+table holds one sum per vertex pair, so distances are symmetric to the
+bit: d(p, q) == d(q, p).
 """
 
 from __future__ import annotations
@@ -90,6 +93,9 @@ class Tree:
             dist, prev = self._scan_from(source)
             if len(dist) != len(self.vertices):
                 raise TreeError("tree is not connected")
+            # one scan per vertex pair, so the table is symmetric to the bit
+            for other, row in self._dist.items():
+                dist[other] = row[source]
             self._dist[source] = dist
             self._prev[source] = prev
 
@@ -173,66 +179,49 @@ class Tree:
             return self.vertex_point(e.v)
         return TreePoint(e.eid, float(p.offset))
 
-    def at_vertex(self, p: TreePoint) -> str | None:
-        q = self.canonical(p)
-        e = self.edge(q.edge)
-        if q.offset == 0.0:
-            return e.u
-        if q.offset == e.length:
-            return e.v
-        return None
-
     # -- metric ----------------------------------------------------------
 
-    def distance(self, p: TreePoint, q: TreePoint) -> float:
+    def _route(self, p: TreePoint, q: TreePoint):
+        """The geodesic from p to q as (length, exit, exit_off, entry, entry_off).
+
+        It leaves p's edge at vertex `exit` (offset `exit_off` there),
+        follows the vertex path to `entry` and enters q's edge at offset
+        `entry_off`; on a shared edge exit and entry are None and both
+        offsets are p's.
+        """
         ep, eq = self.edge(p.edge), self.edge(q.edge)
         if ep.index == eq.index:
-            return abs(p.offset - q.offset)
-        best = math.inf
-        for end_p, leg_p in ((ep.u, abs(p.offset)), (ep.v, abs(ep.length - p.offset))):
-            for end_q, leg_q in (
-                (eq.u, abs(q.offset)),
-                (eq.v, abs(eq.length - q.offset)),
-            ):
-                total = leg_p + self._dist[end_p][end_q] + leg_q
-                if total < best:
-                    best = total
+            return abs(p.offset - q.offset), None, p.offset, None, p.offset
+        best = None
+        for a, a_off in ((ep.u, 0.0), (ep.v, ep.length)):
+            leg_p, row = abs(p.offset - a_off), self._dist[a]
+            for b, b_off in ((eq.u, 0.0), (eq.v, eq.length)):
+                total = row[b] + (leg_p + abs(q.offset - b_off))
+                if best is None or total < best[0]:
+                    best = (total, a, a_off, b, b_off)
         return best
+
+    def distance(self, p: TreePoint, q: TreePoint) -> float:
+        return self._route(p, q)[0]
 
     def walk(self, p: TreePoint, q: TreePoint, s: float) -> TreePoint:
         """Point at arclength s from p along the unique geodesic toward q."""
         if s <= 0.0:
             return p
-        ep, eq = self.edge(p.edge), self.edge(q.edge)
-        if ep.index == eq.index:
-            step = s if q.offset >= p.offset else -s
-            return TreePoint(p.edge, p.offset + step)
-        best = None
-        for end_p, leg_p, off_p in (
-            (ep.u, abs(p.offset), 0.0),
-            (ep.v, abs(ep.length - p.offset), ep.length),
-        ):
-            for end_q, leg_q, off_q in (
-                (eq.u, abs(q.offset), 0.0),
-                (eq.v, abs(eq.length - q.offset), eq.length),
-            ):
-                total = leg_p + self._dist[end_p][end_q] + leg_q
-                if best is None or total < best[0]:
-                    best = (total, end_p, leg_p, off_p, end_q, off_q)
-        _, end_p, leg_p, off_p, end_q, off_q = best
-        if s <= leg_p:
-            step = s if off_p >= p.offset else -s
-            return TreePoint(p.edge, p.offset + step)
-        s -= leg_p
-        here = end_p
-        for ei in self.vertex_path(end_p, end_q):
-            e = self.edges[ei]
-            if s <= e.length:
-                return TreePoint(e.eid, s if e.u == here else e.length - s)
-            s -= e.length
-            here = e.v if e.u == here else e.u
-        step = s if q.offset >= off_q else -s
-        return TreePoint(q.edge, off_q + step)
+        _, exit_, exit_off, entry, entry_off = self._route(p, q)
+        if exit_ is not None:
+            leg = abs(p.offset - exit_off)
+            if s <= leg:
+                return TreePoint(p.edge, p.offset + (s if exit_off >= p.offset else -s))
+            s -= leg
+            here = exit_
+            for ei in self.vertex_path(exit_, entry):
+                e = self.edges[ei]
+                if s <= e.length:
+                    return TreePoint(e.eid, s if e.u == here else e.length - s)
+                s -= e.length
+                here = e.v if e.u == here else e.u
+        return TreePoint(q.edge, entry_off + (s if q.offset >= entry_off else -s))
 
     # -- rays to a marked end ---------------------------------------------
 

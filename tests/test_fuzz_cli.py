@@ -139,6 +139,8 @@ CRASHES = [
     _crash("tree", "select", "space", ("basepoint", 1), None),
     _crash("euclidean", "barycenter", "doc", ("points", 1, "mass"), 10**400),
     _crash("tree", "classify", "doc", ("generators", 0, "offset"), 10**400),
+    _crash("euclidean", "select", "doc", ("ideal", "direction", 0), 10**400),
+    _crash("hyperbolic", "classify", "doc", ("ideal", "null_vector", 1), -(10**400)),
 ]
 
 
@@ -150,6 +152,8 @@ CRASHES = [
 @example(case=CRASHES[1])
 @example(case=CRASHES[2])
 @example(case=CRASHES[3])
+@example(case=CRASHES[4])
+@example(case=CRASHES[5])
 def test_mutated_documents_keep_the_exit_code_contract(case):
     command, space, doc = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -325,7 +325,8 @@ def test_snap_identity_in_smooth_spaces(euclid2, hyp2):
 def test_snap_tree_branch_vertex(tree_space):
     near = TreePoint("B-C", 5e-5)  # within the default band around B
     snapped = snap_singular(tree_space, near)
-    assert tree_space.tree.at_vertex(snapped) == "B"
+    tree = tree_space.tree
+    assert tree.canonical(snapped) == tree.vertex_point("B")
     mid = TreePoint("B-C", 1.5)
     assert snap_singular(tree_space, mid) == mid
 
@@ -395,6 +396,6 @@ def test_select_smoothing_toggle(tree_space):
         tree_space, [TreePoint("B-D", 1.45e-5), TreePoint("A-B", 2.0 - 3e-5)]
     )
     raw = select(tree_space, body, xi, opts=SelectOptions(smoothing=False))
-    assert tree.at_vertex(raw) is None
+    assert tree.canonical(raw) not in {tree.vertex_point(v) for v in tree.vertices}
     smoothed = select(tree_space, body, xi, opts=SelectOptions(smoothing=True))
-    assert tree.at_vertex(smoothed) == "B"
+    assert tree.canonical(smoothed) == tree.vertex_point("B")

@@ -113,14 +113,19 @@ def test_non_finite_input_names_its_field():
         jsonio.configuration_from_json(eu, doc)
     with pytest.raises(InputError, match=r"body\.generators\[0\]\.offset: must be finite"):
         jsonio.body_from_json(tr, {"generators": [{"edge": "A-B", "offset": float("inf")}]})
-    for space, doc in (
-        (hyp, {"null_vector": [1.0, float("nan"), 0.0]}),
-        (hyp, {"null_vector": [1.0, 0.5, 0.0]}),
-        (eu, {"direction": [float("nan"), 1.0]}),
-        (eu, {"direction": [0.0, 0.0]}),
-        (hyp, {"null_vector": ["a", 1.0, 0.0]}),
+    # each component is parsed like a coordinate, so an int past the
+    # double range is named instead of escaping as an OverflowError
+    for space, doc, field in (
+        (hyp, {"null_vector": [1.0, float("nan"), 0.0]}, r"null_vector\[1\]: must be finite"),
+        (hyp, {"null_vector": [1.0, 0.5, 0.0]}, ""),
+        (eu, {"direction": [float("nan"), 1.0]}, r"direction\[0\]: must be finite"),
+        (eu, {"direction": [0.0, 0.0]}, ""),
+        (hyp, {"null_vector": ["a", 1.0, 0.0]}, r"null_vector\[0\]: must be a number"),
+        (hyp, {"null_vector": [1, True, 0]}, r"null_vector\[1\]: must be a number"),
+        (eu, {"direction": [10**400, 0]}, r"direction\[0\]: must be finite"),
+        (hyp, {"null_vector": [1, -(10**400), 0]}, r"null_vector\[1\]: must be finite"),
     ):
-        with pytest.raises(InputError, match="^ideal: "):
+        with pytest.raises(InputError, match=f"^ideal: {field}"):
             jsonio.ideal_from_json(space, doc)
 
 

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from horocenter import Space, spaces
 from horocenter.trees import Tree, TreeError, TreePoint
 
 from conftest import TREE_EDGES, TREE_LEAVES
@@ -55,8 +58,9 @@ def test_vertex_canonicalization(tree):
     assert tree.canonical(TreePoint("A-B", 2.0)) == TreePoint("A-B", 2.0)
     # interior points unchanged
     assert tree.canonical(TreePoint("B-C", 1.0)) == TreePoint("B-C", 1.0)
-    assert tree.at_vertex(TreePoint("B-C", 3.0)) == "C"
-    assert tree.at_vertex(TreePoint("B-C", 1.7)) is None
+    assert tree.canonical(TreePoint("B-C", 3.0)) == tree.vertex_point("C")
+    interior = tree.canonical(TreePoint("B-C", 1.7))
+    assert interior not in {tree.vertex_point(v) for v in tree.vertices}
 
 
 def test_distance_path_composition(tree):
@@ -98,11 +102,11 @@ def test_ray_runs_to_the_end(tree):
     p = TreePoint("A-E", 0.5)
     # path to C: 0.5 back to A, 2 to B, then out the C edge
     r = tree.ray(p, "C", 0.5)
-    assert tree.at_vertex(r) == "A"
+    assert tree.canonical(r) == tree.vertex_point("A")
     r = tree.ray(p, "C", 2.5)
-    assert tree.at_vertex(r) == "B"
+    assert tree.canonical(r) == tree.vertex_point("B")
     r = tree.ray(p, "C", 5.5)
-    assert tree.at_vertex(r) == "C"
+    assert tree.canonical(r) == tree.vertex_point("C")
     r = tree.ray(p, "C", 7.5)
     assert r == TreePoint("B-C", 5.0)
     # starting on the leaf edge itself
@@ -143,3 +147,39 @@ def test_random_walk_shift_moves_the_right_distance(tree):
         assert tree.distance(p, q) <= 0.7 + 1e-12
     moved = [tree.random_walk_shift(p, 0.3, np.random.default_rng(k)) for k in range(50)]
     assert all(math.isclose(tree.distance(p, q), 0.3) for q in moved)
+
+
+@st.composite
+def marked_trees(draw):
+    """A random tree on 4-12 vertices with one marked leaf.
+
+    Lengths are k/30 with 15 not dividing k, so none is dyadic and
+    reordered sums round differently.
+    """
+    n = draw(st.integers(4, 12))
+    lengths = st.integers(3, 89).filter(lambda k: k % 15).map(lambda k: k / 30)
+    edges = [
+        (f"V{i}", f"V{draw(st.integers(0, i - 1))}", draw(lengths)) for i in range(1, n)
+    ]
+    ends = [v for e in edges for v in e[:2]]
+    leaf = draw(st.sampled_from(sorted(v for v in set(ends) if ends.count(v) == 1)))
+    return Space.tree_space(edges, [leaf])
+
+
+@settings(max_examples=100, deadline=None)
+@given(space=marked_trees(), seed=st.integers(0, 2**32 - 1))
+def test_random_tree_metric_is_symmetric_to_the_bit(space, seed):
+    tree = space.tree
+    for a in tree.vertices:
+        for b in tree.vertices:
+            assert tree._dist[a][b] == tree._dist[b][a]
+    (leaf,) = tree.ideal_leaves
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        p = spaces.draw_point(space, rng, 3.0)
+        # some points lie out on the marked leaf's extension
+        q = spaces.draw_point(space, rng, 3.0)
+        q = tree.ray(q, leaf, 6.0 * float(rng.random()))
+        d = tree.distance(p, q)
+        assert d == tree.distance(q, p)
+        assert tree.distance(tree.walk(p, q, d), q) <= 1e-12

@@ -2,10 +2,13 @@
 
 Each case runs one subcommand in-process on fixed documents and hashes
 the artifact it writes.  Only tree and E^2 runs are pinned: their answers
-come from sums, products, quotients, square roots and PCG64 integer and
-uniform draws, which IEEE doubles round the same way on every platform.
-Hyperbolic runs go through libm's cosh, sinh and log, whose last bits may
-differ between platforms, so they are left out.
+come from sums, products, quotients and square roots, which IEEE doubles
+round the same way on every platform.  Hyperbolic runs go through libm's
+cosh, sinh and log, whose last bits may differ between platforms, so they
+are left out.  The seeded scans also hash numpy Generator draws (PCG64
+integers and uniforms); numpy does not promise that those streams stay
+the same across releases, so a numpy upgrade may move the scan digests
+without any change here.
 
 A digest that moves is a change of output.  Update it here only on
 purpose, and list the artifact in CHANGES.md.
@@ -22,7 +25,13 @@ DOCUMENTS = {
     # non-dyadic lengths, so a reordered sum shows in the last bits
     "tree": {
         "space": "tree",
-        "edges": [["A", "B", 2.1], ["B", "C", 2.9], ["B", "D", 1.3], ["A", "E", 0.7]],
+        "edges": [
+            ["A", "B", 2.1],
+            ["B", "C", 2.9],
+            ["B", "D", 2.7],
+            ["A", "E", 0.7],
+            ["A", "F", 1.1],
+        ],
         "ideal_leaves": ["C", "E"],
         "basepoint": ["A-B", 0.3],
     },
@@ -34,12 +43,13 @@ DOCUMENTS = {
             {"edge": "A-E", "offset": 0.3, "mass": 1.3},
         ]
     },
-    # the first two tie for first contact with the horoballs about C
+    # all three tie for first contact with the horoballs about C, and
+    # their center lies inside edge A-B, not on a vertex
     "tree_body": {
         "generators": [
-            {"edge": "A-B", "offset": 1.2},
-            {"edge": "B-D", "offset": 0.9},
-            {"edge": "A-E", "offset": 0.6},
+            {"edge": "A-E", "offset": 0.4},
+            {"edge": "A-F", "offset": 0.4},
+            {"edge": "B-D", "offset": 2.5},
         ],
         "ideal": {"end_leaf": "C"},
     },
@@ -82,7 +92,7 @@ CASES = {
     ),
     "tree-select": (
         ["select", *TREE, "--input", "{tree_body}"],
-        "ddf5e3e4a0990a82c4748ad2489a15ed87b205db4238280a73d54617ececad4c",
+        "114187a4877da30b6780dc9269a208d32e607f48b415a471955206a54f7e5eaf",
     ),
     "tree-select-near-branch": (
         ["select", *TREE, "--input", "{tree_near_branch}"],
@@ -94,23 +104,23 @@ CASES = {
     ),
     "tree-classify": (
         ["classify", *TREE, "--input", "{tree_body}"],
-        "b9e3130ac60ec56dd6ec2acbe9593540e325a32ea5e8e29d7be73af0d353bbee",
+        "291234477619208068d078f148e6c3c26c6ee843c304fc304d51b60f45c912a4",
     ),
     "tree-scan-shift": (
         ["scan-shift", *TREE, *SCAN],
-        "da81b4ba4518cc8bf3cf08a44f39694150089147da9e746d63c6a92523cbcdb3",
+        "0082d4fc23c5bb8a09c6843bc99f5eae1e03eb9bdd4a2c6cba523eae3a6fa33f",
     ),
     "tree-scan-mass-csv": (
         ["scan-mass", *TREE, *SCAN, "--format", "csv"],
-        "5d2aaaf03ebfc4471d5a118c04dcd10ce3e93cef68009e5d0e91fb36679576e7",
+        "aba6d7a768c49817f4a2d0c42b672216683e8b17f643c85533c2bc22d2e6ca86",
     ),
     "tree-scan-selector": (
         ["scan-selector", *TREE, *SCAN],
-        "efda487f7d4ac6d6efce5d6fa46e98538b75570e505a4b5613646b094f4a9215",
+        "033a5e3176c08b5575519ca853d4ae1f3a3d37a1284f1f33a96dabaa3d919c79",
     ),
     "tree-scan-selector-no-smoothing": (
         ["scan-selector", *TREE, *SCAN, "--no-smoothing"],
-        "86172b5475df2499b7802e908b05e85f9e1ef638f7e707699fde9fbeab919330",
+        "73e934eb910ae792b5f9859b54fda7506d6e78d7a6ddc54ae0b9ece9d76c3a40",
     ),
     "euclid2-barycenter": (
         ["barycenter", *EUCLID2, "--input", "{euclid_config}"],

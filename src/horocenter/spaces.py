@@ -328,11 +328,10 @@ def geodesic_point(space: Space, x, y, t: float):
         tan = tuple(((b - a) - cm1 * a) / sh for a, b in zip(x, y))
         c, s = math.cosh(t * d), math.sinh(t * d)
         return _project_hyperboloid(tuple(c * a + s * w for a, w in zip(x, tan)))
-    tree = space.tree
-    d = tree.distance(x, y)
-    if d == 0.0:
+    route = space.tree._route(x, y)
+    if route[0] == 0.0:
         return x
-    return tree.walk(x, y, t * d)
+    return space.tree._follow(x, y, route, t * route[0])
 
 
 def ray_point(space: Space, x, xi: IdealPoint, s: float):

@@ -206,9 +206,13 @@ class Tree:
 
     def walk(self, p: TreePoint, q: TreePoint, s: float) -> TreePoint:
         """Point at arclength s from p along the unique geodesic toward q."""
+        return self._follow(p, q, self._route(p, q), s)
+
+    def _follow(self, p: TreePoint, q: TreePoint, route, s: float) -> TreePoint:
+        """Point at arclength s from p along `route`, which is _route(p, q)."""
         if s <= 0.0:
             return p
-        _, exit_, exit_off, entry, entry_off = self._route(p, q)
+        _, exit_, exit_off, entry, entry_off = route
         if exit_ is not None:
             leg = abs(p.offset - exit_off)
             if s <= leg:
@@ -233,10 +237,10 @@ class Tree:
         if self.edge(p.edge).index == e.index:
             return TreePoint(e.eid, p.offset + outward * s)
         anchor = self.vertex_point(leaf)
-        d0 = self.distance(p, anchor)
-        if s <= d0:
-            return self.walk(p, anchor, s)
-        return TreePoint(e.eid, anchor_off + outward * (s - d0))
+        route = self._route(p, anchor)
+        if s <= route[0]:
+            return self._follow(p, anchor, route, s)
+        return TreePoint(e.eid, anchor_off + outward * (s - route[0]))
 
     def depth_toward_end(self, p: TreePoint, leaf: str) -> float:
         """Signed distance to the leaf anchor; negative past the leaf."""

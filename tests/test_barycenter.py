@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import TREE_EDGES, TREE_LEAVES
 from horocenter import GeometryError, Space, spaces as sp
 from horocenter.barycenter import (
     BarycenterResult,
@@ -246,6 +248,136 @@ def test_non_convergence_reported(hyp2):
     assert isinstance(partial, BarycenterResult)
     assert not partial.converged
     assert partial.diameter_trace
+
+
+# -- the memo of sub-configuration centers ------------------------------------------
+
+
+def reference_center(space, config, tol, max_iters):
+    """The recursion without the memo: every complement center is computed
+    afresh, so the center of S minus {i, j} is built from both sides."""
+    n = len(config)
+    if n == 1:
+        return BarycenterResult(config.items[0].point, 0, [0.0], True)
+    if n == 2:
+        return BarycenterResult(two_point_center(space, *config.items), 0, [0.0], True)
+    trace = [config_diameter(space, config)]
+    iterations = 0
+    while trace[-1] >= tol:
+        if iterations >= max_iters:
+            partial = BarycenterResult(config.items[0].point, iterations, trace, False)
+            raise ConvergenceError("reference", partial)
+        total, items = config.total_mass, config.items
+        moved = []
+        for i, item in enumerate(items):
+            rest = Configuration(items[:i] + items[i + 1 :])
+            c = reference_center(space, rest, tol, max_iters).center
+            point = two_point_center(space, item, WeightedPoint(c, total - item.mass))
+            moved.append(WeightedPoint(point, (total - item.mass) / (n - 1)))
+        config = Configuration(tuple(moved))
+        trace.append(config_diameter(space, config))
+        iterations += 1
+    return BarycenterResult(config.items[0].point, iterations, trace, True)
+
+
+def _outcome(center, space, config, tol, max_iters):
+    try:
+        res = center(space, config, tol, max_iters)
+    except ConvergenceError as err:
+        res = err.result
+    except GeometryError as err:  # a relabeled mass cancels to 0 on skewed masses
+        return repr(err)
+    return repr((res.center, res.iterations, res.diameter_trace, res.converged))
+
+
+MEMO_SPACES = {
+    "euclid2": Space.euclidean(2),
+    "hyp2": Space.hyperbolic(2),
+    "tree": Space.tree_space(TREE_EDGES, TREE_LEAVES),
+}
+ZEROS = st.sampled_from([None, 0.0, -0.0])
+
+
+def _signed_zeros(space, point, zeros):
+    """The point with the coordinates that `zeros` names set to signed zeros
+    (the offset on a tree, the spatial coordinates on the hyperboloid)."""
+    if space.kind == "tree":
+        return point if zeros[0] is None else replace(point, offset=zeros[0])
+    spatial = list(point if space.kind == "euclidean" else point[1:])
+    for j, z in enumerate(zeros[: len(spatial)]):
+        if z is not None:
+            spatial[j] = z
+    if space.kind == "euclidean":
+        return tuple(spatial)
+    return (math.sqrt(1.0 + sum(v * v for v in spatial)),) + tuple(spatial)
+
+
+@st.composite
+def memo_cases(draw):
+    space = MEMO_SPACES[draw(st.sampled_from(sorted(MEMO_SPACES)))]
+    n = draw(st.integers(3, 5))
+    rng = np.random.default_rng(draw(SEEDS))
+    points = []
+    for i in range(n):
+        copy = draw(st.integers(0, i))  # i draws a fresh point, below i repeats one
+        if copy < i:
+            points.append(points[copy])
+            continue
+        zeros = draw(st.lists(ZEROS, min_size=2, max_size=2))
+        points.append(_signed_zeros(space, sp.draw_point(space, rng, 2.0), zeros))
+    masses = draw(
+        st.lists(
+            st.one_of(st.sampled_from([1.0, 1e-17, 1e3]), st.floats(0.01, 100.0)),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    config = Configuration.of(space, list(zip(points, masses)))
+    tol = draw(st.sampled_from([1e-8, 1e-4]))
+    max_iters = draw(st.sampled_from([0, 1, 3, 200]))
+    return space, config, tol, max_iters
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=memo_cases())
+def test_memo_is_bit_identical_to_the_reference(case):
+    """Sharing complement centers changes no bit of any center, iteration
+    count or diameter trace, nor the partial result of a non-convergence,
+    also where the items hold duplicate points and signed zeros (which
+    compare equal as memo keys) or where the recursion fails."""
+    assert _outcome(center_of_mass, *case) == _outcome(reference_center, *case)
+
+
+def test_memo_cuts_geodesic_work(monkeypatch):
+    """Each complement center is built once per top-level call: 420
+    `geodesic_point` calls for a unit E^3 configuration of 7 points, where
+    recomputing every complement from both sides makes 6,139."""
+    space = Space.euclidean(3)
+    rng = sp.sub_rng(11, 7)
+    cfg = unit_configuration(space, [sp.draw_point(space, rng, 2.0) for _ in range(7)])
+    calls = []
+    geodesic_point = sp.geodesic_point
+
+    def counted(*args):
+        calls.append(args)
+        return geodesic_point(*args)
+
+    monkeypatch.setattr(sp, "geodesic_point", counted)
+    res = center_of_mass(space, cfg)
+    assert res.converged and res.iterations == 1
+    assert len(calls) <= 500
+
+
+def test_memo_keeps_the_partial_result(hyp2):
+    """A non-convergence inside the recursion still surfaces the partial
+    result the memo-free recursion gives, at the top level and below it."""
+    cfg = random_config(hyp2, np.random.default_rng(3), 5)
+    for max_iters in (0, 1, 2):
+        with pytest.raises(ConvergenceError) as info:
+            center_of_mass(hyp2, cfg, 1e-8, max_iters)
+        with pytest.raises(ConvergenceError) as ref:
+            reference_center(hyp2, cfg, 1e-8, max_iters)
+        assert repr(info.value.result) == repr(ref.value.result)
 
 
 # -- hull sampling -------------------------------------------------------------------

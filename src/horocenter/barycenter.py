@@ -13,8 +13,8 @@ The complement centers use the full recursive construction.  One
 top-level call computes each distinct sub-configuration's center once
 (the center of S minus {i, j} is needed from both i and j), but every
 step moves the points, so each sub-center's later steps start afresh and
-the cost still grows faster than exponentially in n: about 10, 50 and
-250 ms for n = 5, 6 and 7 in H^2 on one core.  ``max_points`` caps the
+the cost still grows faster than exponentially in n: about 7, 45 and
+220 ms for n = 5, 6 and 7 in H^2 on one core.  ``max_points`` caps the
 size (default 7) and can be raised explicitly.  In euclidean space one
 step collapses any configuration onto the weighted mean exactly; in
 curved spaces every step shrinks the diameter, but convergence can be
@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import spaces
-from .spaces import TREE, GeometryError, Space
+from .spaces import TREE, GeometryError, Space, _left_sum
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 200
@@ -72,7 +72,7 @@ class Configuration:
 
     @property
     def total_mass(self) -> float:
-        return sum(item.mass for item in self.items)
+        return _left_sum(item.mass for item in self.items)
 
     @property
     def points(self) -> tuple:
@@ -133,7 +133,9 @@ def leave_one_out_step(
 
     Output point i is the two-point center of (x_i, m_i) and the fully
     recursive center of the other points carrying mass M - m_i; the new
-    mass label is (M - m_i)/(n - 1), so total mass is preserved.
+    mass label is (M - m_i)/(n - 1), so total mass is preserved.  Where
+    M - m_i rounds to 0 or below (m_i dwarfs the rest), the exact sum of
+    the other masses stands in for it.
 
     `_memo` maps the items of a sub-configuration to its center.  The
     top-level `center_of_mass` call owns it and passes it down, so a
@@ -157,10 +159,11 @@ def leave_one_out_step(
                 space, Configuration(rest), tol, max_iters, max_points, _memo=_memo
             ).center
             _memo[rest] = complement
-        moved = two_point_center(
-            space, item, WeightedPoint(complement, total - item.mass)
-        )
-        new_items.append(WeightedPoint(moved, (total - item.mass) / (n - 1)))
+        rest_mass = total - item.mass
+        if not rest_mass > 0.0:  # item.mass dwarfs the rest, and M - m_i cancels
+            rest_mass = math.fsum(other.mass for other in rest)
+        moved = two_point_center(space, item, WeightedPoint(complement, rest_mass))
+        new_items.append(WeightedPoint(moved, rest_mass / (n - 1)))
     return Configuration(tuple(new_items))
 
 

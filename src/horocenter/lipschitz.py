@@ -38,7 +38,7 @@ from .barycenter import (
     replace_point,
 )
 from .horosphere import ConvexBody, SelectOptions, select
-from .spaces import GeometryError, IdealPoint, Space, TREE
+from .spaces import GeometryError, IdealPoint, Space, TREE, _left_sum
 
 DEFAULT_SCALE = 2.0
 MASS_LOW, MASS_HIGH = 0.5, 2.0
@@ -93,7 +93,7 @@ def _finish(records, failures, skipped, straddle=None) -> LipschitzReport:
     return LipschitzReport(
         records=records,
         max_ratio=max(ratios) if ratios else 0.0,
-        mean_ratio=sum(ratios) / len(ratios) if ratios else 0.0,
+        mean_ratio=_left_sum(ratios) / len(ratios) if ratios else 0.0,
         failures=failures,
         skipped=skipped,
         straddle=straddle,

@@ -1,7 +1,8 @@
 """Three model Hadamard spaces behind one functional interface.
 
 Every operation takes a :class:`Space` descriptor first and dispatches on
-its kind:
+its kind, per call: ``diameter`` picks its metric once and measures every
+pair with it, rather than dispatching once per pair.  The spaces:
 
 * ``euclidean`` -- R^n, points are coordinate tuples.
 * ``hyperbolic`` -- the hyperboloid sheet {<x,x> = -1, x0 > 0} in
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, combinations, starmap
 from typing import TYPE_CHECKING
 
 from .errors import GeometryError
@@ -115,6 +117,18 @@ def basepoint(space: Space):
 
 
 # -- point validation ------------------------------------------------------
+
+
+def _left_sum(values) -> float:
+    """Plain left-to-right float sum.
+
+    sum() gives exactly this up to Python 3.11; 3.12 compensates it, which
+    moves the last bits of sums of three or more terms.
+    """
+    s = 0.0
+    for v in values:
+        s += v
+    return s
 
 
 def _mink(x, y) -> float:
@@ -214,7 +228,7 @@ def _project_hyperboloid(x):
     r = 1.0 / math.sqrt(n2)
     if x[0] < 0.0:
         r = -r
-    return tuple(c * r for c in x)
+    return tuple([c * r for c in x])
 
 
 def validate_point(space: Space, p) -> None:
@@ -279,14 +293,45 @@ def normalize_ideal(space: Space, xi: IdealPoint) -> IdealPoint:
 
 
 def diameter(space: Space, points) -> float:
-    """Largest pairwise distance of a finite point set (0 below two points)."""
-    best = 0.0
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            d = distance(space, points[i], points[j])
-            if d > best:
-                best = d
-    return best
+    """Largest pairwise distance of a finite point set (0 below two points).
+
+    Pairs are measured in the order (0, 1), (0, 2), ..., (1, 2), ..., and
+    a wrong-length hyperbolic point is reported as `distance` would report
+    the first pair that holds one.
+    """
+    if space.kind == EUCLIDEAN:
+        metric = math.dist
+    elif space.kind == HYPERBOLIC:
+        metric = _hyp_distance
+        if len(points) >= 2:
+            for k, p in enumerate(points):
+                if len(p) != space.dim + 1:  # first bad pair: (0, k), or (0, 1)
+                    raise _arity_error(space, points[0], points[k or 1])
+    else:
+        metric = space.tree.distance
+    # max() takes a later value only if strictly greater, so NaN is skipped
+    return max(chain((0.0,), starmap(metric, combinations(points, 2))))
+
+
+def _arity_error(space: Space, x, y) -> GeometryError:
+    return GeometryError(
+        f"expected {space.dim + 1} coordinates, got {len(x)} and {len(y)}"
+    )
+
+
+def _hyp_distance(x, y) -> float:
+    """Hyperbolic distance of two sheet points of equal length.
+
+    <x-y, x-y> is summed as _mink sums it, one difference at a time.
+    """
+    d = x[0] - y[0]
+    q = -d * d
+    for i in range(1, len(x)):
+        d = x[i] - y[i]
+        q += d * d
+    if q <= 0.0:
+        return 0.0
+    return 2.0 * math.asinh(0.5 * math.sqrt(q))
 
 
 def distance(space: Space, x, y) -> float:
@@ -297,14 +342,8 @@ def distance(space: Space, x, y) -> float:
         return math.dist(x, y)
     if space.kind == HYPERBOLIC:
         if len(x) != space.dim + 1 or len(y) != space.dim + 1:
-            raise GeometryError(
-                f"expected {space.dim + 1} coordinates, got {len(x)} and {len(y)}"
-            )
-        delta = tuple(a - b for a, b in zip(x, y))
-        q = _mink(delta, delta)
-        if q <= 0.0:
-            return 0.0
-        return 2.0 * math.asinh(0.5 * math.sqrt(q))
+            raise _arity_error(space, x, y)
+        return _hyp_distance(x, y)
     return space.tree.distance(x, y)
 
 
@@ -319,15 +358,18 @@ def geodesic_point(space: Space, x, y, t: float):
     if space.kind == EUCLIDEAN:
         return tuple(a + t * (b - a) for a, b in zip(x, y))
     if space.kind == HYPERBOLIC:
-        d = distance(space, x, y)
+        if len(x) != space.dim + 1 or len(y) != space.dim + 1:
+            raise _arity_error(space, x, y)
+        d = _hyp_distance(x, y)
         if d < 1e-14:
             return x
         # unit tangent at x toward y, written to avoid cancellation for small d
         cm1 = 2.0 * math.sinh(0.5 * d) ** 2
         sh = math.sinh(d)
-        tan = tuple(((b - a) - cm1 * a) / sh for a, b in zip(x, y))
         c, s = math.cosh(t * d), math.sinh(t * d)
-        return _project_hyperboloid(tuple(c * a + s * w for a, w in zip(x, tan)))
+        return _project_hyperboloid(
+            [c * a + s * (((b - a) - cm1 * a) / sh) for a, b in zip(x, y)]
+        )
     route = space.tree._route(x, y)
     if route[0] == 0.0:
         return x
@@ -386,7 +428,7 @@ def _round_minimizing_level(comps, xi_vec, target: float) -> tuple[float, ...]:
 def busemann(space: Space, xi: IdealPoint, o, x) -> float:
     """Horofunction level of x: 0 at o, decreasing at unit rate toward xi."""
     if space.kind == EUCLIDEAN:
-        return -sum((a - b) * u for a, b, u in zip(x, o, xi.vector))
+        return -_left_sum((a - b) * u for a, b, u in zip(x, o, xi.vector))
     if space.kind == HYPERBOLIC:
         alpha = -_mink_exact(x, xi.vector)
         if alpha <= 0.0:

@@ -152,6 +152,27 @@ def test_step_masses_relabeled(euclid2):
     assert stepped.total_mass == pytest.approx(uneven.total_mass, abs=1e-12)
 
 
+def test_total_mass_sums_left_to_right(euclid2):
+    # a compensated sum (Python 3.12's sum()) gives 1e16 + 2
+    cfg = Configuration.of(
+        euclid2, [((0.0, 0.0), 1e16), ((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0)]
+    )
+    assert cfg.total_mass == 1e16
+
+
+def test_a_dominant_mass_keeps_its_complement_positive(euclid2):
+    # M - m_4 rounds to 0, so the complement mass is summed from the rest
+    cfg = Configuration.of(
+        euclid2,
+        [((0.0, 0.0), 1.0), ((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0), ((1.0, 1.0), 1e17)],
+    )
+    assert cfg.total_mass - 1e17 == 0.0
+    stepped = leave_one_out_step(euclid2, cfg)
+    assert stepped.items[3].mass == 1.0
+    res = center_of_mass(euclid2, cfg)
+    assert res.converged and res.center == (1.0, 1.0)
+
+
 def test_unit_triangle_centroid(euclid2):
     cfg = unit_configuration(euclid2, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
     res = center_of_mass(euclid2, cfg)
@@ -272,8 +293,11 @@ def reference_center(space, config, tol, max_iters):
         for i, item in enumerate(items):
             rest = Configuration(items[:i] + items[i + 1 :])
             c = reference_center(space, rest, tol, max_iters).center
-            point = two_point_center(space, item, WeightedPoint(c, total - item.mass))
-            moved.append(WeightedPoint(point, (total - item.mass) / (n - 1)))
+            rest_mass = total - item.mass
+            if not rest_mass > 0.0:
+                rest_mass = math.fsum(other.mass for other in rest.items)
+            point = two_point_center(space, item, WeightedPoint(c, rest_mass))
+            moved.append(WeightedPoint(point, rest_mass / (n - 1)))
         config = Configuration(tuple(moved))
         trace.append(config_diameter(space, config))
         iterations += 1
@@ -285,7 +309,7 @@ def _outcome(center, space, config, tol, max_iters):
         res = center(space, config, tol, max_iters)
     except ConvergenceError as err:
         res = err.result
-    except GeometryError as err:  # a relabeled mass cancels to 0 on skewed masses
+    except GeometryError as err:  # both sides must reject alike
         return repr(err)
     return repr((res.center, res.iterations, res.diameter_trace, res.converged))
 

@@ -377,6 +377,18 @@ def test_exit_1_on_overflowing_configuration(tmp_path, capsys):
         assert "configuration" in captured.err
 
 
+def test_a_dominant_mass_exits_0(tmp_path, capsys):
+    masses = [1.0, 1.0, 1.0, 1e17]
+    corners = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    conf = tmp_path / "heavy.json"
+    conf.write_text(
+        json.dumps({"points": [{"coords": c, "mass": m} for c, m in zip(corners, masses)]})
+    )
+    code = main(["barycenter", "--space", "euclidean", "--dim", "2", "--input", str(conf)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["center"] == {"coords": [1.0, 1.0]}
+
+
 def test_exit_2_on_non_convergence_with_partial_trace(tri_file, tmp_path, capsys):
     out = tmp_path / "partial.json"
     code = main(

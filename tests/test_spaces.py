@@ -10,7 +10,7 @@ from horocenter import GeometryError, IdealPoint, basepoint
 from horocenter import spaces as sp
 from horocenter.trees import TreePoint
 
-from conftest import ideal_for
+from conftest import TREE_EDGES, TREE_LEAVES, ideal_for
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -404,6 +404,15 @@ def test_busemann_is_1_lipschitz(any_space, seed):
     assert gap <= sp.distance(any_space, x, y) + 1e-9
 
 
+def test_euclidean_busemann_sums_left_to_right():
+    # a compensated sum (Python 3.12's sum()) gives -5773502691896259.0
+    space = sp.Space.euclidean(3)
+    u = IdealPoint.direction((1.0, 1.0, 1.0))
+    level = sp.busemann(space, u, (0.0, 0.0, 0.0), (1e16, 1.0, 1.0))
+    assert level == -5773502691896260.0
+    assert sp._left_sum([1.0, 1e100, 1.0, -1e100]) == 0.0
+
+
 def test_dimension_one_spaces():
     line = sp.Space.euclidean(1)
     assert sp.distance(line, (0.0,), (4.0,)) == 4.0
@@ -433,3 +442,119 @@ def test_hyperboloid_drift_over_long_chains(hyp2):
         else:
             x = sp.ray_point(hyp2, x, xi, float(rng.uniform(0.0, 0.5)))
         assert abs(sp._mink(x, x) + 1.0) <= 1e-9
+
+
+# -- kernel bit-identity ---------------------------------------------------------
+# The pairwise kernel as it stood before `diameter` picked its metric once
+# per call and the hyperbolic formulas dropped their temporaries.  Every
+# output of the current kernel must match it bit for bit.
+
+
+def reference_distance(space, x, y):
+    if space.kind == "euclidean":
+        return math.dist(x, y)
+    if space.kind == "hyperbolic":
+        if len(x) != space.dim + 1 or len(y) != space.dim + 1:
+            raise GeometryError(
+                f"expected {space.dim + 1} coordinates, got {len(x)} and {len(y)}"
+            )
+        delta = tuple(a - b for a, b in zip(x, y))
+        q = sp._mink(delta, delta)
+        if q <= 0.0:
+            return 0.0
+        return 2.0 * math.asinh(0.5 * math.sqrt(q))
+    return space.tree.distance(x, y)
+
+
+def reference_geodesic_point(space, x, y, t):
+    """Euclidean and hyperbolic branches only."""
+    if t == 0.0:
+        return x
+    if t == 1.0:
+        return y
+    if space.kind == "euclidean":
+        return tuple(a + t * (b - a) for a, b in zip(x, y))
+    d = reference_distance(space, x, y)
+    if d < 1e-14:
+        return x
+    cm1 = 2.0 * math.sinh(0.5 * d) ** 2
+    sh = math.sinh(d)
+    tan = tuple(((b - a) - cm1 * a) / sh for a, b in zip(x, y))
+    c, s = math.cosh(t * d), math.sinh(t * d)
+    v = tuple(c * a + s * w for a, w in zip(x, tan))
+    r = 1.0 / math.sqrt(-sp._mink(v, v))
+    if v[0] < 0.0:
+        r = -r
+    return tuple(a * r for a in v)
+
+
+def reference_diameter(space, points):
+    best = 0.0
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            d = reference_distance(space, points[i], points[j])
+            if d > best:
+                best = d
+    return best
+
+
+KERNEL_SPACES = [sp.Space.hyperbolic(dim) for dim in range(1, 6)] + [
+    sp.Space.euclidean(3),
+    sp.Space.tree_space(TREE_EDGES, TREE_LEAVES),
+]
+
+
+def _partner(space, x, rng, how):
+    """A second point: independent, equal, a few ulps off, or very near."""
+    if how == "far":
+        return sp.draw_point(space, rng, 3.0)
+    if how == "same" or space.kind == "tree":
+        return x
+    if how == "ulp":
+        return tuple(math.nextafter(c, math.inf) for c in x)
+    return sp.geodesic_point(space, x, sp.draw_point(space, rng, 3.0), 1e-15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=SEEDS,
+    which=st.integers(min_value=0, max_value=len(KERNEL_SPACES) - 1),
+    how=st.sampled_from(["far", "same", "ulp", "near"]),
+    t=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    n=st.integers(min_value=0, max_value=6),
+)
+def test_kernel_is_bit_identical_to_the_reference(seed, which, how, t, n):
+    space = KERNEL_SPACES[which]
+    rng = np.random.default_rng(seed)
+    x = sp.draw_point(space, rng, 3.0)
+    y = _partner(space, x, rng, how)
+    for a, b in ((x, y), (y, x)):
+        assert repr(sp.distance(space, a, b)) == repr(reference_distance(space, a, b))
+        if space.kind != "tree":
+            got = sp.geodesic_point(space, a, b, t)
+            assert repr(got) == repr(reference_geodesic_point(space, a, b, t))
+    points = [sp.draw_point(space, rng, 3.0) for _ in range(n)]
+    points[1:1] = [x, y][: min(n, 2)]
+    assert repr(sp.diameter(space, points)) == repr(reference_diameter(space, points))
+
+
+def test_near_points_take_the_short_branch(hyp3):
+    x = sp.draw_point(hyp3, np.random.default_rng(3), 2.0)
+    y = tuple(math.nextafter(c, math.inf) for c in x)
+    assert 0.0 < sp.distance(hyp3, x, y) < 1e-14
+    assert sp.geodesic_point(hyp3, x, y, 0.5) is x
+
+
+@pytest.mark.parametrize("bad", [0, 1, 3])
+@pytest.mark.parametrize("width", [3, 5])
+def test_diameter_names_the_first_wrong_length_pair(hyp3, bad, width):
+    rng = np.random.default_rng(bad)
+    points = [sp.draw_point(hyp3, rng, 2.0) for _ in range(4)]
+    points[bad] = points[bad][:width] + (0.5,) * (width - 4)
+    points.append((1.0,))  # a later offender must not be the one named
+    with pytest.raises(GeometryError) as expected:
+        reference_diameter(hyp3, points)
+    with pytest.raises(GeometryError) as got:
+        sp.diameter(hyp3, points)
+    assert str(got.value) == str(expected.value)
+    assert sp.diameter(hyp3, points[bad : bad + 1]) == 0.0  # one point: no pair

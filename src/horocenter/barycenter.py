@@ -9,30 +9,41 @@ n-1 points (carrying the complement mass M - m_i), relabels the masses to
 (M - m_i)/(n - 1), and the step is repeated until the configuration
 diameter drops below tolerance.
 
-The complement centers use the full recursive construction.  One
-top-level call computes each distinct sub-configuration's center once
-(the center of S minus {i, j} is needed from both i and j), but every
-step moves the points, so each sub-center's later steps start afresh and
-the cost still grows faster than exponentially in n: about 7, 45 and
-220 ms for n = 5, 6 and 7 in H^2 on one core.  ``max_points`` caps the
-size (default 7) and can be raised explicitly.  In euclidean space one
-step collapses any configuration onto the weighted mean exactly; in
-curved spaces every step shrinks the diameter, but convergence can be
-only linear: near a tree branch vertex the ratio per step stays
-constant.
+Where the geometry is flat, one step collapses the configuration onto
+its weighted mean, and the center is computed in that closed form
+without the recursion: every configuration in R^n, and tree points that
+all lie on one geodesic.  The result keeps the shape of one step (one iteration,
+diameter trace [d0, 0.0]), and ``max_points`` does not apply to it.
+
+Hyperbolic configurations and tree points spread over branches take the
+recursion.  One top-level call computes each distinct sub-configuration's
+center once (the center of S minus {i, j} is needed from both i and j),
+but every step moves the points, so each sub-center's later steps start
+afresh and the cost still grows faster than exponentially in n: about 7,
+45 and 220 ms for n = 5, 6 and 7 in H^2 on one core.  ``max_points``
+caps the size of a configuration that takes the recursion (default 7)
+and can be raised explicitly.  Every step shrinks the diameter, but
+convergence can be only linear: near a tree branch vertex the ratio per
+step stays constant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import combinations
+from operator import mul
 
 from . import spaces
-from .spaces import TREE, GeometryError, Space, _left_sum
+from .spaces import EUCLIDEAN, TREE, GeometryError, Space, _left_sum
+from .trees import Tree, TreePoint
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 200
 DEFAULT_MAX_POINTS = 7
+# Every finite double is an integer multiple of 2**-1074, so x * 2**1074 is
+# an integer, and sums and products of such integers never round.
+_EXACT_BITS = 1074
 
 
 class ConvergenceError(RuntimeError):
@@ -120,6 +131,71 @@ def _finite_center(space: Space, center):
     return center
 
 
+def _exact(x: float) -> int:
+    """x * 2**_EXACT_BITS, exactly."""
+    num, den = x.as_integer_ratio()  # den is a power of two
+    return num << (_EXACT_BITS + 1 - den.bit_length())
+
+
+def _flat_center(space: Space, config: Configuration, d0: float):
+    """The center in closed form where the configuration is flat, else None.
+
+    In R^n, and on a tree where every point lies on one geodesic (an
+    isometric copy of an interval), one construction step collapses the
+    configuration onto its mass-weighted mean.  The mean is summed in
+    exact integers and rounded once, so no double lies nearer to it.
+    Hyperbolic configurations, and tree points spread over branches,
+    give None.
+    """
+    if space.kind not in (EUCLIDEAN, TREE):
+        return None
+    weights = [_exact(item.mass) for item in config.items]
+    if space.kind == TREE:
+        return _segment_center(space.tree, config.points, weights, d0)
+    scale = sum(weights) << _EXACT_BITS
+    return tuple(
+        sum(map(mul, weights, map(_exact, column))) / scale
+        for column in zip(*config.points)
+    )
+
+
+def _segment_center(tree: Tree, points, weights: list[int], d0: float):
+    """Weighted mean of tree points that all lie on one geodesic, else None.
+
+    The geodesic joins the first pair at distance d0, the diameter.  A
+    point lies on it when one of its placements falls inside one of the
+    geodesic's runs, which is decided on the offsets exactly, also for a
+    vertex that its canonical form puts on an edge off the path.  The
+    position of each point along the geodesic, their mean and the offset
+    of the mean are exact integers, rounded once.
+    """
+    a, b = next(pq for pq in combinations(points, 2) if tree.distance(*pq) == d0)
+    runs, start = [], 0
+    for ei, s0, s1 in tree.runs(a, b):
+        length = abs(_exact(s1) - _exact(s0))
+        runs.append((ei, s0, s1, start, length))
+        start += length
+
+    def position(p):
+        for ei, off in tree.placements(p):
+            for run_ei, s0, s1, start, _ in runs:
+                if run_ei == ei and min(s0, s1) <= off <= max(s0, s1):
+                    return start + abs(_exact(off) - _exact(s0))
+        return None
+
+    positions = [position(p) for p in points]
+    if None in positions:
+        return None
+    total = sum(weights)
+    num = sum(map(mul, weights, positions))  # the mean position is num / total
+    for ei, s0, s1, start, length in runs:
+        if num <= (start + length) * total:
+            break  # the first run that reaches the mean holds it
+    step = num - start * total
+    off = _exact(s0) * total + (step if s1 >= s0 else -step)
+    return TreePoint(tree.edges[ei].eid, off / (total << _EXACT_BITS))
+
+
 def leave_one_out_step(
     space: Space,
     config: Configuration,
@@ -178,19 +254,18 @@ def center_of_mass(
 ) -> BarycenterResult:
     """Iterate the construction until the configuration diameter < tol.
 
-    Each call without `_memo` starts a fresh memo of sub-configuration
-    centers that lives only until it returns (see `leave_one_out_step`).
+    A flat configuration (see `_flat_center`) whose diameter d0 is at
+    least tol, with max_iters >= 1, returns its closed-form center as one
+    step, at every level of the recursion.  `max_points` caps only the
+    configurations that take a recursive step.  Each call without `_memo`
+    starts a fresh memo of sub-configuration centers that lives only
+    until it returns (see `leave_one_out_step`).
     """
     if not 0.0 < tol < math.inf:
         raise GeometryError(f"tol must be positive and finite, got {tol}")
     if max_iters < 0:
         raise GeometryError(f"max_iters must be >= 0, got {max_iters}")
     n = len(config)
-    if n > max_points:
-        raise GeometryError(
-            f"{n} points exceeds the recursion cap {max_points}; "
-            "raise max_points explicitly to accept the cost"
-        )
     if n == 1:
         return BarycenterResult(config.items[0].point, 0, [0.0], True)
     if n == 2:
@@ -198,9 +273,14 @@ def center_of_mass(
             space, two_point_center(space, config.items[0], config.items[1])
         )
         return BarycenterResult(center, 0, [0.0], True)
+    d0 = _finite_diameter(space, config)
+    if d0 >= tol and max_iters >= 1:
+        center = _flat_center(space, config, d0)
+        if center is not None:
+            return BarycenterResult(center, 1, [d0, 0.0], True)
     if _memo is None:
         _memo = {}
-    trace = [_finite_diameter(space, config)]
+    trace = [d0]
     iterations = 0
     while trace[-1] >= tol:
         if iterations >= max_iters:
@@ -211,6 +291,11 @@ def center_of_mass(
                 f"diameter {trace[-1]:.3e} still above tol {tol:.3e} "
                 f"after {iterations} iterations",
                 partial,
+            )
+        if n > max_points:
+            raise GeometryError(
+                f"{n} points exceeds the recursion cap {max_points}; "
+                "raise max_points explicitly to accept the cost"
             )
         config = leave_one_out_step(
             space, config, tol, max_iters, max_points, _memo=_memo

@@ -75,7 +75,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="configuration document")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--max-points", type=int, default=7)
+    p.add_argument(
+        "--max-points",
+        type=int,
+        default=7,
+        help="largest configuration that may take the recursion, whose cost is "
+        "super-exponential (hyperbolic, or tree points spread over branches); "
+        "euclidean and single-geodesic tree configurations are closed-form and "
+        "never capped (default 7)",
+    )
     _add_output_flags(p)
 
     p = sub.add_parser("select", help="map a convex body to a point")

@@ -173,9 +173,11 @@ def select(
     unit-mass center of the projected generators (non-shrinking).  The
     result is smoothed across branch vertices unless smoothing is off.
     Levels are read from the basepoint (any other shifts them all by one
-    constant).  The center is uncapped, so large bodies are slow: a
-    non-shrinking E^2 body takes about 0.02 s with 9 generators and 0.2 s
-    with 12, about 2x per extra generator.
+    constant).  The center is uncapped.  In E^n, and for tree points on
+    one geodesic, it is the closed-form weighted mean (a non-shrinking
+    E^2 body takes about 0.26 ms with 12 generators on one Xeon core); in
+    H^n and for points spread over tree branches it is the recursion,
+    whose cost grows faster than exponentially with the number of points.
     """
     opts = opts or SelectOptions()
     if len(body) == 1:

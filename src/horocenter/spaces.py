@@ -399,8 +399,23 @@ def ray_point(space: Space, x, xi: IdealPoint, s: float):
             q, f = _two_product(grow, n)
             hi, lo = _two_sum(p, q)
             comps.append(_two_sum(hi, lo + e + f))
+        # The level -<r, xi> is alpha e^-s; rounding the coordinates moves it
+        # by up to half of `grain`, so below that no double carries it.
+        # r0 and xi0 are the largest components, so grain is below
+        # 2^-51 r0 xi0 (n + 1) (a factor 2 to spare) and is summed only when
+        # the level comes down to that bound.
+        level = alpha * decay
+        if level <= 2.0**-51 * comps[0][0] * xi.vector[0] * len(comps):
+            grain = math.fsum(
+                math.ulp(hi) * abs(n) for (hi, _), n in zip(comps, xi.vector)
+            )
+            if not level > grain:
+                raise GeometryError(
+                    f"ray point at s = {s} is too far out: its level {level:.3e} "
+                    f"is below the rounding {grain:.3e} of its coordinates"
+                )
         if s >= 5.0 and len(comps) <= 8:
-            return _round_minimizing_level(comps, xi.vector, alpha * decay)
+            return _round_minimizing_level(comps, xi.vector, level)
         return tuple(hi for hi, _ in comps)
     return space.tree.ray(x, xi.leaf, s)
 

@@ -227,6 +227,46 @@ class Tree:
                 here = e.v if e.u == here else e.u
         return TreePoint(q.edge, entry_off + (s if q.offset >= entry_off else -s))
 
+    def runs(self, p: TreePoint, q: TreePoint) -> list[tuple[int, float, float]]:
+        """The geodesic from p to q as (edge index, start, end) offset runs.
+
+        The runs follow the route that `distance` and `walk` take, in
+        order from p; each covers its edge from offset `start` to `end`.
+        `_follow` walks the same route without building the list, which
+        keeps the recursion's tree geodesic points cheap.
+        """
+        _, exit_, exit_off, entry, entry_off = self._route(p, q)
+        ep, eq = self.edge(p.edge), self.edge(q.edge)
+        if exit_ is None:
+            return [(ep.index, p.offset, q.offset)]
+        out = [(ep.index, p.offset, exit_off)]
+        here = exit_
+        for ei in self.vertex_path(exit_, entry):
+            e = self.edges[ei]
+            forward = e.u == here
+            out.append((ei, 0.0, e.length) if forward else (ei, e.length, 0.0))
+            here = e.v if forward else e.u
+        out.append((eq.index, entry_off, q.offset))
+        return out
+
+    def placements(self, p: TreePoint) -> list[tuple[int, float]]:
+        """Every (edge index, offset) that names p.
+
+        A point inside an edge has one; a vertex has one per incident
+        edge, whichever edge its canonical form picked.
+        """
+        e = self.edge(p.edge)
+        if p.offset == 0.0:
+            vertex = e.u
+        elif p.offset == e.length:
+            vertex = e.v
+        else:
+            return [(e.index, p.offset)]
+        return [
+            (ei, 0.0 if self.edges[ei].u == vertex else self.edges[ei].length)
+            for _, ei in self.adjacency[vertex]
+        ]
+
     # -- rays to a marked end ---------------------------------------------
 
     def ray(self, p: TreePoint, leaf: str, s: float) -> TreePoint:

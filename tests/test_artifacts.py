@@ -108,11 +108,11 @@ CASES = {
     ),
     "tree-scan-shift": (
         ["scan-shift", *TREE, *SCAN],
-        "0082d4fc23c5bb8a09c6843bc99f5eae1e03eb9bdd4a2c6cba523eae3a6fa33f",
+        "6f7df8c2b4d4d46ab6c6848cc7ed19fe7b1c22630ac00b5f7cec6b204b8963ec",
     ),
     "tree-scan-mass-csv": (
         ["scan-mass", *TREE, *SCAN, "--format", "csv"],
-        "aba6d7a768c49817f4a2d0c42b672216683e8b17f643c85533c2bc22d2e6ca86",
+        "a85cd8883a8326232d930906a590c1ec7b07f1aa9ac714beb1b7d38bbe3e7777",
     ),
     "tree-scan-selector": (
         ["scan-selector", *TREE, *SCAN],
@@ -124,7 +124,7 @@ CASES = {
     ),
     "euclid2-barycenter": (
         ["barycenter", *EUCLID2, "--input", "{euclid_config}"],
-        "f031539b7d51a7cea9f37653e7f8adc5319d0bc4a30cfbe1894500f9108707f5",
+        "6115d01dbed6494e8c2b47a64f35093570761c19ab83de676839aa8ce3133fae",
     ),
     "euclid2-select": (
         ["select", *EUCLID2, "--input", "{euclid_body}"],

@@ -1,9 +1,10 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import TREE_EDGES, TREE_LEAVES
@@ -20,7 +21,9 @@ from horocenter.barycenter import (
     permuted,
     two_point_center,
     unit_configuration,
+    _flat_center,
 )
+from horocenter.trees import TreePoint
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -237,13 +240,25 @@ def test_mass_scaling_invariance(any_space):
     assert sp.distance(any_space, a, b) <= 1e-9
 
 
-def test_point_cap_and_override(euclid2):
+def test_point_cap_and_override(hyp2):
     rng = np.random.default_rng(44)
-    cfg = random_config(euclid2, rng, 8)
-    with pytest.raises(GeometryError):
-        center_of_mass(euclid2, cfg)
-    res = center_of_mass(euclid2, cfg, max_points=8)
+    cfg = random_config(hyp2, rng, 4)
+    with pytest.raises(GeometryError, match="exceeds the recursion cap 3"):
+        center_of_mass(hyp2, cfg, max_points=3)
+    res = center_of_mass(hyp2, cfg, max_points=4)
     assert res.converged
+
+
+def test_flat_configurations_are_not_capped(euclid2, tree_space):
+    """The cap bounds the recursion's cost, which closed-form centers skip."""
+    cfg = random_config(euclid2, np.random.default_rng(44), 12)
+    res = center_of_mass(euclid2, cfg, max_points=3)
+    assert (res.iterations, res.diameter_trace[1:], res.converged) == (1, [0.0], True)
+    on_segment = Configuration.of(
+        tree_space,
+        [(TreePoint("B-C", 0.25 * k), 1.0 + k) for k in range(1, 10)],
+    )
+    assert center_of_mass(tree_space, on_segment, max_points=3).iterations == 1
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
@@ -274,15 +289,21 @@ def test_non_convergence_reported(hyp2):
 # -- the memo of sub-configuration centers ------------------------------------------
 
 
-def reference_center(space, config, tol, max_iters):
+def reference_center(space, config, tol, max_iters, flat=True):
     """The recursion without the memo: every complement center is computed
-    afresh, so the center of S minus {i, j} is built from both sides."""
+    afresh, so the center of S minus {i, j} is built from both sides.  It
+    takes the library's closed form for flat configurations at every
+    level, as `center_of_mass` does, unless `flat` is False."""
     n = len(config)
     if n == 1:
         return BarycenterResult(config.items[0].point, 0, [0.0], True)
     if n == 2:
         return BarycenterResult(two_point_center(space, *config.items), 0, [0.0], True)
     trace = [config_diameter(space, config)]
+    if flat and trace[0] >= tol and max_iters >= 1:
+        center = _flat_center(space, config, trace[0])
+        if center is not None:
+            return BarycenterResult(center, 1, [trace[0], 0.0], True)
     iterations = 0
     while trace[-1] >= tol:
         if iterations >= max_iters:
@@ -292,7 +313,7 @@ def reference_center(space, config, tol, max_iters):
         moved = []
         for i, item in enumerate(items):
             rest = Configuration(items[:i] + items[i + 1 :])
-            c = reference_center(space, rest, tol, max_iters).center
+            c = reference_center(space, rest, tol, max_iters, flat).center
             rest_mass = total - item.mass
             if not rest_mass > 0.0:
                 rest_mass = math.fsum(other.mass for other in rest.items)
@@ -320,6 +341,7 @@ MEMO_SPACES = {
     "tree": Space.tree_space(TREE_EDGES, TREE_LEAVES),
 }
 ZEROS = st.sampled_from([None, 0.0, -0.0])
+MASSES = st.one_of(st.sampled_from([1.0, 1e-17, 1e3]), st.floats(0.01, 100.0))
 
 
 def _signed_zeros(space, point, zeros):
@@ -349,13 +371,7 @@ def memo_cases(draw):
             continue
         zeros = draw(st.lists(ZEROS, min_size=2, max_size=2))
         points.append(_signed_zeros(space, sp.draw_point(space, rng, 2.0), zeros))
-    masses = draw(
-        st.lists(
-            st.one_of(st.sampled_from([1.0, 1e-17, 1e3]), st.floats(0.01, 100.0)),
-            min_size=n,
-            max_size=n,
-        )
-    )
+    masses = draw(st.lists(MASSES, min_size=n, max_size=n))
     config = Configuration.of(space, list(zip(points, masses)))
     tol = draw(st.sampled_from([1e-8, 1e-4]))
     max_iters = draw(st.sampled_from([0, 1, 3, 200]))
@@ -373,12 +389,12 @@ def test_memo_is_bit_identical_to_the_reference(case):
 
 
 def test_memo_cuts_geodesic_work(monkeypatch):
-    """Each complement center is built once per top-level call: 420
-    `geodesic_point` calls for a unit E^3 configuration of 7 points, where
-    recomputing every complement from both sides makes 6,139."""
-    space = Space.euclidean(3)
+    """Each complement center is built once per top-level call: 4,338
+    `geodesic_point` calls for a unit H^2 configuration of 6 points, where
+    recomputing every complement from both sides makes 11,898."""
+    space = Space.hyperbolic(2)
     rng = sp.sub_rng(11, 7)
-    cfg = unit_configuration(space, [sp.draw_point(space, rng, 2.0) for _ in range(7)])
+    cfg = unit_configuration(space, [sp.draw_point(space, rng, 2.0) for _ in range(6)])
     calls = []
     geodesic_point = sp.geodesic_point
 
@@ -388,8 +404,8 @@ def test_memo_cuts_geodesic_work(monkeypatch):
 
     monkeypatch.setattr(sp, "geodesic_point", counted)
     res = center_of_mass(space, cfg)
-    assert res.converged and res.iterations == 1
-    assert len(calls) <= 500
+    assert res.converged and res.iterations == 3
+    assert len(calls) <= 5000
 
 
 def test_memo_keeps_the_partial_result(hyp2):
@@ -402,6 +418,216 @@ def test_memo_keeps_the_partial_result(hyp2):
         with pytest.raises(ConvergenceError) as ref:
             reference_center(hyp2, cfg, 1e-8, max_iters)
         assert repr(info.value.result) == repr(ref.value.result)
+
+
+# -- closed-form centers against exact arithmetic ------------------------------------
+#
+# A flat configuration's center is its mass-weighted mean.  The oracles below
+# compute that mean exactly, in Fractions of the float inputs, and measure how
+# far the library's closed form and the plain recursion (the memo-free
+# reference without the closed form) each land from it.
+
+TREE = MEMO_SPACES["tree"]
+# segment ends: a plain leaf, and two marked leaves that may be overshot
+ENDS = {"C": ("B-C", 3.0), "D": ("B-D", 1.5), "E": ("A-E", 1.0)}
+
+
+def exact_mean(config):
+    """Per coordinate, the exact weighted mean of a euclidean configuration."""
+    total = sum(Fraction(item.mass) for item in config.items)
+    return [
+        sum(Fraction(item.mass) * Fraction(item.point[j]) for item in config.items)
+        / total
+        for j in range(len(config.items[0].point))
+    ]
+
+
+def exact_tree_distance(tree, p, q):
+    """The tree metric in Fractions: the shortest of the four endpoint routes."""
+    ep, eq = tree.edge(p.edge), tree.edge(q.edge)
+    P, Q = Fraction(p.offset), Fraction(q.offset)
+    if ep.index == eq.index:
+        return abs(P - Q)
+    return min(
+        abs(P - Fraction(a_off))
+        + sum(Fraction(tree.edges[ei].length) for ei in tree.vertex_path(a, b))
+        + abs(Q - Fraction(b_off))
+        for a, a_off in ((ep.u, 0.0), (ep.v, ep.length))
+        for b, b_off in ((eq.u, 0.0), (eq.v, eq.length))
+    )
+
+
+def exact_segment_error(tree, config, c):
+    """Exact distance from c to the weighted mean of points on one geodesic.
+
+    With (a, b) the exact diameter pair, the mean sits at position s along
+    [a, b]; c projects onto [a, b] at position t, at height h above it, so
+    its distance to the mean is h + |t - s|.
+    """
+    d = lambda p, q: exact_tree_distance(tree, p, q)  # noqa: E731
+    points = config.points
+    a, b = max(((p, q) for p in points for q in points), key=lambda pq: d(*pq))
+    ab = d(a, b)
+    total = sum(Fraction(item.mass) for item in config.items)
+    s = sum(Fraction(item.mass) * d(a, item.point) for item in config.items) / total
+    ac, bc = d(a, c), d(b, c)
+    t, h = (ac + ab - bc) / 2, (ac + bc - ab) / 2
+    return h + abs(t - s)
+
+
+@st.composite
+def euclid_cases(draw):
+    space = Space.euclidean(draw(st.sampled_from([2, 3])))
+    n = draw(st.integers(3, 5))
+    rng = np.random.default_rng(draw(SEEDS))
+    points = []
+    for i in range(n):
+        copy = draw(st.integers(0, i))  # i draws a fresh point, below i repeats one
+        points.append(points[copy] if copy < i else sp.draw_point(space, rng, 2.0))
+    masses = draw(st.lists(MASSES, min_size=n, max_size=n))
+    return space, Configuration.of(space, list(zip(points, masses)))
+
+
+@st.composite
+def segment_cases(draw):
+    """Weighted points on the geodesic between two leaves of the conftest
+    tree, which runs through branch vertex B and may overshoot a marked
+    leaf; some points are the path's vertices in canonical form, which puts
+    B on edge A-B, off the path between C and D."""
+    tree = TREE.tree
+    first, last = draw(st.permutations(sorted(ENDS)))[:2]
+    ends = []
+    for leaf in (first, last):
+        edge, offset = ENDS[leaf]
+        past = draw(st.sampled_from([0.0, 0.5, 1.0])) if leaf in TREE_LEAVES else 0.0
+        ends.append(TreePoint(edge, offset + past))
+    p, q = ends
+    d = tree.distance(p, q)
+    vertices = ["B"] if {first, last} == {"C", "D"} else ["A", "B"]
+    n = draw(st.integers(3, 5))
+    points = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["walk", "walk", "end", "vertex"]))
+        if kind == "walk":
+            points.append(tree.walk(p, q, draw(st.floats(0.0, 1.0)) * d))
+        elif kind == "end":
+            points.append(draw(st.sampled_from(ends)))
+        else:
+            points.append(tree.vertex_point(draw(st.sampled_from(vertices))))
+    masses = draw(st.lists(MASSES, min_size=n, max_size=n))
+    return Configuration.of(TREE, list(zip(points, masses)))
+
+
+def _closed_and_recursive(space, config):
+    closed = center_of_mass(space, config, 1e-8, 200)
+    d0 = closed.diameter_trace[0]
+    assert (closed.iterations, closed.diameter_trace) == (1, [d0, 0.0])
+    recursive = reference_center(space, config, 1e-8, 200, flat=False)
+    return closed.center, recursive.center
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=euclid_cases())
+def test_euclidean_closed_form_is_the_rounded_exact_mean(case):
+    """Each coordinate is the exact mean rounded once, so it is no farther
+    from the mean than the recursion's, also with masses of 1e-17 and 1e3
+    and with duplicate points."""
+    space, config = case
+    assume(config_diameter(space, config) >= 1e-8)
+    closed, recursive = _closed_and_recursive(space, config)
+    for c, r, m in zip(closed, recursive, exact_mean(config)):
+        assert abs(Fraction(c) - m) <= Fraction(math.ulp(c)) / 2
+        assert abs(Fraction(c) - m) <= abs(Fraction(r) - m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=segment_cases())
+def test_tree_segment_closed_form_is_the_rounded_exact_mean(config):
+    """On a tree segment the center's offset is the exact mean's, rounded
+    once, so the center is no farther from the mean than the recursion's."""
+    assume(config_diameter(TREE, config) >= 1e-8)
+    closed, recursive = _closed_and_recursive(TREE, config)
+    err = exact_segment_error(TREE.tree, config, closed)
+    assert err <= Fraction(math.ulp(closed.offset)) / 2
+    assert err <= exact_segment_error(TREE.tree, config, recursive)
+
+
+def test_a_vertex_canonicalized_off_the_path_is_on_it(tree_space):
+    """B's canonical form sits on edge A-B, which the path from D to C
+    does not enter; B still lies on that path."""
+    b = tree_space.tree.vertex_point("B")
+    assert b == TreePoint("A-B", 2.0)
+    cfg = Configuration.of(
+        tree_space,
+        [(TreePoint("B-D", 0.5), 1.0), (b, 2.0), (TreePoint("B-C", 2.0), 1.0)],
+    )
+    res = center_of_mass(tree_space, cfg)
+    assert (res.iterations, res.diameter_trace) == (1, [2.5, 0.0])
+    assert res.center == TreePoint("B-C", 0.375)
+
+
+def test_a_point_just_off_the_path_takes_the_recursion(tree_space):
+    """1e-11 off the path from D to C, short of B on edge A-B, is off it:
+    no tolerance decides membership."""
+    cfg = Configuration.of(
+        tree_space,
+        [
+            (TreePoint("B-D", 0.5), 1.0),
+            (TreePoint("A-B", 2.0 - 1e-11), 2.0),
+            (TreePoint("B-C", 2.0), 1.0),
+        ],
+    )
+    d0 = config_diameter(tree_space, cfg)
+    assert _flat_center(tree_space, cfg, d0) is None
+    res = center_of_mass(tree_space, cfg)
+    assert res.converged and res.diameter_trace[-1] != 0.0
+    assert repr(res) == repr(reference_center(tree_space, cfg, 1e-8, 200))
+
+
+def test_a_point_past_a_marked_leaf(tree_space):
+    cfg = Configuration.of(
+        tree_space,
+        [
+            (TreePoint("B-D", 1.5), 1.0),
+            (TreePoint("B-C", 4.0), 1.0),
+            (TreePoint("B-C", 5.5), 2.0),
+        ],
+    )
+    res = center_of_mass(tree_space, cfg)
+    assert (res.iterations, res.diameter_trace) == (1, [7.0, 0.0])
+    assert res.center == TreePoint("B-C", 3.375)
+
+
+@pytest.mark.parametrize("space", ["euclid2", "tree"])
+def test_flat_configurations_keep_max_iters_0(space):
+    """max_iters=0 allows no step, closed-form or not: the same
+    non-convergence as before, with trace [d0]."""
+    space = MEMO_SPACES[space]
+    rng = np.random.default_rng(5)
+    if space.kind == "tree":
+        cfg = unit_configuration(space, [TreePoint("B-C", 0.5 * k) for k in (1, 2, 3)])
+    else:
+        cfg = random_config(space, rng, 3)
+    with pytest.raises(ConvergenceError) as info:
+        center_of_mass(space, cfg, 1e-8, max_iters=0)
+    partial = info.value.result
+    d0 = config_diameter(space, cfg)
+    assert (partial.center, partial.iterations, partial.diameter_trace) == (
+        cfg.items[0].point, 0, [d0]
+    )
+    assert not partial.converged
+
+
+def test_a_diameter_below_tol_returns_the_first_point(euclid2, tree_space):
+    """Below tol no step is taken, closed-form or not."""
+    for space, points in (
+        (euclid2, [(0.0, 0.0), (1e-9, 0.0), (0.0, 1e-9)]),
+        (tree_space, [TreePoint("B-C", 1.0 + k * 1e-9) for k in (0, 1, 2)]),
+    ):
+        cfg = unit_configuration(space, points)
+        res = center_of_mass(space, cfg, 1e-8)
+        assert (res.center, res.iterations) == (cfg.items[0].point, 0)
+        assert res.diameter_trace == [config_diameter(space, cfg)]
 
 
 # -- hull sampling -------------------------------------------------------------------

@@ -16,15 +16,19 @@ all lie on one geodesic.  The result keeps the shape of one step (one iteration,
 diameter trace [d0, 0.0]), and ``max_points`` does not apply to it.
 
 Hyperbolic configurations and tree points spread over branches take the
-recursion.  One top-level call computes each distinct sub-configuration's
+recursion.  It runs on plain (point, mass) tuples with the space's metric
+and interpolator fetched once per top-level call (`spaces.kernels`);
+`Configuration`, `WeightedPoint` and `BarycenterResult` exist only at its
+boundary.  One top-level call computes each distinct sub-configuration's
 center once (the center of S minus {i, j} is needed from both i and j),
 but every step moves the points, so each sub-center's later steps start
-afresh and the cost still grows faster than exponentially in n: about 7,
-45 and 220 ms for n = 5, 6 and 7 in H^2 on one core.  ``max_points``
+afresh and the cost still grows faster than exponentially in n: about
+5, 27 and 160 ms for n = 5, 6 and 7 in H^2 on one core.  ``max_points``
 caps the size of a configuration that takes the recursion (default 7)
 and can be raised explicitly.  Every step shrinks the diameter, but
 convergence can be only linear: near a tree branch vertex the ratio per
-step stays constant.
+step stays constant.  Masses whose sum overflows are scaled by 2**-64
+first, which is exact and moves no center.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from itertools import combinations
 from operator import mul
 
 from . import spaces
-from .spaces import EUCLIDEAN, TREE, GeometryError, Space, _left_sum
+from .spaces import EUCLIDEAN, TREE, GeometryError, Space, _left_sum, farthest
 from .trees import Tree, TreePoint
 
 DEFAULT_TOL = 1e-8
@@ -44,6 +48,7 @@ DEFAULT_MAX_POINTS = 7
 # Every finite double is an integer multiple of 2**-1074, so x * 2**1074 is
 # an integer, and sums and products of such integers never round.
 _EXACT_BITS = 1074
+_MASS_SHIFT = 64  # scales an overflowing mass sum back into range (see _finite_masses)
 
 
 class ConvergenceError(RuntimeError):
@@ -109,16 +114,27 @@ def two_point_center(space: Space, a: WeightedPoint, b: WeightedPoint):
     """Center of two weighted points; symmetric in its arguments."""
     if a.mass <= 0.0 or b.mass <= 0.0:
         raise GeometryError("masses must be positive")
-    t = b.mass / (a.mass + b.mass)
-    return spaces.geodesic_point(space, a.point, b.point, t)
+    (ma, mb), _ = _finite_masses((a.mass, b.mass))
+    return spaces.geodesic_point(space, a.point, b.point, mb / (ma + mb))
 
 
 def config_diameter(space: Space, config: Configuration) -> float:
     return spaces.diameter(space, config.points)
 
 
-def _finite_diameter(space: Space, config: Configuration) -> float:
-    d = config_diameter(space, config)
+def _finite_masses(masses):
+    """(masses / 2**k, k), with k = 64 where the sum of the masses
+    overflows and k = 0 otherwise.
+
+    The scaling is exact, and every mass ratio the construction forms is
+    unchanged by a common power-of-two factor, so it moves no center.
+    """
+    if _left_sum(masses) < math.inf:
+        return masses, 0
+    return [math.ldexp(m, -_MASS_SHIFT) for m in masses], _MASS_SHIFT
+
+
+def _finite_diameter(d: float) -> float:
     if not math.isfinite(d):
         raise GeometryError(f"configuration overflows: diameter {d}")
     return d
@@ -137,25 +153,25 @@ def _exact(x: float) -> int:
     return num << (_EXACT_BITS + 1 - den.bit_length())
 
 
-def _flat_center(space: Space, config: Configuration, d0: float):
+def _flat_center(space: Space, items, d0: float):
     """The center in closed form where the configuration is flat, else None.
 
-    In R^n, and on a tree where every point lies on one geodesic (an
-    isometric copy of an interval), one construction step collapses the
-    configuration onto its mass-weighted mean.  The mean is summed in
-    exact integers and rounded once, so no double lies nearer to it.
-    Hyperbolic configurations, and tree points spread over branches,
-    give None.
+    `items` are (point, mass) pairs.  In R^n, and on a tree where every
+    point lies on one geodesic (an isometric copy of an interval), one
+    construction step collapses the configuration onto its mass-weighted
+    mean.  The mean is summed in exact integers and rounded once, so no
+    double lies nearer to it.  Hyperbolic configurations, and tree points
+    spread over branches, give None.
     """
     if space.kind not in (EUCLIDEAN, TREE):
         return None
-    weights = [_exact(item.mass) for item in config.items]
+    points = [p for p, _ in items]
+    weights = [_exact(m) for _, m in items]
     if space.kind == TREE:
-        return _segment_center(space.tree, config.points, weights, d0)
+        return _segment_center(space.tree, points, weights, d0)
     scale = sum(weights) << _EXACT_BITS
     return tuple(
-        sum(map(mul, weights, map(_exact, column))) / scale
-        for column in zip(*config.points)
+        sum(map(mul, weights, map(_exact, column))) / scale for column in zip(*points)
     )
 
 
@@ -196,14 +212,107 @@ def _segment_center(tree: Tree, points, weights: list[int], d0: float):
     return TreePoint(tree.edges[ei].eid, off / (total << _EXACT_BITS))
 
 
+class _Recursion:
+    """The construction of one top-level call, on (point, mass) tuples.
+
+    `settle(items, d0)` iterates from a configuration of diameter d0 to
+    (center, iterations, diameter trace), and `step(items)` takes one
+    leave-one-out step.  Both measure and interpolate with the space's
+    kernels, fetched once here, and share one memo that maps the items of
+    a sub-configuration to its center, so a center that several branches
+    need (that of S minus {i, j} is reached from both i and j) is computed
+    once.  Items that compare equal share a key, as 0.0 and -0.0 do, and
+    tol, max_iters and max_points are fixed for the memo's life.  The
+    masses must have a finite sum (see `_finite_masses`).
+    """
+
+    __slots__ = ("space", "tol", "max_iters", "max_points", "metric", "interpolate", "memo")
+
+    def __init__(self, space: Space, tol: float, max_iters: int, max_points: int):
+        if not 0.0 < tol < math.inf:
+            raise GeometryError(f"tol must be positive and finite, got {tol}")
+        if max_iters < 0:
+            raise GeometryError(f"max_iters must be >= 0, got {max_iters}")
+        self.space, self.tol = space, tol
+        self.max_iters, self.max_points = max_iters, max_points
+        self.metric, self.interpolate = spaces.kernels(space)
+        self.memo = {}
+
+    def diameter(self, items) -> float:
+        return _finite_diameter(farthest(self.metric, [p for p, _ in items]))
+
+    def between(self, x, mx, y, my):
+        """The two-point center of (x, mx) and (y, my)."""
+        if mx <= 0.0 or my <= 0.0:
+            raise GeometryError("masses must be positive")
+        t = my / (mx + my)
+        if not 0.0 < t < 1.0:
+            if t == 0.0:
+                return x
+            if t == 1.0:
+                return y
+            raise GeometryError(f"geodesic parameter must lie in [0, 1], got {t}")
+        return self.interpolate(x, y, t)
+
+    def center(self, items):
+        """The center of a sub-configuration of two or more points."""
+        c = self.memo.get(items)
+        if c is None:
+            if len(items) == 2:
+                (x, mx), (y, my) = items
+                c = _finite_center(self.space, self.between(x, mx, y, my))
+            else:
+                c = self.settle(items, self.diameter(items))[0]
+            self.memo[items] = c
+        return c
+
+    def step(self, items):
+        n = len(items)
+        total = _left_sum([m for _, m in items])
+        moved = []
+        for i, (x, m) in enumerate(items):
+            rest = items[:i] + items[i + 1 :]
+            rest_mass = total - m
+            if not rest_mass > 0.0:  # m dwarfs the rest, and M - m_i cancels
+                rest_mass = math.fsum([other for _, other in rest])
+            c = self.center(rest)
+            moved.append((self.between(x, m, c, rest_mass), rest_mass / (n - 1)))
+        return tuple(moved)
+
+    def settle(self, items, d0):
+        tol, max_iters = self.tol, self.max_iters
+        if d0 >= tol and max_iters >= 1:
+            c = _flat_center(self.space, items, d0)
+            if c is not None:
+                return c, 1, [d0, 0.0]
+        n = len(items)
+        trace = [d0]
+        iterations = 0
+        while trace[-1] >= tol:
+            if iterations >= max_iters:
+                partial = BarycenterResult(items[0][0], iterations, trace, False)
+                raise ConvergenceError(
+                    f"diameter {trace[-1]:.3e} still above tol {tol:.3e} "
+                    f"after {iterations} iterations",
+                    partial,
+                )
+            if n > self.max_points:
+                raise GeometryError(
+                    f"{n} points exceeds the recursion cap {self.max_points}; "
+                    "raise max_points explicitly to accept the cost"
+                )
+            items = self.step(items)
+            trace.append(self.diameter(items))
+            iterations += 1
+        return items[0][0], iterations, trace
+
+
 def leave_one_out_step(
     space: Space,
     config: Configuration,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
     max_points: int = DEFAULT_MAX_POINTS,
-    *,
-    _memo: dict | None = None,
 ) -> Configuration:
     """One construction step: pair each point with its complement's center.
 
@@ -211,36 +320,17 @@ def leave_one_out_step(
     recursive center of the other points carrying mass M - m_i; the new
     mass label is (M - m_i)/(n - 1), so total mass is preserved.  Where
     M - m_i rounds to 0 or below (m_i dwarfs the rest), the exact sum of
-    the other masses stands in for it.
-
-    `_memo` maps the items of a sub-configuration to its center.  The
-    top-level `center_of_mass` call owns it and passes it down, so a
-    center that several branches need (that of S minus {i, j} is reached
-    from both i and j) is computed once.  The key omits tol, max_iters
-    and max_points because they are fixed within that call.
+    the other masses stands in for it.  Masses whose sum overflows are
+    stepped at 2**-64 scale and scaled back.
     """
     n = len(config)
     if n < 3:
         raise GeometryError(f"leave-one-out step needs at least 3 points, got {n}")
-    if _memo is None:
-        _memo = {}
-    total = config.total_mass
-    items = config.items
-    new_items = []
-    for i, item in enumerate(items):
-        rest = items[:i] + items[i + 1 :]
-        complement = _memo.get(rest)
-        if complement is None:
-            complement = center_of_mass(
-                space, Configuration(rest), tol, max_iters, max_points, _memo=_memo
-            ).center
-            _memo[rest] = complement
-        rest_mass = total - item.mass
-        if not rest_mass > 0.0:  # item.mass dwarfs the rest, and M - m_i cancels
-            rest_mass = math.fsum(other.mass for other in rest)
-        moved = two_point_center(space, item, WeightedPoint(complement, rest_mass))
-        new_items.append(WeightedPoint(moved, rest_mass / (n - 1)))
-    return Configuration(tuple(new_items))
+    recursion = _Recursion(space, tol, max_iters, max_points)
+    spaces.check_arity(space, config.points)
+    masses, k = _finite_masses([item.mass for item in config.items])
+    items = recursion.step(tuple(zip(config.points, masses)))
+    return Configuration(tuple(WeightedPoint(p, math.ldexp(m, k)) for p, m in items))
 
 
 def center_of_mass(
@@ -249,60 +339,25 @@ def center_of_mass(
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
     max_points: int = DEFAULT_MAX_POINTS,
-    *,
-    _memo: dict | None = None,
 ) -> BarycenterResult:
     """Iterate the construction until the configuration diameter < tol.
 
     A flat configuration (see `_flat_center`) whose diameter d0 is at
     least tol, with max_iters >= 1, returns its closed-form center as one
     step, at every level of the recursion.  `max_points` caps only the
-    configurations that take a recursive step.  Each call without `_memo`
-    starts a fresh memo of sub-configuration centers that lives only
-    until it returns (see `leave_one_out_step`).
+    configurations that take a recursive step.
     """
-    if not 0.0 < tol < math.inf:
-        raise GeometryError(f"tol must be positive and finite, got {tol}")
-    if max_iters < 0:
-        raise GeometryError(f"max_iters must be >= 0, got {max_iters}")
+    recursion = _Recursion(space, tol, max_iters, max_points)
     n = len(config)
     if n == 1:
         return BarycenterResult(config.items[0].point, 0, [0.0], True)
     if n == 2:
-        center = _finite_center(
-            space, two_point_center(space, config.items[0], config.items[1])
-        )
+        center = _finite_center(space, two_point_center(space, *config.items))
         return BarycenterResult(center, 0, [0.0], True)
-    d0 = _finite_diameter(space, config)
-    if d0 >= tol and max_iters >= 1:
-        center = _flat_center(space, config, d0)
-        if center is not None:
-            return BarycenterResult(center, 1, [d0, 0.0], True)
-    if _memo is None:
-        _memo = {}
-    trace = [d0]
-    iterations = 0
-    while trace[-1] >= tol:
-        if iterations >= max_iters:
-            partial = BarycenterResult(
-                config.items[0].point, iterations, trace, False
-            )
-            raise ConvergenceError(
-                f"diameter {trace[-1]:.3e} still above tol {tol:.3e} "
-                f"after {iterations} iterations",
-                partial,
-            )
-        if n > max_points:
-            raise GeometryError(
-                f"{n} points exceeds the recursion cap {max_points}; "
-                "raise max_points explicitly to accept the cost"
-            )
-        config = leave_one_out_step(
-            space, config, tol, max_iters, max_points, _memo=_memo
-        )
-        trace.append(_finite_diameter(space, config))
-        iterations += 1
-    return BarycenterResult(config.items[0].point, iterations, trace, True)
+    d0 = _finite_diameter(config_diameter(space, config))
+    masses, _ = _finite_masses([item.mass for item in config.items])
+    center, iterations, trace = recursion.settle(tuple(zip(config.points, masses)), d0)
+    return BarycenterResult(center, iterations, trace, True)
 
 
 def hull_sample(space: Space, config: Configuration, depth: int, seed: int) -> list:

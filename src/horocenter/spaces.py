@@ -2,7 +2,10 @@
 
 Every operation takes a :class:`Space` descriptor first and dispatches on
 its kind, per call: ``diameter`` picks its metric once and measures every
-pair with it, rather than dispatching once per pair.  The spaces:
+pair with it, rather than dispatching once per pair.  ``kernels`` hands
+out a space's unchecked metric and geodesic interpolator, the ones
+``diameter`` and ``geodesic_point`` use, to a caller that makes many
+calls in one space.  The spaces:
 
 * ``euclidean`` -- R^n, points are coordinate tuples.
 * ``hyperbolic`` -- the hyperboloid sheet {<x,x> = -1, x0 > 0} in
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, combinations, starmap
 from typing import TYPE_CHECKING
 
@@ -292,6 +296,22 @@ def normalize_ideal(space: Space, xi: IdealPoint) -> IdealPoint:
 # -- metric and geodesics ---------------------------------------------------
 
 
+def kernels(space: Space):
+    """The space's metric and geodesic interpolator, (metric, interpolate).
+
+    metric(x, y) is the distance and interpolate(x, y, t) the point at
+    arclength fraction t from x toward y, for 0 < t < 1; neither checks
+    its arguments.  `diameter` and `geodesic_point` measure and
+    interpolate with these after their checks, and a caller that makes
+    many calls in one space can take them once.
+    """
+    if space.kind == EUCLIDEAN:
+        return math.dist, _euclid_geodesic
+    if space.kind == HYPERBOLIC:
+        return _hyp_distance, _hyp_geodesic
+    return space.tree.distance, partial(_tree_geodesic, space.tree)
+
+
 def diameter(space: Space, points) -> float:
     """Largest pairwise distance of a finite point set (0 below two points).
 
@@ -299,18 +319,23 @@ def diameter(space: Space, points) -> float:
     a wrong-length hyperbolic point is reported as `distance` would report
     the first pair that holds one.
     """
-    if space.kind == EUCLIDEAN:
-        metric = math.dist
-    elif space.kind == HYPERBOLIC:
-        metric = _hyp_distance
-        if len(points) >= 2:
-            for k, p in enumerate(points):
-                if len(p) != space.dim + 1:  # first bad pair: (0, k), or (0, 1)
-                    raise _arity_error(space, points[0], points[k or 1])
-    else:
-        metric = space.tree.distance
+    check_arity(space, points)
+    return farthest(kernels(space)[0], points)
+
+
+def farthest(metric, points) -> float:
+    """Largest metric(p, q) over the pairs of points, in diameter's order."""
     # max() takes a later value only if strictly greater, so NaN is skipped
     return max(chain((0.0,), starmap(metric, combinations(points, 2))))
+
+
+def check_arity(space: Space, points) -> None:
+    """Raise as `distance` would for the first pair (0, k), or (0, 1), that
+    holds a hyperbolic point of the wrong length; no-op otherwise."""
+    if space.kind == HYPERBOLIC and len(points) >= 2:
+        for k, p in enumerate(points):
+            if len(p) != space.dim + 1:
+                raise _arity_error(space, points[0], points[k or 1])
 
 
 def _arity_error(space: Space, x, y) -> GeometryError:
@@ -356,24 +381,36 @@ def geodesic_point(space: Space, x, y, t: float):
     if t == 1.0:
         return y
     if space.kind == EUCLIDEAN:
-        return tuple(a + t * (b - a) for a, b in zip(x, y))
+        return _euclid_geodesic(x, y, t)
     if space.kind == HYPERBOLIC:
         if len(x) != space.dim + 1 or len(y) != space.dim + 1:
             raise _arity_error(space, x, y)
-        d = _hyp_distance(x, y)
-        if d < 1e-14:
-            return x
-        # unit tangent at x toward y, written to avoid cancellation for small d
-        cm1 = 2.0 * math.sinh(0.5 * d) ** 2
-        sh = math.sinh(d)
-        c, s = math.cosh(t * d), math.sinh(t * d)
-        return _project_hyperboloid(
-            [c * a + s * (((b - a) - cm1 * a) / sh) for a, b in zip(x, y)]
-        )
-    route = space.tree._route(x, y)
+        return _hyp_geodesic(x, y, t)
+    return _tree_geodesic(space.tree, x, y, t)
+
+
+def _euclid_geodesic(x, y, t: float):
+    return tuple(a + t * (b - a) for a, b in zip(x, y))
+
+
+def _hyp_geodesic(x, y, t: float):
+    d = _hyp_distance(x, y)
+    if d < 1e-14:
+        return x
+    # unit tangent at x toward y, written to avoid cancellation for small d
+    cm1 = 2.0 * math.sinh(0.5 * d) ** 2
+    sh = math.sinh(d)
+    c, s = math.cosh(t * d), math.sinh(t * d)
+    return _project_hyperboloid(
+        [c * a + s * (((b - a) - cm1 * a) / sh) for a, b in zip(x, y)]
+    )
+
+
+def _tree_geodesic(tree: Tree, x, y, t: float):
+    route = tree._route(x, y)
     if route[0] == 0.0:
         return x
-    return space.tree._follow(x, y, route, t * route[0])
+    return tree._follow(x, y, route, t * route[0])
 
 
 def ray_point(space: Space, x, xi: IdealPoint, s: float):

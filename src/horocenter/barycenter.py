@@ -134,19 +134,6 @@ def _finite_masses(masses):
     return [math.ldexp(m, -_MASS_SHIFT) for m in masses], _MASS_SHIFT
 
 
-def _finite_diameter(d: float) -> float:
-    if not math.isfinite(d):
-        raise GeometryError(f"configuration overflows: diameter {d}")
-    return d
-
-
-def _finite_center(space: Space, center):
-    coords = (center.offset,) if space.kind == TREE else center
-    if not all(map(math.isfinite, coords)):
-        raise GeometryError(f"configuration overflows: center {center}")
-    return center
-
-
 def _exact(x: float) -> int:
     """x * 2**_EXACT_BITS, exactly."""
     num, den = x.as_integer_ratio()  # den is a power of two
@@ -239,7 +226,10 @@ class _Recursion:
         self.memo = {}
 
     def diameter(self, items) -> float:
-        return _finite_diameter(farthest(self.metric, [p for p, _ in items]))
+        d = farthest(self.metric, [p for p, _ in items])
+        if not math.isfinite(d):
+            raise GeometryError(f"configuration overflows: diameter {d}")
+        return d
 
     def between(self, x, mx, y, my):
         """The two-point center of (x, mx) and (y, my)."""
@@ -260,7 +250,10 @@ class _Recursion:
         if c is None:
             if len(items) == 2:
                 (x, mx), (y, my) = items
-                c = _finite_center(self.space, self.between(x, mx, y, my))
+                c = self.between(x, mx, y, my)
+                coords = (c.offset,) if self.space.kind == TREE else c
+                if not all(map(math.isfinite, coords)):
+                    raise GeometryError(f"configuration overflows: center {c}")
             else:
                 c = self.settle(items, self.diameter(items))[0]
             self.memo[items] = c
@@ -290,21 +283,33 @@ class _Recursion:
         iterations = 0
         while trace[-1] >= tol:
             if iterations >= max_iters:
-                partial = BarycenterResult(items[0][0], iterations, trace, False)
                 raise ConvergenceError(
                     f"diameter {trace[-1]:.3e} still above tol {tol:.3e} "
                     f"after {iterations} iterations",
-                    partial,
+                    BarycenterResult(items[0][0], iterations, trace, False),
                 )
             if n > self.max_points:
                 raise GeometryError(
                     f"{n} points exceeds the recursion cap {self.max_points}; "
                     "raise max_points explicitly to accept the cost"
                 )
-            items = self.step(items)
+            try:
+                items = self.step(items)
+            except ConvergenceError as exc:  # a sub-configuration's; report ours
+                exc.result = BarycenterResult(items[0][0], iterations, trace, False)
+                raise
             trace.append(self.diameter(items))
             iterations += 1
         return items[0][0], iterations, trace
+
+
+def _start(space: Space, config: Configuration, tol, max_iters, max_points):
+    """The recursion of one top-level call and the configuration's
+    (point, mass) items, with the mass scale k of `_finite_masses`."""
+    recursion = _Recursion(space, tol, max_iters, max_points)
+    spaces.check_arity(space, config.points)
+    masses, k = _finite_masses([item.mass for item in config.items])
+    return recursion, tuple(zip(config.points, masses)), k
 
 
 def leave_one_out_step(
@@ -326,10 +331,8 @@ def leave_one_out_step(
     n = len(config)
     if n < 3:
         raise GeometryError(f"leave-one-out step needs at least 3 points, got {n}")
-    recursion = _Recursion(space, tol, max_iters, max_points)
-    spaces.check_arity(space, config.points)
-    masses, k = _finite_masses([item.mass for item in config.items])
-    items = recursion.step(tuple(zip(config.points, masses)))
+    recursion, items, k = _start(space, config, tol, max_iters, max_points)
+    items = recursion.step(items)
     return Configuration(tuple(WeightedPoint(p, math.ldexp(m, k)) for p, m in items))
 
 
@@ -345,18 +348,16 @@ def center_of_mass(
     A flat configuration (see `_flat_center`) whose diameter d0 is at
     least tol, with max_iters >= 1, returns its closed-form center as one
     step, at every level of the recursion.  `max_points` caps only the
-    configurations that take a recursive step.
+    configurations that take a recursive step.  A non-convergence at any
+    level carries the partial result of this configuration: its first
+    point, its completed iterations and its diameter trace.
     """
-    recursion = _Recursion(space, tol, max_iters, max_points)
-    n = len(config)
-    if n == 1:
-        return BarycenterResult(config.items[0].point, 0, [0.0], True)
-    if n == 2:
-        center = _finite_center(space, two_point_center(space, *config.items))
-        return BarycenterResult(center, 0, [0.0], True)
-    d0 = _finite_diameter(config_diameter(space, config))
-    masses, _ = _finite_masses([item.mass for item in config.items])
-    center, iterations, trace = recursion.settle(tuple(zip(config.points, masses)), d0)
+    recursion, items, _ = _start(space, config, tol, max_iters, max_points)
+    if len(items) == 1:
+        return BarycenterResult(items[0][0], 0, [0.0], True)
+    if len(items) == 2:
+        return BarycenterResult(recursion.center(items), 0, [0.0], True)
+    center, iterations, trace = recursion.settle(items, recursion.diameter(items))
     return BarycenterResult(center, iterations, trace, True)
 
 

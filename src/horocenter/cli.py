@@ -17,7 +17,13 @@ import os
 import sys
 
 from . import jsonio
-from .barycenter import ConvergenceError, center_of_mass
+from .barycenter import (
+    DEFAULT_MAX_ITERS,
+    DEFAULT_MAX_POINTS,
+    DEFAULT_TOL,
+    ConvergenceError,
+    center_of_mass,
+)
 from .horosphere import SelectOptions, classify_body, select
 from .jsonio import InputError
 from .lipschitz import (
@@ -49,6 +55,11 @@ def _add_space_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--space-json", help="path to a space description document")
 
 
+def _add_center_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    parser.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
+
+
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("--output", help="output path (default: standard output)")
@@ -73,16 +84,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("barycenter", help="iterative center of a weighted point set")
     _add_space_flags(p)
     p.add_argument("--input", required=True, help="configuration document")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iters", type=int, default=200)
+    _add_center_flags(p)
     p.add_argument(
         "--max-points",
         type=int,
-        default=7,
+        default=DEFAULT_MAX_POINTS,
         help="largest configuration that may take the recursion, whose cost is "
         "super-exponential (hyperbolic, or tree points spread over branches); "
         "euclidean and single-geodesic tree configurations are closed-form and "
-        "never capped (default 7)",
+        "never capped (default %(default)s)",
     )
     _add_output_flags(p)
 
@@ -90,10 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_space_flags(p)
     p.add_argument("--input", required=True, help="body document (may carry 'ideal')")
     p.add_argument("--ideal", help="inline ideal-point JSON (overrides the document)")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--classify-tol", type=float, default=1e-6)
-    p.add_argument("--snap-tol", type=float, default=1e-4)
+    _add_center_flags(p)
+    p.add_argument("--classify-tol", type=float, default=SelectOptions.classify_tol)
+    p.add_argument("--snap-tol", type=float, default=SelectOptions.snap_tol)
     p.add_argument("--no-smoothing", action="store_true")
     _add_output_flags(p)
 
@@ -101,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_space_flags(p)
     p.add_argument("--input", required=True)
     p.add_argument("--ideal", help="inline ideal-point JSON (overrides the document)")
-    p.add_argument("--classify-tol", type=float, default=1e-6)
+    p.add_argument("--classify-tol", type=float, default=SelectOptions.classify_tol)
     _add_output_flags(p)
 
     for name, blurb in (
@@ -111,13 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=blurb)
         _add_space_flags(p)
-        p.add_argument("--n-points", type=int, default=4)
-        p.add_argument("--samples", type=int, default=100)
-        p.add_argument("--epsilon", type=float, default=0.05)
+        p.add_argument("--n-points", type=int, default=ScanParams.n_points)
+        p.add_argument("--samples", type=int, default=ScanParams.samples)
+        p.add_argument("--epsilon", type=float, default=ScanParams.epsilon)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--scale", type=float, default=2.0)
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--max-iters", type=int, default=200)
+        p.add_argument("--scale", type=float, default=ScanParams.scale)
+        _add_center_flags(p)
         if name == "scan-selector":
             p.add_argument("--ideal", help="inline ideal-point JSON")
             p.add_argument("--no-smoothing", action="store_true")

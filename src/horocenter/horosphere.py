@@ -104,7 +104,10 @@ def project_to_level(space: Space, x, xi: IdealPoint, o, t: float):
             f"target level {t} is above the point's level {level}; "
             "projection only moves toward the ideal point"
         )
-    return spaces.ray_point(space, x, xi, max(level - t, 0.0))
+    s = max(level - t, 0.0)
+    if not s < math.inf:
+        raise GeometryError(f"ray parameter overflows: s = {s} from level {level} to {t}")
+    return spaces.ray_point(space, x, xi, s)
 
 
 def _limit_spread(space: Space, points, xi: IdealPoint) -> float:
@@ -139,6 +142,8 @@ def classify_body(
     if not 0.0 < tol < math.inf:
         raise GeometryError(f"classify_tol must be positive and finite, got {tol}")
     worst = _limit_spread(space, body.generators, xi)
+    if not math.isfinite(worst):
+        raise GeometryError(f"body overflows: its limit spread is {worst}")
     return ShrinkClass(SHRINKING if worst < tol else NON_SHRINKING, worst)
 
 

@@ -1,9 +1,11 @@
 """Seeded perturbation scans estimating Lipschitz moduli.
 
-Three scans share one sampling scheme: each sample draws from its own
-generator seeded by the pair (seed, sample-index), so reports are
-bit-identical across runs, independent of execution order, and distinct
-seeds never share a sample.
+The three scans share one sample loop.  Sample i draws from its own
+generator seeded by the pair (seed, i), so reports are bit-identical
+across runs, independent of execution order, and distinct seeds never
+share a sample.  Each sample gives an input displacement and two inputs;
+the loop maps both inputs to points and records the distance between
+them over the input displacement:
 
 * point shift -- move one point of a weighted configuration by a geodesic
   step of size epsilon, ratio = center displacement / point displacement;
@@ -12,10 +14,12 @@ seeds never share a sample.
 * selector -- perturb every generator of a body, ratio = selector
   displacement / generator-set Hausdorff distance.
 
-Zero-denominator samples are counted, never turned into ratios, and
-non-convergent samples are counted as failures and excluded from the
-statistics.  The branch-straddle probe reproduces the selector's jump
-discontinuity at a tree branch vertex and its repair by smoothing.
+A sample whose input displacement is zero is counted as skipped and
+never turned into a ratio; one whose center fails to converge
+(ConvergenceError) is counted as a failure and left out of the
+statistics.  Any other error ends the scan.  The branch-straddle probe
+reproduces the selector's jump discontinuity at a tree branch vertex and
+its repair by smoothing.
 
 The generator-set Hausdorff distance stands in for the hull Hausdorff
 distance: generator sets within h of each other have hulls within h, so
@@ -26,10 +30,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 from . import spaces
 from .barycenter import (
+    DEFAULT_MAX_ITERS,
+    DEFAULT_TOL,
     Configuration,
     ConvergenceError,
     center_of_mass,
@@ -51,8 +58,8 @@ class ScanParams:
     samples: int = 100
     epsilon: float = 0.05
     seed: int = 0
-    tol: float = 1e-8
-    max_iters: int = 200
+    tol: float = DEFAULT_TOL
+    max_iters: int = DEFAULT_MAX_ITERS
     smoothing: bool = True
     ideal: IdealPoint | None = None
     scale: float = DEFAULT_SCALE
@@ -88,28 +95,14 @@ class LipschitzReport:
     straddle: list[float] | None = field(default=None)
 
 
-def _finish(records, failures, skipped, straddle=None) -> LipschitzReport:
-    ratios = [r.ratio for r in records]
-    return LipschitzReport(
-        records=records,
-        max_ratio=max(ratios) if ratios else 0.0,
-        mean_ratio=_left_sum(ratios) / len(ratios) if ratios else 0.0,
-        failures=failures,
-        skipped=skipped,
-        straddle=straddle,
-    )
-
-
 def hausdorff(space: Space, a: ConvexBody, b: ConvexBody) -> float:
     """Symmetric Hausdorff distance between finite generator sets."""
+    spaces.check_arity(space, a.generators + b.generators)
+    metric = spaces.kernels(space)[0]
 
     def directed(src, dst):
-        worst = 0.0
-        for p in src:
-            best = min(spaces.distance(space, p, q) for q in dst)
-            if best > worst:
-                worst = best
-        return worst
+        # seeded with 0.0, max() skips NaN as spaces.farthest does
+        return max(chain((0.0,), (min(metric(p, q) for q in dst) for p in src)))
 
     return max(directed(a.generators, b.generators), directed(b.generators, a.generators))
 
@@ -161,53 +154,61 @@ def body_case(params: ScanParams, index: int):
 # -- scans -------------------------------------------------------------------
 
 
-def point_shift_scan(params: ScanParams) -> LipschitzReport:
-    params = params.validated()
-    if params.n_points < 2:
-        raise GeometryError("point shift scan needs n_points >= 2")
+def _scan(params: ScanParams, sample, image) -> LipschitzReport:
+    """The sample loop of every scan.
+
+    sample(i) gives sample i's input displacement and its two inputs, and
+    image maps an input to the point whose displacement is measured.
+    """
     space = params.space
     records, failures, skipped = [], 0, 0
     for i in range(params.samples):
-        config, k, moved = shift_case(params, i)
-        in_disp = spaces.distance(space, config.items[k].point, moved)
+        in_disp, before, after = sample(i)
         if in_disp == 0.0:
             skipped += 1
             continue
         try:
-            before = center_of_mass(space, config, params.tol, params.max_iters).center
-            after = center_of_mass(
-                space, replace_point(config, k, moved), params.tol, params.max_iters
-            ).center
+            out_disp = spaces.distance(space, image(before), image(after))
         except ConvergenceError:
             failures += 1
             continue
-        out_disp = spaces.distance(space, before, after)
         records.append(ScanRecord(i, in_disp, out_disp, out_disp / in_disp))
-    return _finish(records, failures, skipped)
+    ratios = [r.ratio for r in records]
+    return LipschitzReport(
+        records=records,
+        max_ratio=max(ratios) if ratios else 0.0,
+        mean_ratio=_left_sum(ratios) / len(ratios) if ratios else 0.0,
+        failures=failures,
+        skipped=skipped,
+    )
+
+
+def point_shift_scan(params: ScanParams) -> LipschitzReport:
+    params = params.validated()
+    if params.n_points < 2:
+        raise GeometryError("point shift scan needs n_points >= 2")
+    space, tol, max_iters = params.space, params.tol, params.max_iters
+
+    def sample(i):
+        config, k, moved = shift_case(params, i)
+        in_disp = spaces.distance(space, config.items[k].point, moved)
+        return in_disp, config, replace_point(config, k, moved)
+
+    return _scan(params, sample, lambda c: center_of_mass(space, c, tol, max_iters).center)
 
 
 def mass_shift_scan(params: ScanParams) -> LipschitzReport:
     params = params.validated()
     if params.n_points < 2:
         raise GeometryError("mass shift scan needs n_points >= 2")
-    space = params.space
-    records, failures, skipped = [], 0, 0
-    for i in range(params.samples):
+    space, tol, max_iters = params.space, params.tol, params.max_iters
+
+    def sample(i):
         config, k, delta = mass_case(params, i)
         denom = abs(delta) * config_diameter(space, config) / config.total_mass
-        if denom == 0.0:
-            skipped += 1
-            continue
-        try:
-            before = center_of_mass(space, config, params.tol, params.max_iters).center
-            bumped = replace_mass(config, k, config.items[k].mass + delta)
-            after = center_of_mass(space, bumped, params.tol, params.max_iters).center
-        except ConvergenceError:
-            failures += 1
-            continue
-        out_disp = spaces.distance(space, before, after)
-        records.append(ScanRecord(i, denom, out_disp, out_disp / denom))
-    return _finish(records, failures, skipped)
+        return denom, config, replace_mass(config, k, config.items[k].mass + delta)
+
+    return _scan(params, sample, lambda c: center_of_mass(space, c, tol, max_iters).center)
 
 
 def selector_scan(params: ScanParams) -> LipschitzReport:
@@ -220,29 +221,17 @@ def selector_scan(params: ScanParams) -> LipschitzReport:
     opts = SelectOptions(
         tol=params.tol, max_iters=params.max_iters, smoothing=params.smoothing
     )
-    records, failures, skipped = [], 0, 0
-    for i in range(params.samples):
+
+    def sample(i):
         body, perturbed = body_case(params, i)
-        denom = hausdorff(space, body, perturbed)
-        if denom == 0.0:
-            skipped += 1
-            continue
-        try:
-            out_disp = spaces.distance(
-                space,
-                select(space, body, xi, opts=opts),
-                select(space, perturbed, xi, opts=opts),
-            )
-        except ConvergenceError:
-            failures += 1
-            continue
-        records.append(ScanRecord(i, denom, out_disp, out_disp / denom))
-    straddle = None
+        return hausdorff(space, body, perturbed), body, perturbed
+
+    report = _scan(params, sample, lambda body: select(space, body, xi, opts=opts))
     if space.kind == TREE and not params.smoothing:
-        straddle = branch_straddle_probe(
+        report.straddle = branch_straddle_probe(
             space, xi, eps0=params.epsilon, smoothing=False
         )
-    return _finish(records, failures, skipped, straddle)
+    return report
 
 
 # -- the singular-point family -------------------------------------------------

@@ -1,11 +1,11 @@
 """Three model Hadamard spaces behind one functional interface.
 
-Every operation takes a :class:`Space` descriptor first and dispatches on
-its kind, per call: ``diameter`` picks its metric once and measures every
-pair with it, rather than dispatching once per pair.  ``kernels`` hands
-out a space's unchecked metric and geodesic interpolator, the ones
-``diameter`` and ``geodesic_point`` use, to a caller that makes many
-calls in one space.  The spaces:
+Every operation takes a :class:`Space` descriptor first.  The per-kind
+choice of metric and geodesic interpolator lives only in ``kernels``,
+which hands out a space's unchecked pair; ``distance``,
+``geodesic_point`` and ``diameter`` check their arguments and then call
+it, and a caller that makes many calls in one space takes the pair once.
+``diameter`` measures every pair with one metric.  The spaces:
 
 * ``euclidean`` -- R^n, points are coordinate tuples.
 * ``hyperbolic`` -- the hyperboloid sheet {<x,x> = -1, x0 > 0} in
@@ -301,9 +301,9 @@ def kernels(space: Space):
 
     metric(x, y) is the distance and interpolate(x, y, t) the point at
     arclength fraction t from x toward y, for 0 < t < 1; neither checks
-    its arguments.  `diameter` and `geodesic_point` measure and
-    interpolate with these after their checks, and a caller that makes
-    many calls in one space can take them once.
+    its arguments.  `distance`, `geodesic_point` and `diameter` call these
+    after their checks, and a caller that makes many calls in one space
+    can take them once.
     """
     if space.kind == EUCLIDEAN:
         return math.dist, _euclid_geodesic
@@ -330,18 +330,15 @@ def farthest(metric, points) -> float:
 
 
 def check_arity(space: Space, points) -> None:
-    """Raise as `distance` would for the first pair (0, k), or (0, 1), that
-    holds a hyperbolic point of the wrong length; no-op otherwise."""
+    """Raise for the first pair (0, k), or (0, 1), that holds a hyperbolic
+    point of the wrong length, naming both lengths; no-op otherwise."""
     if space.kind == HYPERBOLIC and len(points) >= 2:
         for k, p in enumerate(points):
             if len(p) != space.dim + 1:
-                raise _arity_error(space, points[0], points[k or 1])
-
-
-def _arity_error(space: Space, x, y) -> GeometryError:
-    return GeometryError(
-        f"expected {space.dim + 1} coordinates, got {len(x)} and {len(y)}"
-    )
+                raise GeometryError(
+                    f"expected {space.dim + 1} coordinates, "
+                    f"got {len(points[0])} and {len(points[k or 1])}"
+                )
 
 
 def _hyp_distance(x, y) -> float:
@@ -363,13 +360,8 @@ def distance(space: Space, x, y) -> float:
     """Geodesic distance.  Arity is checked here; deeper point validity
     (on-sheet, offsets in range) is enforced where points enter the
     system, via canonical_point in the aggregate constructors."""
-    if space.kind == EUCLIDEAN:
-        return math.dist(x, y)
-    if space.kind == HYPERBOLIC:
-        if len(x) != space.dim + 1 or len(y) != space.dim + 1:
-            raise _arity_error(space, x, y)
-        return _hyp_distance(x, y)
-    return space.tree.distance(x, y)
+    check_arity(space, (x, y))
+    return kernels(space)[0](x, y)
 
 
 def geodesic_point(space: Space, x, y, t: float):
@@ -380,13 +372,8 @@ def geodesic_point(space: Space, x, y, t: float):
         return x
     if t == 1.0:
         return y
-    if space.kind == EUCLIDEAN:
-        return _euclid_geodesic(x, y, t)
-    if space.kind == HYPERBOLIC:
-        if len(x) != space.dim + 1 or len(y) != space.dim + 1:
-            raise _arity_error(space, x, y)
-        return _hyp_geodesic(x, y, t)
-    return _tree_geodesic(space.tree, x, y, t)
+    check_arity(space, (x, y))
+    return kernels(space)[1](x, y, t)
 
 
 def _euclid_geodesic(x, y, t: float):

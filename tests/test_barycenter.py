@@ -358,7 +358,11 @@ def reference_center(space, config, tol, max_iters, flat=True):
         moved = []
         for i, item in enumerate(items):
             rest = Configuration(items[:i] + items[i + 1 :])
-            c = reference_center(space, rest, tol, max_iters, flat).center
+            try:
+                c = reference_center(space, rest, tol, max_iters, flat).center
+            except ConvergenceError as err:  # the partial result is this level's
+                err.result = BarycenterResult(items[0].point, iterations, trace, False)
+                raise
             rest_mass = total - item.mass
             if not rest_mass > 0.0:
                 rest_mass = math.fsum(other.mass for other in rest.items)
@@ -467,7 +471,8 @@ def test_memo_cuts_geodesic_work(monkeypatch):
 
 def test_memo_keeps_the_partial_result(hyp2):
     """A non-convergence inside the recursion still surfaces the partial
-    result the memo-free recursion gives, at the top level and below it."""
+    result the memo-free recursion gives, whether the top level or a
+    sub-configuration runs out of iterations: that of the top level."""
     cfg = random_config(hyp2, np.random.default_rng(3), 5)
     for max_iters in (0, 1, 2):
         with pytest.raises(ConvergenceError) as info:
@@ -475,6 +480,25 @@ def test_memo_keeps_the_partial_result(hyp2):
         with pytest.raises(ConvergenceError) as ref:
             reference_center(hyp2, cfg, 1e-8, max_iters)
         assert repr(info.value.result) == repr(ref.value.result)
+
+
+@pytest.mark.parametrize("max_iters", [0, 1, 2])
+def test_the_partial_result_describes_the_input(hyp2, max_iters):
+    """Where a sub-configuration runs out of iterations, the partial result
+    is still the input's: its first point, and a trace that starts with
+    its diameter and holds one entry per completed iteration plus one."""
+
+    def at(r, ux, uy):
+        return (math.cosh(r), math.sinh(r) * ux, math.sinh(r) * uy)
+
+    points = [at(1.0, 1, 0), at(1.0, -1, 0), at(1.0, 0, 1), at(1.0, 0, -1), at(2.0, 1, 0)]
+    cfg = unit_configuration(hyp2, points)
+    with pytest.raises(ConvergenceError) as info:
+        center_of_mass(hyp2, cfg, 1e-8, max_iters)
+    partial = info.value.result
+    assert partial.diameter_trace[0] == config_diameter(hyp2, cfg) == 3.0
+    assert len(partial.diameter_trace) == partial.iterations + 1
+    assert (partial.center, partial.converged) == (points[0], False)
 
 
 # -- closed-form centers against exact arithmetic ------------------------------------

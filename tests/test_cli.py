@@ -377,6 +377,25 @@ def test_exit_1_on_overflowing_configuration(tmp_path, capsys):
         assert "configuration" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("classify", "error: body overflows: its limit spread is inf"),
+        ("select", "error: ray parameter overflows: s = inf"),
+    ],
+)
+def test_exit_1_on_overflowing_body(command, message, tmp_path, capsys):
+    # finite generators whose limit spread, or whose ray parameter down to
+    # the first horosphere, overflows double precision
+    body = tmp_path / "huge.json"
+    body.write_text(json.dumps({"generators": [[1e308, 0.0], [-1e308, 0.0]]}))
+    code = main([command, "--space", "euclidean", "--dim", "2", "--input", str(body)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+
+
 def test_a_dominant_mass_exits_0(tmp_path, capsys):
     masses = [1.0, 1.0, 1.0, 1e17]
     corners = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]

@@ -19,6 +19,7 @@ from horocenter.horosphere import (
     select,
     snap_singular,
 )
+from horocenter.lipschitz import ScanParams, body_case
 from horocenter.trees import TreePoint
 
 from conftest import TREE_EDGES, TREE_LEAVES, ideal_for
@@ -311,6 +312,63 @@ def test_limit_separation_matches_far_ray_separation(name, seed, same_level):
     else:
         assert value > CONTACT_SLACK
         assert abs(value - probe) <= 1e-12
+
+
+def _projected_body_case(name, scale, seed, index, toward_first=False):
+    """A 5-generator scan body, an ideal point, and the body's generators
+    projected onto its first horosphere, as `select` projects them.
+
+    The ideal point is drawn apart from the body, or in H^n points along
+    the ray from the basepoint through the first generator, which leaves
+    the longest rays down to the first horosphere (up to 2 * scale).
+    """
+    space = ORACLE_SPACES[name]
+    body, _ = body_case(ScanParams(space, n_points=5, seed=seed, scale=scale), index)
+    xi = sp.draw_ideal(space, sp.sub_rng(seed, -1))
+    if toward_first and space.kind == "hyperbolic":
+        spatial = body.generators[0][1:]
+        assume(any(spatial))
+        xi = IdealPoint.null_vector((math.hypot(*spatial),) + spatial)
+    o = basepoint(space)
+    level, _ = first_horosphere(space, body, xi, o)
+    projected = [project_to_level(space, g, xi, o, level) for g in body.generators]
+    return space, body, xi, projected
+
+
+@pytest.mark.parametrize("scale", [2.0, 5.0, 8.0])
+@pytest.mark.parametrize("name", ["hyp2", "hyp3", "tree"])
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    index=st.integers(0, 999),
+    toward_first=st.booleans(),
+)
+def test_projected_bodies_shrink_off_flat_space(name, scale, seed, index, toward_first):
+    """In H^n and on a tree every body projected onto its first horosphere
+    shrinks: the projection leaves a level spread within CONTACT_SLACK,
+    the tie rule, and the classification reads exactly 0."""
+    space, _, xi, projected = _projected_body_case(name, scale, seed, index, toward_first)
+    o = basepoint(space)
+    levels = [sp.busemann(space, xi, o, p) for p in projected]
+    assert max(levels) - min(levels) <= CONTACT_SLACK
+    verdict = classify_body(space, ConvexBody.of(space, projected), xi)
+    assert (verdict.verdict, verdict.max_limit_separation) == (SHRINKING, 0.0)
+
+
+@pytest.mark.parametrize("scale", [2.0, 5.0, 8.0])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1), index=st.integers(0, 999))
+def test_projected_euclidean_bodies_do_not_shrink(scale, seed, index):
+    """In E^2 a projected body keeps its spread across xi, so a body that
+    is not on one line parallel to xi never shrinks."""
+    space, body, xi, projected = _projected_body_case("euclid2", scale, seed, index)
+    u, v = xi.vector
+    across = [y * u - x * v for x, y in body.generators]
+    spread = max(across) - min(across)
+    assume(spread > 1e-3)
+    verdict = classify_body(space, ConvexBody.of(space, projected), xi)
+    assert verdict.verdict == NON_SHRINKING
+    assert verdict.max_limit_separation == pytest.approx(spread, rel=1e-9)
 
 
 # -- smoothing -----------------------------------------------------------------------

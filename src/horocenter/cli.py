@@ -1,19 +1,19 @@
 """Command line front end.
 
 Subcommands: barycenter, select, classify, scan-shift, scan-mass,
-scan-selector.  Structured results are emitted as JSON; traces and scan
-records can be emitted as CSV.  Exit codes: 0 success, 1 input error,
-2 non-convergence (the partial artifact is still written); usage errors
-such as an unknown flag are input errors and exit 1.
+scan-selector.  Structured results are emitted as JSON; barycenter and
+the scans take --format csv for the trace or the scan records.  Exit
+codes: 0 success, 1 input error, 2 non-convergence (barycenter still
+writes its partial artifact; select prints the message and writes
+nothing); usage errors such as an unknown flag are input errors and
+exit 1.
 
-All randomness flows from --seed; the HOROCENTER_SEED environment
-variable overrides the default when the flag is absent.
+All randomness flows from --seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import jsonio
@@ -34,19 +34,6 @@ from .lipschitz import (
 )
 from .spaces import EUCLIDEAN, HYPERBOLIC, TREE, GeometryError, IdealPoint, Space
 
-ENV_SEED = "HOROCENTER_SEED"
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(ENV_SEED)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"{ENV_SEED}: expected an integer, got {raw!r}") from None
-
-
 def _add_space_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--space", choices=[EUCLIDEAN, HYPERBOLIC, TREE], help="model space kind"
@@ -60,8 +47,9 @@ def _add_center_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
 
 
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=["json", "csv"], default="json")
+def _add_output_flags(parser: argparse.ArgumentParser, formats: bool = True) -> None:
+    if formats:
+        parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("--output", help="output path (default: standard output)")
 
 
@@ -104,14 +92,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classify-tol", type=float, default=SelectOptions.classify_tol)
     p.add_argument("--snap-tol", type=float, default=SelectOptions.snap_tol)
     p.add_argument("--no-smoothing", action="store_true")
-    _add_output_flags(p)
+    _add_output_flags(p, formats=False)
 
     p = sub.add_parser("classify", help="shrinking / non-shrinking verdict for a body")
     _add_space_flags(p)
     p.add_argument("--input", required=True)
     p.add_argument("--ideal", help="inline ideal-point JSON (overrides the document)")
     p.add_argument("--classify-tol", type=float, default=SelectOptions.classify_tol)
-    _add_output_flags(p)
+    _add_output_flags(p, formats=False)
 
     for name, blurb in (
         ("scan-shift", "Lipschitz scan: shift one point"),
@@ -123,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-points", type=int, default=ScanParams.n_points)
         p.add_argument("--samples", type=int, default=ScanParams.samples)
         p.add_argument("--epsilon", type=float, default=ScanParams.epsilon)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, default=ScanParams.seed)
         p.add_argument("--scale", type=float, default=ScanParams.scale)
         _add_center_flags(p)
         if name == "scan-selector":
@@ -208,11 +196,15 @@ def _run_barycenter(args) -> int:
     return status
 
 
-def _run_select(args) -> int:
+def _read_body(args):
+    """The space, body and ideal point of a select or classify run."""
     space = _resolve_space(args)
     doc = jsonio.loads(_read_file(args.input), "body")
-    body = jsonio.body_from_json(space, doc)
-    xi = _resolve_ideal(space, args, doc)
+    return space, jsonio.body_from_json(space, doc), _resolve_ideal(space, args, doc)
+
+
+def _run_select(args) -> int:
+    space, body, xi = _read_body(args)
     opts = SelectOptions(
         tol=args.tol,
         max_iters=args.max_iters,
@@ -230,10 +222,7 @@ def _run_select(args) -> int:
 
 
 def _run_classify(args) -> int:
-    space = _resolve_space(args)
-    doc = jsonio.loads(_read_file(args.input), "body")
-    body = jsonio.body_from_json(space, doc)
-    xi = _resolve_ideal(space, args, doc)
+    space, body, xi = _read_body(args)
     shrink = classify_body(space, body, xi, args.classify_tol)
     _emit(
         jsonio.dumps(
@@ -249,7 +238,6 @@ def _run_classify(args) -> int:
 
 def _run_scan(args, kind: str) -> int:
     space = _resolve_space(args)
-    seed = args.seed if args.seed is not None else _default_seed()
     ideal = None
     smoothing = True
     if kind == "selector":
@@ -260,7 +248,7 @@ def _run_scan(args, kind: str) -> int:
         n_points=args.n_points,
         samples=args.samples,
         epsilon=args.epsilon,
-        seed=seed,
+        seed=args.seed,
         tol=args.tol,
         max_iters=args.max_iters,
         smoothing=smoothing,

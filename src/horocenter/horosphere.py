@@ -13,8 +13,8 @@ first horosphere touching the generators, project everything onto it,
 decide whether the projected set shrinks along rays to the ideal point,
 then either return the contact point (shrinking) or the unit-mass center
 of the projected generators (non-shrinking), and finally smooth the
-output across tree branch vertices.  Singletons short-circuit, so
-select({x}) == x holds exactly.
+output across tree branch vertices.  Singletons short-circuit once the
+ideal point is checked, so select({x}) == x holds exactly.
 
 Classification targets sets on a common horosphere (the projected stage
 of the pipeline) and reads the closed-form ray limit as a spread: the
@@ -187,6 +187,7 @@ def select(
     """
     opts = opts or SelectOptions()
     if len(body) == 1:
+        spaces.validate_ideal(space, xi)
         return body.generators[0]
     o = spaces.basepoint(space)
     level, contact = first_horosphere(space, body, xi, o)

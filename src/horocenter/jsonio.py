@@ -20,10 +20,11 @@ from __future__ import annotations
 import json
 import math
 
+from . import spaces
 from .barycenter import BarycenterResult, Configuration, WeightedPoint
 from .horosphere import ConvexBody
 from .lipschitz import LipschitzReport
-from .spaces import EUCLIDEAN, HYPERBOLIC, TREE, IdealPoint, Space
+from .spaces import EUCLIDEAN, HYPERBOLIC, MAX_DIM, TREE, GeometryError, IdealPoint, Space
 from .trees import TreePoint
 
 
@@ -74,8 +75,8 @@ def space_from_json(doc) -> Space:
     kind = _require(doc, "space", str, "space")
     if kind in (EUCLIDEAN, HYPERBOLIC):
         dim = _require(doc, "dim", int, "space")
-        if isinstance(dim, bool) or dim < 1:
-            raise InputError(f"space.dim: must be a positive integer, got {dim!r}")
+        if isinstance(dim, bool) or not 1 <= dim <= MAX_DIM:
+            raise InputError(f"space.dim: must be an integer in [1, {MAX_DIM}], got {dim!r}")
         return Space.euclidean(dim) if kind == EUCLIDEAN else Space.hyperbolic(dim)
     if kind != TREE:
         raise InputError(f"space.space: unknown kind {kind!r}")
@@ -109,9 +110,15 @@ def point_from_json(space: Space, doc, where: str = "point"):
     if space.kind == TREE:
         edge = _require(doc, "edge", str, where)
         offset = _number(_require(doc, "offset", None, where), f"{where}.offset")
-        return TreePoint(edge, offset)
-    coords = doc if isinstance(doc, list) else _require(doc, "coords", list, where)
-    return tuple(_number(c, f"{where}.coords[{i}]") for i, c in enumerate(coords))
+        point = TreePoint(edge, offset)
+    else:
+        coords = doc if isinstance(doc, list) else _require(doc, "coords", list, where)
+        point = tuple(_number(c, f"{where}.coords[{i}]") for i, c in enumerate(coords))
+    try:
+        spaces.validate_point(space, point)
+    except GeometryError as exc:
+        raise InputError(f"{where}: {exc}") from None
+    return point
 
 
 def point_to_json(space: Space, point):

@@ -10,7 +10,9 @@ them over the input displacement:
 * point shift -- move one point of a weighted configuration by a geodesic
   step of size epsilon, ratio = center displacement / point displacement;
 * mass change -- perturb one mass by a signed fraction of itself, ratio
-  normalized by |delta| * diameter / total mass;
+  normalized by |delta| * diameter / total mass, where delta is the
+  change the perturbed mass carries after rounding, so a change that
+  rounds away is a zero displacement;
 * selector -- perturb every generator of a body, ratio = selector
   displacement / generator-set Hausdorff distance.
 
@@ -19,7 +21,8 @@ never turned into a ratio; one whose center fails to converge
 (ConvergenceError) is counted as a failure and left out of the
 statistics.  Any other error ends the scan.  The branch-straddle probe
 reproduces the selector's jump discontinuity at a tree branch vertex and
-its repair by smoothing.
+its repair by smoothing; its family is fixed by the tree and the snap
+band, so the scan's epsilon does not move it.
 
 The generator-set Hausdorff distance stands in for the hull Hausdorff
 distance: generator sets within h of each other have hulls within h, so
@@ -126,14 +129,14 @@ def shift_case(params: ScanParams, index: int):
 
 
 def mass_case(params: ScanParams, index: int):
-    """Configuration, perturbed index, and the signed mass delta."""
+    """Configuration, perturbed index, and the applied change (mass + delta) - mass."""
     rng = spaces.sub_rng(params.seed, index)
     config = draw_configuration(params.space, rng, params.n_points, params.scale)
     k = int(rng.integers(params.n_points))
     mass = config.items[k].mass
     delta = params.epsilon * mass * float(rng.uniform(-1.0, 1.0))
     delta = max(delta, -0.9 * mass)  # keep the perturbed mass positive
-    return config, k, delta
+    return config, k, (mass + delta) - mass
 
 
 def body_case(params: ScanParams, index: int):
@@ -228,9 +231,7 @@ def selector_scan(params: ScanParams) -> LipschitzReport:
 
     report = _scan(params, sample, lambda body: select(space, body, xi, opts=opts))
     if space.kind == TREE and not params.smoothing:
-        report.straddle = branch_straddle_probe(
-            space, xi, eps0=params.epsilon, smoothing=False
-        )
+        report.straddle = branch_straddle_probe(space, xi, smoothing=False)
     return report
 
 
@@ -240,7 +241,6 @@ def selector_scan(params: ScanParams) -> LipschitzReport:
 def branch_straddle_probe(
     space: Space,
     xi: IdealPoint,
-    eps0: float | None = None,
     halvings: int = 4,
     smoothing: bool = False,
 ) -> list[float]:
@@ -248,7 +248,8 @@ def branch_straddle_probe(
 
     Generators sit on two distinct branches below the first branch vertex
     at depths contact_depth -/+ delta, with contact_depth half the snap
-    band; the paired body swaps the signs.
+    band and delta starting at half contact_depth; the paired body swaps
+    the signs.
     The contact generator flips between branches while the bodies differ
     by 2*delta, so without smoothing the ratio grows like 1/delta as
     delta halves.  With smoothing both outputs clamp to the vertex
@@ -269,10 +270,9 @@ def branch_straddle_probe(
         raise GeometryError(f"vertex {vertex!r} lacks two branches off the end")
     opts = SelectOptions(smoothing=smoothing)
     contact_depth = 0.5 * opts.snap_tol
-    if eps0 is None or eps0 >= contact_depth:
-        eps0 = 0.5 * contact_depth
+    delta = 0.5 * contact_depth
     limit = min(tree.edges[ei].length for ei in branches)
-    if contact_depth + eps0 >= limit:
+    if contact_depth + delta >= limit:
         raise GeometryError("branch edges too short for the straddle family")
 
     def family(delta: float):
@@ -293,7 +293,6 @@ def branch_straddle_probe(
         return lo, hi
 
     ratios = []
-    delta = eps0
     for _ in range(halvings + 1):
         lo, hi = family(delta)
         gap = spaces.distance(

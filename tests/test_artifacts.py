@@ -112,7 +112,7 @@ CASES = {
     ),
     "tree-scan-mass-csv": (
         ["scan-mass", *TREE, *SCAN, "--format", "csv"],
-        "a85cd8883a8326232d930906a590c1ec7b07f1aa9ac714beb1b7d38bbe3e7777",
+        "4ad16bde1704d29e4794485b826aad413ee62b1d41ff05474b2f1c5865ccef45",
     ),
     "tree-scan-selector": (
         ["scan-selector", *TREE, *SCAN],

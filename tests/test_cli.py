@@ -421,15 +421,77 @@ def test_exit_2_on_non_convergence_with_partial_trace(tri_file, tmp_path, capsys
 
 
 def test_env_seed_override(tri_file, tmp_path, monkeypatch):
+    """HOROCENTER_SEED is no seed source: only --seed (default 0) is."""
     args = [
         "scan-shift", "--space", "euclidean", "--dim", "2", "--samples", "10",
     ]
-    a, b, c = (tmp_path / name for name in ("a.json", "b.json", "c.json"))
-    monkeypatch.setenv("HOROCENTER_SEED", "123")
+    a, b, c, d = (tmp_path / name for name in ("a.json", "b.json", "c.json", "d.json"))
+    monkeypatch.delenv("HOROCENTER_SEED", raising=False)
     assert main(args + ["--output", str(a)]) == 0
-    monkeypatch.setenv("HOROCENTER_SEED", "456")
+    monkeypatch.setenv("HOROCENTER_SEED", "123")
     assert main(args + ["--output", str(b)]) == 0
-    assert a.read_bytes() != b.read_bytes()
-    # explicit flag wins over the environment
-    assert main(args + ["--seed", "123", "--output", str(c)]) == 0
-    assert a.read_bytes() == c.read_bytes()
+    monkeypatch.setenv("HOROCENTER_SEED", "not a number")
+    assert main(args + ["--output", str(c)]) == 0
+    assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+    assert main(args + ["--seed", "0", "--output", str(d)]) == 0
+    assert a.read_bytes() == d.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["select", "classify"])
+def test_format_is_a_usage_error_without_csv(command, tree_file, tmp_path, capsys):
+    body = tmp_path / "body.json"
+    body.write_text(json.dumps({"generators": [{"edge": "A-B", "offset": 0.5}]}))
+    args = [command, "--space-json", tree_file, "--input", str(body)]
+    for fmt in ("csv", "json"):
+        assert _usage_exit([*args, "--format", fmt]) == 1
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("generators", [1, 2])
+def test_select_checks_the_ideal_of_any_body(generators, tree_file, tmp_path, capsys):
+    cases = [
+        (["--space-json", tree_file], [{"edge": "A-B", "offset": 0.5},
+                                       {"edge": "B-D", "offset": 1.0}],
+         '{"end_leaf": "A"}', "'A' is not a marked ideal leaf"),
+        (["--space", "euclidean", "--dim", "2"], [[1.0, 2.0], [0.0, 1.0]],
+         '{"direction": [1, 0, 0]}', "expected 2 components, got 3"),
+    ]
+    for space, gens, ideal, message in cases:
+        body = tmp_path / "body.json"
+        body.write_text(json.dumps({"generators": gens[:generators]}))
+        code = main(["select", *space, "--input", str(body), "--ideal", ideal])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+TWO_BY_THREE = {"points": [{"coords": [0.0, 0.0], "mass": 1.0},
+                           {"coords": [0.0, 0.0, 1.0], "mass": 1.0}]}
+
+
+@pytest.mark.parametrize(
+    "argv, documents, message",
+    [
+        (["barycenter", "--space", "euclidean", "--dim", "2", "--input", "{doc}"],
+         {"doc": TWO_BY_THREE},
+         "configuration.points[1]: expected 2 coordinates, got 3"),
+        (["select", "--space", "hyperbolic", "--dim", "2", "--input", "{doc}"],
+         {"doc": {"generators": [{"coords": [2.0, 0.0, 0.0]}]}},
+         "body.generators[0]: point is off the hyperboloid: <x,x> = -4.0"),
+        (["barycenter", "--space-json", "{space}", "--input", "{doc}"],
+         {"space": TREE_DOC,
+          "doc": {"points": [{"edge": "A-B", "offset": 0.0, "mass": 1.0},
+                             {"edge": "X-Y", "offset": 0.0, "mass": 1.0}]}},
+         "configuration.points[1]: unknown edge 'X-Y'"),
+        (["barycenter", "--space-json", "{space}", "--input", "{doc}"],
+         {"space": {"space": "euclidean", "dim": 5000}, "doc": TWO_BY_THREE},
+         "space.dim: must be an integer in [1, 1024], got 5000"),
+    ],
+    ids=["coordinates", "hyperboloid", "edge", "dim"],
+)
+def test_point_errors_name_the_entry(argv, documents, message, tmp_path, capsys):
+    paths = {}
+    for name, doc in documents.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -408,6 +408,19 @@ def test_select_singleton_short_circuits(any_space):
         assert sp.distance(any_space, got, x) == 0.0
 
 
+def test_select_singleton_checks_the_ideal(any_space):
+    """One generator or two, an ideal point foreign to the space is an error."""
+    if any_space.kind == "tree":
+        wrong = IdealPoint.end("D")  # a plain leaf, not a marked end
+    else:
+        wrong = IdealPoint.direction((1.0,) * (any_space.dim + 2))
+    rng = np.random.default_rng(131)
+    points = [sp.draw_point(any_space, rng, 2.0) for _ in range(2)]
+    for gens in (points[:1], points):
+        with pytest.raises(GeometryError):
+            select(any_space, ConvexBody.of(any_space, gens), wrong)
+
+
 def test_select_square_pipeline(euclid2):
     u = IdealPoint.direction((1.0, 0.0))
     body = ConvexBody.of(euclid2, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])

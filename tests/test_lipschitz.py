@@ -156,6 +156,21 @@ def test_zero_mass_delta_skipped(euclid2):
     assert report.skipped + len(report.records) == 30
 
 
+def test_mass_change_is_the_applied_change(euclid2):
+    """The ratio divides by the change the rounded mass carries."""
+    params = ScanParams(space=euclid2, n_points=3, samples=200, epsilon=1e-15, seed=1)
+    for i in range(params.samples):
+        config, k, delta = mass_case(params, i)
+        mass = config.items[k].mass
+        assert (mass + delta) - mass == delta
+    # a change below half an ulp of every mass rounds away: nothing to measure
+    report = mass_shift_scan(
+        ScanParams(space=euclid2, n_points=3, samples=200, epsilon=1e-17, seed=1)
+    )
+    assert report.skipped == 200
+    assert report.records == []
+
+
 # -- selector ------------------------------------------------------------------------
 
 
@@ -251,6 +266,17 @@ def test_straddle_bounded_with_smoothing(tree_space):
     ratios = branch_straddle_probe(tree_space, xi, smoothing=True)
     positive = [r for r in ratios if r > 0.0]
     assert not positive or max(positive) <= 4.0 * min(positive)
+
+
+def test_straddle_does_not_follow_epsilon(tree_space):
+    xi = IdealPoint.end("C")
+    probe = branch_straddle_probe(tree_space, xi, smoothing=False)
+    for epsilon in (0.05, 1e-5, 1e-9):
+        params = ScanParams(
+            space=tree_space, n_points=2, samples=1, epsilon=epsilon,
+            smoothing=False, ideal=xi,
+        )
+        assert selector_scan(params).straddle == probe
 
 
 def test_straddle_needs_tree(euclid2):

@@ -8,6 +8,9 @@ writes its partial artifact; select prints the message and writes
 nothing); usage errors such as an unknown flag are input errors and
 exit 1.
 
+--space/--dim are read as a space document by jsonio, so a flag and a
+document field fail with one message; every ideal error names `ideal`.
+
 All randomness flows from --seed.
 """
 
@@ -135,17 +138,16 @@ def _read_file(path: str) -> str:
 
 def _resolve_space(args) -> Space:
     if args.space_json:
-        return jsonio.space_from_json(jsonio.loads(_read_file(args.space_json), "space"))
-    if not args.space:
+        doc = jsonio.loads(_read_file(args.space_json), "space")
+    elif not args.space:
         raise InputError("space: pass --space or --space-json")
-    if args.space == TREE:
+    elif args.space == TREE:
         raise InputError("space: tree spaces need --space-json")
-    if args.dim is None:
+    elif args.dim is None:
         raise InputError("space.dim: pass --dim for euclidean/hyperbolic")
-    try:
-        return Space.euclidean(args.dim) if args.space == EUCLIDEAN else Space.hyperbolic(args.dim)
-    except GeometryError as exc:
-        raise InputError(f"space: {exc}") from None
+    else:
+        doc = {"space": args.space, "dim": args.dim}
+    return jsonio.space_from_json(doc)
 
 
 def _resolve_ideal(space: Space, args, doc=None) -> IdealPoint:

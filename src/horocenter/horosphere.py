@@ -55,12 +55,7 @@ class ConvexBody:
         canon = [spaces.canonical_point(space, p) for p in points]
         if not canon:
             raise GeometryError("a body needs at least one generator")
-        seen, unique = set(), []
-        for p in canon:
-            if p not in seen:
-                seen.add(p)
-                unique.append(p)
-        return cls(tuple(unique))
+        return cls(tuple(dict.fromkeys(canon)))  # first of equal points, in order
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -194,9 +189,8 @@ def select(
     projected = [
         project_to_level(space, g, xi, o, level) for g in body.generators
     ]
-    verdict = classify_body(
-        space, ConvexBody.of(space, projected), xi, opts.classify_tol
-    )
+    # ray_point built these on the sheet or tree: classify them as they are
+    verdict = classify_body(space, ConvexBody(tuple(projected)), xi, opts.classify_tol)
     points = contact if verdict.verdict == SHRINKING else projected
     if len(points) == 1:
         picked = points[0]

@@ -11,8 +11,9 @@ or {"end_leaf": "C"}.
 
 The command line reads spaces, points, ideal points, configurations and
 bodies, and writes points, results and reports, so each type converts one
-way only.  Emission is deterministic (sorted keys, fixed separators), so
-identical runs produce byte-identical artifacts.
+way only; each reader names the field at fault, --space/--dim included.
+Emission is deterministic (sorted keys, fixed separators), so identical
+runs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import spaces
 from .barycenter import BarycenterResult, Configuration, WeightedPoint
 from .horosphere import ConvexBody
 from .lipschitz import LipschitzReport
-from .spaces import EUCLIDEAN, HYPERBOLIC, MAX_DIM, TREE, GeometryError, IdealPoint, Space
+from .spaces import EUCLIDEAN, HYPERBOLIC, TREE, IdealPoint, Space
 from .trees import TreePoint
 
 
@@ -38,9 +39,18 @@ def _require(obj, key, kind, where):
     if key not in obj:
         raise InputError(f"{where}: missing field {key!r}")
     value = obj[key]
-    if kind is not None and not isinstance(value, kind):
+    # bool subclasses int, but true/false is no JSON count
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise InputError(f"{where}.{key}: wrong type {type(value).__name__}")
     return value
+
+
+def _named(where: str, build, *args):
+    """build(*args), with a library error prefixed by the field at fault."""
+    try:
+        return build(*args)
+    except ValueError as exc:  # InputError and GeometryError are ValueErrors
+        raise InputError(f"{where}: {exc}") from None
 
 
 def _number(value, where) -> float:
@@ -74,10 +84,7 @@ def dumps(doc) -> str:
 def space_from_json(doc) -> Space:
     kind = _require(doc, "space", str, "space")
     if kind in (EUCLIDEAN, HYPERBOLIC):
-        dim = _require(doc, "dim", int, "space")
-        if isinstance(dim, bool) or not 1 <= dim <= MAX_DIM:
-            raise InputError(f"space.dim: must be an integer in [1, {MAX_DIM}], got {dim!r}")
-        return Space.euclidean(dim) if kind == EUCLIDEAN else Space.hyperbolic(dim)
+        return _named("space.dim", Space, kind, _require(doc, "dim", int, "space"))
     if kind != TREE:
         raise InputError(f"space.space: unknown kind {kind!r}")
     edges = _require(doc, "edges", list, "space")
@@ -97,10 +104,7 @@ def space_from_json(doc) -> Space:
         if not (isinstance(base, list) and len(base) == 2 and isinstance(base[0], str)):
             raise InputError("space.basepoint: expected [edge-id, offset]")
         base = TreePoint(base[0], _number(base[1], "space.basepoint[1]"))
-    try:
-        return Space.tree_space(parsed, leaves, base)
-    except ValueError as exc:
-        raise InputError(f"space: {exc}") from None
+    return _named("space", Space.tree_space, parsed, leaves, base)
 
 
 # -- points -------------------------------------------------------------------
@@ -114,10 +118,7 @@ def point_from_json(space: Space, doc, where: str = "point"):
     else:
         coords = doc if isinstance(doc, list) else _require(doc, "coords", list, where)
         point = tuple(_number(c, f"{where}.coords[{i}]") for i, c in enumerate(coords))
-    try:
-        spaces.validate_point(space, point)
-    except GeometryError as exc:
-        raise InputError(f"{where}: {exc}") from None
+    _named(where, spaces.validate_point, space, point)
     return point
 
 
@@ -137,12 +138,11 @@ def ideal_from_json(space: Space, doc, where: str = "ideal") -> IdealPoint:
     ):
         if key in doc:
             value = _require(doc, key, kind, where)
-            try:
-                if kind is list:
-                    value = [_number(c, f"{key}[{i}]") for i, c in enumerate(value)]
-                return build(value)
-            except ValueError as exc:  # InputError and GeometryError are ValueErrors
-                raise InputError(f"{where}: {exc}") from None
+            if kind is list:
+                value = [_number(c, f"{where}: {key}[{i}]") for i, c in enumerate(value)]
+            xi = _named(where, build, value)
+            _named(where, spaces.validate_ideal, space, xi)
+            return xi
     raise InputError(f"{where}: need one of direction / null_vector / end_leaf")
 
 
@@ -158,10 +158,7 @@ def configuration_from_json(space: Space, doc) -> Configuration:
         if mass <= 0.0:
             raise InputError(f"{where}.mass: must be a positive number")
         items.append(WeightedPoint(point_from_json(space, entry, where), mass))
-    try:
-        return Configuration.of(space, items)
-    except ValueError as exc:
-        raise InputError(f"configuration: {exc}") from None
+    return _named("configuration", Configuration.of, space, items)
 
 
 def body_from_json(space: Space, doc) -> ConvexBody:
@@ -170,10 +167,7 @@ def body_from_json(space: Space, doc) -> ConvexBody:
         point_from_json(space, entry, f"body.generators[{i}]")
         for i, entry in enumerate(entries)
     ]
-    try:
-        return ConvexBody.of(space, points)
-    except ValueError as exc:
-        raise InputError(f"body: {exc}") from None
+    return _named("body", ConvexBody.of, space, points)
 
 
 # -- results and reports --------------------------------------------------------

@@ -275,26 +275,14 @@ def branch_straddle_probe(
     if contact_depth + delta >= limit:
         raise GeometryError("branch edges too short for the straddle family")
 
-    def family(delta: float):
-        lo = ConvexBody.of(
-            space,
-            [
-                tree.point_toward(vertex, branches[0], contact_depth - delta),
-                tree.point_toward(vertex, branches[1], contact_depth + delta),
-            ],
-        )
-        hi = ConvexBody.of(
-            space,
-            [
-                tree.point_toward(vertex, branches[0], contact_depth + delta),
-                tree.point_toward(vertex, branches[1], contact_depth - delta),
-            ],
-        )
-        return lo, hi
+    def pair(*depths: float) -> ConvexBody:
+        ends = zip(branches, depths)
+        return ConvexBody.of(space, [tree.point_toward(vertex, ei, d) for ei, d in ends])
 
     ratios = []
     for _ in range(halvings + 1):
-        lo, hi = family(delta)
+        lo = pair(contact_depth - delta, contact_depth + delta)
+        hi = pair(contact_depth + delta, contact_depth - delta)
         gap = spaces.distance(
             space, select(space, lo, xi, opts=opts), select(space, hi, xi, opts=opts)
         )

@@ -16,6 +16,11 @@ it, and a caller that makes many calls in one space takes the pair once.
   distance ~10 of the basepoint).
 * ``tree`` -- a finite metric tree with marked ends (see ``trees``).
 
+Points and ideal vectors have ``coordinate_count`` entries, n in R^n and
+n + 1 in H^n: ``validate_point``, ``validate_ideal``, ``busemann`` and
+``ray_point`` check one point, and ``check_arity`` the points of ``distance``,
+``geodesic_point``, ``diameter``, ``center_of_mass`` and ``hausdorff``.
+
 Ideal points are unit directions (euclidean), future-pointing null
 vectors of any positive scale (hyperbolic), or marked leaf ids (tree).
 Horofunction levels follow the convention b(o) = 0 with b decreasing at
@@ -71,16 +76,16 @@ class Space:
     dim: int = 0
     tree: Tree | None = None
 
+    def __post_init__(self):
+        if self.kind != TREE and not 1 <= self.dim <= MAX_DIM:
+            raise GeometryError(f"dim must lie in [1, {MAX_DIM}], got {self.dim}")
+
     @classmethod
     def euclidean(cls, dim: int) -> "Space":
-        if not 1 <= dim <= MAX_DIM:
-            raise GeometryError(f"dim must lie in [1, {MAX_DIM}], got {dim}")
         return cls(EUCLIDEAN, dim)
 
     @classmethod
     def hyperbolic(cls, dim: int) -> "Space":
-        if not 1 <= dim <= MAX_DIM:
-            raise GeometryError(f"dim must lie in [1, {MAX_DIM}], got {dim}")
         return cls(HYPERBOLIC, dim)
 
     @classmethod
@@ -235,6 +240,16 @@ def _project_hyperboloid(x):
     return tuple([c * r for c in x])
 
 
+def coordinate_count(space: Space) -> int:
+    """Length of a point or ideal vector: dim in R^n, dim + 1 in H^n."""
+    return space.dim + 1 if space.kind == HYPERBOLIC else space.dim
+
+
+def _check_length(space: Space, v, unit: str = "coordinates") -> None:
+    if space.kind != TREE and len(v) != coordinate_count(space):
+        raise GeometryError(f"expected {coordinate_count(space)} {unit}, got {len(v)}")
+
+
 def validate_point(space: Space, p) -> None:
     if space.kind == TREE:
         if not isinstance(p, TreePoint):
@@ -245,12 +260,9 @@ def validate_point(space: Space, p) -> None:
         raise GeometryError("point must be a tuple of floats")
     if not all(map(math.isfinite, p)):
         raise GeometryError(f"point coordinates must be finite, got {p}")
+    _check_length(space, p)
     if space.kind == EUCLIDEAN:
-        if len(p) != space.dim:
-            raise GeometryError(f"expected {space.dim} coordinates, got {len(p)}")
         return
-    if len(p) != space.dim + 1:
-        raise GeometryError(f"expected {space.dim + 1} coordinates, got {len(p)}")
     if p[0] <= 0.0:
         raise GeometryError("hyperboloid point must have positive first coordinate")
     tol = HYPERBOLOID_TOL * p[0] * p[0]  # an overflowing x0^2 accepts nothing
@@ -274,15 +286,12 @@ def validate_ideal(space: Space, xi: IdealPoint) -> None:
     if xi.vector is None:
         raise GeometryError(f"{space.kind} ideal point needs a vector")
     v = xi.vector
+    _check_length(space, v, "components")
     if space.kind == EUCLIDEAN:
-        if len(v) != space.dim:
-            raise GeometryError(f"expected {space.dim} components, got {len(v)}")
         norm = math.sqrt(sum(c * c for c in v))
         if not abs(norm - 1.0) <= 1e-12:
             raise GeometryError(f"direction must be unit, |u| = {norm}")
         return
-    if len(v) != space.dim + 1:
-        raise GeometryError(f"expected {space.dim + 1} components, got {len(v)}")
     _checked_null(v)
 
 
@@ -316,8 +325,8 @@ def diameter(space: Space, points) -> float:
     """Largest pairwise distance of a finite point set (0 below two points).
 
     Pairs are measured in the order (0, 1), (0, 2), ..., (1, 2), ..., and
-    a wrong-length hyperbolic point is reported as `distance` would report
-    the first pair that holds one.
+    a wrong-length point is reported as `distance` would report the first
+    pair that holds one.
     """
     check_arity(space, points)
     return farthest(kernels(space)[0], points)
@@ -330,13 +339,15 @@ def farthest(metric, points) -> float:
 
 
 def check_arity(space: Space, points) -> None:
-    """Raise for the first pair (0, k), or (0, 1), that holds a hyperbolic
-    point of the wrong length, naming both lengths; no-op otherwise."""
-    if space.kind == HYPERBOLIC and len(points) >= 2:
+    """Raise for the first pair (0, k), or (0, 1), that holds a point of
+    the wrong length, naming both lengths; no-op in trees and below two
+    points."""
+    if space.kind != TREE and len(points) >= 2:
+        n = coordinate_count(space)
         for k, p in enumerate(points):
-            if len(p) != space.dim + 1:
+            if len(p) != n:
                 raise GeometryError(
-                    f"expected {space.dim + 1} coordinates, "
+                    f"expected {n} coordinates, "
                     f"got {len(points[0])} and {len(points[k or 1])}"
                 )
 
@@ -404,6 +415,7 @@ def ray_point(space: Space, x, xi: IdealPoint, s: float):
     """Unit-speed point at arclength s >= 0 along the ray from x toward xi."""
     if s < 0.0:
         raise GeometryError(f"ray parameter must be nonnegative, got {s}")
+    _check_length(space, x)
     if s == 0.0:
         return x
     if space.kind == EUCLIDEAN:
@@ -466,6 +478,7 @@ def _round_minimizing_level(comps, xi_vec, target: float) -> tuple[float, ...]:
 
 def busemann(space: Space, xi: IdealPoint, o, x) -> float:
     """Horofunction level of x: 0 at o, decreasing at unit rate toward xi."""
+    _check_length(space, x)
     if space.kind == EUCLIDEAN:
         return -_left_sum((a - b) * u for a, b, u in zip(x, o, xi.vector))
     if space.kind == HYPERBOLIC:
@@ -523,7 +536,7 @@ def draw_point(space: Space, rng: Generator, scale: float):
     if space.kind == HYPERBOLIC:
         direction = _unit_gauss(rng, space.dim)
         r = scale * float(rng.random())
-        c, s = math.cosh(r), math.sinh(r)
+        c, s = _cosh_sinh(r, "scale", scale)
         return _project_hyperboloid((c,) + tuple(s * u for u in direction))
     tree = space.tree
     target = tree.random_physical_point(rng)
@@ -567,9 +580,17 @@ def random_shift(space: Space, x, step: float, rng: Generator):
                 break
         norm = math.sqrt(norm2)
         tangent = tuple(w / norm for w in tangent)
-        c, s = math.cosh(step), math.sinh(step)
+        c, s = _cosh_sinh(step, "step", step)
         return _project_hyperboloid(tuple(c * a + s * w for a, w in zip(x, tangent)))
     return space.tree.random_walk_shift(x, step, rng)
+
+
+def _cosh_sinh(r: float, name: str, value: float):
+    """(cosh r, sinh r), or an error naming the parameter that set r."""
+    try:
+        return math.cosh(r), math.sinh(r)
+    except OverflowError:
+        raise GeometryError(f"{name} = {value} overflows: cosh({r}) is out of range") from None
 
 
 def _unit_gauss(rng: Generator, dim: int) -> tuple[float, ...]:

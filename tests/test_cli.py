@@ -452,9 +452,9 @@ def test_select_checks_the_ideal_of_any_body(generators, tree_file, tmp_path, ca
     cases = [
         (["--space-json", tree_file], [{"edge": "A-B", "offset": 0.5},
                                        {"edge": "B-D", "offset": 1.0}],
-         '{"end_leaf": "A"}', "'A' is not a marked ideal leaf"),
+         '{"end_leaf": "A"}', "ideal: 'A' is not a marked ideal leaf"),
         (["--space", "euclidean", "--dim", "2"], [[1.0, 2.0], [0.0, 1.0]],
-         '{"direction": [1, 0, 0]}', "expected 2 components, got 3"),
+         '{"direction": [1, 0, 0]}', "ideal: expected 2 components, got 3"),
     ]
     for space, gens, ideal, message in cases:
         body = tmp_path / "body.json"
@@ -484,7 +484,7 @@ TWO_BY_THREE = {"points": [{"coords": [0.0, 0.0], "mass": 1.0},
          "configuration.points[1]: unknown edge 'X-Y'"),
         (["barycenter", "--space-json", "{space}", "--input", "{doc}"],
          {"space": {"space": "euclidean", "dim": 5000}, "doc": TWO_BY_THREE},
-         "space.dim: must be an integer in [1, 1024], got 5000"),
+         "space.dim: dim must lie in [1, 1024], got 5000"),
     ],
     ids=["coordinates", "hyperboloid", "edge", "dim"],
 )
@@ -495,3 +495,56 @@ def test_point_errors_name_the_entry(argv, documents, message, tmp_path, capsys)
         paths[name].write_text(json.dumps(doc))
     assert main([arg.format(**paths) for arg in argv]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_flag_and_document_dim_fail_alike(tmp_path, capsys):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"space": "euclidean", "dim": 5000}))
+    errors = []
+    for source in (["--space", "euclidean", "--dim", "5000"], ["--space-json", str(space)]):
+        assert main(["scan-shift", *source, "--samples", "1"]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors == ["error: space.dim: dim must lie in [1, 1024], got 5000\n"] * 2
+
+
+@pytest.mark.parametrize(
+    "space, gens, ideal, message",
+    [
+        (["--space", "euclidean", "--dim", "2"], [[1.0, 0.0]], {"direction": [1, 0, 0]},
+         "expected 2 components, got 3"),
+        (None, [{"edge": "A-B", "offset": 0.5}], {"end_leaf": "D"},
+         "'D' is not a marked ideal leaf"),
+        (["--space", "hyperbolic", "--dim", "2"], [[1.0, 0.0, 0.0]], {"end_leaf": "C"},
+         "hyperbolic ideal point needs a vector"),
+    ],
+    ids=["direction", "leaf", "kind"],
+)
+def test_every_ideal_error_names_the_field(
+    space, gens, ideal, message, tree_file, tmp_path, capsys
+):
+    space = space or ["--space-json", tree_file]
+    body = tmp_path / "body.json"
+    body.write_text(json.dumps({"generators": gens, "ideal": ideal}))
+    flag = ["--ideal", json.dumps(ideal)]
+    runs = [
+        ["select", "--input", str(body)],
+        ["classify", "--input", str(body)],
+        ["classify", "--input", str(body), *flag],
+        ["scan-selector", "--samples", "1", *flag],
+    ]
+    for run in runs:
+        assert main([run[0], *space, *run[1:]]) == 1
+        assert capsys.readouterr().err == f"error: ideal: {message}\n", run
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        (["--scale", "1e3", "--samples", "2"], "scale = 1000.0 overflows"),
+        (["--epsilon", "1e308"], "step = 1e+308 overflows"),
+    ],
+    ids=["scale", "step"],
+)
+def test_overflowing_hyperbolic_scan_exits_1(flag, message, capsys):
+    assert main(["scan-shift", "--space", "hyperbolic", "--dim", "2", *flag]) == 1
+    assert capsys.readouterr().err.startswith(f"error: scan: {message}: cosh(")

@@ -1,0 +1,15 @@
+"""The README's library quick start runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_blocks_run(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert blocks, "README.md has no python block"
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+        printed = capsys.readouterr().out
+        assert printed.count("\n") == block.count("print("), printed

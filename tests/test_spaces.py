@@ -255,7 +255,42 @@ def test_random_shift_step_size(euclid3, hyp2):
         assert sp.distance(space, x, y) == pytest.approx(0.25, abs=1e-9)
 
 
+def test_overflowing_hyperbolic_draws_name_their_parameter(hyp2):
+    # cosh overflows past 710; these used to escape as OverflowError
+    rng = sp.sub_rng(0)
+    with pytest.raises(GeometryError, match=r"^scale = 1e\+300 overflows"):
+        sp.draw_point(hyp2, rng, 1e300)
+    with pytest.raises(GeometryError, match=r"^step = 1e\+308 overflows"):
+        sp.random_shift(hyp2, basepoint(hyp2), 1e308, rng)
+
+
 # -- validation ----------------------------------------------------------------
+
+
+WITH_A_POINT = {
+    "distance": lambda space, x: sp.distance(space, basepoint(space), x),
+    "geodesic_point": lambda space, x: sp.geodesic_point(space, basepoint(space), x, 0.5),
+    "busemann": lambda space, x: sp.busemann(space, ideal_for(space), basepoint(space), x),
+    "ray_point": lambda space, x: sp.ray_point(space, x, ideal_for(space), 1.0),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(WITH_A_POINT))
+@pytest.mark.parametrize("width", [1, 3])
+def test_wrong_length_euclidean_points_raise(euclid2, kernel, width):
+    # E^2 used to truncate (geodesic_point, busemann, ray_point) or raise a
+    # bare ValueError (distance); both lengths are named for a pair
+    with pytest.raises(GeometryError, match=rf"^expected 2 coordinates, got (2 and )?{width}$"):
+        WITH_A_POINT[kernel](euclid2, (0.5,) * width)
+
+
+@pytest.mark.parametrize("kernel", ["busemann", "ray_point"])
+def test_wrong_length_hyperbolic_points_raise(hyp2, kernel):
+    # four coordinates used to hit an IndexError, two were truncated
+    for x in ((1.0, 0.0), (1.0, 0.0, 0.0, 0.0)):
+        with pytest.raises(GeometryError, match=rf"^expected 3 coordinates, got {len(x)}$"):
+            WITH_A_POINT[kernel](hyp2, x)
+
 
 
 def test_point_validation(euclid2, hyp2):

@@ -72,18 +72,24 @@ class Configuration:
 
     @classmethod
     def of(cls, space: Space, items) -> "Configuration":
+        """The configuration of (point, mass) pairs or WeightedPoints; an
+        error names its entry, as points[i] or points[i].mass."""
         out = []
-        for item in items:
+        for i, item in enumerate(items):
             if not isinstance(item, WeightedPoint):
                 point, mass = item
                 item = WeightedPoint(point, float(mass))
             if not (math.isfinite(item.mass) and item.mass > 0.0):
-                raise GeometryError(f"mass must be positive and finite, got {item.mass}")
-            out.append(
-                WeightedPoint(spaces.canonical_point(space, item.point), float(item.mass))
-            )
+                raise GeometryError(
+                    f"points[{i}].mass: must be positive and finite, got {item.mass}"
+                )
+            try:
+                point = spaces.canonical_point(space, item.point)
+            except GeometryError as exc:
+                raise type(exc)(f"points[{i}]: {exc}") from None
+            out.append(WeightedPoint(point, float(item.mass)))
         if not out:
-            raise GeometryError("configuration must be nonempty")
+            raise GeometryError("points: a configuration needs at least one point")
         return cls(tuple(out))
 
     @property

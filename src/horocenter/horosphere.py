@@ -52,9 +52,15 @@ class ConvexBody:
 
     @classmethod
     def of(cls, space: Space, points) -> "ConvexBody":
-        canon = [spaces.canonical_point(space, p) for p in points]
+        """The body spanned by points; an error names its generators[i]."""
+        canon = []
+        for i, p in enumerate(points):
+            try:
+                canon.append(spaces.canonical_point(space, p))
+            except GeometryError as exc:
+                raise type(exc)(f"generators[{i}]: {exc}") from None
         if not canon:
-            raise GeometryError("a body needs at least one generator")
+            raise GeometryError("generators: a body needs at least one generator")
         return cls(tuple(dict.fromkeys(canon)))  # first of equal points, in order
 
     def __len__(self) -> int:

@@ -12,6 +12,9 @@ or {"end_leaf": "C"}.
 The command line reads spaces, points, ideal points, configurations and
 bodies, and writes points, results and reports, so each type converts one
 way only; each reader names the field at fault, --space/--dim included.
+The point readers only parse JSON types and finite numbers; points and
+masses are checked once, by the aggregate that holds them
+(Configuration.of, ConvexBody.of), as in configuration.points[1].mass.
 Emission is deterministic (sorted keys, fixed separators), so identical
 runs produce byte-identical artifacts.
 """
@@ -45,12 +48,13 @@ def _require(obj, key, kind, where):
     return value
 
 
-def _named(where: str, build, *args):
-    """build(*args), with a library error prefixed by the field at fault."""
+def _named(prefix: str, build, *args):
+    """build(*args), with a library error led by prefix: "field: ", or
+    "field." for an aggregate, whose errors lead with their entry."""
     try:
         return build(*args)
     except ValueError as exc:  # InputError and GeometryError are ValueErrors
-        raise InputError(f"{where}: {exc}") from None
+        raise InputError(f"{prefix}{exc}") from None
 
 
 def _number(value, where) -> float:
@@ -84,7 +88,7 @@ def dumps(doc) -> str:
 def space_from_json(doc) -> Space:
     kind = _require(doc, "space", str, "space")
     if kind in (EUCLIDEAN, HYPERBOLIC):
-        return _named("space.dim", Space, kind, _require(doc, "dim", int, "space"))
+        return _named("space.dim: ", Space, kind, _require(doc, "dim", int, "space"))
     if kind != TREE:
         raise InputError(f"space.space: unknown kind {kind!r}")
     edges = _require(doc, "edges", list, "space")
@@ -104,22 +108,20 @@ def space_from_json(doc) -> Space:
         if not (isinstance(base, list) and len(base) == 2 and isinstance(base[0], str)):
             raise InputError("space.basepoint: expected [edge-id, offset]")
         base = TreePoint(base[0], _number(base[1], "space.basepoint[1]"))
-    return _named("space", Space.tree_space, parsed, leaves, base)
+    return _named("space: ", Space.tree_space, parsed, leaves, base)
 
 
 # -- points -------------------------------------------------------------------
 
 
 def point_from_json(space: Space, doc, where: str = "point"):
+    """The parsed point, unchecked: spaces.canonical_point checks it."""
     if space.kind == TREE:
         edge = _require(doc, "edge", str, where)
         offset = _number(_require(doc, "offset", None, where), f"{where}.offset")
-        point = TreePoint(edge, offset)
-    else:
-        coords = doc if isinstance(doc, list) else _require(doc, "coords", list, where)
-        point = tuple(_number(c, f"{where}.coords[{i}]") for i, c in enumerate(coords))
-    _named(where, spaces.validate_point, space, point)
-    return point
+        return TreePoint(edge, offset)
+    coords = doc if isinstance(doc, list) else _require(doc, "coords", list, where)
+    return tuple(_number(c, f"{where}.coords[{i}]") for i, c in enumerate(coords))
 
 
 def point_to_json(space: Space, point):
@@ -140,8 +142,8 @@ def ideal_from_json(space: Space, doc, where: str = "ideal") -> IdealPoint:
             value = _require(doc, key, kind, where)
             if kind is list:
                 value = [_number(c, f"{where}: {key}[{i}]") for i, c in enumerate(value)]
-            xi = _named(where, build, value)
-            _named(where, spaces.validate_ideal, space, xi)
+            xi = _named(f"{where}: ", build, value)
+            _named(f"{where}: ", spaces.validate_ideal, space, xi)
             return xi
     raise InputError(f"{where}: need one of direction / null_vector / end_leaf")
 
@@ -155,10 +157,8 @@ def configuration_from_json(space: Space, doc) -> Configuration:
     for i, entry in enumerate(entries):
         where = f"configuration.points[{i}]"
         mass = _number(_require(entry, "mass", None, where), f"{where}.mass")
-        if mass <= 0.0:
-            raise InputError(f"{where}.mass: must be a positive number")
         items.append(WeightedPoint(point_from_json(space, entry, where), mass))
-    return _named("configuration", Configuration.of, space, items)
+    return _named("configuration.", Configuration.of, space, items)
 
 
 def body_from_json(space: Space, doc) -> ConvexBody:
@@ -167,7 +167,7 @@ def body_from_json(space: Space, doc) -> ConvexBody:
         point_from_json(space, entry, f"body.generators[{i}]")
         for i, entry in enumerate(entries)
     ]
-    return _named("body", ConvexBody.of, space, points)
+    return _named("body.", ConvexBody.of, space, points)
 
 
 # -- results and reports --------------------------------------------------------

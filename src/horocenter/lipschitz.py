@@ -48,7 +48,7 @@ from .barycenter import (
     replace_point,
 )
 from .horosphere import ConvexBody, SelectOptions, select
-from .spaces import GeometryError, IdealPoint, Space, TREE, _left_sum
+from .spaces import HYPERBOLIC, TREE, GeometryError, IdealPoint, Space, _left_sum
 
 DEFAULT_SCALE = 2.0
 MASS_LOW, MASS_HIGH = 0.5, 2.0
@@ -124,7 +124,7 @@ def shift_case(params: ScanParams, index: int):
     rng = spaces.sub_rng(params.seed, index)
     config = draw_configuration(params.space, rng, params.n_points, params.scale)
     k = int(rng.integers(params.n_points))
-    moved = spaces.random_shift(params.space, config.items[k].point, params.epsilon, rng)
+    moved = _shift(params, config.items[k].point, params.epsilon, rng)
     return config, k, moved
 
 
@@ -148,10 +148,17 @@ def body_case(params: ScanParams, index: int):
     ]
     body = ConvexBody.of(params.space, gens)
     perturbed = [
-        spaces.random_shift(params.space, g, params.epsilon * float(rng.random()), rng)
+        _shift(params, g, params.epsilon * float(rng.random()), rng)
         for g in body.generators
     ]
     return body, ConvexBody.of(params.space, perturbed)
+
+
+def _shift(params: ScanParams, x, step: float, rng):
+    """spaces.random_shift by a step set by epsilon, naming epsilon if it overflows."""
+    if params.space.kind == HYPERBOLIC:
+        spaces._cosh_sinh(step, "epsilon", params.epsilon)
+    return spaces.random_shift(params.space, x, step, rng)
 
 
 # -- scans -------------------------------------------------------------------

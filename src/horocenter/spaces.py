@@ -17,8 +17,10 @@ it, and a caller that makes many calls in one space takes the pair once.
 * ``tree`` -- a finite metric tree with marked ends (see ``trees``).
 
 Points and ideal vectors have ``coordinate_count`` entries, n in R^n and
-n + 1 in H^n: ``validate_point``, ``validate_ideal``, ``busemann`` and
-``ray_point`` check one point, and ``check_arity`` the points of ``distance``,
+n + 1 in H^n.  ``canonical_point`` is the one point check, which every
+input point passes once, in ``Configuration.of`` or ``ConvexBody.of``.
+Past it only lengths are checked: ``busemann`` and ``ray_point`` check
+their point's, and ``check_arity`` those of ``distance``,
 ``geodesic_point``, ``diameter``, ``center_of_mass`` and ``hausdorff``.
 
 Ideal points are unit directions (euclidean), future-pointing null
@@ -251,29 +253,28 @@ def _check_length(space: Space, v, unit: str = "coordinates") -> None:
 
 
 def validate_point(space: Space, p) -> None:
+    canonical_point(space, p)
+
+
+def canonical_point(space: Space, p):
+    """p as the aggregates store it, or an error: the type, finiteness,
+    length and sheet checks here, the edge and offset checks in
+    Tree.canonical."""
     if space.kind == TREE:
         if not isinstance(p, TreePoint):
             raise GeometryError(f"tree space expects TreePoint, got {type(p).__name__}")
-        space.tree.validate(p)
-        return
+        return space.tree.canonical(p)
     if not isinstance(p, tuple) or not all(isinstance(c, float) for c in p):
         raise GeometryError("point must be a tuple of floats")
     if not all(map(math.isfinite, p)):
         raise GeometryError(f"point coordinates must be finite, got {p}")
     _check_length(space, p)
-    if space.kind == EUCLIDEAN:
-        return
-    if p[0] <= 0.0:
-        raise GeometryError("hyperboloid point must have positive first coordinate")
-    tol = HYPERBOLOID_TOL * p[0] * p[0]  # an overflowing x0^2 accepts nothing
-    if not abs(_mink(p, p) + 1.0) <= tol < math.inf:
-        raise GeometryError(f"point is off the hyperboloid: <x,x> = {_mink(p, p)}")
-
-
-def canonical_point(space: Space, p):
-    validate_point(space, p)
-    if space.kind == TREE:
-        return space.tree.canonical(p)
+    if space.kind == HYPERBOLIC:
+        if p[0] <= 0.0:
+            raise GeometryError("hyperboloid point must have positive first coordinate")
+        tol = HYPERBOLOID_TOL * p[0] * p[0]  # an overflowing x0^2 accepts nothing
+        if not abs(_mink(p, p) + 1.0) <= tol < math.inf:
+            raise GeometryError(f"point is off the hyperboloid: <x,x> = {_mink(p, p)}")
     return tuple(float(c) for c in p)
 
 
@@ -368,9 +369,9 @@ def _hyp_distance(x, y) -> float:
 
 
 def distance(space: Space, x, y) -> float:
-    """Geodesic distance.  Arity is checked here; deeper point validity
-    (on-sheet, offsets in range) is enforced where points enter the
-    system, via canonical_point in the aggregate constructors."""
+    """Geodesic distance.  Arity is checked here; the rest of a point's
+    validity (on-sheet, offsets in range) is checked once, where it
+    enters a Configuration or ConvexBody, by canonical_point."""
     check_arity(space, (x, y))
     return kernels(space)[0](x, y)
 

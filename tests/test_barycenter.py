@@ -23,7 +23,7 @@ from horocenter.barycenter import (
     unit_configuration,
     _flat_center,
 )
-from horocenter.trees import TreePoint
+from horocenter.trees import TreeError, TreePoint
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -107,6 +107,30 @@ def test_configuration_validation(euclid2):
         Configuration.of(euclid2, [((0.0, 0.0), -1.0)])
     with pytest.raises(GeometryError):
         Configuration.of(euclid2, [((0.0, 0.0, 0.0), 1.0)])
+
+
+@pytest.mark.parametrize(
+    "name, bad, message",
+    [
+        ("euclid2", (1.0, 2.0, 3.0), "expected 2 coordinates, got 3"),
+        ("hyp2", (2.0, 0.0, 0.0), r"point is off the hyperboloid: <x,x> = -4\.0"),
+        ("tree_space", TreePoint("X-Y", 0.0), "unknown edge 'X-Y'"),
+    ],
+    ids=["euclid2", "hyp2", "tree"],
+)
+def test_configuration_names_the_entry_at_fault(name, bad, message, request):
+    space = request.getfixturevalue(name)
+    good = sp.basepoint(space)
+    with pytest.raises(GeometryError, match=rf"^points\[1\]: {message}$") as caught:
+        Configuration.of(space, [(good, 1.0), (bad, 1.0)])
+    assert isinstance(caught.value, TreeError) == (space.kind == "tree")  # type kept
+    for mass in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(
+            GeometryError, match=rf"^points\[1\]\.mass: must be positive and finite, got {mass}$"
+        ):
+            Configuration.of(space, [(good, 1.0), (good, mass)])
+    with pytest.raises(GeometryError, match=r"^points: "):
+        Configuration.of(space, [])
 
 
 # -- the construction --------------------------------------------------------------

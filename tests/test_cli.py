@@ -538,13 +538,15 @@ def test_every_ideal_error_names_the_field(
 
 
 @pytest.mark.parametrize(
-    "flag, message",
+    "command, flag, message",
     [
-        (["--scale", "1e3", "--samples", "2"], "scale = 1000.0 overflows"),
-        (["--epsilon", "1e308"], "step = 1e+308 overflows"),
+        ("scan-shift", ["--scale", "1e3", "--samples", "2"], "scale = 1000.0 overflows"),
+        ("scan-shift", ["--epsilon", "1e308"], "epsilon = 1e+308 overflows"),
+        # the selector shifts by epsilon * U(0, 1) and still names epsilon
+        ("scan-selector", ["--epsilon", "1e308"], "epsilon = 1e+308 overflows"),
     ],
-    ids=["scale", "step"],
+    ids=["scale", "step", "selector-step"],
 )
-def test_overflowing_hyperbolic_scan_exits_1(flag, message, capsys):
-    assert main(["scan-shift", "--space", "hyperbolic", "--dim", "2", *flag]) == 1
+def test_overflowing_hyperbolic_scan_exits_1(command, flag, message, capsys):
+    assert main([command, "--space", "hyperbolic", "--dim", "2", *flag]) == 1
     assert capsys.readouterr().err.startswith(f"error: scan: {message}: cosh(")

@@ -50,6 +50,23 @@ def test_body_dedup_across_tree_edges(tree_space):
     assert len(body) == 1
 
 
+@pytest.mark.parametrize(
+    "name, bad, message",
+    [
+        ("euclid2", (1.0, 2.0, 3.0), "expected 2 coordinates, got 3"),
+        ("hyp2", (2.0, 0.0, 0.0), r"point is off the hyperboloid: <x,x> = -4\.0"),
+        ("tree_space", TreePoint("A-B", 5.0), "offset 5.0 beyond edge A-B of length 2.0"),
+    ],
+    ids=["euclid2", "hyp2", "tree"],
+)
+def test_body_names_the_generator_at_fault(name, bad, message, request):
+    space = request.getfixturevalue(name)
+    with pytest.raises(GeometryError, match=rf"^generators\[1\]: {message}$"):
+        ConvexBody.of(space, [basepoint(space), bad])
+    with pytest.raises(GeometryError, match=r"^generators: "):
+        ConvexBody.of(space, [])
+
+
 # -- first horosphere -----------------------------------------------------------
 
 

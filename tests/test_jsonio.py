@@ -2,12 +2,12 @@ import math
 
 import pytest
 
-from horocenter import jsonio
+from horocenter import jsonio, spaces
 from horocenter.barycenter import WeightedPoint, center_of_mass, unit_configuration
 from horocenter.jsonio import InputError
 from horocenter.lipschitz import ScanParams, point_shift_scan
 from horocenter.spaces import IdealPoint, Space
-from horocenter.trees import TreePoint
+from horocenter.trees import Tree, TreePoint
 
 from conftest import TREE_EDGES, TREE_LEAVES
 
@@ -146,6 +146,38 @@ def test_configuration_round_trip_and_errors():
         )
     with pytest.raises(InputError, match="points"):
         jsonio.configuration_from_json(eu, {})
+
+
+def _count_calls(monkeypatch, owner, name):
+    """A list that grows by one entry per call of owner.name."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_each_point_passes_one_gate(monkeypatch):
+    tr = Space.tree_space(TREE_EDGES, TREE_LEAVES)
+    hyp = Space.hyperbolic(2)
+    tree_checks = _count_calls(monkeypatch, Tree, "validate")
+    point_checks = _count_calls(monkeypatch, spaces, "validate_point")
+    sheet_checks = _count_calls(monkeypatch, spaces, "_mink")
+    gens = [{"edge": "A-B", "offset": 0.5}, {"edge": "B-C", "offset": 0.0},
+            {"edge": "B-D", "offset": 1.0}]
+    jsonio.body_from_json(tr, {"generators": gens})
+    assert (len(tree_checks), len(point_checks)) == (3, 0)
+    jsonio.configuration_from_json(
+        tr, {"points": [dict(g, mass=1.0) for g in gens]}
+    )
+    assert (len(tree_checks), len(point_checks)) == (6, 0)
+    coords = [[1.0, 0.0, 0.0], [1.5430806348152437, 1.1752011936438014, 0.0]]
+    jsonio.body_from_json(hyp, {"generators": coords})
+    assert (len(sheet_checks), len(point_checks)) == (2, 0)
 
 
 def test_body_round_trip():

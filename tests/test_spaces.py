@@ -336,6 +336,23 @@ def test_ideal_validation(euclid2, hyp2, tree_space):
     sp.validate_ideal(hyp2, norm)
 
 
+def test_canonical_point_is_idempotent(any_space):
+    # a stored point passes the gate unchanged to the bit, so a point read
+    # back from an artifact is stored as it was written
+    rng = sp.sub_rng(3)
+    points = [sp.draw_point(any_space, rng, 3.0) for _ in range(20)]
+    if any_space.kind == "tree":
+        # vertex B named through non-canonical edges, snapped offsets, and
+        # a point past the marked leaf C
+        points += [TreePoint("B-C", 0.0), TreePoint("B-D", 1e-13),
+                   TreePoint("A-B", 2.0 - 1e-13), TreePoint("B-C", 50.0)]
+    else:
+        points.append(tuple(np.float64(c) for c in points[0]))
+    for p in points:
+        once = sp.canonical_point(any_space, p)
+        assert repr(sp.canonical_point(any_space, once)) == repr(once)
+
+
 def test_point_validation_rejects_non_finite(euclid2, hyp2):
     for space, p in (
         (euclid2, (math.nan, 0.0)),

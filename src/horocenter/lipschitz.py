@@ -48,7 +48,7 @@ from .barycenter import (
     replace_point,
 )
 from .horosphere import ConvexBody, SelectOptions, select
-from .spaces import HYPERBOLIC, TREE, GeometryError, IdealPoint, Space, _left_sum
+from .spaces import TREE, GeometryError, IdealPoint, Space, _left_sum
 
 DEFAULT_SCALE = 2.0
 MASS_LOW, MASS_HIGH = 0.5, 2.0
@@ -136,6 +136,8 @@ def mass_case(params: ScanParams, index: int):
     mass = config.items[k].mass
     delta = params.epsilon * mass * float(rng.uniform(-1.0, 1.0))
     delta = max(delta, -0.9 * mass)  # keep the perturbed mass positive
+    if not math.isfinite(mass + delta):
+        raise GeometryError(f"epsilon = {params.epsilon} overflows: mass {mass} + {delta}")
     return config, k, (mass + delta) - mass
 
 
@@ -156,9 +158,7 @@ def body_case(params: ScanParams, index: int):
 
 def _shift(params: ScanParams, x, step: float, rng):
     """spaces.random_shift by a step set by epsilon, naming epsilon if it overflows."""
-    if params.space.kind == HYPERBOLIC:
-        spaces._cosh_sinh(step, "epsilon", params.epsilon)
-    return spaces.random_shift(params.space, x, step, rng)
+    return spaces._random_shift(params.space, x, step, rng, "epsilon", params.epsilon)
 
 
 # -- scans -------------------------------------------------------------------

@@ -10,10 +10,10 @@ it, and a caller that makes many calls in one space takes the pair once.
 * ``euclidean`` -- R^n, points are coordinate tuples.
 * ``hyperbolic`` -- the hyperboloid sheet {<x,x> = -1, x0 > 0} in
   (n+1)-dimensional Minkowski space with signature (-,+,...,+).  Geodesics
-  and rays have sinh/cosh closed forms; interpolation results are
-  re-projected onto the sheet, which keeps the constraint residual near
-  rounding level throughout the desk-scale working region (points within
-  distance ~10 of the basepoint).
+  and rays have sinh/cosh closed forms.  Geodesic points, draws and shifts
+  are computed on their spatial coordinates y and lifted to
+  (sqrt(1 + |y|^2), y), which lies on the sheet to rounding out to where
+  x0^2 overflows; their error is the error of y.
 * ``tree`` -- a finite metric tree with marked ends (see ``trees``).
 
 Points and ideal vectors have ``coordinate_count`` entries, n in R^n and
@@ -232,14 +232,13 @@ def _null_vector(components) -> tuple[float, ...]:
     return (math.ldexp(one + kk, -2 * _T_BITS),) + tuple(spatial)
 
 
-def _project_hyperboloid(x):
-    n2 = -_mink(x, x)
-    if n2 <= 0.0:
-        raise GeometryError("vector is not timelike, cannot project to hyperboloid")
-    r = 1.0 / math.sqrt(n2)
-    if x[0] < 0.0:
-        r = -r
-    return tuple([c * r for c in x])
+def _lift(y, name: str, value: float) -> tuple[float, ...]:
+    """The sheet point (sqrt(1 + |y|^2), y) over spatial coordinates y, or,
+    past the range canonical_point accepts, an error naming `name` = value."""
+    x0 = math.hypot(1.0, *y)
+    if not x0 * x0 < math.inf:  # <x,x> overflows, or y holds inf or nan
+        raise GeometryError(f"{name} = {value} overflows: the point's x0^2 = {x0 * x0}")
+    return (x0,) + tuple(y)
 
 
 def coordinate_count(space: Space) -> int:
@@ -396,13 +395,10 @@ def _hyp_geodesic(x, y, t: float):
     d = _hyp_distance(x, y)
     if d < 1e-14:
         return x
-    # unit tangent at x toward y, written to avoid cancellation for small d
-    cm1 = 2.0 * math.sinh(0.5 * d) ** 2
+    # (sinh((1-t)d) x + sinh(td) y) / sinh d, with weights in [0, 1]
     sh = math.sinh(d)
-    c, s = math.cosh(t * d), math.sinh(t * d)
-    return _project_hyperboloid(
-        [c * a + s * (((b - a) - cm1 * a) / sh) for a, b in zip(x, y)]
-    )
+    a, b = math.sinh((1.0 - t) * d) / sh, math.sinh(t * d) / sh
+    return _lift([a * u + b * v for u, v in zip(x[1:], y[1:])], "distance", d)
 
 
 def _tree_geodesic(tree: Tree, x, y, t: float):
@@ -537,8 +533,8 @@ def draw_point(space: Space, rng: Generator, scale: float):
     if space.kind == HYPERBOLIC:
         direction = _unit_gauss(rng, space.dim)
         r = scale * float(rng.random())
-        c, s = _cosh_sinh(r, "scale", scale)
-        return _project_hyperboloid((c,) + tuple(s * u for u in direction))
+        s = _cosh_sinh(r, "scale", scale)[1]
+        return _lift([s * u for u in direction], "scale", scale)
     tree = space.tree
     target = tree.random_physical_point(rng)
     d = tree.distance(tree.basepoint, target)
@@ -564,6 +560,11 @@ def draw_ideal(space: Space, rng: Generator) -> IdealPoint:
 
 def random_shift(space: Space, x, step: float, rng: Generator):
     """Geodesic exponential step of size `step` in a random direction."""
+    return _random_shift(space, x, step, rng, "step", step)
+
+
+def _random_shift(space: Space, x, step: float, rng: Generator, name: str, value: float):
+    """random_shift; an overflow names the parameter `name` = value."""
     if step < 0.0:
         raise GeometryError(f"step must be nonnegative, got {step}")
     if step == 0.0:
@@ -579,10 +580,9 @@ def random_shift(space: Space, x, step: float, rng: Generator):
             norm2 = _mink(tangent, tangent)
             if norm2 > 1e-12:
                 break
-        norm = math.sqrt(norm2)
-        tangent = tuple(w / norm for w in tangent)
-        c, s = _cosh_sinh(step, "step", step)
-        return _project_hyperboloid(tuple(c * a + s * w for a, w in zip(x, tangent)))
+        c, s = _cosh_sinh(step, name, value)
+        s /= math.sqrt(norm2)  # a unit tangent
+        return _lift([c * a + s * w for a, w in zip(x[1:], tangent[1:])], name, value)
     return space.tree.random_walk_shift(x, step, rng)
 
 

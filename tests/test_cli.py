@@ -315,6 +315,18 @@ def test_far_hyperbolic_scan_accepts_its_draws(tmp_path, capsys):
     assert json.loads(out.read_text())["summary"]["failures"] == 0
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "command, scale", [("scan-shift", "15"), ("scan-mass", "15"), ("scan-selector", "19")]
+)
+def test_far_hyperbolic_scans_run_clean(command, scale, seed, capsys):
+    # near radius 19, x0 ~ 1e8 and <v,v> of a float point near the sheet
+    # cancels to noise, so no step may divide by it
+    args = ["--space", "hyperbolic", "--dim", "2", "--scale", scale, "--samples", "20"]
+    assert main([command, *args, "--seed", str(seed)]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["failures"] == 0
+
+
 def test_barycenter_select_and_classify_never_load_numpy(tmp_path, tree_file):
     # numpy serves only seeded draws; one document is both a configuration
     # and a body
@@ -550,3 +562,24 @@ def test_every_ideal_error_names_the_field(
 def test_overflowing_hyperbolic_scan_exits_1(command, flag, message, capsys):
     assert main([command, "--space", "hyperbolic", "--dim", "2", *flag]) == 1
     assert capsys.readouterr().err.startswith(f"error: scan: {message}: cosh(")
+
+
+@pytest.mark.parametrize(
+    "command, space, flag, message",
+    [
+        # a mass change past the float range, in a flat and a curved space
+        ("scan-mass", "euclidean", ["--epsilon", "1e308"], "epsilon = 1e+308 overflows: mass "),
+        ("scan-mass", "hyperbolic", ["--epsilon", "1e308"], "epsilon = 1e+308 overflows: mass "),
+        # cosh(step) is finite, but the shifted point's x0^2 is not
+        (
+            "scan-selector",
+            "hyperbolic",
+            ["--epsilon", "709", "--samples", "3"],
+            "epsilon = 709.0 overflows: the point's x0^2 = inf",
+        ),
+    ],
+    ids=["mass-euclidean", "mass-hyperbolic", "selector-lift"],
+)
+def test_an_overflowing_perturbation_names_epsilon(command, space, flag, message, capsys):
+    assert main([command, "--space", space, "--dim", "2", *flag]) == 1
+    assert capsys.readouterr().err.startswith(f"error: scan: {message}")

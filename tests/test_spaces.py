@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from horocenter import GeometryError, IdealPoint, basepoint
 from horocenter import spaces as sp
 from horocenter.trees import TreePoint
 
+import hyperboloid_oracle as oracle
 from conftest import TREE_EDGES, TREE_LEAVES, ideal_for
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
@@ -262,6 +264,20 @@ def test_overflowing_hyperbolic_draws_name_their_parameter(hyp2):
         sp.draw_point(hyp2, rng, 1e300)
     with pytest.raises(GeometryError, match=r"^step = 1e\+308 overflows"):
         sp.random_shift(hyp2, basepoint(hyp2), 1e308, rng)
+    # cosh is finite here, but past radius ~355 x0^2 of the point is not
+    with pytest.raises(GeometryError, match=r"^scale = 400\.0 overflows: the point's x0\^2"):
+        for _ in range(20):
+            sp.draw_point(hyp2, rng, 400.0)
+    with pytest.raises(GeometryError, match=r"^step = 709\.0 overflows: the point's x0\^2"):
+        sp.random_shift(hyp2, basepoint(hyp2), 709.0, rng)
+
+
+def test_a_geodesic_whose_distance_overflows_is_an_error(hyp2):
+    # both points pass the sheet check, but <x-y, x-y> overflows
+    x = (math.hypot(1.0, 1e154), 1e154, 0.0)
+    y = (x[0], -1e154, 0.0)
+    with pytest.raises(GeometryError, match=r"^distance = inf overflows"):
+        sp.geodesic_point(hyp2, x, y, 0.5)
 
 
 # -- validation ----------------------------------------------------------------
@@ -546,7 +562,8 @@ def test_hyperboloid_drift_over_long_chains(hyp2):
 
 # -- kernel bit-identity ---------------------------------------------------------
 # The pairwise kernel as it stood before `diameter` picked its metric once
-# per call and the hyperbolic formulas dropped their temporaries.  Every
+# per call and the hyperbolic formulas dropped their temporaries, with the
+# hyperbolic geodesic in its closed form on the spatial parts.  Every
 # output of the current kernel must match it bit for bit.
 
 
@@ -558,8 +575,10 @@ def reference_distance(space, x, y):
             raise GeometryError(
                 f"expected {space.dim + 1} coordinates, got {len(x)} and {len(y)}"
             )
-        delta = tuple(a - b for a, b in zip(x, y))
-        q = sp._mink(delta, delta)
+        d = x[0] - y[0]
+        q = -d * d
+        for a, b in zip(x[1:], y[1:]):
+            q += (a - b) * (a - b)
         if q <= 0.0:
             return 0.0
         return 2.0 * math.asinh(0.5 * math.sqrt(q))
@@ -577,15 +596,11 @@ def reference_geodesic_point(space, x, y, t):
     d = reference_distance(space, x, y)
     if d < 1e-14:
         return x
-    cm1 = 2.0 * math.sinh(0.5 * d) ** 2
-    sh = math.sinh(d)
-    tan = tuple(((b - a) - cm1 * a) / sh for a, b in zip(x, y))
-    c, s = math.cosh(t * d), math.sinh(t * d)
-    v = tuple(c * a + s * w for a, w in zip(x, tan))
-    r = 1.0 / math.sqrt(-sp._mink(v, v))
-    if v[0] < 0.0:
-        r = -r
-    return tuple(a * r for a in v)
+    # (sinh((1-t)d) x + sinh(td) y) / sinh d on the spatial parts, lifted
+    wx = math.sinh((1.0 - t) * d) / math.sinh(d)
+    wy = math.sinh(t * d) / math.sinh(d)
+    spatial = tuple(wx * a + wy * b for a, b in zip(x[1:], y[1:]))
+    return (math.hypot(1.0, *spatial),) + spatial
 
 
 def reference_diameter(space, points):
@@ -636,6 +651,35 @@ def test_kernel_is_bit_identical_to_the_reference(seed, which, how, t, n):
     points = [sp.draw_point(space, rng, 3.0) for _ in range(n)]
     points[1:1] = [x, y][: min(n, 2)]
     assert repr(sp.diameter(space, points)) == repr(reference_diameter(space, points))
+
+
+# -- accuracy against the 40-digit oracle -------------------------------------------
+
+
+def test_the_oracle_measures_and_splits_geodesics():
+    # checked in decimal's default 28 digits, far past any double
+    tol = Decimal("1e-25")
+    # asinh(3/4) = ln 2 exactly
+    assert abs(oracle.distance((1.0, 0.0, 0.0), (1.25, 0.75, 0.0)) - Decimal(2).ln()) < tol
+    x, y = (2.0, 1.0, -1.5), (3.0, -2.5, 0.5)
+    d, p = oracle.distance(x, y), oracle.geodesic_point(x, y, 0.25)
+    assert abs(oracle.distance(x, p) - d / 4) < tol
+    assert abs(oracle.distance(p, y) - 3 * d / 4) < tol
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_geodesic_points_match_the_oracle_far_out(dim):
+    # at radius 8 a point's x0^2 is near 1e6, so <v,v> for any float v
+    # near the sheet carries only about 10 of its 16 digits
+    space = sp.Space.hyperbolic(dim)
+    rng = np.random.default_rng(8)
+    worst = 0.0
+    for _ in range(300):
+        x, y = sp.draw_point(space, rng, 8.0), sp.draw_point(space, rng, 8.0)
+        t = float(rng.random())
+        got = sp.geodesic_point(space, x, y, t)
+        worst = max(worst, oracle.distance(got, oracle.geodesic_point(x, y, t)))
+    assert worst <= 1e-11
 
 
 def test_near_points_take_the_short_branch(hyp3):

@@ -82,8 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_MAX_POINTS,
         help="largest configuration that may take the recursion, whose cost is "
         "super-exponential (hyperbolic, or tree points spread over branches); "
-        "euclidean and single-geodesic tree configurations are closed-form and "
-        "never capped (default %(default)s)",
+        "euclidean and single-geodesic tree configurations are closed-form, and "
+        "hyperbolic ones of diameter below tol**(1/3) close in one projected "
+        "step, so neither is capped (default %(default)s)",
     )
     _add_output_flags(p)
 

@@ -352,16 +352,20 @@ def check_arity(space: Space, points) -> None:
                 )
 
 
-def _hyp_distance(x, y) -> float:
-    """Hyperbolic distance of two sheet points of equal length.
-
-    <x-y, x-y> is summed as _mink sums it, one difference at a time.
-    """
+def _hyp_quadrance(x, y) -> float:
+    """<x-y, x-y> of two points of equal length, summed as _mink sums it,
+    one difference at a time, so it does not cancel like <x,x> does."""
     d = x[0] - y[0]
     q = -d * d
     for i in range(1, len(x)):
         d = x[i] - y[i]
         q += d * d
+    return q
+
+
+def _hyp_distance(x, y) -> float:
+    """Hyperbolic distance of two sheet points of equal length."""
+    q = _hyp_quadrance(x, y)
     if q <= 0.0:
         return 0.0
     return 2.0 * math.asinh(0.5 * math.sqrt(q))

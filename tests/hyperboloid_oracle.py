@@ -6,12 +6,19 @@ still names one exact point.  sinh and asinh are built from exp, ln and
 sqrt, which `decimal` rounds correctly, so the oracle needs nothing
 beyond the standard library.  Inputs are floats or Decimals; outputs are
 Decimals.
+
+`center` runs the leave-one-out construction to a diameter of about
+1e-30, and `projected_mean` is the sheet projection of an ambient
+weighted mean.
 """
 
 from decimal import Decimal, localcontext
 from functools import wraps
+from itertools import combinations
 
 DIGITS = 40
+LIMIT = Decimal("1e-30")  # the diameter at which `center` stops
+_MAX_STEPS = 30
 
 
 def _digits(f):
@@ -25,7 +32,12 @@ def _digits(f):
 
 
 def _sinh(z: Decimal) -> Decimal:
-    return (z.exp() - (-z).exp()) / 2
+    """(e^z - e^-z) / 2, with the digits that the difference cancels for
+    small z carried as extra working precision."""
+    with localcontext() as ctx:
+        ctx.prec += max(0, -z.adjusted())
+        s = (z.exp() - (-z).exp()) / 2
+    return +s
 
 
 def _asinh(z: Decimal) -> Decimal:
@@ -55,3 +67,38 @@ def geodesic_point(x, y, t) -> tuple:
         return lift(x[1:])
     wx, wy = _sinh((1 - t) * d) / _sinh(d), _sinh(t * d) / _sinh(d)
     return lift(wx * Decimal(a) + wy * Decimal(b) for a, b in zip(x[1:], y[1:]))
+
+
+@_digits
+def projected_mean(points, masses) -> tuple:
+    """v / sqrt(-<v,v>) for v the mass-weighted mean of the lifted points."""
+    points, masses = [lift(p[1:]) for p in points], [Decimal(m) for m in masses]
+    total = sum(masses)
+    v = [sum(m * p[k] for p, m in zip(points, masses)) / total for k in range(len(points[0]))]
+    s = (v[0] * v[0] - sum(c * c for c in v[1:])).sqrt()
+    return lift(c / s for c in v[1:])
+
+
+@_digits
+def center(points, masses) -> tuple:
+    """The limit of the leave-one-out construction: each point moves to
+    its two-point center with the center of the others, which carry mass
+    M - m_i, and the masses become (M - m_i)/(n - 1), until the diameter
+    is below LIMIT."""
+    points, masses = [lift(p[1:]) for p in points], [Decimal(m) for m in masses]
+    n = len(points)
+    if n == 2:
+        return geodesic_point(points[0], points[1], masses[1] / (masses[0] + masses[1]))
+    for _ in range(_MAX_STEPS):
+        if max(distance(x, y) for x, y in combinations(points, 2)) < LIMIT:
+            return points[0]
+        total = sum(masses)
+        points = [
+            geodesic_point(
+                x, center(points[:i] + points[i + 1 :], masses[:i] + masses[i + 1 :]),
+                (total - m) / total,
+            )
+            for i, (x, m) in enumerate(zip(points, masses))
+        ]
+        masses = [(total - m) / (n - 1) for m in masses]
+    raise ArithmeticError(f"no convergence to {LIMIT} in {_MAX_STEPS} steps")

@@ -1,12 +1,14 @@
 import math
 from dataclasses import replace
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import hyperboloid_oracle as oracle
 from conftest import TREE_EDGES, TREE_LEAVES
 from horocenter import GeometryError, Space, spaces as sp
 from horocenter.barycenter import (
@@ -22,6 +24,7 @@ from horocenter.barycenter import (
     two_point_center,
     unit_configuration,
     _flat_center,
+    _sheet_mean,
 )
 from horocenter.trees import TreeError, TreePoint
 
@@ -361,7 +364,8 @@ def test_non_convergence_reported(hyp2):
 def reference_center(space, config, tol, max_iters, flat=True):
     """The recursion without the memo: every complement center is computed
     afresh, so the center of S minus {i, j} is built from both sides.  It
-    takes the library's closed form for flat configurations at every
+    takes the library's closed form for flat configurations, and its
+    projected step for hyperbolic ones below diameter tol**(1/3), at every
     level, as `center_of_mass` does, unless `flat` is False."""
     n = len(config)
     if n == 1:
@@ -378,6 +382,9 @@ def reference_center(space, config, tol, max_iters, flat=True):
         if iterations >= max_iters:
             partial = BarycenterResult(config.items[0].point, iterations, trace, False)
             raise ConvergenceError("reference", partial)
+        if flat and space.kind == "hyperbolic" and trace[-1] < tol ** (1 / 3):
+            center = _sheet_mean(_pairs(config), trace[-1])
+            return BarycenterResult(center, iterations + 1, trace + [0.0], True)
         total, items = config.total_mass, config.items
         moved = []
         for i, item in enumerate(items):
@@ -467,9 +474,9 @@ def test_memo_is_bit_identical_to_the_reference(case):
 
 
 def test_memo_cuts_geodesic_work(monkeypatch):
-    """Each complement center is built once per top-level call: 4,338
+    """Each complement center is built once per top-level call: 1,176
     geodesic evaluations for a unit H^2 configuration of 6 points, where
-    recomputing every complement from both sides makes 11,898.  They are
+    recomputing every complement from both sides makes 4,146.  They are
     counted through the interpolator that `spaces.kernels` hands out,
     which is the one the recursion uses."""
     space = Space.hyperbolic(2)
@@ -490,7 +497,7 @@ def test_memo_cuts_geodesic_work(monkeypatch):
     monkeypatch.setattr(sp, "kernels", counted_kernels)
     res = center_of_mass(space, cfg)
     assert res.converged and res.iterations == 3
-    assert len(calls) == 4338
+    assert len(calls) == 1176
 
 
 def test_memo_keeps_the_partial_result(hyp2):
@@ -733,6 +740,150 @@ def test_a_diameter_below_tol_returns_the_first_point(euclid2, tree_space):
         res = center_of_mass(space, cfg, 1e-8)
         assert (res.center, res.iterations) == (cfg.items[0].point, 0)
         assert res.diameter_trace == [config_diameter(space, cfg)]
+
+
+# -- the near-flat hyperbolic tail ---------------------------------------------------
+#
+# Below diameter tol**(1/3) a hyperbolic configuration closes in one step: the
+# sheet projection of its mass-weighted ambient mean.  The oracle runs the
+# construction itself in 40 digits down to diameter 1e-30.
+
+
+def _at(*y):
+    """The sheet point over spatial coordinates y."""
+    return (math.hypot(1.0, *y),) + y
+
+
+# diameter 6.4e-4, between tol 1e-8 and tol**(1/3) = 2.2e-3
+NEAR_FLAT = [(_at(0.75, -0.5), 1.0), (_at(0.7506, -0.4998), 2.0), (_at(0.7499, -0.4993), 3.0)]
+
+
+def near_config(space, rng, n, radius, spread):
+    """n points within spread/2 of a point at distance `radius` from the
+    basepoint, so of diameter at most `spread`, with masses in [0.5, 2]."""
+    base = sp.random_shift(space, sp.basepoint(space), radius, rng)
+    return Configuration.of(
+        space,
+        [
+            (sp.random_shift(space, base, spread / 2, rng), float(rng.uniform(0.5, 2.0)))
+            for _ in range(n)
+        ],
+    )
+
+
+def _masses(config):
+    return [item.mass for item in config.items]
+
+
+def test_the_oracle_is_the_limit_of_the_recursion(hyp2):
+    cfg = random_config(hyp2, np.random.default_rng(1), 4)
+    limit = oracle.center(cfg.points, _masses(cfg))
+    plain = reference_center(hyp2, cfg, 1e-13, 200, flat=False).center
+    assert oracle.distance(plain, limit) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("spread", [1e-3, 1e-2, 0.1, 0.5])
+def test_the_tail_is_within_d0_cubed_of_the_limit(dim, n, spread):
+    """The projected step misses the construction's limit by about
+    0.015 d0^3 at most, which is what lets it stand in below tol**(1/3)."""
+    space = Space.hyperbolic(dim)
+    rng = np.random.default_rng(10 * dim + n)
+    for _ in range(3):
+        cfg = near_config(space, rng, n, 2.0, spread)
+        d0 = config_diameter(space, cfg)
+        limit = oracle.center(cfg.points, _masses(cfg))
+        assert oracle.distance(_sheet_mean(_pairs(cfg), d0), limit) <= d0**3
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [3, 4])
+def test_center_of_mass_is_within_tol_of_the_limit(dim, n):
+    space = Space.hyperbolic(dim)
+    rng = np.random.default_rng(10 * dim + n)
+    for _ in range(5):
+        cfg = random_config(space, rng, n)
+        limit = oracle.center(cfg.points, _masses(cfg))
+        assert oracle.distance(center_of_mass(space, cfg, 1e-8).center, limit) <= 1e-8
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_the_projection_keeps_its_digits_far_out(dim):
+    """At distance 8 from the basepoint x0^2 is near 1e6, so a normalizer
+    read from v0^2 - |v_s|^2 loses about 6 of its digits (errors near
+    4e-10); read from the pairs it stays near 1e-13."""
+    space = Space.hyperbolic(dim)
+    rng = np.random.default_rng(8)
+    worst = 0.0
+    for _ in range(30):
+        cfg = near_config(space, rng, 4, 8.0, 1e-3)
+        got = _sheet_mean(_pairs(cfg), config_diameter(space, cfg))
+        exact = oracle.projected_mean(cfg.points, _masses(cfg))
+        worst = max(worst, oracle.distance(got, exact))
+    assert worst <= 1e-12
+
+
+def test_the_tail_center_is_pinned_to_the_bit(hyp2):
+    """Every sum in the tail is an fsum, correctly rounded, so its bits do
+    not depend on the Python version (3.12's sum() compensates) or the
+    platform."""
+    res = center_of_mass(hyp2, Configuration.of(hyp2, NEAR_FLAT))
+    assert (res.iterations, res.diameter_trace[1:]) == (1, [0.0])
+    assert [c.hex() for c in res.center] == [
+        "0x1.58a1e09e50741p+0",
+        "0x1.8013a7a7c04b3p-1",
+        "-0x1.ff92c3f674984p-2",
+    ]
+
+
+def test_the_tail_keeps_max_iters_and_tol(hyp2):
+    """The tail is one step: max_iters=1 allows it, max_iters=0 still
+    allows no step (trace [d0]), and below tol no step is taken."""
+    cfg = Configuration.of(hyp2, NEAR_FLAT)
+    d0 = config_diameter(hyp2, cfg)
+    assert 1e-8 <= d0 < 1e-8 ** (1 / 3)
+    res = center_of_mass(hyp2, cfg, 1e-8, max_iters=1)
+    assert (res.iterations, res.diameter_trace, res.converged) == (1, [d0, 0.0], True)
+    with pytest.raises(ConvergenceError) as info:
+        center_of_mass(hyp2, cfg, 1e-8, max_iters=0)
+    partial = info.value.result
+    assert (partial.center, partial.iterations, partial.diameter_trace, partial.converged) == (
+        cfg.items[0].point, 0, [d0], False
+    )
+    tiny = near_config(hyp2, np.random.default_rng(2), 3, 2.0, 1e-9)
+    res = center_of_mass(hyp2, tiny, 1e-8)
+    assert (res.center, res.iterations) == (tiny.items[0].point, 0)
+    assert res.diameter_trace == [config_diameter(hyp2, tiny)]
+
+
+def test_the_tail_does_not_depend_on_item_order(hyp3):
+    cfg = near_config(hyp3, np.random.default_rng(6), 5, 2.0, 1e-3)
+    base = center_of_mass(hyp3, cfg)
+    assert base.iterations == 1
+    for order in permutations(range(5)):
+        assert repr(center_of_mass(hyp3, permuted(cfg, order))) == repr(base)
+
+
+def test_the_tail_weighs_masses_near_the_largest_double(hyp2):
+    """Weights m_i / M keep every product finite: the light point leaves
+    the center at the heavy pair's midpoint."""
+    cfg = Configuration.of(hyp2, [(p, m) for (p, _), m in zip(NEAR_FLAT, [1e308, 1e308, 1.0])])
+    res = center_of_mass(hyp2, cfg)
+    assert res.iterations == 1
+    assert sp.canonical_point(hyp2, res.center) == res.center
+    assert sp.distance(hyp2, res.center, two_point_center(hyp2, *cfg.items[:2])) <= 1e-15
+
+
+def test_near_flat_configurations_are_not_capped(hyp2):
+    """The cap bounds the recursion's cost, which a near-flat configuration
+    skips, as a flat one does."""
+    rng = np.random.default_rng(9)
+    cfg = near_config(hyp2, rng, 8, 2.0, 1e-3)
+    res = center_of_mass(hyp2, cfg)
+    assert (res.iterations, res.diameter_trace[1:], res.converged) == (1, [0.0], True)
+    with pytest.raises(GeometryError, match="8 points exceeds the recursion cap 7"):
+        center_of_mass(hyp2, random_config(hyp2, rng, 8))
 
 
 # -- hull sampling -------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -430,6 +431,24 @@ def test_exit_2_on_non_convergence_with_partial_trace(tri_file, tmp_path, capsys
     doc = json.loads(out.read_text())
     assert doc["converged"] is False
     assert doc["diameter_trace"]
+
+
+def test_a_near_flat_hyperbolic_configuration_keeps_exit_2(tmp_path, capsys):
+    """Its one projected step is still a step: --max-iters 0 exits 2 with
+    trace [d0], and --max-iters 1 converges in one iteration."""
+    spatial = [(0.75, -0.5), (0.7506, -0.4998), (0.7499, -0.4993)]
+    doc = {"points": [{"coords": [math.hypot(1.0, *y), *y], "mass": 1.0} for y in spatial]}
+    conf = tmp_path / "near.json"
+    conf.write_text(json.dumps(doc))
+    args = ["barycenter", "--space", "hyperbolic", "--dim", "2", "--input", str(conf)]
+    assert main([*args, "--max-iters", "0"]) == 2
+    partial = json.loads(capsys.readouterr().out)
+    assert (partial["converged"], partial["iterations"]) == (False, 0)
+    assert len(partial["diameter_trace"]) == 1
+    assert main([*args, "--max-iters", "1"]) == 0
+    done = json.loads(capsys.readouterr().out)
+    assert (done["converged"], done["iterations"]) == (True, 1)
+    assert done["diameter_trace"][1:] == [0.0]
 
 
 def test_env_seed_override(tri_file, tmp_path, monkeypatch):

@@ -41,13 +41,13 @@ the recursion, and ``max_points`` does not apply to it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from itertools import combinations
 from operator import mul
 
 from . import spaces
 from .spaces import EUCLIDEAN, HYPERBOLIC, TREE, GeometryError, Space, _left_sum, farthest
 from .trees import Tree, TreePoint
+from .values import Frozen, Value
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 200
@@ -67,15 +67,19 @@ class ConvergenceError(RuntimeError):
         self.result = result
 
 
-@dataclass(frozen=True)
-class WeightedPoint:
-    point: object
-    mass: float
+class WeightedPoint(Frozen):
+    __slots__ = ("point", "mass")
+
+    def __init__(self, point, mass: float):
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "mass", mass)
 
 
-@dataclass(frozen=True)
-class Configuration:
-    items: tuple[WeightedPoint, ...]
+class Configuration(Frozen):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple[WeightedPoint, ...]):
+        object.__setattr__(self, "items", items)
 
     @classmethod
     def of(cls, space: Space, items) -> "Configuration":
@@ -111,12 +115,14 @@ class Configuration:
         return len(self.items)
 
 
-@dataclass
-class BarycenterResult:
-    center: object
-    iterations: int
-    diameter_trace: list[float]
-    converged: bool
+class BarycenterResult(Value):
+    __slots__ = ("center", "iterations", "diameter_trace", "converged")
+
+    def __init__(self, center, iterations: int, diameter_trace: list[float], converged: bool):
+        self.center = center
+        self.iterations = iterations
+        self.diameter_trace = diameter_trace
+        self.converged = converged
 
 
 def unit_configuration(space: Space, points) -> Configuration:
@@ -454,11 +460,11 @@ def permuted(config: Configuration, order) -> Configuration:
 
 def replace_point(config: Configuration, index: int, point) -> Configuration:
     items = list(config.items)
-    items[index] = replace(items[index], point=point)
+    items[index] = WeightedPoint(point, items[index].mass)
     return Configuration(tuple(items))
 
 
 def replace_mass(config: Configuration, index: int, mass: float) -> Configuration:
     items = list(config.items)
-    items[index] = replace(items[index], mass=float(mass))
+    items[index] = WeightedPoint(items[index].point, float(mass))
     return Configuration(tuple(items))

@@ -71,6 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         "in three model Hadamard spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    select_defaults, scan_defaults = SelectOptions(), ScanParams(space=None)
 
     p = sub.add_parser("barycenter", help="iterative center of a weighted point set")
     _add_space_flags(p)
@@ -93,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="body document (may carry 'ideal')")
     p.add_argument("--ideal", help="inline ideal-point JSON (overrides the document)")
     _add_center_flags(p)
-    p.add_argument("--classify-tol", type=float, default=SelectOptions.classify_tol)
-    p.add_argument("--snap-tol", type=float, default=SelectOptions.snap_tol)
+    p.add_argument("--classify-tol", type=float, default=select_defaults.classify_tol)
+    p.add_argument("--snap-tol", type=float, default=select_defaults.snap_tol)
     p.add_argument("--no-smoothing", action="store_true")
     _add_output_flags(p, formats=False)
 
@@ -102,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_space_flags(p)
     p.add_argument("--input", required=True)
     p.add_argument("--ideal", help="inline ideal-point JSON (overrides the document)")
-    p.add_argument("--classify-tol", type=float, default=SelectOptions.classify_tol)
+    p.add_argument("--classify-tol", type=float, default=select_defaults.classify_tol)
     _add_output_flags(p, formats=False)
 
     for name, blurb in (
@@ -112,11 +113,11 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=blurb)
         _add_space_flags(p)
-        p.add_argument("--n-points", type=int, default=ScanParams.n_points)
-        p.add_argument("--samples", type=int, default=ScanParams.samples)
-        p.add_argument("--epsilon", type=float, default=ScanParams.epsilon)
-        p.add_argument("--seed", type=int, default=ScanParams.seed)
-        p.add_argument("--scale", type=float, default=ScanParams.scale)
+        p.add_argument("--n-points", type=int, default=scan_defaults.n_points)
+        p.add_argument("--samples", type=int, default=scan_defaults.samples)
+        p.add_argument("--epsilon", type=float, default=scan_defaults.epsilon)
+        p.add_argument("--seed", type=int, default=scan_defaults.seed)
+        p.add_argument("--scale", type=float, default=scan_defaults.scale)
         _add_center_flags(p)
         if name == "scan-selector":
             p.add_argument("--ideal", help="inline ideal-point JSON")

@@ -25,7 +25,6 @@ level per generator, so sets off one horosphere never shrink to a point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import spaces
 from .barycenter import (
@@ -35,6 +34,7 @@ from .barycenter import (
     unit_configuration,
 )
 from .spaces import EUCLIDEAN, GeometryError, IdealPoint, Space, TREE
+from .values import Frozen
 
 SHRINKING = "shrinking"
 NON_SHRINKING = "non-shrinking"
@@ -44,11 +44,13 @@ DEFAULT_SNAP_TOL = 1e-4
 CONTACT_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class ConvexBody:
+class ConvexBody(Frozen):
     """Convex hull of finitely many generators, stored as the generators."""
 
-    generators: tuple
+    __slots__ = ("generators",)
+
+    def __init__(self, generators: tuple):
+        object.__setattr__(self, "generators", generators)
 
     @classmethod
     def of(cls, space: Space, points) -> "ConvexBody":
@@ -67,19 +69,30 @@ class ConvexBody:
         return len(self.generators)
 
 
-@dataclass(frozen=True)
-class ShrinkClass:
-    verdict: str
-    max_limit_separation: float
+class ShrinkClass(Frozen):
+    __slots__ = ("verdict", "max_limit_separation")
+
+    def __init__(self, verdict: str, max_limit_separation: float):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "max_limit_separation", max_limit_separation)
 
 
-@dataclass(frozen=True)
-class SelectOptions:
-    tol: float = DEFAULT_TOL
-    max_iters: int = DEFAULT_MAX_ITERS
-    classify_tol: float = DEFAULT_CLASSIFY_TOL
-    snap_tol: float = DEFAULT_SNAP_TOL
-    smoothing: bool = True
+class SelectOptions(Frozen):
+    __slots__ = ("tol", "max_iters", "classify_tol", "snap_tol", "smoothing")
+
+    def __init__(
+        self,
+        tol: float = DEFAULT_TOL,
+        max_iters: int = DEFAULT_MAX_ITERS,
+        classify_tol: float = DEFAULT_CLASSIFY_TOL,
+        snap_tol: float = DEFAULT_SNAP_TOL,
+        smoothing: bool = True,
+    ):
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "max_iters", max_iters)
+        object.__setattr__(self, "classify_tol", classify_tol)
+        object.__setattr__(self, "snap_tol", snap_tol)
+        object.__setattr__(self, "smoothing", smoothing)
 
 
 def first_horosphere(space: Space, body: ConvexBody, xi: IdealPoint, o):

@@ -32,9 +32,8 @@ the proxy upper-bounds the hull distance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import chain
-from typing import NamedTuple
 
 from . import spaces
 from .barycenter import (
@@ -49,23 +48,41 @@ from .barycenter import (
 )
 from .horosphere import ConvexBody, SelectOptions, select
 from .spaces import TREE, GeometryError, IdealPoint, Space, _left_sum
+from .values import Frozen, Value
 
 DEFAULT_SCALE = 2.0
 MASS_LOW, MASS_HIGH = 0.5, 2.0
 
 
-@dataclass(frozen=True)
-class ScanParams:
-    space: Space
-    n_points: int = 4
-    samples: int = 100
-    epsilon: float = 0.05
-    seed: int = 0
-    tol: float = DEFAULT_TOL
-    max_iters: int = DEFAULT_MAX_ITERS
-    smoothing: bool = True
-    ideal: IdealPoint | None = None
-    scale: float = DEFAULT_SCALE
+class ScanParams(Frozen):
+    __slots__ = (
+        "space", "n_points", "samples", "epsilon", "seed",
+        "tol", "max_iters", "smoothing", "ideal", "scale",
+    )
+
+    def __init__(
+        self,
+        space: Space,
+        n_points: int = 4,
+        samples: int = 100,
+        epsilon: float = 0.05,
+        seed: int = 0,
+        tol: float = DEFAULT_TOL,
+        max_iters: int = DEFAULT_MAX_ITERS,
+        smoothing: bool = True,
+        ideal: IdealPoint | None = None,
+        scale: float = DEFAULT_SCALE,
+    ):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "n_points", n_points)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "max_iters", max_iters)
+        object.__setattr__(self, "smoothing", smoothing)
+        object.__setattr__(self, "ideal", ideal)
+        object.__setattr__(self, "scale", scale)
 
     def validated(self) -> "ScanParams":
         if self.samples < 1:
@@ -81,21 +98,27 @@ class ScanParams:
         return self
 
 
-class ScanRecord(NamedTuple):
-    sample: int
-    in_disp: float
-    out_disp: float
-    ratio: float
+ScanRecord = namedtuple("ScanRecord", ["sample", "in_disp", "out_disp", "ratio"])
 
 
-@dataclass
-class LipschitzReport:
-    records: list[ScanRecord]
-    max_ratio: float
-    mean_ratio: float
-    failures: int
-    skipped: int
-    straddle: list[float] | None = field(default=None)
+class LipschitzReport(Value):
+    __slots__ = ("records", "max_ratio", "mean_ratio", "failures", "skipped", "straddle")
+
+    def __init__(
+        self,
+        records: list[ScanRecord],
+        max_ratio: float,
+        mean_ratio: float,
+        failures: int,
+        skipped: int,
+        straddle: list[float] | None = None,
+    ):
+        self.records = records
+        self.max_ratio = max_ratio
+        self.mean_ratio = mean_ratio
+        self.failures = failures
+        self.skipped = skipped
+        self.straddle = straddle
 
 
 def hausdorff(space: Space, a: ConvexBody, b: ConvexBody) -> float:

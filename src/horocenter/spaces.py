@@ -46,16 +46,12 @@ Hyperbolic closed forms used below:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, starmap
-from typing import TYPE_CHECKING
 
 from .errors import GeometryError
 from .trees import Tree, TreePoint
-
-if TYPE_CHECKING:
-    from numpy.random import Generator
+from .values import Frozen
 
 EUCLIDEAN = "euclidean"
 HYPERBOLIC = "hyperbolic"
@@ -70,17 +66,17 @@ _TINY = 2.0**-400  # below this, squares underflow inside _mink_exact
 _SEED_MASK = 0x7FFF_FFFF_FFFF_FFFF
 
 
-@dataclass(frozen=True)
-class Space:
+class Space(Frozen):
     """Descriptor for one of the three model spaces."""
 
-    kind: str
-    dim: int = 0
-    tree: Tree | None = None
+    __slots__ = ("kind", "dim", "tree")
 
-    def __post_init__(self):
-        if self.kind != TREE and not 1 <= self.dim <= MAX_DIM:
-            raise GeometryError(f"dim must lie in [1, {MAX_DIM}], got {self.dim}")
+    def __init__(self, kind: str, dim: int = 0, tree: Tree | None = None):
+        if kind != TREE and not 1 <= dim <= MAX_DIM:
+            raise GeometryError(f"dim must lie in [1, {MAX_DIM}], got {dim}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "tree", tree)
 
     @classmethod
     def euclidean(cls, dim: int) -> "Space":
@@ -95,12 +91,14 @@ class Space:
         return cls(TREE, 0, Tree(edges, ideal_leaves, basepoint))
 
 
-@dataclass(frozen=True)
-class IdealPoint:
+class IdealPoint(Frozen):
     """Boundary point: a direction, a null vector, or a marked leaf id."""
 
-    vector: tuple[float, ...] | None = None
-    leaf: str | None = None
+    __slots__ = ("vector", "leaf")
+
+    def __init__(self, vector: tuple[float, ...] | None = None, leaf: str | None = None):
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "leaf", leaf)
 
     @classmethod
     def direction(cls, components) -> "IdealPoint":
@@ -513,6 +511,8 @@ def ray_separation(space: Space, x, y, xi: IdealPoint, s: float) -> float:
 
 
 # -- seeded generation -------------------------------------------------------
+# `Generator` below is numpy.random.Generator; annotations are never
+# evaluated, so only a draw loads numpy.
 
 
 def sub_rng(seed: int, index: int = 0) -> Generator:

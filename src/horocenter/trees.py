@@ -19,9 +19,9 @@ bit: d(p, q) == d(q, p).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import GeometryError
+from .values import Frozen
 
 # Offsets this close to a vertex are canonicalized onto it, so point
 # equality across incident edges is well defined.
@@ -32,21 +32,35 @@ class TreeError(GeometryError):
     """Invalid tree topology or tree point."""
 
 
-@dataclass(frozen=True)
-class TreePoint:
+class TreePoint(Frozen):
     """Position on a tree edge: offset from the edge's first vertex."""
 
-    edge: str
-    offset: float
+    __slots__ = ("edge", "offset")
+
+    def __init__(self, edge: str, offset: float):
+        object.__setattr__(self, "edge", edge)
+        object.__setattr__(self, "offset", offset)
+
+    # straight-line: tree points are hashed and compared as memo keys of
+    # the center recursion
+    def __eq__(self, other):
+        if other.__class__ is not TreePoint:
+            return NotImplemented
+        return (self.edge, self.offset) == (other.edge, other.offset)
+
+    def __hash__(self):
+        return hash((self.edge, self.offset))
 
 
-@dataclass(frozen=True)
-class TreeEdge:
-    u: str
-    v: str
-    length: float
-    eid: str
-    index: int
+class TreeEdge(Frozen):
+    __slots__ = ("u", "v", "length", "eid", "index")
+
+    def __init__(self, u: str, v: str, length: float, eid: str, index: int):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "eid", eid)
+        object.__setattr__(self, "index", index)
 
 
 class Tree:

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -433,7 +432,7 @@ def _signed_zeros(space, point, zeros):
     """The point with the coordinates that `zeros` names set to signed zeros
     (the offset on a tree, the spatial coordinates on the hyperboloid)."""
     if space.kind == "tree":
-        return point if zeros[0] is None else replace(point, offset=zeros[0])
+        return point if zeros[0] is None else TreePoint(point.edge, zeros[0])
     spatial = list(point if space.kind == "euclidean" else point[1:])
     for j, z in enumerate(zeros[: len(spatial)]):
         if z is not None:

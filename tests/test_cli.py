@@ -329,8 +329,9 @@ def test_far_hyperbolic_scans_run_clean(command, scale, seed, capsys):
 
 
 def test_barycenter_select_and_classify_never_load_numpy(tmp_path, tree_file):
-    # numpy serves only seeded draws; one document is both a configuration
-    # and a body
+    # numpy serves only seeded draws, and no command needs dataclasses or
+    # inspect, whose import cost every start-up about 10 ms; one document is
+    # both a configuration and a body
     docs = {
         "euclid.json": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
         "hyp.json": [[1.0, 0.0, 0.0], [1.5430806348152437, 1.1752011936438014, 0.0]],
@@ -357,7 +358,8 @@ def test_barycenter_select_and_classify_never_load_numpy(tmp_path, tree_file):
         f"for args in {runs!r}:\n"
         "    for command in ('barycenter', 'select', 'classify'):\n"
         "        assert main([command, *args]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))\n"
+        "heavy = {'numpy', 'dataclasses', 'inspect'}\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] in heavy))\n"
     )
     src = os.path.dirname(os.path.dirname(horocenter.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -95,14 +95,14 @@ class SelectOptions(Frozen):
         object.__setattr__(self, "smoothing", smoothing)
 
 
-def first_horosphere(space: Space, body: ConvexBody, xi: IdealPoint, o):
+def first_horosphere(space: Space, body: ConvexBody, xi: IdealPoint):
     """First expanding horoball level that meets the generator set.
 
     Returns the touching level and the generators achieving it (ties
     within a small absolute slack all count as contact).
     """
     spaces.validate_ideal(space, xi)
-    levels = [spaces.busemann(space, xi, o, g) for g in body.generators]
+    levels = [spaces.busemann(space, xi, g) for g in body.generators]
     t_star = min(levels)
     contact = [
         g for g, b in zip(body.generators, levels) if b <= t_star + CONTACT_SLACK
@@ -110,9 +110,9 @@ def first_horosphere(space: Space, body: ConvexBody, xi: IdealPoint, o):
     return t_star, contact
 
 
-def project_to_level(space: Space, x, xi: IdealPoint, o, t: float):
+def project_to_level(space: Space, x, xi: IdealPoint, t: float):
     """Move x along its ray toward xi down to horofunction level t."""
-    level = spaces.busemann(space, xi, o, x)
+    level = spaces.busemann(space, xi, x)
     if t > level + CONTACT_SLACK:
         raise GeometryError(
             f"target level {t} is above the point's level {level}; "
@@ -135,8 +135,7 @@ def _limit_spread(space: Space, points, xi: IdealPoint) -> float:
     spaces.validate_ideal(space, xi)
     if space.kind == EUCLIDEAN:
         return spaces.diameter(space, points)
-    o = spaces.basepoint(space)
-    levels = [spaces.busemann(space, xi, o, p) for p in points]
+    levels = [spaces.busemann(space, xi, p) for p in points]
     gap = max(levels, default=0.0) - min(levels, default=0.0)
     return 0.0 if gap <= CONTACT_SLACK else gap
 
@@ -191,23 +190,20 @@ def select(
     point (shrinking; ties are merged into their unit-mass center) or the
     unit-mass center of the projected generators (non-shrinking).  The
     result is smoothed across branch vertices unless smoothing is off.
-    Levels are read from the basepoint (any other shifts them all by one
-    constant).  The center is uncapped.  In E^n, and for tree points on
-    one geodesic, it is the closed-form weighted mean (a non-shrinking
-    E^2 body takes about 0.27 ms with 12 generators on one Xeon core); in
-    H^n and for points spread over tree branches it is the recursion,
-    whose cost grows faster than exponentially with the number of points
-    (about 5, 27 and 160 ms for 5, 6 and 7 points in H^2).
+    Levels are read from the basepoint.  The center is uncapped.  In E^n,
+    and for tree points on one geodesic, it is the closed-form weighted
+    mean (a non-shrinking E^2 body takes about 0.27 ms with 12 generators
+    on one Xeon core); in H^n and for points spread over tree branches it
+    is the recursion, whose cost grows faster than exponentially with the
+    number of points (about 5, 27 and 160 ms for 5, 6 and 7 points in
+    H^2).
     """
     opts = opts or SelectOptions()
     if len(body) == 1:
         spaces.validate_ideal(space, xi)
         return body.generators[0]
-    o = spaces.basepoint(space)
-    level, contact = first_horosphere(space, body, xi, o)
-    projected = [
-        project_to_level(space, g, xi, o, level) for g in body.generators
-    ]
+    level, contact = first_horosphere(space, body, xi)
+    projected = [project_to_level(space, g, xi, level) for g in body.generators]
     # ray_point built these on the sheet or tree: classify them as they are
     verdict = classify_body(space, ConvexBody(tuple(projected)), xi, opts.classify_tol)
     points = contact if verdict.verdict == SHRINKING else projected

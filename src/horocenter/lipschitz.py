@@ -52,6 +52,7 @@ from .values import Frozen, Value
 
 DEFAULT_SCALE = 2.0
 MASS_LOW, MASS_HIGH = 0.5, 2.0
+STRADDLE_HALVINGS = 4  # the straddle family's delta halves this many times
 
 
 class ScanParams(Frozen):
@@ -271,7 +272,6 @@ def selector_scan(params: ScanParams) -> LipschitzReport:
 def branch_straddle_probe(
     space: Space,
     xi: IdealPoint,
-    halvings: int = 4,
     smoothing: bool = False,
 ) -> list[float]:
     """Selector ratios for a two-generator family straddling a branch vertex.
@@ -310,7 +310,7 @@ def branch_straddle_probe(
         return ConvexBody.of(space, [tree.point_toward(vertex, ei, d) for ei, d in ends])
 
     ratios = []
-    for _ in range(halvings + 1):
+    for _ in range(STRADDLE_HALVINGS + 1):
         lo = pair(contact_depth - delta, contact_depth + delta)
         hi = pair(contact_depth + delta, contact_depth - delta)
         gap = spaces.distance(

@@ -25,9 +25,10 @@ their point's, and ``check_arity`` those of ``distance``,
 
 Ideal points are unit directions (euclidean), future-pointing null
 vectors of any positive scale (hyperbolic), or marked leaf ids (tree).
-Horofunction levels follow the convention b(o) = 0 with b decreasing at
-unit rate along rays toward the ideal point, so horoballs {b <= t}
-expand as t grows.
+Horofunction levels are 0 at the space's ``basepoint`` -- the origin in
+R^n, (1, 0, ..., 0) in H^n, the space document's ``basepoint`` in a
+tree -- and decrease at unit rate along rays toward the ideal point, so
+horoballs {b <= t} expand as t grows.
 
 Hyperbolic closed forms used below:
 
@@ -249,10 +250,6 @@ def _check_length(space: Space, v, unit: str = "coordinates") -> None:
         raise GeometryError(f"expected {coordinate_count(space)} {unit}, got {len(v)}")
 
 
-def validate_point(space: Space, p) -> None:
-    canonical_point(space, p)
-
-
 def canonical_point(space: Space, p):
     """p as the aggregates store it, or an error: the type, finiteness,
     length and sheet checks here, the edge and offset checks in
@@ -412,8 +409,8 @@ def _tree_geodesic(tree: Tree, x, y, t: float):
 
 def ray_point(space: Space, x, xi: IdealPoint, s: float):
     """Unit-speed point at arclength s >= 0 along the ray from x toward xi."""
-    if s < 0.0:
-        raise GeometryError(f"ray parameter must be nonnegative, got {s}")
+    if not 0.0 <= s < math.inf:
+        raise GeometryError(f"ray parameter s must be finite and nonnegative, got {s}")
     _check_length(space, x)
     if s == 0.0:
         return x
@@ -475,19 +472,21 @@ def _round_minimizing_level(comps, xi_vec, target: float) -> tuple[float, ...]:
     return min(cands, key=lambda c: abs(_mink_exact(c, xi_vec) + target))
 
 
-def busemann(space: Space, xi: IdealPoint, o, x) -> float:
-    """Horofunction level of x: 0 at o, decreasing at unit rate toward xi."""
+def busemann(space: Space, xi: IdealPoint, x) -> float:
+    """Horofunction level of x: 0 at basepoint(space) -- the origin,
+    (1, 0, ..., 0) or the tree's basepoint -- decreasing at unit rate
+    toward xi."""
     _check_length(space, x)
     if space.kind == EUCLIDEAN:
-        return -_left_sum((a - b) * u for a, b, u in zip(x, o, xi.vector))
+        return -_left_sum(a * u for a, u in zip(x, xi.vector))
     if space.kind == HYPERBOLIC:
         alpha = -_mink_exact(x, xi.vector)
         if alpha <= 0.0:
             raise GeometryError("ideal vector points away from the sheet")
-        beta = -_mink_exact(o, xi.vector)
-        return math.log(alpha) - math.log(beta)
+        # -<basepoint, xi> = xi0 exactly: its one nonzero product is 1 * xi0
+        return math.log(alpha) - math.log(xi.vector[0])
     tree = space.tree
-    return tree.depth_toward_end(x, xi.leaf) - tree.depth_toward_end(o, xi.leaf)
+    return tree.depth_toward_end(x, xi.leaf) - tree.depth_toward_end(tree.basepoint, xi.leaf)
 
 
 def ray_separation(space: Space, x, y, xi: IdealPoint, s: float) -> float:
@@ -528,8 +527,8 @@ def sub_rng(seed: int, index: int = 0) -> Generator:
 
 def draw_point(space: Space, rng: Generator, scale: float):
     """One point within distance `scale` of the basepoint."""
-    if scale <= 0.0:
-        raise GeometryError(f"scale must be positive, got {scale}")
+    if not 0.0 < scale < math.inf:
+        raise GeometryError(f"scale must be positive and finite, got {scale}")
     if space.kind == EUCLIDEAN:
         direction = _unit_gauss(rng, space.dim)
         r = scale * float(rng.random())
@@ -569,8 +568,8 @@ def random_shift(space: Space, x, step: float, rng: Generator):
 
 def _random_shift(space: Space, x, step: float, rng: Generator, name: str, value: float):
     """random_shift; an overflow names the parameter `name` = value."""
-    if step < 0.0:
-        raise GeometryError(f"step must be nonnegative, got {step}")
+    if not 0.0 <= step < math.inf:
+        raise GeometryError(f"step must be finite and nonnegative, got {step}")
     if step == 0.0:
         return x
     if space.kind == EUCLIDEAN:

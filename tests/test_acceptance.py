@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from horocenter import IdealPoint, Space, basepoint, spaces as sp
+from horocenter import IdealPoint, Space, spaces as sp
 from horocenter.barycenter import (
     Configuration,
     WeightedPoint,
@@ -181,19 +181,18 @@ def test_c06_hull_sampling_lemma_and_corollary():
 def test_c07_busemann_ray_identities_and_idempotence():
     for name, space in ALL_SPACES:
         scale = 1.25 if space.kind == "hyperbolic" else 2.0
-        o = basepoint(space)
         rng = sp.sub_rng(7)
         for _ in range(500):
             x = sp.draw_point(space, rng, scale)
             xi = sp.draw_ideal(space, rng)
             s = float(rng.uniform(0.0, 10.0))
             r = sp.ray_point(space, x, xi, s)
-            drop = sp.busemann(space, xi, o, r) - sp.busemann(space, xi, o, x)
+            drop = sp.busemann(space, xi, r) - sp.busemann(space, xi, x)
             assert abs(drop + s) <= 1e-7
-            t = sp.busemann(space, xi, o, x) - float(rng.uniform(0.0, 3.0))
-            once = project_to_level(space, x, xi, o, t)
-            assert abs(sp.busemann(space, xi, o, once) - t) <= 1e-7
-            twice = project_to_level(space, once, xi, o, t)
+            t = sp.busemann(space, xi, x) - float(rng.uniform(0.0, 3.0))
+            once = project_to_level(space, x, xi, t)
+            assert abs(sp.busemann(space, xi, once) - t) <= 1e-7
+            twice = project_to_level(space, once, xi, t)
             assert sp.distance(space, once, twice) <= 1e-9
     _ok(7, "1500 ray drops within 1e-7; projections idempotent within 1e-9")
 
@@ -218,26 +217,24 @@ def test_c08_shrinking_dichotomy():
                 assert abs(value - sp.distance(EUCLID, x, y)) <= 1e-9
 
     xi = ideal_for(HYP)
-    oH = basepoint(HYP)
     for k in range(20):
         rngH = sp.sub_rng(80, k)
         raw = [sp.draw_point(HYP, rngH, 1.0) for _ in range(4)]
-        floor = min(sp.busemann(HYP, xi, oH, g) for g in raw)
+        floor = min(sp.busemann(HYP, xi, g) for g in raw)
         body = ConvexBody.of(
-            HYP, [project_to_level(HYP, g, xi, oH, floor) for g in raw]
+            HYP, [project_to_level(HYP, g, xi, floor) for g in raw]
         )
         verdict = classify_body(HYP, body, xi, tol=1e-6)
         assert verdict.verdict == SHRINKING
         assert verdict.max_limit_separation < 1e-6
 
     end = IdealPoint.end("C")
-    oT = basepoint(TREE)
     for k in range(20):
         rngT = sp.sub_rng(800, k)
         raw = [sp.draw_point(TREE, rngT, 3.0) for _ in range(4)]
-        floor = min(sp.busemann(TREE, end, oT, g) for g in raw)
+        floor = min(sp.busemann(TREE, end, g) for g in raw)
         body = ConvexBody.of(
-            TREE, [project_to_level(TREE, g, end, oT, floor) for g in raw]
+            TREE, [project_to_level(TREE, g, end, floor) for g in raw]
         )
         verdict = classify_body(TREE, body, end)
         assert verdict.verdict == SHRINKING
@@ -283,11 +280,11 @@ def test_c10_mass_change_lipschitz():
 
 def test_c11_singular_point_reproduction():
     xi = IdealPoint.end("C")
-    raw = branch_straddle_probe(TREE, xi, halvings=4, smoothing=False)
+    raw = branch_straddle_probe(TREE, xi, smoothing=False)
     assert len(raw) == 5
     for a, b in zip(raw, raw[1:]):
         assert b >= 2.0 * a
-    smoothed = branch_straddle_probe(TREE, xi, halvings=4, smoothing=True)
+    smoothed = branch_straddle_probe(TREE, xi, smoothing=True)
     positive = [r for r in smoothed if r > 0.0]
     assert not positive or max(positive) <= 4.0 * min(positive)
     _ok(

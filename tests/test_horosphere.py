@@ -25,13 +25,13 @@ from horocenter.trees import TreePoint
 from conftest import TREE_EDGES, TREE_LEAVES, ideal_for
 
 
-def common_level_body(space, xi, o, rng, n, scale=1.5):
+def common_level_body(space, xi, rng, n, scale=1.5):
     """Random generators projected onto one horosphere (the selector's C')."""
     raw = [sp.draw_point(space, rng, scale) for _ in range(n)]
-    levels = [sp.busemann(space, xi, o, g) for g in raw]
+    levels = [sp.busemann(space, xi, g) for g in raw]
     floor = min(levels)
     return ConvexBody.of(
-        space, [project_to_level(space, g, xi, o, floor) for g in raw]
+        space, [project_to_level(space, g, xi, floor) for g in raw]
     )
 
 
@@ -72,14 +72,13 @@ def test_body_names_the_generator_at_fault(name, bad, message, request):
 
 def test_first_horosphere_examples(euclid2):
     u = IdealPoint.direction((1.0, 0.0))
-    o = (0.0, 0.0)
     body = ConvexBody.of(euclid2, [(0.0, 0.0), (2.0, 1.0)])
-    level, contact = first_horosphere(euclid2, body, u, o)
+    level, contact = first_horosphere(euclid2, body, u)
     assert level == -2.0
     assert contact == [(2.0, 1.0)]
 
     single = ConvexBody.of(euclid2, [(5.0, 5.0)])
-    level, contact = first_horosphere(euclid2, single, u, o)
+    level, contact = first_horosphere(euclid2, single, u)
     assert level == -5.0
     assert contact == [(5.0, 5.0)]
 
@@ -87,7 +86,7 @@ def test_first_horosphere_examples(euclid2):
 def test_first_horosphere_tie(euclid2):
     u = IdealPoint.direction((1.0, 0.0))
     body = ConvexBody.of(euclid2, [(1.0, 0.0), (1.0, 5.0), (1.0, -3.0)])
-    _, contact = first_horosphere(euclid2, body, u, (0.0, 0.0))
+    _, contact = first_horosphere(euclid2, body, u)
     assert len(contact) == 3
 
 
@@ -96,28 +95,26 @@ def test_first_horosphere_tie(euclid2):
 
 def test_project_examples(euclid2):
     u = IdealPoint.direction((1.0, 0.0))
-    o = (0.0, 0.0)
-    assert project_to_level(euclid2, (0.0, 3.0), u, o, -2.0) == (2.0, 3.0)
+    assert project_to_level(euclid2, (0.0, 3.0), u, -2.0) == (2.0, 3.0)
     x = (4.0, 1.0)
-    assert project_to_level(euclid2, x, u, o, sp.busemann(euclid2, u, o, x)) == x
+    assert project_to_level(euclid2, x, u, sp.busemann(euclid2, u, x)) == x
 
 
 def test_project_rejects_upward_moves(euclid2):
     u = IdealPoint.direction((1.0, 0.0))
     with pytest.raises(GeometryError):
-        project_to_level(euclid2, (2.0, 0.0), u, (0.0, 0.0), 5.0)
+        project_to_level(euclid2, (2.0, 0.0), u, 5.0)
 
 
 def test_projection_level_and_idempotence(any_space):
     xi = ideal_for(any_space)
-    o = basepoint(any_space)
     rng = np.random.default_rng(31)
     for _ in range(60):
         x = sp.draw_point(any_space, rng, 1.5)
-        t = sp.busemann(any_space, xi, o, x) - float(rng.uniform(0.0, 4.0))
-        once = project_to_level(any_space, x, xi, o, t)
-        assert sp.busemann(any_space, xi, o, once) == pytest.approx(t, abs=1e-7)
-        twice = project_to_level(any_space, once, xi, o, t)
+        t = sp.busemann(any_space, xi, x) - float(rng.uniform(0.0, 4.0))
+        once = project_to_level(any_space, x, xi, t)
+        assert sp.busemann(any_space, xi, once) == pytest.approx(t, abs=1e-7)
+        twice = project_to_level(any_space, once, xi, t)
         assert sp.distance(any_space, once, twice) <= 1e-9
 
 
@@ -139,10 +136,9 @@ def test_limit_separation_euclidean_constant(euclid2):
 def test_limit_separation_hyperbolic_same_level(hyp2):
     """Distinct points on one horosphere pull together exponentially."""
     xi = ideal_for(hyp2)
-    o = basepoint(hyp2)
     rng = np.random.default_rng(52)
     for _ in range(20):
-        body = common_level_body(hyp2, xi, o, rng, 2)
+        body = common_level_body(hyp2, xi, rng, 2)
         if len(body) < 2:
             continue
         x, y = body.generators
@@ -154,7 +150,6 @@ def test_limit_separation_hyperbolic_same_level(hyp2):
 def test_limit_separation_level_gap_floor(hyp2):
     """Points at different levels keep at least their level gap."""
     xi = ideal_for(hyp2)
-    o = basepoint(hyp2)
     x = sp.draw_point(hyp2, np.random.default_rng(1), 1.0)
     y = sp.ray_point(hyp2, x, xi, 0.75)
     assert limit_separation(hyp2, x, y, xi) == pytest.approx(0.75, abs=1e-9)
@@ -187,11 +182,10 @@ def test_lemma1_witness_euclidean(euclid2):
 def test_hyperbolic_horospheres_carry_no_segments(hyp2):
     """Contrast witness: same-level hyperbolic pairs shrink instead."""
     xi = ideal_for(hyp2)
-    o = basepoint(hyp2)
     rng = np.random.default_rng(85)
     found = 0
     for _ in range(30):
-        body = common_level_body(hyp2, xi, o, rng, 2, scale=0.8)
+        body = common_level_body(hyp2, xi, rng, 2, scale=0.8)
         if len(body) < 2:
             continue
         x, y = body.generators
@@ -213,8 +207,7 @@ def test_classify_euclidean_nondegenerate(euclid2):
 
 def test_classify_hyperbolic_common_level(hyp2):
     xi = ideal_for(hyp2)
-    o = basepoint(hyp2)
-    body = common_level_body(hyp2, xi, o, np.random.default_rng(96), 4, scale=0.8)
+    body = common_level_body(hyp2, xi, np.random.default_rng(96), 4, scale=0.8)
     verdict = classify_body(hyp2, body, xi)
     assert verdict.verdict == SHRINKING
     assert verdict.max_limit_separation < 1e-6
@@ -222,13 +215,12 @@ def test_classify_hyperbolic_common_level(hyp2):
 
 def test_classify_tree_exact_zero(tree_space):
     xi = IdealPoint.end("C")
-    o = basepoint(tree_space)
     rng = np.random.default_rng(107)
     raw = [sp.draw_point(tree_space, rng, 3.0) for _ in range(4)]
-    levels = [sp.busemann(tree_space, xi, o, g) for g in raw]
+    levels = [sp.busemann(tree_space, xi, g) for g in raw]
     floor = min(levels)
     body = ConvexBody.of(
-        tree_space, [project_to_level(tree_space, g, xi, o, floor) for g in raw]
+        tree_space, [project_to_level(tree_space, g, xi, floor) for g in raw]
     )
     verdict = classify_body(tree_space, body, xi)
     assert verdict.verdict == SHRINKING
@@ -308,11 +300,10 @@ def test_limit_separation_matches_far_ray_separation(name, seed, same_level):
     space = ORACLE_SPACES[name]
     rng = np.random.default_rng(seed)
     xi = sp.draw_ideal(space, rng)
-    o = basepoint(space)
     x, y = (sp.draw_point(space, rng, 2.0) for _ in range(2))
     if same_level:
-        x, y = sorted((x, y), key=lambda p: sp.busemann(space, xi, o, p))
-        y = project_to_level(space, y, xi, o, sp.busemann(space, xi, o, x))
+        x, y = sorted((x, y), key=lambda p: sp.busemann(space, xi, p))
+        y = project_to_level(space, y, xi, sp.busemann(space, xi, x))
     value = limit_separation(space, x, y, xi)
     if space.kind == "euclidean":
         assert value == sp.ray_separation(space, x, y, xi, 64.0)
@@ -346,9 +337,8 @@ def _projected_body_case(name, scale, seed, index, toward_first=False):
         spatial = body.generators[0][1:]
         assume(any(spatial))
         xi = IdealPoint.null_vector((math.hypot(*spatial),) + spatial)
-    o = basepoint(space)
-    level, _ = first_horosphere(space, body, xi, o)
-    projected = [project_to_level(space, g, xi, o, level) for g in body.generators]
+    level, _ = first_horosphere(space, body, xi)
+    projected = [project_to_level(space, g, xi, level) for g in body.generators]
     return space, body, xi, projected
 
 
@@ -365,8 +355,7 @@ def test_projected_bodies_shrink_off_flat_space(name, scale, seed, index, toward
     shrinks: the projection leaves a level spread within CONTACT_SLACK,
     the tie rule, and the classification reads exactly 0."""
     space, _, xi, projected = _projected_body_case(name, scale, seed, index, toward_first)
-    o = basepoint(space)
-    levels = [sp.busemann(space, xi, o, p) for p in projected]
+    levels = [sp.busemann(space, xi, p) for p in projected]
     assert max(levels) - min(levels) <= CONTACT_SLACK
     verdict = classify_body(space, ConvexBody.of(space, projected), xi)
     assert (verdict.verdict, verdict.max_limit_separation) == (SHRINKING, 0.0)
@@ -468,11 +457,10 @@ def test_select_merges_tied_contacts(tree_space):
 
 def test_select_hyperbolic_returns_contact(hyp2):
     xi = ideal_for(hyp2)
-    o = basepoint(hyp2)
     rng = np.random.default_rng(140)
     gens = [sp.draw_point(hyp2, rng, 1.5) for _ in range(4)]
     body = ConvexBody.of(hyp2, gens)
-    levels = [sp.busemann(hyp2, xi, o, g) for g in gens]
+    levels = [sp.busemann(hyp2, xi, g) for g in gens]
     expected = gens[int(np.argmin(levels))]
     assert sp.distance(hyp2, select(hyp2, body, xi), expected) == 0.0
 

@@ -73,18 +73,18 @@ def test_geodesic_param_validation(euclid2):
 
 def test_busemann_examples(euclid2, hyp2, tree_space):
     u = IdealPoint.direction((1.0, 0.0))
-    assert sp.busemann(euclid2, u, (0.0, 0.0), (2.0, 3.0)) == -2.0
+    assert sp.busemann(euclid2, u, (2.0, 3.0)) == -2.0
     xi = IdealPoint.null_vector((1.0, 1.0, 0.0))
-    o = basepoint(hyp2)
     for s in (0.5, 2.0, 7.0):
         x = (math.cosh(s), math.sinh(s), 0.0)
-        assert sp.busemann(hyp2, xi, o, x) == pytest.approx(-s, abs=1e-9)
+        assert sp.busemann(hyp2, xi, x) == pytest.approx(-s, abs=1e-9)
     end = IdealPoint.end("C")
     oT = basepoint(tree_space)  # vertex A, at tree distance 5 from C
-    assert sp.busemann(tree_space, end, oT, oT) == 0.0
-    assert sp.busemann(tree_space, end, oT, TreePoint("B-C", 1.0)) == -3.0
+    assert sp.busemann(tree_space, end, oT) == 0.0
+    assert sp.busemann(tree_space, end, TreePoint("B-C", 1.0)) == -3.0
     oB = tree_space.tree.vertex_point("B")
-    assert sp.busemann(tree_space, end, oB, TreePoint("B-C", 1.0)) == -1.0
+    x = TreePoint("B-C", 1.0)
+    assert sp.busemann(tree_space, end, x) - sp.busemann(tree_space, end, oB) == -1.0
 
 
 def test_busemann_matches_definition_limit(any_space):
@@ -93,7 +93,7 @@ def test_busemann_matches_definition_limit(any_space):
     rng = np.random.default_rng(7)
     for _ in range(25):
         x = sp.draw_point(any_space, rng, 2.0)
-        closed = sp.busemann(any_space, xi, o, x)
+        closed = sp.busemann(any_space, xi, x)
         expected, tol = busemann_by_definition(any_space, xi, o, x)
         assert closed == pytest.approx(expected, abs=tol)
 
@@ -101,7 +101,39 @@ def test_busemann_matches_definition_limit(any_space):
 def test_basepoint_level_zero(any_space):
     xi = ideal_for(any_space)
     o = basepoint(any_space)
-    assert sp.busemann(any_space, xi, o, o) == pytest.approx(0.0, abs=1e-12)
+    assert sp.busemann(any_space, xi, o) == pytest.approx(0.0, abs=1e-12)
+
+
+def busemann_from(space, xi, o, x):
+    """Level of x measured from an explicit origin o, each space's formula
+    written out with o free."""
+    if space.kind == "euclidean":
+        return -sp._left_sum((a - b) * u for a, b, u in zip(x, o, xi.vector))
+    if space.kind == "hyperbolic":
+        return math.log(-sp._mink_exact(x, xi.vector)) - math.log(-sp._mink_exact(o, xi.vector))
+    tree = space.tree
+    return tree.depth_toward_end(x, xi.leaf) - tree.depth_toward_end(o, xi.leaf)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [sp.Space.euclidean(d) for d in (1, 2, 3)]
+    + [sp.Space.hyperbolic(d) for d in range(1, 7)]
+    + [
+        sp.Space.tree_space(TREE_EDGES, TREE_LEAVES),
+        sp.Space.tree_space(TREE_EDGES, TREE_LEAVES, TreePoint("B-C", 1.0)),
+    ],
+    ids=["E1", "E2", "E3", "H1", "H2", "H3", "H4", "H5", "H6", "tree", "tree-based-on-B-C"],
+)
+def test_busemann_is_the_level_from_the_basepoint(space):
+    # bit for bit, not to a tolerance
+    rng = sp.sub_rng(20)
+    o = basepoint(space)
+    for scale in (0.1, 1.0, 4.0, 12.0):
+        for _ in range(40):
+            xi = sp.draw_ideal(space, rng)
+            x = sp.draw_point(space, rng, scale)
+            assert sp.busemann(space, xi, x) == busemann_from(space, xi, o, x)
 
 
 def test_ray_examples(euclid2):
@@ -117,13 +149,12 @@ def test_ray_identities(any_space):
     # grows like exp(2s - 2 b(x)) in ambient doubles
     scale = 1.25 if any_space.kind == "hyperbolic" else 2.0
     xi = ideal_for(any_space)
-    o = basepoint(any_space)
     rng = np.random.default_rng(13)
     for _ in range(50):
         x = sp.draw_point(any_space, rng, scale)
         s = float(rng.uniform(0.0, 10.0))
         r = sp.ray_point(any_space, x, xi, s)
-        drop = sp.busemann(any_space, xi, o, r) - sp.busemann(any_space, xi, o, x)
+        drop = sp.busemann(any_space, xi, r) - sp.busemann(any_space, xi, x)
         assert drop == pytest.approx(-s, abs=1e-7)
 
 
@@ -178,7 +209,6 @@ def test_far_hyperbolic_rays_raise_naming_s():
     raised = 0
     for dim in range(1, 8):
         space = sp.Space.hyperbolic(dim)
-        o = basepoint(space)
         for seed in (1, 2, 3):
             rng = sp.sub_rng(seed, dim)
             for _ in range(100):
@@ -192,7 +222,7 @@ def test_far_hyperbolic_rays_raise_naming_s():
                     assert s > 16.0
                     raised += 1
                     continue
-                drop = sp.busemann(space, xi, o, r) - sp.busemann(space, xi, o, x)
+                drop = sp.busemann(space, xi, r) - sp.busemann(space, xi, x)
                 assert abs(drop + s) <= math.log(2.0)
     assert raised > 0
 
@@ -204,7 +234,6 @@ def test_ray_drop_bound_holds_from_dimension_2(dim):
     at seed 8) because its two coordinates near 3.6e4 are rounded too
     coarsely to carry the level; see the README's numerical notes."""
     space = sp.Space.hyperbolic(dim)
-    o = basepoint(space)
     for seed in (7, 8, 9):
         rng = sp.sub_rng(seed)
         for _ in range(500):
@@ -212,7 +241,7 @@ def test_ray_drop_bound_holds_from_dimension_2(dim):
             xi = sp.draw_ideal(space, rng)
             s = float(rng.uniform(0.0, 10.0))
             r = sp.ray_point(space, x, xi, s)
-            drop = sp.busemann(space, xi, o, r) - sp.busemann(space, xi, o, x)
+            drop = sp.busemann(space, xi, r) - sp.busemann(space, xi, x)
             assert abs(drop + s) <= 1e-7
 
 
@@ -245,7 +274,7 @@ def test_random_point_within_scale(any_space):
     o = basepoint(any_space)
     for seed in range(1000):
         p = sp.random_point(any_space, seed, 3.0)
-        sp.validate_point(any_space, p)
+        sp.canonical_point(any_space, p)
         assert sp.distance(any_space, o, p) <= 3.0 + 1e-12
 
 
@@ -272,6 +301,23 @@ def test_overflowing_hyperbolic_draws_name_their_parameter(hyp2):
         sp.random_shift(hyp2, basepoint(hyp2), 709.0, rng)
 
 
+NON_FINITE_PARAMETER = {
+    "s": lambda space, v: sp.ray_point(space, basepoint(space), ideal_for(space), v),
+    "step": lambda space, v: sp.random_shift(space, basepoint(space), v, sp.sub_rng(0)),
+    "scale": lambda space, v: sp.random_point(space, 0, v),
+}
+
+
+@pytest.mark.parametrize("param", sorted(NON_FINITE_PARAMETER))
+@pytest.mark.parametrize("name", ["euclid2", "hyp2", "tree_space"])
+def test_non_finite_parameters_are_rejected_by_name(name, param, request):
+    # NaN fails every comparison, so a guard like `s < 0.0` lets it through
+    space = request.getfixturevalue(name)
+    for value in (math.nan, math.inf):
+        with pytest.raises(GeometryError, match=rf"\b{param} must be [a-z ]*finite"):
+            NON_FINITE_PARAMETER[param](space, value)
+
+
 def test_a_geodesic_whose_distance_overflows_is_an_error(hyp2):
     # both points pass the sheet check, but <x-y, x-y> overflows
     x = (math.hypot(1.0, 1e154), 1e154, 0.0)
@@ -286,7 +332,7 @@ def test_a_geodesic_whose_distance_overflows_is_an_error(hyp2):
 WITH_A_POINT = {
     "distance": lambda space, x: sp.distance(space, basepoint(space), x),
     "geodesic_point": lambda space, x: sp.geodesic_point(space, basepoint(space), x, 0.5),
-    "busemann": lambda space, x: sp.busemann(space, ideal_for(space), basepoint(space), x),
+    "busemann": lambda space, x: sp.busemann(space, ideal_for(space), x),
     "ray_point": lambda space, x: sp.ray_point(space, x, ideal_for(space), 1.0),
 }
 
@@ -311,11 +357,11 @@ def test_wrong_length_hyperbolic_points_raise(hyp2, kernel):
 
 def test_point_validation(euclid2, hyp2):
     with pytest.raises(GeometryError):
-        sp.validate_point(euclid2, (1.0, 2.0, 3.0))
+        sp.canonical_point(euclid2, (1.0, 2.0, 3.0))
     with pytest.raises(GeometryError):
-        sp.validate_point(hyp2, (1.0, 0.5, 0.0))  # off the sheet
+        sp.canonical_point(hyp2, (1.0, 0.5, 0.0))  # off the sheet
     with pytest.raises(GeometryError):
-        sp.validate_point(hyp2, (-1.0, 0.0, 0.0))  # wrong sheet
+        sp.canonical_point(hyp2, (-1.0, 0.0, 0.0))  # wrong sheet
 
 
 def test_far_hyperboloid_points_pass_the_relative_check(hyp2):
@@ -324,10 +370,10 @@ def test_far_hyperboloid_points_pass_the_relative_check(hyp2):
     sp.draw_point(hyp2, rng, 9.0)
     x = sp.draw_point(hyp2, rng, 9.0)
     assert abs(sp._mink(x, x) + 1.0) > sp.HYPERBOLOID_TOL
-    sp.validate_point(hyp2, x)
+    sp.canonical_point(hyp2, x)
     for off in ((x[0] * (1.0 + 1e-8),) + x[1:], (1e200, 0.0, 0.0)):
         with pytest.raises(GeometryError, match="off the hyperboloid"):
-            sp.validate_point(hyp2, off)
+            sp.canonical_point(hyp2, off)
 
 
 def test_dim_is_capped():
@@ -377,7 +423,7 @@ def test_point_validation_rejects_non_finite(euclid2, hyp2):
         (hyp2, (math.inf, 0.0, 0.0)),
     ):
         with pytest.raises(GeometryError, match="finite"):
-            sp.validate_point(space, p)
+            sp.canonical_point(space, p)
 
 
 # -- exactly null ideal vectors ----------------------------------------------------
@@ -514,9 +560,8 @@ def test_distance_convexity_between_geodesics(any_space, seed, t):
 def test_busemann_is_1_lipschitz(any_space, seed):
     rng = np.random.default_rng(seed)
     xi = ideal_for(any_space)
-    o = basepoint(any_space)
     x, y = (sp.draw_point(any_space, rng, 3.0) for _ in range(2))
-    gap = abs(sp.busemann(any_space, xi, o, x) - sp.busemann(any_space, xi, o, y))
+    gap = abs(sp.busemann(any_space, xi, x) - sp.busemann(any_space, xi, y))
     assert gap <= sp.distance(any_space, x, y) + 1e-9
 
 
@@ -524,7 +569,7 @@ def test_euclidean_busemann_sums_left_to_right():
     # a compensated sum (Python 3.12's sum()) gives -5773502691896259.0
     space = sp.Space.euclidean(3)
     u = IdealPoint.direction((1.0, 1.0, 1.0))
-    level = sp.busemann(space, u, (0.0, 0.0, 0.0), (1e16, 1.0, 1.0))
+    level = sp.busemann(space, u, (1e16, 1.0, 1.0))
     assert level == -5773502691896260.0
     assert sp._left_sum([1.0, 1e100, 1.0, -1e100]) == 0.0
 
@@ -533,16 +578,15 @@ def test_dimension_one_spaces():
     line = sp.Space.euclidean(1)
     assert sp.distance(line, (0.0,), (4.0,)) == 4.0
     u = IdealPoint.direction((-1.0,))
-    assert sp.busemann(line, u, (0.0,), (3.0,)) == 3.0
+    assert sp.busemann(line, u, (3.0,)) == 3.0
     hyp1 = sp.Space.hyperbolic(1)
     x = (math.cosh(0.5), math.sinh(0.5))
     y = (math.cosh(2.0), -math.sinh(2.0))
     assert sp.distance(hyp1, x, y) == pytest.approx(2.5, abs=1e-12)
     xi = sp.draw_ideal(hyp1, np.random.default_rng(0))
-    o = basepoint(hyp1)
     r = sp.ray_point(hyp1, x, xi, 4.0)
-    assert sp.busemann(hyp1, xi, o, r) == pytest.approx(
-        sp.busemann(hyp1, xi, o, x) - 4.0, abs=1e-7
+    assert sp.busemann(hyp1, xi, r) == pytest.approx(
+        sp.busemann(hyp1, xi, x) - 4.0, abs=1e-7
     )
 
 

@@ -19,9 +19,10 @@ it, and a caller that makes many calls in one space takes the pair once.
 Points and ideal vectors have ``coordinate_count`` entries, n in R^n and
 n + 1 in H^n.  ``canonical_point`` is the one point check, which every
 input point passes once, in ``Configuration.of`` or ``ConvexBody.of``.
-Past it only lengths are checked: ``busemann`` and ``ray_point`` check
-their point's, and ``check_arity`` those of ``distance``,
-``geodesic_point``, ``diameter``, ``center_of_mass`` and ``hausdorff``.
+Past it only lengths are checked: ``busemann``, ``ray_point`` and
+``ray_separation`` check their points' and their ideal vector's, and
+``check_arity`` those of ``distance``, ``geodesic_point``, ``diameter``,
+``center_of_mass`` and ``hausdorff``.
 
 Ideal points are unit directions (euclidean), future-pointing null
 vectors of any positive scale (hyperbolic), or marked leaf ids (tree).
@@ -34,9 +35,10 @@ Hyperbolic closed forms used below:
 
 * distance(x, y) = 2 asinh(sqrt(<x-y, x-y>)/2), which is exact for nearby
   points where acosh(-<x,y>) loses half the significand;
-* ray(x, xi, s) = exp(-s) x + sinh(s) xi / alpha with alpha = -<x, xi>,
-  which lies on the sheet identically in exact arithmetic; each component
-  is a double-double sum of Dekker products, rounded once;
+* alpha = -<x, xi> for a null xi, a quotient of positive terms over the
+  spatial parts (``_hyp_alpha``), so a level log(alpha) does not cancel;
+* ray(x, xi, s) = exp(-s) x + sinh(s) xi / alpha, computed on the spatial
+  parts and lifted;
 * separation of two rays toward the same end,
   cosh d(s) - 1 = 2 sinh^2(g/2) + 2 (sinh^2(d0/2) - sinh^2(g/2)) e^{-2s}
   with g the horofunction gap b(x) - b(y) and d0 = distance(x, y).  The
@@ -62,7 +64,7 @@ HYPERBOLOID_TOL = 1e-9  # relative to x0^2, the scale of the rounding in <x,x>
 MAX_DIM = 1024  # keeps coordinate tuples and draws small; far above desk scale
 IDEAL_TOL = 1e-9
 _T_BITS = 26  # fractional bits of the stereographic parameter of a null vector
-_TINY = 2.0**-400  # below this, squares underflow inside _mink_exact
+_RAY_X0_MAX = 2.0**39  # a ray point's level is read to 2.3 (2^-52 x0)^2 relative
 
 _SEED_MASK = 0x7FFF_FFFF_FFFF_FFFF
 
@@ -148,44 +150,37 @@ def _mink(x, y) -> float:
     return s
 
 
-_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter
+def _hyp_alpha(x, v) -> float:
+    """-<x, v> = x0 v0 - y.v_s for a sheet point x and a v read as null;
+    an error unless it is positive.
 
-
-def _two_product(a: float, b: float):
-    """Error-free product: returns (fl(a*b), rounding remainder)."""
-    p = a * b
-    c = _SPLIT * a
-    ahi = c - (c - a)
-    alo = a - ahi
-    c = _SPLIT * b
-    bhi = c - (c - b)
-    blo = b - bhi
-    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-
-
-def _two_sum(a: float, b: float):
-    """Error-free sum: returns (fl(a+b), rounding remainder)."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _mink_exact(x, y) -> float:
-    """Minkowski product via exact products and exact summation.
-
-    The horofunction level of a far ray point comes from a cancellation
-    of order exp(2s); plain double products waste half the achievable
-    accuracy there, and this path recovers it.
+    When y.v_s > 0 that cancels; on the lift the Lagrange identity gives
+    (v0^2 + |y ^ v_s|^2) / (x0 v0 + y.v_s) with |y ^ v_s|^2 =
+    v0^2 |y - c v_s|^2, c = y.v_s / v0^2: a quotient of positive terms,
+    here divided through by v0 so that v0^2 cannot under- or overflow.
     """
-    terms = []
-    p, e = _two_product(x[0], y[0])
-    terms.append(-p)
-    terms.append(-e)
-    for i in range(1, len(x)):
-        p, e = _two_product(x[i], y[i])
-        terms.append(p)
-        terms.append(e)
-    return math.fsum(terms)
+    x0, v0 = x[0], v[0]
+    dot = _left_sum(a * b for a, b in zip(x[1:], v[1:]))
+    if dot <= 0.0 or v0 <= 0.0:  # no cancellation: x0 v0 and -dot share a sign
+        alpha = x0 * v0 - dot
+    else:
+        t = dot / v0
+        c, q = t / v0, 0.0
+        for i in range(1, len(x)):
+            d = x[i] - c * v[i]
+            q += d * d
+        alpha = v0 * (1.0 + q) / (x0 + t)
+    if alpha <= 0.0:
+        raise GeometryError("ideal vector points away from the sheet")
+    return alpha
+
+
+def _is_null(v) -> bool:
+    """Whether <v, v> is exactly 0, in integers over a common denominator."""
+    ratios = [c.as_integer_ratio() for c in v]
+    bits = max(d.bit_length() for _, d in ratios)
+    m = [n << bits - d.bit_length() for n, d in ratios]
+    return m[0] * m[0] == sum(k * k for k in m[1:])
 
 
 def _checked_null(v) -> list[float]:
@@ -216,8 +211,7 @@ def _null_vector(components) -> tuple[float, ...]:
     """
     v = tuple(float(c) for c in components)
     u = _checked_null(v)
-    # squares of components below _TINY underflow inside _mink_exact
-    if _mink_exact(u, u) == 0.0 and all(c == 0.0 or abs(c) >= _TINY for c in u):
+    if _is_null(v):
         return v
     norm = math.hypot(*u[1:])
     w = [c / norm for c in u[1:]]
@@ -408,98 +402,54 @@ def _tree_geodesic(tree: Tree, x, y, t: float):
 
 
 def ray_point(space: Space, x, xi: IdealPoint, s: float):
-    """Unit-speed point at arclength s >= 0 along the ray from x toward xi."""
+    """Unit-speed point at arclength s >= 0 along the ray from x toward xi.
+
+    In H^n it is the lift of exp(-s) y + sinh(s) xi_s / alpha; past
+    x0 = 2^39, where the rounding of y moves its level by 3.5e-8, it
+    raises naming s."""
     if not 0.0 <= s < math.inf:
         raise GeometryError(f"ray parameter s must be finite and nonnegative, got {s}")
     _check_length(space, x)
+    _check_length(space, xi.vector, "components")
     if s == 0.0:
         return x
     if space.kind == EUCLIDEAN:
         return tuple(a + s * u for a, u in zip(x, xi.vector))
     if space.kind == HYPERBOLIC:
-        alpha = -_mink_exact(x, xi.vector)
-        if alpha <= 0.0:
-            raise GeometryError("ideal vector points away from the sheet")
-        # Rounding decay or grow only slides the point along the null xi.
-        # The xi spine grows like exp(s); summing exact products keeps the
-        # low bits that carry the transverse part until the final rounding.
+        grow = _cosh_sinh(s, "s", s)[1] / _hyp_alpha(x, xi.vector)
         decay = math.exp(-s)
-        grow = math.sinh(s) / alpha
-        comps = []
-        for a, n in zip(x, xi.vector):
-            p, e = _two_product(decay, a)
-            q, f = _two_product(grow, n)
-            hi, lo = _two_sum(p, q)
-            comps.append(_two_sum(hi, lo + e + f))
-        # The level -<r, xi> is alpha e^-s; rounding the coordinates moves it
-        # by up to half of `grain`, so below that no double carries it.
-        # r0 and xi0 are the largest components, so grain is below
-        # 2^-51 r0 xi0 (n + 1) (a factor 2 to spare) and is summed only when
-        # the level comes down to that bound.
-        level = alpha * decay
-        if level <= 2.0**-51 * comps[0][0] * xi.vector[0] * len(comps):
-            grain = math.fsum(
-                math.ulp(hi) * abs(n) for (hi, _), n in zip(comps, xi.vector)
-            )
-            if not level > grain:
-                raise GeometryError(
-                    f"ray point at s = {s} is too far out: its level {level:.3e} "
-                    f"is below the rounding {grain:.3e} of its coordinates"
-                )
-        if s >= 5.0 and len(comps) <= 8:
-            return _round_minimizing_level(comps, xi.vector, level)
-        return tuple(hi for hi, _ in comps)
+        r = _lift([decay * a + grow * n for a, n in zip(x[1:], xi.vector[1:])], "s", s)
+        if r[0] > _RAY_X0_MAX:
+            raise GeometryError(f"ray point at s = {s} is too far out: x0 = {r[0]:.3e} > 2^39")
+        return r
     return space.tree.ray(x, xi.leaf, s)
-
-
-def _round_minimizing_level(comps, xi_vec, target: float) -> tuple[float, ...]:
-    """Round (hi, lo) double-double components to doubles, choosing
-    per-component directions that best preserve -<r, xi> = target.
-
-    Far along a ray the per-component rounding granularity exceeds the
-    horofunction residual being represented, so the nearest rounding is
-    not the best one; every candidate stays within one ulp of the true
-    point, leaving all metric identities untouched.
-    """
-    nearest = [hi for hi, _ in comps]
-    alts = [
-        math.nextafter(hi, math.inf if lo > 0.0 else -math.inf) for hi, lo in comps
-    ]
-    cands = (
-        tuple(alts[i] if mask >> i & 1 else nearest[i] for i in range(len(nearest)))
-        for mask in range(1 << len(nearest))
-    )
-    return min(cands, key=lambda c: abs(_mink_exact(c, xi_vec) + target))
 
 
 def busemann(space: Space, xi: IdealPoint, x) -> float:
     """Horofunction level of x: 0 at basepoint(space) -- the origin,
     (1, 0, ..., 0) or the tree's basepoint -- decreasing at unit rate
-    toward xi."""
+    toward xi.  Hyperbolic xi is read as exactly null, as every
+    constructor makes it: a raw IdealPoint(vector=v) that is null only to
+    IDEAL_TOL gets the level as if it were null."""
     _check_length(space, x)
+    _check_length(space, xi.vector, "components")
     if space.kind == EUCLIDEAN:
         return -_left_sum(a * u for a, u in zip(x, xi.vector))
     if space.kind == HYPERBOLIC:
-        alpha = -_mink_exact(x, xi.vector)
-        if alpha <= 0.0:
-            raise GeometryError("ideal vector points away from the sheet")
-        # -<basepoint, xi> = xi0 exactly: its one nonzero product is 1 * xi0
-        return math.log(alpha) - math.log(xi.vector[0])
+        # -<basepoint, xi> = xi0 exactly: _hyp_alpha's dot is 0
+        return math.log(_hyp_alpha(x, xi.vector)) - math.log(xi.vector[0])
     tree = space.tree
     return tree.depth_toward_end(x, xi.leaf) - tree.depth_toward_end(tree.basepoint, xi.leaf)
 
 
 def ray_separation(space: Space, x, y, xi: IdealPoint, s: float) -> float:
     """distance(ray(x, xi, s), ray(y, xi, s)), computed stably per space."""
+    _check_length(space, xi.vector, "components")
     if space.kind == EUCLIDEAN:
         return distance(space, x, y)  # parallel rays keep their separation
     if space.kind == HYPERBOLIC:
         d0 = distance(space, x, y)
-        alpha = -_mink(x, xi.vector)
-        beta = -_mink(y, xi.vector)
-        if alpha <= 0.0 or beta <= 0.0:
-            raise GeometryError("ideal vector points away from the sheet")
-        gap = math.log(alpha) - math.log(beta)
+        gap = math.log(_hyp_alpha(x, xi.vector)) - math.log(_hyp_alpha(y, xi.vector))
         a2 = math.sinh(0.5 * d0) ** 2
         g2 = math.sinh(0.5 * gap) ** 2
         cm1 = 2.0 * (g2 + (a2 - g2) * math.exp(-2.0 * s))

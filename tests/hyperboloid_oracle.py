@@ -7,6 +7,7 @@ sqrt, which `decimal` rounds correctly, so the oracle needs nothing
 beyond the standard library.  Inputs are floats or Decimals; outputs are
 Decimals.
 
+`level` reads a null vector's components as exact, as the library does.
 `center` runs the leave-one-out construction to a diameter of about
 1e-30, and `projected_mean` is the sheet projection of an ambient
 weighted mean.
@@ -57,6 +58,19 @@ def distance(x, y) -> Decimal:
     x, y = lift(x[1:]), lift(y[1:])
     q = sum((a - b) ** 2 for a, b in zip(x[1:], y[1:])) - (x[0] - y[0]) ** 2
     return 2 * _asinh(max(q, Decimal(0)).sqrt() / 2)
+
+
+@_digits
+def level(x, v) -> Decimal:
+    """log(-<x, v>) - log(v0), the horofunction level toward the null
+    vector v, with x read as `lift` reads it.  Far toward v the product
+    cancels by up to x0^2, so it is taken with twice the digits."""
+    with localcontext() as ctx:
+        ctx.prec = 2 * DIGITS
+        y, v = [Decimal(c) for c in x[1:]], [Decimal(c) for c in v]
+        x0 = (sum(c * c for c in y) + 1).sqrt()
+        alpha = x0 * v[0] - sum(a * b for a, b in zip(y, v[1:]))
+    return +(alpha.ln() - v[0].ln())
 
 
 @_digits

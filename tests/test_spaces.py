@@ -110,7 +110,7 @@ def busemann_from(space, xi, o, x):
     if space.kind == "euclidean":
         return -sp._left_sum((a - b) * u for a, b, u in zip(x, o, xi.vector))
     if space.kind == "hyperbolic":
-        return math.log(-sp._mink_exact(x, xi.vector)) - math.log(-sp._mink_exact(o, xi.vector))
+        return math.log(sp._hyp_alpha(x, xi.vector)) - math.log(sp._hyp_alpha(o, xi.vector))
     tree = space.tree
     return tree.depth_toward_end(x, xi.leaf) - tree.depth_toward_end(o, xi.leaf)
 
@@ -179,16 +179,14 @@ def _hyperbolic_ray_draws():
             yield space, x, sp.draw_ideal(space, rng), float(rng.uniform(0.0, 5.0))
 
 
-def test_hyperbolic_ray_is_the_exact_sum_rounded():
-    # below s = 5 no rounding search runs: each component is the double
-    # nearest fl(exp(-s)) x + fl(sinh(s)/alpha) xi, within one ulp
+def test_hyperbolic_ray_is_lifted_and_drops_by_s():
+    # the oracle reads the float ray point's exact level: the rounding of
+    # its spatial part is all the error there is
     for space, x, xi, s in _hyperbolic_ray_draws():
-        alpha = -sp._mink_exact(x, xi.vector)
-        decay, grow = Fraction(math.exp(-s)), Fraction(math.sinh(s) / alpha)
         r = sp.ray_point(space, x, xi, s)
-        for c, a, n in zip(r, x, xi.vector):
-            exact = decay * Fraction(a) + grow * Fraction(n)
-            assert abs(Fraction(c) - exact) <= Fraction(math.ulp(float(exact)))
+        assert r[0] == math.hypot(1.0, *r[1:])
+        drop = oracle.level(r, xi.vector) - oracle.level(x, xi.vector)
+        assert abs(float(drop) + s) <= 1e-13
 
 
 def test_hyperbolic_rays_do_not_depend_on_long_double(monkeypatch):
@@ -200,12 +198,10 @@ def test_hyperbolic_rays_do_not_depend_on_long_double(monkeypatch):
 
 
 def test_far_hyperbolic_rays_raise_naming_s():
-    """The level of ray_point(x, xi, s) is alpha e^-s, and its coordinates
-    grow like e^s; past s ~ 17 the level falls below their rounding.
-    ray_point then raises naming s, and every point it does return keeps a
-    level that busemann reads within a factor 2.  Over these draws (H^1 to
-    H^7, s in [0, 20]) 25 points used to come back whose level busemann
-    rejected as 'ideal vector points away from the sheet'."""
+    """The level of ray_point(x, xi, s) is alpha e^-s, read to about
+    2.3 (2^-52 x0)^2 relative off its lifted coordinates.  Past x0 = 2^39
+    ray_point raises naming s, and every point it does return keeps its
+    level drop within C07's 1e-7 of -s (H^1 to H^7, s in [0, 45])."""
     raised = 0
     for dim in range(1, 8):
         space = sp.Space.hyperbolic(dim)
@@ -214,25 +210,31 @@ def test_far_hyperbolic_rays_raise_naming_s():
             for _ in range(100):
                 x = sp.draw_point(space, rng, 2.0)
                 xi = sp.draw_ideal(space, rng)
-                s = float(rng.uniform(0.0, 20.0))
+                s = float(rng.uniform(0.0, 45.0))
                 try:
                     r = sp.ray_point(space, x, xi, s)
                 except GeometryError as err:
                     assert f"s = {s!r} is too far out" in str(err)
-                    assert s > 16.0
+                    # the exact ray point's x0 is exp(-s) x0 + sinh(s) xi0 / alpha
+                    alpha = math.exp(oracle.level(x, xi.vector)) * xi.vector[0]
+                    x0 = math.exp(-s) * x[0] + math.sinh(s) * xi.vector[0] / alpha
+                    assert x0 > 2.0**39
                     raised += 1
                     continue
                 drop = sp.busemann(space, xi, r) - sp.busemann(space, xi, x)
-                assert abs(drop + s) <= math.log(2.0)
+                assert abs(drop + s) <= 1e-7
     assert raised > 0
+    # past s ~ 710 sinh(s) itself overflows
+    with pytest.raises(GeometryError, match="s = 800.0 overflows"):
+        sp.ray_point(space, x, xi, 800.0)
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4, 5])
-def test_ray_drop_bound_holds_from_dimension_2(dim):
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_ray_drop_bound_holds_in_every_dimension(dim):
     """C07's ray-drop bound of 1e-7 (scale 1.25, s in [0, 10]) holds on
-    H^2 to H^5 over seeds 7 to 9, at worst 8.3e-8.  H^1 misses it (2.13e-7
-    at seed 8) because its two coordinates near 3.6e4 are rounded too
-    coarsely to carry the level; see the README's numerical notes."""
+    H^1 to H^5 over seeds 7 to 9: a ray point is lifted from its spatial
+    part and its level read from spatial parts, so neither rounds away
+    the level."""
     space = sp.Space.hyperbolic(dim)
     for seed in (7, 8, 9):
         rng = sp.sub_rng(seed)
@@ -243,6 +245,67 @@ def test_ray_drop_bound_holds_from_dimension_2(dim):
             r = sp.ray_point(space, x, xi, s)
             drop = sp.busemann(space, xi, r) - sp.busemann(space, xi, x)
             assert abs(drop + s) <= 1e-7
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_levels_match_the_oracle(dim):
+    # far rays are where -<x, xi> used to cancel; points past x0 = 2^39
+    # are refused by ray_point and skipped
+    space = sp.Space.hyperbolic(dim)
+    rng = sp.sub_rng(22, dim)
+    worst = 0.0
+    for scale in (2.0, 8.0):
+        for _ in range(40):
+            x = sp.draw_point(space, rng, scale)
+            xi = sp.draw_ideal(space, rng)
+            points = [x]
+            for s in rng.uniform(0.0, 20.0, size=3):
+                try:
+                    points.append(sp.ray_point(space, x, xi, float(s)))
+                except GeometryError:
+                    pass
+            for p in points:
+                err = abs(sp.busemann(space, xi, p) - float(oracle.level(p, xi.vector)))
+                worst = max(worst, err)
+    assert worst <= 1e-13
+
+
+# a space, a point in it, and a short and a long ideal vector
+_SHORT_AND_LONG = {
+    "E3": (sp.Space.euclidean(3), (1.0, 2.0, 3.0), [(0.0, 1.0), (0.0, 0.0, 0.0, 1.0)]),
+    "H2": (sp.Space.hyperbolic(2), (1.0, 0.0, 0.0), [(1.0, 1.0), (1.0, 1.0, 0.0, 0.0)]),
+}
+
+
+@pytest.mark.parametrize("kernel", ["busemann", "ray_point", "ray_separation"])
+@pytest.mark.parametrize("name", sorted(_SHORT_AND_LONG))
+def test_ray_kernels_check_the_ideal_length(kernel, name):
+    space, x, vectors = _SHORT_AND_LONG[name]
+    calls = {
+        "busemann": lambda xi: sp.busemann(space, xi, x),
+        "ray_point": lambda xi: sp.ray_point(space, x, xi, 1.0),
+        "ray_separation": lambda xi: sp.ray_separation(space, x, x, xi, 1.0),
+    }
+    for v in vectors:
+        with pytest.raises(GeometryError, match=f"expected 3 components, got {len(v)}"):
+            calls[kernel](IdealPoint(vector=v))
+
+
+@pytest.mark.parametrize(
+    "v, x",
+    [((-1.0, 1.0, 0.0), (1.0, 0.0, 0.0)), ((0.0, 1.0, 0.0), (math.sqrt(2.0), 1.0, 0.0))],
+    ids=["past-pointing-at-basepoint", "v0-zero"],
+)
+def test_a_raw_ideal_vector_off_the_future_cone_is_refused(hyp2, v, x):
+    # raw vectors that no constructor lets through: -<x, v> = -1 for both
+    xi = IdealPoint(vector=v)
+    for call in (
+        lambda: sp.busemann(hyp2, xi, x),
+        lambda: sp.ray_point(hyp2, x, xi, 1.0),
+        lambda: sp.ray_separation(hyp2, x, x, xi, 1.0),
+    ):
+        with pytest.raises(GeometryError, match="points away from the sheet"):
+            call()
 
 
 def test_ray_separation_matches_naive_evaluation(any_space):

@@ -64,7 +64,8 @@ HYPERBOLOID_TOL = 1e-9  # relative to x0^2, the scale of the rounding in <x,x>
 MAX_DIM = 1024  # keeps coordinate tuples and draws small; far above desk scale
 IDEAL_TOL = 1e-9
 _T_BITS = 26  # fractional bits of the stereographic parameter of a null vector
-_RAY_X0_MAX = 2.0**39  # a ray point's level is read to 2.3 (2^-52 x0)^2 relative
+_RAY_X0_MAX, _RAY_LEVEL_TOL = 2.0**39, 3.5e-8  # see ray_point
+_V0_MIN, _V0_MAX = 2.0**-64, 2.0**64  # see _moderate
 
 _SEED_MASK = 0x7FFF_FFFF_FFFF_FFFF
 
@@ -150,14 +151,24 @@ def _mink(x, y) -> float:
     return s
 
 
+def _moderate(v):
+    """v, or, if v0 > 0 lies outside [2^-64, 2^64], v scaled exactly by a
+    power of two to v0 in [0.5, 1).  Levels and rays read only ratios of v.
+    Within that range _hyp_alpha neither under- nor overflows for
+    x0 < 2^512, the range _lift keeps, and log(v0) rounds by under 5e-15."""
+    if v[0] > _V0_MAX or 0.0 < v[0] < _V0_MIN:
+        return [math.ldexp(c, -math.frexp(v[0])[1]) for c in v]
+    return v
+
+
 def _hyp_alpha(x, v) -> float:
-    """-<x, v> = x0 v0 - y.v_s for a sheet point x and a v read as null;
-    an error unless it is positive.
+    """-<x, v> = x0 v0 - y.v_s for a sheet point x and a v read as null,
+    with v0 as _moderate leaves it; an error unless it is positive.
 
     When y.v_s > 0 that cancels; on the lift the Lagrange identity gives
     (v0^2 + |y ^ v_s|^2) / (x0 v0 + y.v_s) with |y ^ v_s|^2 =
     v0^2 |y - c v_s|^2, c = y.v_s / v0^2: a quotient of positive terms,
-    here divided through by v0 so that v0^2 cannot under- or overflow.
+    here divided through by v0, so v0^2 is never formed.
     """
     x0, v0 = x[0], v[0]
     dot = _left_sum(a * b for a, b in zip(x[1:], v[1:]))
@@ -170,7 +181,7 @@ def _hyp_alpha(x, v) -> float:
             d = x[i] - c * v[i]
             q += d * d
         alpha = v0 * (1.0 + q) / (x0 + t)
-    if alpha <= 0.0:
+    if not alpha > 0.0:  # NaN too, from a raw vector holding one
         raise GeometryError("ideal vector points away from the sheet")
     return alpha
 
@@ -404,9 +415,11 @@ def _tree_geodesic(tree: Tree, x, y, t: float):
 def ray_point(space: Space, x, xi: IdealPoint, s: float):
     """Unit-speed point at arclength s >= 0 along the ray from x toward xi.
 
-    In H^n it is the lift of exp(-s) y + sinh(s) xi_s / alpha; past
-    x0 = 2^39, where the rounding of y moves its level by 3.5e-8, it
-    raises naming s."""
+    In H^n it is the lift of exp(-s) y + sinh(s) xi_s / alpha, whose level
+    alpha e^-s the rounding of y moves by up to 2.3 (2^-52 x0)^2 relative.
+    Past x0 = 2^39, where that passes 3.5e-8, the level is read back, and
+    ray_point raises naming s if it is off by more.  Hyperbolic xi is read
+    as exactly null (see busemann)."""
     if not 0.0 <= s < math.inf:
         raise GeometryError(f"ray parameter s must be finite and nonnegative, got {s}")
     _check_length(space, x)
@@ -416,11 +429,16 @@ def ray_point(space: Space, x, xi: IdealPoint, s: float):
     if space.kind == EUCLIDEAN:
         return tuple(a + s * u for a, u in zip(x, xi.vector))
     if space.kind == HYPERBOLIC:
-        grow = _cosh_sinh(s, "s", s)[1] / _hyp_alpha(x, xi.vector)
-        decay = math.exp(-s)
-        r = _lift([decay * a + grow * n for a, n in zip(x[1:], xi.vector[1:])], "s", s)
+        v = _moderate(xi.vector)
+        sh = _cosh_sinh(s, "s", s)[1]
+        alpha = _hyp_alpha(x, v)
+        decay, grow = math.exp(-s), sh / alpha
+        r = _lift([decay * a + grow * n for a, n in zip(x[1:], v[1:])], "s", s)
         if r[0] > _RAY_X0_MAX:
-            raise GeometryError(f"ray point at s = {s} is too far out: x0 = {r[0]:.3e} > 2^39")
+            level, read = alpha * decay, _hyp_alpha(r, v)
+            if not abs(read - level) <= _RAY_LEVEL_TOL * level:
+                off = f"its level reads {read:.3e}, not {level:.3e}"
+                raise GeometryError(f"ray point at s = {s} is too far out: {off}")
         return r
     return space.tree.ray(x, xi.leaf, s)
 
@@ -436,8 +454,9 @@ def busemann(space: Space, xi: IdealPoint, x) -> float:
     if space.kind == EUCLIDEAN:
         return -_left_sum(a * u for a, u in zip(x, xi.vector))
     if space.kind == HYPERBOLIC:
-        # -<basepoint, xi> = xi0 exactly: _hyp_alpha's dot is 0
-        return math.log(_hyp_alpha(x, xi.vector)) - math.log(xi.vector[0])
+        v = _moderate(xi.vector)
+        # -<basepoint, v> = v0 exactly: _hyp_alpha's dot is 0
+        return math.log(_hyp_alpha(x, v)) - math.log(v[0])
     tree = space.tree
     return tree.depth_toward_end(x, xi.leaf) - tree.depth_toward_end(tree.basepoint, xi.leaf)
 
@@ -449,7 +468,8 @@ def ray_separation(space: Space, x, y, xi: IdealPoint, s: float) -> float:
         return distance(space, x, y)  # parallel rays keep their separation
     if space.kind == HYPERBOLIC:
         d0 = distance(space, x, y)
-        gap = math.log(_hyp_alpha(x, xi.vector)) - math.log(_hyp_alpha(y, xi.vector))
+        v = _moderate(xi.vector)
+        gap = math.log(_hyp_alpha(x, v)) - math.log(_hyp_alpha(y, v))
         a2 = math.sinh(0.5 * d0) ** 2
         g2 = math.sinh(0.5 * gap) ** 2
         cm1 = 2.0 * (g2 + (a2 - g2) * math.exp(-2.0 * s))

@@ -465,6 +465,26 @@ def test_select_hyperbolic_returns_contact(hyp2):
     assert sp.distance(hyp2, select(hyp2, body, xi), expected) == 0.0
 
 
+@pytest.mark.parametrize(
+    "dim, w", [(1, (-1.0,)), (2, (1.0, 0.0)), (3, (0.0, 0.6, -0.8))], ids=["H1", "H2", "H3"]
+)
+def test_select_projects_far_generators_off_the_line_toward_xi(dim, w):
+    # at radius 29 x0 is past 2^39, but away from the line toward xi a
+    # level is large and its rounding small: projection goes through
+    space = Space.hyperbolic(dim)
+    xi = IdealPoint.null_vector((1.0,) + (0.0,) * (dim - 1) + (1.0,))
+    gens = [
+        sp._lift([math.sinh(r) * c for c in w], "r", r) for r in (29.0, 29.02, 29.05)
+    ]
+    body = ConvexBody.of(space, gens)
+    t, _ = first_horosphere(space, body, xi)
+    for g in gens[1:]:
+        p = project_to_level(space, g, xi, t)
+        assert p[0] > 2.0**39
+        assert abs(sp.busemann(space, xi, p) - t) <= 1e-7
+    assert select(space, body, xi) == gens[0]
+
+
 def test_select_smoothing_toggle(tree_space):
     xi = IdealPoint.end("C")
     tree = tree_space.tree

@@ -200,9 +200,10 @@ def test_hyperbolic_rays_do_not_depend_on_long_double(monkeypatch):
 def test_far_hyperbolic_rays_raise_naming_s():
     """The level of ray_point(x, xi, s) is alpha e^-s, read to about
     2.3 (2^-52 x0)^2 relative off its lifted coordinates.  Past x0 = 2^39
-    ray_point raises naming s, and every point it does return keeps its
-    level drop within C07's 1e-7 of -s (H^1 to H^7, s in [0, 45])."""
-    raised = 0
+    ray_point reads the level back and raises naming s when it is off by
+    more than 3.5e-8, and every point it does return, there too, keeps
+    its level drop within C07's 1e-7 of -s (H^1 to H^7, s in [0, 45])."""
+    raised = returned_far = 0
     for dim in range(1, 8):
         space = sp.Space.hyperbolic(dim)
         for seed in (1, 2, 3):
@@ -223,7 +224,8 @@ def test_far_hyperbolic_rays_raise_naming_s():
                     continue
                 drop = sp.busemann(space, xi, r) - sp.busemann(space, xi, x)
                 assert abs(drop + s) <= 1e-7
-    assert raised > 0
+                returned_far += r[0] > 2.0**39
+    assert raised > 0 and returned_far > 0
     # past s ~ 710 sinh(s) itself overflows
     with pytest.raises(GeometryError, match="s = 800.0 overflows"):
         sp.ray_point(space, x, xi, 800.0)
@@ -293,11 +295,15 @@ def test_ray_kernels_check_the_ideal_length(kernel, name):
 
 @pytest.mark.parametrize(
     "v, x",
-    [((-1.0, 1.0, 0.0), (1.0, 0.0, 0.0)), ((0.0, 1.0, 0.0), (math.sqrt(2.0), 1.0, 0.0))],
-    ids=["past-pointing-at-basepoint", "v0-zero"],
+    [
+        ((-1.0, 1.0, 0.0), (1.0, 0.0, 0.0)),
+        ((0.0, 1.0, 0.0), (math.sqrt(2.0), 1.0, 0.0)),
+        ((math.nan, 1.0, 0.0), (1.0, 0.0, 0.0)),
+    ],
+    ids=["past-pointing-at-basepoint", "v0-zero", "v0-nan"],
 )
 def test_a_raw_ideal_vector_off_the_future_cone_is_refused(hyp2, v, x):
-    # raw vectors that no constructor lets through: -<x, v> = -1 for both
+    # raw vectors that no constructor lets through: -<x, v> is -1, -1, NaN
     xi = IdealPoint(vector=v)
     for call in (
         lambda: sp.busemann(hyp2, xi, x),
@@ -306,6 +312,26 @@ def test_a_raw_ideal_vector_off_the_future_cone_is_refused(hyp2, v, x):
     ):
         with pytest.raises(GeometryError, match="points away from the sheet"):
             call()
+
+
+@pytest.mark.parametrize("k", [-1000, 1000])
+def test_null_vectors_of_any_scale_read_alike(hyp2, k):
+    # xi scaled by 2^k names the same ideal point; far out, dividing by
+    # v0 = 2^-1000 alone would overflow to inf and give NaN levels
+    xi = IdealPoint.null_vector((1.0, 0.6, 0.8))
+    scaled = IdealPoint.null_vector([math.ldexp(c, k) for c in xi.vector])
+    assert scaled.vector == tuple(math.ldexp(c, k) for c in xi.vector)
+    rng = sp.sub_rng(24)
+    for _ in range(20):
+        x, y = sp.draw_point(hyp2, rng, 20.0), sp.draw_point(hyp2, rng, 20.0)
+        assert sp.busemann(hyp2, scaled, x) == pytest.approx(
+            sp.busemann(hyp2, xi, x), rel=1e-15, abs=1e-14
+        )
+        # a power-of-two scale cancels from y + sinh(s) xi_s / alpha exactly
+        assert sp.ray_point(hyp2, x, scaled, 3.0) == sp.ray_point(hyp2, x, xi, 3.0)
+        assert sp.ray_separation(hyp2, x, y, scaled, 3.0) == pytest.approx(
+            sp.ray_separation(hyp2, x, y, xi, 3.0), rel=1e-12
+        )
 
 
 def test_ray_separation_matches_naive_evaluation(any_space):

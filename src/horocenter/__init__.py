@@ -1,103 +1,34 @@
 """Weighted centers, horosphere projections and Lipschitz selector scans
 in three model Hadamard spaces (euclidean, hyperbolic hyperboloid, metric
-tree with marked ends)."""
+tree with marked ends).  A public name loads its home module on first use
+(PEP 562), so a command loads only the modules it runs."""
 
-from .barycenter import (
-    BarycenterResult,
-    Configuration,
-    ConvergenceError,
-    WeightedPoint,
-    center_of_mass,
-    config_diameter,
-    hull_sample,
-    leave_one_out_step,
-    two_point_center,
-    unit_configuration,
-)
-from .horosphere import (
-    ConvexBody,
-    NON_SHRINKING,
-    SHRINKING,
-    SelectOptions,
-    ShrinkClass,
-    classify_body,
-    first_horosphere,
-    limit_separation,
-    project_to_level,
-    select,
-    snap_singular,
-)
-from .lipschitz import (
-    LipschitzReport,
-    ScanParams,
-    ScanRecord,
-    branch_straddle_probe,
-    hausdorff,
-    mass_shift_scan,
-    point_shift_scan,
-    selector_scan,
-)
-from .spaces import (
-    EUCLIDEAN,
-    HYPERBOLIC,
-    TREE,
-    GeometryError,
-    IdealPoint,
-    Space,
-    basepoint,
-    busemann,
-    distance,
-    geodesic_point,
-    random_point,
-    ray_point,
-)
-from .trees import Tree, TreeError, TreePoint
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BarycenterResult",
-    "Configuration",
-    "ConvergenceError",
-    "ConvexBody",
-    "EUCLIDEAN",
-    "GeometryError",
-    "HYPERBOLIC",
-    "IdealPoint",
-    "LipschitzReport",
-    "NON_SHRINKING",
-    "SHRINKING",
-    "ScanParams",
-    "ScanRecord",
-    "SelectOptions",
-    "ShrinkClass",
-    "Space",
-    "TREE",
-    "Tree",
-    "TreeError",
-    "TreePoint",
-    "WeightedPoint",
-    "basepoint",
-    "branch_straddle_probe",
-    "busemann",
-    "center_of_mass",
-    "classify_body",
-    "config_diameter",
-    "distance",
-    "first_horosphere",
-    "geodesic_point",
-    "hausdorff",
-    "hull_sample",
-    "leave_one_out_step",
-    "limit_separation",
-    "mass_shift_scan",
-    "point_shift_scan",
-    "project_to_level",
-    "random_point",
-    "ray_point",
-    "select",
-    "selector_scan",
+_EXPORTS = {  # home module -> its public names
+    "barycenter": "BarycenterResult Configuration ConvergenceError WeightedPoint "
+    "center_of_mass config_diameter hull_sample leave_one_out_step "
+    "two_point_center unit_configuration",
+    "horosphere": "ConvexBody NON_SHRINKING SHRINKING SelectOptions ShrinkClass "
+    "classify_body first_horosphere limit_separation project_to_level select "
     "snap_singular",
-    "two_point_center",
-    "unit_configuration",
-]
+    "lipschitz": "LipschitzReport ScanParams ScanRecord branch_straddle_probe "
+    "hausdorff mass_shift_scan point_shift_scan selector_scan",
+    "spaces": "EUCLIDEAN HYPERBOLIC TREE GeometryError IdealPoint Space basepoint "
+    "busemann distance geodesic_point random_point ray_point",
+    "trees": "Tree TreeError TreePoint",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_SUBMODULES = {*_EXPORTS, "cli", "errors", "jsonio", "values"}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    # uncached: a name reads its home module's binding now, which a tracer may swap
+    if name in _HOME:
+        return getattr(import_module(f".{_HOME[name]}", __name__), name)
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -28,7 +28,7 @@ afresh and the cost still grows faster than exponentially in n: about
 step (default 7) and can be raised explicitly.  Every step shrinks the
 diameter, but convergence can be only linear: near a tree branch vertex
 the ratio per step stays constant.  Masses whose sum overflows are
-scaled by 2**-64 first, which is exact and moves no center.
+scaled by 2**-64 first (see `_finite_masses`).
 
 In H^n the diameter contracts about cubically, and a near-flat
 configuration, of diameter below tol**(1/3), closes in one projected
@@ -145,12 +145,14 @@ def _finite_masses(masses):
     """(masses / 2**k, k), with k = 64 where the sum of the masses
     overflows and k = 0 otherwise.
 
-    The scaling is exact, and every mass ratio the construction forms is
-    unchanged by a common power-of-two factor, so it moves no center.
+    A common power-of-two factor leaves every mass ratio unchanged, and
+    the scaling is exact for masses of at least 2**-958.  A smaller mass,
+    whose pull is below rounding, is floored at the smallest subnormal
+    rather than flushed to zero.
     """
     if _left_sum(masses) < math.inf:
         return masses, 0
-    return [math.ldexp(m, -_MASS_SHIFT) for m in masses], _MASS_SHIFT
+    return [max(math.ldexp(m, -_MASS_SHIFT), math.ulp(0.0)) for m in masses], _MASS_SHIFT
 
 
 def _exact(x: float) -> int:

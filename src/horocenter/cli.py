@@ -27,14 +27,7 @@ from .barycenter import (
     ConvergenceError,
     center_of_mass,
 )
-from .horosphere import SelectOptions, classify_body, select
 from .jsonio import InputError
-from .lipschitz import (
-    ScanParams,
-    mass_shift_scan,
-    point_shift_scan,
-    selector_scan,
-)
 from .spaces import EUCLIDEAN, HYPERBOLIC, TREE, GeometryError, IdealPoint, Space
 
 def _add_space_flags(parser: argparse.ArgumentParser) -> None:
@@ -71,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
         "in three model Hadamard spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    select_defaults, scan_defaults = SelectOptions(), ScanParams(space=None)
 
     p = sub.add_parser("barycenter", help="iterative center of a weighted point set")
     _add_space_flags(p)
@@ -94,8 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="body document (may carry 'ideal')")
     p.add_argument("--ideal", help="inline ideal-point JSON (overrides the document)")
     _add_center_flags(p)
-    p.add_argument("--classify-tol", type=float, default=select_defaults.classify_tol)
-    p.add_argument("--snap-tol", type=float, default=select_defaults.snap_tol)
+    p.add_argument("--classify-tol", type=float)
+    p.add_argument("--snap-tol", type=float)
     p.add_argument("--no-smoothing", action="store_true")
     _add_output_flags(p, formats=False)
 
@@ -103,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_space_flags(p)
     p.add_argument("--input", required=True)
     p.add_argument("--ideal", help="inline ideal-point JSON (overrides the document)")
-    p.add_argument("--classify-tol", type=float, default=select_defaults.classify_tol)
+    p.add_argument("--classify-tol", type=float)
     _add_output_flags(p, formats=False)
 
     for name, blurb in (
@@ -113,11 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=blurb)
         _add_space_flags(p)
-        p.add_argument("--n-points", type=int, default=scan_defaults.n_points)
-        p.add_argument("--samples", type=int, default=scan_defaults.samples)
-        p.add_argument("--epsilon", type=float, default=scan_defaults.epsilon)
-        p.add_argument("--seed", type=int, default=scan_defaults.seed)
-        p.add_argument("--scale", type=float, default=scan_defaults.scale)
+        p.add_argument("--n-points", type=int)
+        p.add_argument("--samples", type=int)
+        p.add_argument("--epsilon", type=float)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--scale", type=float)
         _add_center_flags(p)
         if name == "scan-selector":
             p.add_argument("--ideal", help="inline ideal-point JSON")
@@ -182,6 +174,11 @@ def _emit(text: str, path: str | None) -> None:
 # -- subcommand bodies -----------------------------------------------------------
 
 
+def _given(**flags) -> dict:
+    """The flags the user set; the library's signatures hold each default."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
 def _run_barycenter(args) -> int:
     space = _resolve_space(args)
     config = jsonio.configuration_from_json(
@@ -208,13 +205,14 @@ def _read_body(args):
 
 
 def _run_select(args) -> int:
+    from .horosphere import SelectOptions, select
+
     space, body, xi = _read_body(args)
     opts = SelectOptions(
         tol=args.tol,
         max_iters=args.max_iters,
-        classify_tol=args.classify_tol,
-        snap_tol=args.snap_tol,
         smoothing=not args.no_smoothing,
+        **_given(classify_tol=args.classify_tol, snap_tol=args.snap_tol),
     )
     try:
         point = select(space, body, xi, opts=opts)
@@ -226,8 +224,10 @@ def _run_select(args) -> int:
 
 
 def _run_classify(args) -> int:
+    from .horosphere import classify_body
+
     space, body, xi = _read_body(args)
-    shrink = classify_body(space, body, xi, args.classify_tol)
+    shrink = classify_body(space, body, xi, **_given(tol=args.classify_tol))
     _emit(
         jsonio.dumps(
             {
@@ -241,6 +241,8 @@ def _run_classify(args) -> int:
 
 
 def _run_scan(args, kind: str) -> int:
+    from .lipschitz import ScanParams, mass_shift_scan, point_shift_scan, selector_scan
+
     space = _resolve_space(args)
     ideal = None
     smoothing = True
@@ -249,15 +251,17 @@ def _run_scan(args, kind: str) -> int:
         smoothing = not args.no_smoothing
     params = ScanParams(
         space=space,
-        n_points=args.n_points,
-        samples=args.samples,
-        epsilon=args.epsilon,
-        seed=args.seed,
         tol=args.tol,
         max_iters=args.max_iters,
         smoothing=smoothing,
         ideal=ideal,
-        scale=args.scale,
+        **_given(
+            n_points=args.n_points,
+            samples=args.samples,
+            epsilon=args.epsilon,
+            seed=args.seed,
+            scale=args.scale,
+        ),
     )
     try:
         if kind == "shift":

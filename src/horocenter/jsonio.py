@@ -26,8 +26,6 @@ import math
 
 from . import spaces
 from .barycenter import BarycenterResult, Configuration, WeightedPoint
-from .horosphere import ConvexBody
-from .lipschitz import LipschitzReport
 from .spaces import EUCLIDEAN, HYPERBOLIC, TREE, IdealPoint, Space
 from .trees import TreePoint
 
@@ -162,6 +160,8 @@ def configuration_from_json(space: Space, doc) -> Configuration:
 
 
 def body_from_json(space: Space, doc) -> ConvexBody:
+    from .horosphere import ConvexBody
+
     entries = _require(doc, "generators", list, "body")
     points = [
         point_from_json(space, entry, f"body.generators[{i}]")

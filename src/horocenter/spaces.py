@@ -458,7 +458,7 @@ def busemann(space: Space, xi: IdealPoint, x) -> float:
         # -<basepoint, v> = v0 exactly: _hyp_alpha's dot is 0
         return math.log(_hyp_alpha(x, v)) - math.log(v[0])
     tree = space.tree
-    return tree.depth_toward_end(x, xi.leaf) - tree.depth_toward_end(tree.basepoint, xi.leaf)
+    return tree.depth_toward_end(x, xi.leaf) - tree.base_depth[xi.leaf]
 
 
 def ray_separation(space: Space, x, y, xi: IdealPoint, s: float) -> float:

@@ -124,7 +124,9 @@ class Tree:
         )
         if basepoint is None:
             basepoint = TreePoint(self.edges[0].eid, 0.0)
-        self.basepoint = self.canonical(basepoint)
+        self.basepoint = base = self.canonical(basepoint)
+        # each level toward an end subtracts the basepoint's depth: read it once
+        self.base_depth = {x: self.depth_toward_end(base, x) for x in self.ideal_leaves}
 
     def _scan_from(self, source: str):
         dist = {source: 0.0}

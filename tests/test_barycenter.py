@@ -247,6 +247,24 @@ def test_an_overflowing_mass_sum_is_scaled_exactly(space, n):
     assert [i.mass for i in stepped.items] == [math.ldexp(i.mass, 64) for i in scaled.items]
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_mass_scaled_below_the_subnormals_stays_positive(hyp2, n):
+    """5e-324 next to an overflowing sum would scale to 0.0; it floors at
+    the smallest subnormal instead, whose pull is below rounding, so the
+    center is that of the same points with a tiny unscaled mass."""
+    points = [
+        (math.cosh(1.0), math.sinh(1.0), 0.0),
+        (math.cosh(1.0), 0.0, math.sinh(1.0)),
+        (math.sqrt(1.5), -0.5, -0.5),
+        (math.sqrt(1.5), -0.5, 0.5),
+    ][:n]
+    flushed = Configuration.of(hyp2, list(zip(points, [1e308, 1e308] + [5e-324] * (n - 2))))
+    tiny = Configuration.of(hyp2, list(zip(points, [1.0, 1.0] + [1e-300] * (n - 2))))
+    center = center_of_mass(hyp2, flushed).center
+    assert center == center_of_mass(hyp2, tiny).center
+    assert center == (1.1867923804877014, 0.451927070656132, 0.451927070656132)
+
+
 def test_unit_triangle_centroid(euclid2):
     cfg = unit_configuration(euclid2, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
     res = center_of_mass(euclid2, cfg)
@@ -794,6 +812,24 @@ def test_the_tail_is_within_d0_cubed_of_the_limit(dim, n, spread):
         d0 = config_diameter(space, cfg)
         limit = oracle.center(cfg.points, _masses(cfg))
         assert oracle.distance(_sheet_mean(_pairs(cfg), d0), limit) <= d0**3
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("eps", [0.3, 0.1, 0.03, 0.01])
+def test_small_configurations_reduce_to_zero_curvature(dim, n, eps):
+    """At scale eps the H^n center's spatial part is the euclidean weighted
+    mean of the spatial parts to O(eps^3), the curvature correction (worst
+    ratio about 0.2 in H^2 and 0.28 in H^3, flat in eps); a weight or sign
+    slip would leave an O(eps) error."""
+    space = Space.hyperbolic(dim)
+    rng = np.random.default_rng(100 * dim + n)
+    for _ in range(20):
+        ys = [tuple(float(v) for v in rng.uniform(-eps, eps, dim)) for _ in range(n)]
+        masses = [float(rng.uniform(0.5, 2.0)) for _ in range(n)]
+        cfg = Configuration.of(space, [(_at(*y), m) for y, m in zip(ys, masses)])
+        mean = euclid_weighted_mean(Configuration.of(Space.euclidean(dim), list(zip(ys, masses))))
+        assert math.dist(center_of_mass(space, cfg).center[1:], mean) <= eps**3
 
 
 @pytest.mark.parametrize("dim", [2, 3])

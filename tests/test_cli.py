@@ -330,8 +330,10 @@ def test_far_hyperbolic_scans_run_clean(command, scale, seed, capsys):
 
 def test_barycenter_select_and_classify_never_load_numpy(tmp_path, tree_file):
     # numpy serves only seeded draws, and no command needs dataclasses or
-    # inspect, whose import cost every start-up about 10 ms; one document is
-    # both a configuration and a body
+    # inspect, whose import cost every start-up about 10 ms; each command
+    # loads only the library modules it runs, so barycenter loads neither
+    # horosphere nor lipschitz, and select and classify skip lipschitz; one
+    # document is both a configuration and a body
     docs = {
         "euclid.json": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
         "hyp.json": [[1.0, 0.0, 0.0], [1.5430806348152437, 1.1752011936438014, 0.0]],
@@ -355,9 +357,11 @@ def test_barycenter_select_and_classify_never_load_numpy(tmp_path, tree_file):
     script = (
         "import sys, horocenter\n"
         "from horocenter.cli import main\n"
-        f"for args in {runs!r}:\n"
-        "    for command in ('barycenter', 'select', 'classify'):\n"
+        "for command in ('barycenter', 'select', 'classify'):\n"
+        f"    for args in {runs!r}:\n"
         "        assert main([command, *args]) == 0\n"
+        "    unused = ('horocenter.horosphere', 'horocenter.lipschitz')\n"
+        "    print(command, sorted(m for m in sys.modules if m in unused))\n"
         "heavy = {'numpy', 'dataclasses', 'inspect'}\n"
         "print(sorted(m for m in sys.modules if m.partition('.')[0] in heavy))\n"
     )
@@ -370,7 +374,12 @@ def test_barycenter_select_and_classify_never_load_numpy(tmp_path, tree_file):
         text=True,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    assert done.stdout.splitlines() == [
+        "barycenter []",
+        "select ['horocenter.horosphere']",
+        "classify ['horocenter.horosphere']",
+        "[]",
+    ]
 
 
 def test_exit_1_on_overflowing_configuration(tmp_path, capsys):
@@ -421,6 +430,55 @@ def test_a_dominant_mass_exits_0(tmp_path, capsys):
     code = main(["barycenter", "--space", "euclidean", "--dim", "2", "--input", str(conf)])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["center"] == {"coords": [1.0, 1.0]}
+
+
+def test_a_mass_scaled_below_the_subnormals_exits_0(tmp_path, capsys):
+    """Masses (1e308, 1e308, 5e-324) overflow their sum, and the smallest
+    one stays positive after the scaling: the center is that of a tiny
+    unscaled mass."""
+    coords = [
+        [math.cosh(1.0), math.sinh(1.0), 0.0],
+        [math.cosh(1.0), 0.0, math.sinh(1.0)],
+        [math.sqrt(1.5), -0.5, -0.5],
+    ]
+    args = ["barycenter", "--space", "hyperbolic", "--dim", "2", "--input"]
+    centers = []
+    for masses in ([1e308, 1e308, 5e-324], [1.0, 1.0, 1e-300]):
+        conf = tmp_path / "masses.json"
+        conf.write_text(
+            json.dumps({"points": [{"coords": c, "mass": m} for c, m in zip(coords, masses)]})
+        )
+        assert main([*args, str(conf)]) == 0
+        centers.append(json.loads(capsys.readouterr().out)["center"])
+    assert centers[0] == centers[1]
+
+
+@pytest.mark.parametrize("command", ["select", "classify", "scan-shift"])
+def test_unset_flags_take_the_library_defaults(command, tree_file, tmp_path):
+    """A flag left unset is not passed on, so the library's signature
+    supplies its default; spelling that default out changes no byte."""
+    from horocenter.horosphere import SelectOptions
+    from horocenter.lipschitz import ScanParams
+
+    if command == "scan-shift":
+        args = [command, "--space", "euclidean", "--dim", "2"]
+        record, names = ScanParams(space=None), ["n_points", "samples", "epsilon", "seed", "scale"]
+    else:
+        body = tmp_path / "body.json"
+        points = [{"edge": "A-B", "offset": 0.5}, {"edge": "B-D", "offset": 1.0}]
+        body.write_text(json.dumps({"generators": points}))
+        args = [command, "--space-json", tree_file, "--input", str(body)]
+        names = ["classify_tol", "snap_tol"] if command == "select" else ["classify_tol"]
+        record = SelectOptions()
+    spelled = []
+    for name in names:
+        spelled += ["--" + name.replace("_", "-"), repr(getattr(record, name))]
+    outputs = []
+    for extra in ([], spelled):
+        out = tmp_path / f"out{len(outputs)}.json"
+        assert main([*args, *extra, "--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_exit_2_on_non_convergence_with_partial_trace(tri_file, tmp_path, capsys):

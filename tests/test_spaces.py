@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from horocenter import GeometryError, IdealPoint, basepoint
 from horocenter import spaces as sp
-from horocenter.trees import TreePoint
+from horocenter.trees import TreeError, TreePoint
 
 import hyperboloid_oracle as oracle
 from conftest import TREE_EDGES, TREE_LEAVES, ideal_for
@@ -102,6 +102,24 @@ def test_basepoint_level_zero(any_space):
     xi = ideal_for(any_space)
     o = basepoint(any_space)
     assert sp.busemann(any_space, xi, o) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("base", [None, TreePoint("B-D", 0.7)])
+def test_tree_levels_subtract_the_basepoint_depth_to_the_bit(base):
+    """Each tree keeps the basepoint's depth toward each marked end, and a
+    level subtracts it from the point's depth as if read afresh."""
+    space = sp.Space.tree_space(TREE_EDGES, TREE_LEAVES, base)
+    tree = space.tree
+    rng = np.random.default_rng(3)
+    points = [sp.draw_point(space, rng, 4.0) for _ in range(25)]
+    points += [tree.basepoint, TreePoint("B-C", 3.5), TreePoint("A-E", 1.5)]
+    for leaf in TREE_LEAVES:
+        end = IdealPoint.end(leaf)
+        for x in points:
+            fresh = tree.depth_toward_end(x, leaf) - tree.depth_toward_end(tree.basepoint, leaf)
+            assert repr(sp.busemann(space, end, x)) == repr(fresh)
+    with pytest.raises(TreeError, match="'D' is not a marked ideal leaf"):
+        sp.busemann(space, IdealPoint.end("D"), points[0])
 
 
 def busemann_from(space, xi, o, x):

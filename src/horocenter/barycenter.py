@@ -70,16 +70,9 @@ class ConvergenceError(RuntimeError):
 class WeightedPoint(Frozen):
     __slots__ = ("point", "mass")
 
-    def __init__(self, point, mass: float):
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "mass", mass)
-
 
 class Configuration(Frozen):
-    __slots__ = ("items",)
-
-    def __init__(self, items: tuple[WeightedPoint, ...]):
-        object.__setattr__(self, "items", items)
+    __slots__ = ("items",)  # a tuple of WeightedPoints
 
     @classmethod
     def of(cls, space: Space, items) -> "Configuration":
@@ -118,23 +111,18 @@ class Configuration(Frozen):
 class BarycenterResult(Value):
     __slots__ = ("center", "iterations", "diameter_trace", "converged")
 
-    def __init__(self, center, iterations: int, diameter_trace: list[float], converged: bool):
-        self.center = center
-        self.iterations = iterations
-        self.diameter_trace = diameter_trace
-        self.converged = converged
-
 
 def unit_configuration(space: Space, points) -> Configuration:
     return Configuration.of(space, [(p, 1.0) for p in points])
 
 
 def two_point_center(space: Space, a: WeightedPoint, b: WeightedPoint):
-    """Center of two weighted points; symmetric in its arguments."""
-    if a.mass <= 0.0 or b.mass <= 0.0:
-        raise GeometryError("masses must be positive")
-    (ma, mb), _ = _finite_masses((a.mass, b.mass))
-    return spaces.geodesic_point(space, a.point, b.point, mb / (ma + mb))
+    """Center of two weighted points; symmetric in its arguments.  It is
+    the recursion's two-point rule, so a non-finite center raises."""
+    recursion, items, _ = _start(
+        space, Configuration((a, b)), DEFAULT_TOL, DEFAULT_MAX_ITERS, DEFAULT_MAX_POINTS
+    )
+    return recursion.center(items)
 
 
 def config_diameter(space: Space, config: Configuration) -> float:
@@ -148,11 +136,13 @@ def _finite_masses(masses):
     A common power-of-two factor leaves every mass ratio unchanged, and
     the scaling is exact for masses of at least 2**-958.  A smaller mass,
     whose pull is below rounding, is floored at the smallest subnormal
-    rather than flushed to zero.
+    rather than flushed to zero.  A mass of 0 or below, or NaN, is left
+    as it is, for `_Recursion.between` to refuse.
     """
     if _left_sum(masses) < math.inf:
         return masses, 0
-    return [max(math.ldexp(m, -_MASS_SHIFT), math.ulp(0.0)) for m in masses], _MASS_SHIFT
+    floor = math.ulp(0.0)
+    return [max(math.ldexp(m, -_MASS_SHIFT), floor) if m > 0.0 else m for m in masses], _MASS_SHIFT
 
 
 def _exact(x: float) -> int:

@@ -49,9 +49,6 @@ class ConvexBody(Frozen):
 
     __slots__ = ("generators",)
 
-    def __init__(self, generators: tuple):
-        object.__setattr__(self, "generators", generators)
-
     @classmethod
     def of(cls, space: Space, points) -> "ConvexBody":
         """The body spanned by points; an error names its generators[i]."""
@@ -72,27 +69,13 @@ class ConvexBody(Frozen):
 class ShrinkClass(Frozen):
     __slots__ = ("verdict", "max_limit_separation")
 
-    def __init__(self, verdict: str, max_limit_separation: float):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "max_limit_separation", max_limit_separation)
-
 
 class SelectOptions(Frozen):
     __slots__ = ("tol", "max_iters", "classify_tol", "snap_tol", "smoothing")
-
-    def __init__(
-        self,
-        tol: float = DEFAULT_TOL,
-        max_iters: int = DEFAULT_MAX_ITERS,
-        classify_tol: float = DEFAULT_CLASSIFY_TOL,
-        snap_tol: float = DEFAULT_SNAP_TOL,
-        smoothing: bool = True,
-    ):
-        object.__setattr__(self, "tol", tol)
-        object.__setattr__(self, "max_iters", max_iters)
-        object.__setattr__(self, "classify_tol", classify_tol)
-        object.__setattr__(self, "snap_tol", snap_tol)
-        object.__setattr__(self, "smoothing", smoothing)
+    _defaults = {
+        "tol": DEFAULT_TOL, "max_iters": DEFAULT_MAX_ITERS, "classify_tol": DEFAULT_CLASSIFY_TOL,
+        "snap_tol": DEFAULT_SNAP_TOL, "smoothing": True,
+    }
 
 
 def first_horosphere(space: Space, body: ConvexBody, xi: IdealPoint):

@@ -19,10 +19,12 @@ them over the input displacement:
 A sample whose input displacement is zero is counted as skipped and
 never turned into a ratio; one whose center fails to converge
 (ConvergenceError) is counted as a failure and left out of the
-statistics.  Any other error ends the scan.  The branch-straddle probe
-reproduces the selector's jump discontinuity at a tree branch vertex and
-its repair by smoothing; its family is fixed by the tree and the snap
-band, so the scan's epsilon does not move it.
+statistics.  Any other error ends the scan.  The point and mass scans
+lift the center recursion's cap to the configuration size, as `select`
+lifts it to the body size, so a large n_points is slow, not refused.
+The branch-straddle probe reproduces the selector's jump discontinuity
+at a tree branch vertex and its repair by smoothing; its family is fixed
+by the tree and the snap band, so the scan's epsilon does not move it.
 
 The generator-set Hausdorff distance stands in for the hull Hausdorff
 distance: generator sets within h of each other have hulls within h, so
@@ -60,30 +62,10 @@ class ScanParams(Frozen):
         "space", "n_points", "samples", "epsilon", "seed",
         "tol", "max_iters", "smoothing", "ideal", "scale",
     )
-
-    def __init__(
-        self,
-        space: Space,
-        n_points: int = 4,
-        samples: int = 100,
-        epsilon: float = 0.05,
-        seed: int = 0,
-        tol: float = DEFAULT_TOL,
-        max_iters: int = DEFAULT_MAX_ITERS,
-        smoothing: bool = True,
-        ideal: IdealPoint | None = None,
-        scale: float = DEFAULT_SCALE,
-    ):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "n_points", n_points)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "tol", tol)
-        object.__setattr__(self, "max_iters", max_iters)
-        object.__setattr__(self, "smoothing", smoothing)
-        object.__setattr__(self, "ideal", ideal)
-        object.__setattr__(self, "scale", scale)
+    _defaults = {
+        "n_points": 4, "samples": 100, "epsilon": 0.05, "seed": 0, "tol": DEFAULT_TOL,
+        "max_iters": DEFAULT_MAX_ITERS, "smoothing": True, "ideal": None, "scale": DEFAULT_SCALE,
+    }
 
     def validated(self) -> "ScanParams":
         if self.samples < 1:
@@ -104,22 +86,7 @@ ScanRecord = namedtuple("ScanRecord", ["sample", "in_disp", "out_disp", "ratio"]
 
 class LipschitzReport(Value):
     __slots__ = ("records", "max_ratio", "mean_ratio", "failures", "skipped", "straddle")
-
-    def __init__(
-        self,
-        records: list[ScanRecord],
-        max_ratio: float,
-        mean_ratio: float,
-        failures: int,
-        skipped: int,
-        straddle: list[float] | None = None,
-    ):
-        self.records = records
-        self.max_ratio = max_ratio
-        self.mean_ratio = mean_ratio
-        self.failures = failures
-        self.skipped = skipped
-        self.straddle = straddle
+    _defaults = {"straddle": None}
 
 
 def hausdorff(space: Space, a: ConvexBody, b: ConvexBody) -> float:
@@ -228,7 +195,7 @@ def point_shift_scan(params: ScanParams) -> LipschitzReport:
         in_disp = spaces.distance(space, config.items[k].point, moved)
         return in_disp, config, replace_point(config, k, moved)
 
-    return _scan(params, sample, lambda c: center_of_mass(space, c, tol, max_iters).center)
+    return _scan(params, sample, lambda c: center_of_mass(space, c, tol, max_iters, len(c)).center)
 
 
 def mass_shift_scan(params: ScanParams) -> LipschitzReport:
@@ -242,7 +209,7 @@ def mass_shift_scan(params: ScanParams) -> LipschitzReport:
         denom = abs(delta) * config_diameter(space, config) / config.total_mass
         return denom, config, replace_mass(config, k, config.items[k].mass + delta)
 
-    return _scan(params, sample, lambda c: center_of_mass(space, c, tol, max_iters).center)
+    return _scan(params, sample, lambda c: center_of_mass(space, c, tol, max_iters, len(c)).center)
 
 
 def selector_scan(params: ScanParams) -> LipschitzReport:

@@ -99,10 +99,7 @@ class IdealPoint(Frozen):
     """Boundary point: a direction, a null vector, or a marked leaf id."""
 
     __slots__ = ("vector", "leaf")
-
-    def __init__(self, vector: tuple[float, ...] | None = None, leaf: str | None = None):
-        object.__setattr__(self, "vector", vector)
-        object.__setattr__(self, "leaf", leaf)
+    _defaults = {"vector": None, "leaf": None}
 
     @classmethod
     def direction(cls, components) -> "IdealPoint":

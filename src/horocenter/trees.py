@@ -37,10 +37,6 @@ class TreePoint(Frozen):
 
     __slots__ = ("edge", "offset")
 
-    def __init__(self, edge: str, offset: float):
-        object.__setattr__(self, "edge", edge)
-        object.__setattr__(self, "offset", offset)
-
     # straight-line: tree points are hashed and compared as memo keys of
     # the center recursion
     def __eq__(self, other):
@@ -54,13 +50,6 @@ class TreePoint(Frozen):
 
 class TreeEdge(Frozen):
     __slots__ = ("u", "v", "length", "eid", "index")
-
-    def __init__(self, u: str, v: str, length: float, eid: str, index: int):
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "eid", eid)
-        object.__setattr__(self, "index", index)
 
 
 class Tree:

@@ -68,6 +68,38 @@ def test_two_point_mass_validation(euclid2):
         )
 
 
+@pytest.mark.parametrize(
+    "masses, message",
+    [
+        ((1.0, -1.0), "masses must be positive"),
+        ((math.inf, -1.0), "masses must be positive"),  # the sum overflows first
+        ((math.nan, 1.0), r"geodesic parameter must lie in \[0, 1\], got nan"),
+        ((1e308, math.nan), r"geodesic parameter must lie in \[0, 1\], got nan"),
+    ],
+)
+def test_the_two_point_rule_refuses_bad_masses(euclid2, masses, message):
+    """two_point_center is the recursion's two-point rule, and a mass of 0
+    or below, or NaN, is refused there also where the mass sum overflows;
+    center_of_mass refuses the same configuration, built past its
+    checks, with the same message."""
+    items = tuple(WeightedPoint((float(i), 0.0), m) for i, m in enumerate(masses))
+    with pytest.raises(GeometryError, match=f"^{message}$"):
+        two_point_center(euclid2, *items)
+    with pytest.raises(GeometryError, match=f"^{message}$"):
+        center_of_mass(euclid2, Configuration(items))
+
+
+def test_an_overflowing_two_point_center_raises(euclid2):
+    """The midpoint of (1e308, 0) and (-1e308, 0) overflows: the two-point
+    center raises as center_of_mass does, rather than return (-inf, 0.0)."""
+    a, b = WeightedPoint((1e308, 0.0), 1.0), WeightedPoint((-1e308, 0.0), 1.0)
+    message = r"^configuration overflows: center \(-inf, 0\.0\)$"
+    with pytest.raises(GeometryError, match=message):
+        two_point_center(euclid2, a, b)
+    with pytest.raises(GeometryError, match=message):
+        center_of_mass(euclid2, Configuration((a, b)))
+
+
 @settings(max_examples=50, deadline=None)
 @given(seed=SEEDS)
 def test_division_ratio(any_space, seed):

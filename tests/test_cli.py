@@ -662,3 +662,68 @@ def test_overflowing_hyperbolic_scan_exits_1(command, flag, message, capsys):
 def test_an_overflowing_perturbation_names_epsilon(command, space, flag, message, capsys):
     assert main([command, "--space", space, "--dim", "2", *flag]) == 1
     assert capsys.readouterr().err.startswith(f"error: scan: {message}")
+
+
+UNTESTED_PATHS = {  # documents the runs below read, by file name
+    "cycle.json": {
+        "space": "tree",
+        "edges": [["A", "B", 1.0], ["B", "C", 1.0], ["C", "A", 1.0], ["D", "E", 1.0]],
+    },
+    "dash.json": {"space": "tree", "edges": [["A-1", "B", 1.0]]},
+    "leaves.json": {"space": "tree", "edges": [["A", "B", 1.0]], "ideal_leaves": "B"},
+    "unmarked.json": {"space": "tree", "edges": [["A", "B", 1.0], ["B", "C", 1.0]]},
+    "tree-body.json": {"generators": [{"edge": "A-B", "offset": 0.5}]},
+    "body.json": {"generators": [[0.0, 0.0], [0.0, 1.0], [0.0, 0.5]]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        (["--space-json", "cycle.json"], 1, "error: space: tree is not connected"),
+        (
+            ["--space-json", "dash.json"],
+            1,
+            "error: space: vertex names must not contain '-': 'A-1', 'B'",
+        ),
+        (["--space-json", "leaves.json"], 1, "error: space.ideal_leaves: expected a list"),
+        (
+            ["--space-json", "unmarked.json", "--input", "tree-body.json"],
+            1,
+            "error: ideal: tree has no marked leaves; pass --ideal",
+        ),
+        ([], 1, "error: space: pass --space or --space-json"),
+        (["--space", "tree"], 1, "error: space: tree spaces need --space-json"),
+        (["--space", "euclidean"], 1, "error: space.dim: pass --dim for euclidean/hyperbolic"),
+        (
+            ["--space", "euclidean", "--dim", "2", "--max-iters", "0"],
+            2,
+            "select: diameter 1.000e+00 still above tol 1.000e-08 after 0 iterations",
+        ),
+    ],
+    ids=[
+        "disconnected", "dashed-name", "leaves-not-list", "no-marked-leaf", "no-space",
+        "tree-flag", "no-dim", "select-no-iterations",
+    ],
+)
+def test_each_exit_prints_its_one_line(argv, code, line, tmp_path, monkeypatch, capsys):
+    """The space, ideal and select exits that no other test reaches: the
+    exit code, the one stderr line and an empty stdout."""
+    for name, doc in UNTESTED_PATHS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    if "--input" not in argv:
+        argv = [*argv, "--input", "body.json"]
+    assert main(["select", *argv]) == code
+    assert capsys.readouterr() == ("", line + "\n")
+
+
+@pytest.mark.parametrize("command", ["scan-shift", "scan-mass"])
+def test_a_scan_past_the_default_recursion_cap_exits_0(command, capsys):
+    """Eight hyperbolic points exceed the cap of 7, and the scan has no
+    --max-points flag: it caps at --n-points, as select caps at the body."""
+    argv = [command, "--space", "hyperbolic", "--dim", "2", "--n-points", "8", "--samples", "1"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert len(json.loads(captured.out)["records"]) == 1

@@ -219,6 +219,15 @@ def test_failures_counted_not_fatal(hyp2):
     assert report.records == []
 
 
+@pytest.mark.parametrize("scan", [point_shift_scan, mass_shift_scan])
+def test_scans_lift_the_recursion_cap_to_n_points(hyp2, scan):
+    """Eight hyperbolic points take the recursion past the default cap of
+    7: the point and mass scans cap at n_points, as select caps at the
+    body size, so the sample runs rather than ending the scan."""
+    report = scan(ScanParams(space=hyp2, n_points=8, samples=1))
+    assert (len(report.records), report.failures, report.skipped) == (1, 0, 0)
+    assert 0.0 < report.max_ratio < math.inf
+
 # -- the straddle family ----------------------------------------------------------------
 
 

@@ -16,14 +16,15 @@ all lie on one geodesic.  The result keeps the shape of one step (one iteration,
 diameter trace [d0, 0.0]), and ``max_points`` does not apply to it.
 
 Hyperbolic configurations and tree points spread over branches take the
-recursion.  It runs on plain (point, mass) tuples with the space's metric
-and interpolator fetched once per top-level call (`spaces.kernels`);
+recursion.  It runs on plain (point, mass) tuples with the space's pair
+measure and interpolator fetched once per top-level call, and measures
+each pair of a configuration once (see `_Recursion`);
 `Configuration`, `WeightedPoint` and `BarycenterResult` exist only at its
 boundary.  One top-level call computes each distinct sub-configuration's
 center once (the center of S minus {i, j} is needed from both i and j),
 but every step moves the points, so each sub-center's later steps start
 afresh and the cost still grows faster than exponentially in n: about
-3.5, 15, 45 and 170 ms for n = 5, 6, 7 and 8 in H^2 on one core.
+1.5, 6.5, 25 and 95 ms for n = 5, 6, 7 and 8 in H^2 on one Xeon core.
 ``max_points`` caps the size of a configuration that takes a recursive
 step (default 7) and can be raised explicitly.  Every step shrinks the
 diameter, but convergence can be only linear: near a tree branch vertex
@@ -41,7 +42,8 @@ the recursion, and ``max_points`` does not apply to it.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from functools import cache
+from itertools import combinations, starmap
 from operator import mul
 
 from . import spaces
@@ -119,10 +121,10 @@ def unit_configuration(space: Space, points) -> Configuration:
 def two_point_center(space: Space, a: WeightedPoint, b: WeightedPoint):
     """Center of two weighted points; symmetric in its arguments.  It is
     the recursion's two-point rule, so a non-finite center raises."""
-    recursion, items, _ = _start(
+    recursion, items, table, _ = _start(
         space, Configuration((a, b)), DEFAULT_TOL, DEFAULT_MAX_ITERS, DEFAULT_MAX_POINTS
     )
-    return recursion.center(items)
+    return recursion.center(items, table)
 
 
 def config_diameter(space: Space, config: Configuration) -> float:
@@ -151,39 +153,41 @@ def _exact(x: float) -> int:
     return num << (_EXACT_BITS + 1 - den.bit_length())
 
 
-def _flat_center(space: Space, items, d0: float):
+def _flat_center(space: Space, items, table, d0: float):
     """The center in closed form where the configuration is flat, else None.
 
-    `items` are (point, mass) pairs.  In R^n, and on a tree where every
-    point lies on one geodesic (an isometric copy of an interval), one
-    construction step collapses the configuration onto its mass-weighted
-    mean.  The mean is summed in exact integers and rounded once, so no
-    double lies nearer to it.  Hyperbolic configurations, and tree points
-    spread over branches, give None.
+    `items` are (point, mass) pairs, and `table` their pair table, of
+    distances here.  In R^n, and on a tree where every point lies on one
+    geodesic (an isometric copy of an interval), one construction step
+    collapses the configuration onto its mass-weighted mean.  The mean is
+    summed in exact integers and rounded once, so no double lies nearer
+    to it.  Hyperbolic configurations, and tree points spread over
+    branches, give None.
     """
     if space.kind not in (EUCLIDEAN, TREE):
         return None
     points = [p for p, _ in items]
     weights = [_exact(m) for _, m in items]
     if space.kind == TREE:
-        return _segment_center(space.tree, points, weights, d0)
+        return _segment_center(space.tree, points, weights, table, d0)
     scale = sum(weights) << _EXACT_BITS
     return tuple(
         sum(map(mul, weights, map(_exact, column))) / scale for column in zip(*points)
     )
 
 
-def _segment_center(tree: Tree, points, weights: list[int], d0: float):
+def _segment_center(tree: Tree, points, weights: list[int], table, d0: float):
     """Weighted mean of tree points that all lie on one geodesic, else None.
 
-    The geodesic joins the first pair at distance d0, the diameter.  A
-    point lies on it when one of its placements falls inside one of the
-    geodesic's runs, which is decided on the offsets exactly, also for a
-    vertex that its canonical form puts on an edge off the path.  The
-    position of each point along the geodesic, their mean and the offset
-    of the mean are exact integers, rounded once.
+    The geodesic joins the first pair of the pair table `table` at
+    distance d0, the diameter.  A point lies on it when one of its
+    placements falls inside one of the geodesic's runs, which is decided
+    on the offsets exactly, also for a vertex that its canonical form puts
+    on an edge off the path.  The position of each point along the
+    geodesic, their mean and the offset of the mean are exact integers,
+    rounded once.
     """
-    a, b = next(pq for pq in combinations(points, 2) if tree.distance(*pq) == d0)
+    a, b = list(combinations(points, 2))[table.index(d0)]
     runs, start = [], 0
     for ei, s0, s1 in tree.runs(a, b):
         length = abs(_exact(s1) - _exact(s0))
@@ -210,39 +214,47 @@ def _segment_center(tree: Tree, points, weights: list[int], d0: float):
     return TreePoint(tree.edges[ei].eid, off / (total << _EXACT_BITS))
 
 
-def _sheet_mean(items, d: float):
+def _sheet_mean(items, table, d: float):
     """The sheet projection of the mass-weighted ambient mean of hyperbolic
-    (point, mass) items of diameter d.
+    (point, mass) items of diameter d, with quadrances `table`.
 
     With weights w_i = m_i / M, the mean v = sum w_i x_i has
     -<v,v> = 1 + sum_{i<j} w_i w_j q_ij, where q_ij = <x_i - x_j, x_i - x_j>
-    (as <x_i, x_i> = -1), so the projection is the lift of the spatial
-    mean over s = sqrt(-<v,v>).  Reading s from the pairs, rather than
-    from v0^2 - |v_s|^2, keeps it from cancelling like x0^2 far out.  The
-    weights keep every product finite for masses near the largest double,
-    and every sum is an fsum, which is correctly rounded and so the same
-    in every item order and on every Python.
+    is the pair table's entry (as <x_i, x_i> = -1), so the projection is
+    the lift of the spatial mean over s = sqrt(-<v,v>).  Reading s from
+    the pairs, rather than from v0^2 - |v_s|^2, keeps it from cancelling
+    like x0^2 far out.  The weights keep every product finite for masses
+    near the largest double, and every sum is an fsum, which is correctly
+    rounded and so the same in every item order and on every Python.
     """
     total = math.fsum([m for _, m in items])
     weights = [m / total for _, m in items]
     points = [p for p, _ in items]
     spatial = [math.fsum(map(mul, weights, column)) for column in list(zip(*points))[1:]]
-    spread = math.fsum(
-        weights[i] * weights[j] * spaces._hyp_quadrance(points[i], points[j])
-        for i, j in combinations(range(len(points)), 2)
-    )
+    spread = math.fsum(map(mul, starmap(mul, combinations(weights, 2)), table))
     s = math.sqrt(1.0 + spread)
     return spaces._lift([c / s for c in spatial], "diameter", d)
+
+
+@cache
+def _rest_pairs(n: int) -> tuple:
+    """For each item i of n, the positions in their pair table of the pairs
+    without i, in order: the pair table of the other n - 1 items."""
+    pairs = list(combinations(range(n), 2))
+    return tuple(tuple(k for k, pair in enumerate(pairs) if i not in pair) for i in range(n))
 
 
 class _Recursion:
     """The construction of one top-level call, on (point, mass) tuples.
 
-    `settle(items, d0)` iterates from a configuration of diameter d0 to
-    (center, iterations, diameter trace), and `step(items)` takes one
-    leave-one-out step.  Both measure and interpolate with the space's
-    kernels, fetched once here, and share one memo that maps the items of
-    a sub-configuration to its center, so a center that several branches
+    Every configuration carries its pair table: the pair measure
+    (`spaces.pair_measure`, the quadrance in H^n) of each pair of its
+    points, in `combinations` order, taken once.  Its diameter, its
+    complements' tables (`_rest_pairs`), the two-point rule's distance and
+    the near-flat close all read from it.  `settle(items, table)` iterates
+    to (center, iterations, diameter trace) and `step(items, table)` takes
+    one leave-one-out step; they share one memo that maps the items of a
+    sub-configuration to its center, so a center that several branches
     need (that of S minus {i, j} is reached from both i and j) is computed
     once.  Items that compare equal share a key, as 0.0 and -0.0 do, and
     tol, max_iters and max_points are fixed for the memo's life.  The
@@ -250,7 +262,8 @@ class _Recursion:
     """
 
     __slots__ = (
-        "space", "tol", "near_flat", "max_iters", "max_points", "metric", "interpolate", "memo"
+        "space", "tol", "near_flat", "max_iters", "max_points", "measure", "to_distance",
+        "interpolate", "memo",
     )
 
     def __init__(self, space: Space, tol: float, max_iters: int, max_points: int):
@@ -263,17 +276,16 @@ class _Recursion:
         # projected step (see settle); nothing else is near-flat
         self.near_flat = tol ** (1.0 / 3.0) if space.kind == HYPERBOLIC else 0.0
         self.max_iters, self.max_points = max_iters, max_points
-        self.metric, self.interpolate = spaces.kernels(space)
+        self.measure, self.to_distance = spaces.pair_measure(space)
+        self.interpolate = spaces.kernels(space)[1]
         self.memo = {}
 
-    def diameter(self, items) -> float:
-        d = farthest(self.metric, [p for p, _ in items])
-        if not math.isfinite(d):
-            raise GeometryError(f"configuration overflows: diameter {d}")
-        return d
+    def table(self, items) -> list:
+        """The pair table of items."""
+        return list(starmap(self.measure, combinations([p for p, _ in items], 2)))
 
-    def between(self, x, mx, y, my):
-        """The two-point center of (x, mx) and (y, my)."""
+    def between(self, x, mx, y, my, d=None):
+        """The two-point center of (x, mx) and (y, my), d apart if given."""
         if mx <= 0.0 or my <= 0.0:
             raise GeometryError("masses must be positive")
         t = my / (mx + my)
@@ -283,38 +295,36 @@ class _Recursion:
             if t == 1.0:
                 return y
             raise GeometryError(f"geodesic parameter must lie in [0, 1], got {t}")
-        return self.interpolate(x, y, t)
+        return self.interpolate(x, y, t, d)
 
-    def center(self, items):
-        """The center of a sub-configuration of two or more points."""
-        c = self.memo.get(items)
-        if c is None:
-            if len(items) == 2:
-                (x, mx), (y, my) = items
-                c = self.between(x, mx, y, my)
-                coords = (c.offset,) if self.space.kind == TREE else c
-                if not all(map(math.isfinite, coords)):
-                    raise GeometryError(f"configuration overflows: center {c}")
-            else:
-                c = self.settle(items, self.diameter(items))[0]
-            self.memo[items] = c
+    def center(self, items, table):
+        """The center of two or more items with pair table `table`."""
+        if len(items) > 2:
+            return self.settle(items, table)[0]
+        (x, mx), (y, my) = items
+        c = self.between(x, mx, y, my, self.to_distance(table[0]))
+        coords = (c.offset,) if self.space.kind == TREE else c
+        if not all(map(math.isfinite, coords)):
+            raise GeometryError(f"configuration overflows: center {c}")
         return c
 
-    def step(self, items):
+    def step(self, items, table):
         n = len(items)
         total = _left_sum([m for _, m in items])
         moved = []
-        for i, (x, m) in enumerate(items):
+        for i, ((x, m), keep) in enumerate(zip(items, _rest_pairs(n))):
             rest = items[:i] + items[i + 1 :]
             rest_mass = total - m
             if not rest_mass > 0.0:  # m dwarfs the rest, and M - m_i cancels
                 rest_mass = math.fsum([other for _, other in rest])
-            c = self.center(rest)
+            c = self.memo.get(rest)
+            if c is None:
+                c = self.memo[rest] = self.center(rest, [table[k] for k in keep])
             moved.append((self.between(x, m, c, rest_mass), rest_mass / (n - 1)))
         return tuple(moved)
 
-    def settle(self, items, d0):
-        """(center, iterations, diameter trace) from items of diameter d0.
+    def settle(self, items, table):
+        """(center, iterations, diameter trace) from items and pair table.
 
         A flat configuration closes in closed form (`_flat_center`).  A
         hyperbolic one closes in one projected step, `_sheet_mean`, once
@@ -330,45 +340,50 @@ class _Recursion:
         before it, and the cap not to the projected step itself.
         """
         tol, max_iters = self.tol, self.max_iters
-        if d0 >= tol and max_iters >= 1:
-            c = _flat_center(self.space, items, d0)
-            if c is not None:
-                return c, 1, [d0, 0.0]
         n = len(items)
-        trace = [d0]
-        iterations = 0
-        while trace[-1] >= tol:
+        trace, iterations = [], 0
+        while True:
+            d = farthest(self.to_distance, table)
+            if not math.isfinite(d):
+                raise GeometryError(f"configuration overflows: diameter {d}")
+            trace.append(d)
+            if d < tol:
+                return items[0][0], iterations, trace
             if iterations >= max_iters:
                 raise ConvergenceError(
-                    f"diameter {trace[-1]:.3e} still above tol {tol:.3e} "
+                    f"diameter {d:.3e} still above tol {tol:.3e} "
                     f"after {iterations} iterations",
                     BarycenterResult(items[0][0], iterations, trace, False),
                 )
-            if trace[-1] < self.near_flat:
+            if not iterations:
+                c = _flat_center(self.space, items, table, d)
+                if c is not None:
+                    return c, 1, [d, 0.0]
+            if d < self.near_flat:
                 trace.append(0.0)
-                return _sheet_mean(items, trace[-2]), iterations + 1, trace
+                return _sheet_mean(items, table, d), iterations + 1, trace
             if n > self.max_points:
                 raise GeometryError(
                     f"{n} points exceeds the recursion cap {self.max_points}; "
                     "raise max_points explicitly to accept the cost"
                 )
             try:
-                items = self.step(items)
+                items = self.step(items, table)
             except ConvergenceError as exc:  # a sub-configuration's; report ours
                 exc.result = BarycenterResult(items[0][0], iterations, trace, False)
                 raise
-            trace.append(self.diameter(items))
+            table = self.table(items)
             iterations += 1
-        return items[0][0], iterations, trace
 
 
 def _start(space: Space, config: Configuration, tol, max_iters, max_points):
-    """The recursion of one top-level call and the configuration's
-    (point, mass) items, with the mass scale k of `_finite_masses`."""
+    """The recursion of one top-level call, the configuration's items and
+    pair table, and the mass scale k of `_finite_masses`."""
     recursion = _Recursion(space, tol, max_iters, max_points)
     spaces.check_arity(space, config.points)
     masses, k = _finite_masses([item.mass for item in config.items])
-    return recursion, tuple(zip(config.points, masses)), k
+    items = tuple(zip(config.points, masses))
+    return recursion, items, recursion.table(items), k
 
 
 def leave_one_out_step(
@@ -390,8 +405,8 @@ def leave_one_out_step(
     n = len(config)
     if n < 3:
         raise GeometryError(f"leave-one-out step needs at least 3 points, got {n}")
-    recursion, items, k = _start(space, config, tol, max_iters, max_points)
-    items = recursion.step(items)
+    recursion, items, table, k = _start(space, config, tol, max_iters, max_points)
+    items = recursion.step(items, table)
     return Configuration(tuple(WeightedPoint(p, math.ldexp(m, k)) for p, m in items))
 
 
@@ -413,12 +428,12 @@ def center_of_mass(
     any level carries the partial result of this configuration: its first
     point, its completed iterations and its diameter trace.
     """
-    recursion, items, _ = _start(space, config, tol, max_iters, max_points)
+    recursion, items, table, _ = _start(space, config, tol, max_iters, max_points)
     if len(items) == 1:
         return BarycenterResult(items[0][0], 0, [0.0], True)
     if len(items) == 2:
-        return BarycenterResult(recursion.center(items), 0, [0.0], True)
-    center, iterations, trace = recursion.settle(items, recursion.diameter(items))
+        return BarycenterResult(recursion.center(items, table), 0, [0.0], True)
+    center, iterations, trace = recursion.settle(items, table)
     return BarycenterResult(center, iterations, trace, True)
 
 

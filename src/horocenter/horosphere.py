@@ -178,7 +178,7 @@ def select(
     mean (a non-shrinking E^2 body takes about 0.27 ms with 12 generators
     on one Xeon core); in H^n and for points spread over tree branches it
     is the recursion, whose cost grows faster than exponentially with the
-    number of points (about 3.5, 15 and 45 ms for 5, 6 and 7 points in
+    number of points (about 1.5, 6.5 and 25 ms for 5, 6 and 7 points in
     H^2).
     """
     opts = opts or SelectOptions()

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import chain
 
 from . import spaces
 from .barycenter import (
@@ -90,15 +89,14 @@ class LipschitzReport(Value):
 
 
 def hausdorff(space: Space, a: ConvexBody, b: ConvexBody) -> float:
-    """Symmetric Hausdorff distance between finite generator sets."""
-    spaces.check_arity(space, a.generators + b.generators)
-    metric = spaces.kernels(space)[0]
-
-    def directed(src, dst):
-        # seeded with 0.0, max() skips NaN as spaces.farthest does
-        return max(chain((0.0,), (min(metric(p, q) for q in dst) for p in src)))
-
-    return max(directed(a.generators, b.generators), directed(b.generators, a.generators))
+    """Symmetric Hausdorff distance between finite generator sets: the
+    largest of each generator's nearest measure in the other set, mapped
+    to a distance once."""
+    a, b = a.generators, b.generators
+    spaces.check_arity(space, a + b)
+    measure, to_distance = spaces.pair_measure(space)
+    nearest = (min(measure(p, q) for q in dst) for src, dst in ((a, b), (b, a)) for p in src)
+    return spaces.farthest(to_distance, nearest)
 
 
 # -- per-sample draws (exposed so tests can re-derive every case) ------------

@@ -1,11 +1,11 @@
 """Three model Hadamard spaces behind one functional interface.
 
 Every operation takes a :class:`Space` descriptor first.  The per-kind
-choice of metric and geodesic interpolator lives only in ``kernels``,
-which hands out a space's unchecked pair; ``distance``,
-``geodesic_point`` and ``diameter`` check their arguments and then call
-it, and a caller that makes many calls in one space takes the pair once.
-``diameter`` measures every pair with one metric.  The spaces:
+choice of metric and geodesic interpolator lives only in ``kernels``, and
+of pair measure (the quadrance <x-y, x-y> in H^n) in ``pair_measure``.
+``distance``, ``geodesic_point`` and ``diameter`` check their arguments
+and then call these unchecked callables, which a caller that makes many
+calls in one space takes once.  The spaces:
 
 * ``euclidean`` -- R^n, points are coordinate tuples.
 * ``hyperbolic`` -- the hyperboloid sheet {<x,x> = -1, x0 > 0} in
@@ -165,7 +165,9 @@ def _hyp_alpha(x, v) -> float:
     When y.v_s > 0 that cancels; on the lift the Lagrange identity gives
     (v0^2 + |y ^ v_s|^2) / (x0 v0 + y.v_s) with |y ^ v_s|^2 =
     v0^2 |y - c v_s|^2, c = y.v_s / v0^2: a quotient of positive terms,
-    here divided through by v0, so v0^2 is never formed.
+    here divided through by v0, so v0^2 is never formed.  Rounding c v_i
+    moves y_i - c v_i by up to 2^-53 |y|, near the line toward v as much
+    as the difference, so past x0 = 2^12 |y - c v_s|^2 is summed exactly.
     """
     x0, v0 = x[0], v[0]
     dot = _left_sum(a * b for a, b in zip(x[1:], v[1:]))
@@ -173,10 +175,16 @@ def _hyp_alpha(x, v) -> float:
         alpha = x0 * v0 - dot
     else:
         t = dot / v0
-        c, q = t / v0, 0.0
-        for i in range(1, len(x)):
-            d = x[i] - c * v[i]
-            q += d * d
+        if x0 > 2.0**12:
+            from fractions import Fraction  # far levels only
+            y, w = [Fraction(a) for a in x[1:]], [Fraction(b) for b in v[1:]]
+            c = sum(a * b for a, b in zip(y, w)) / Fraction(v0) ** 2
+            q = float(sum((a - c * b) ** 2 for a, b in zip(y, w)))
+        else:
+            c, q = t / v0, 0.0
+            for i in range(1, len(x)):
+                d = x[i] - c * v[i]
+                q += d * d
         alpha = v0 * (1.0 + q) / (x0 + t)
     if not alpha > 0.0:  # NaN too, from a raw vector holding one
         raise GeometryError("ideal vector points away from the sheet")
@@ -305,17 +313,27 @@ def normalize_ideal(space: Space, xi: IdealPoint) -> IdealPoint:
 def kernels(space: Space):
     """The space's metric and geodesic interpolator, (metric, interpolate).
 
-    metric(x, y) is the distance and interpolate(x, y, t) the point at
-    arclength fraction t from x toward y, for 0 < t < 1; neither checks
-    its arguments.  `distance`, `geodesic_point` and `diameter` call these
-    after their checks, and a caller that makes many calls in one space
-    can take them once.
+    metric(x, y) is the distance and interpolate(x, y, t, d=None) the
+    point at arclength fraction t from x toward y, for 0 < t < 1, where d
+    is their distance if the caller has it; neither checks its arguments.
+    `distance` and `geodesic_point` call these after their checks, and a
+    caller that makes many calls in one space can take them once.
     """
     if space.kind == EUCLIDEAN:
         return math.dist, _euclid_geodesic
     if space.kind == HYPERBOLIC:
         return _hyp_distance, _hyp_geodesic
     return space.tree.distance, partial(_tree_geodesic, space.tree)
+
+
+def pair_measure(space: Space):
+    """(measure, to_distance): measure(x, y) is the quadrance <x-y, x-y> in
+    H^n and the distance elsewhere, and to_distance(measure(x, y)) is the
+    distance.  to_distance is nondecreasing, so it commutes with max and
+    min: a set of pairs pays one sqrt and asinh, at its extreme."""
+    if space.kind == HYPERBOLIC:
+        return _hyp_quadrance, _quadrance_distance
+    return kernels(space)[0], float  # float(d) is d
 
 
 def diameter(space: Space, points) -> float:
@@ -326,13 +344,14 @@ def diameter(space: Space, points) -> float:
     pair that holds one.
     """
     check_arity(space, points)
-    return farthest(kernels(space)[0], points)
+    measure, to_distance = pair_measure(space)
+    return farthest(to_distance, starmap(measure, combinations(points, 2)))
 
 
-def farthest(metric, points) -> float:
-    """Largest metric(p, q) over the pairs of points, in diameter's order."""
+def farthest(to_distance, measures) -> float:
+    """The distance of the largest of a set of pair measures (0.0 if none)."""
     # max() takes a later value only if strictly greater, so NaN is skipped
-    return max(chain((0.0,), starmap(metric, combinations(points, 2))))
+    return to_distance(max(chain((0.0,), measures)))
 
 
 def check_arity(space: Space, points) -> None:
@@ -360,12 +379,16 @@ def _hyp_quadrance(x, y) -> float:
     return q
 
 
-def _hyp_distance(x, y) -> float:
-    """Hyperbolic distance of two sheet points of equal length."""
-    q = _hyp_quadrance(x, y)
+def _quadrance_distance(q: float) -> float:
+    """2 asinh(sqrt(q)/2), the distance at quadrance q, nondecreasing in q."""
     if q <= 0.0:
         return 0.0
     return 2.0 * math.asinh(0.5 * math.sqrt(q))
+
+
+def _hyp_distance(x, y) -> float:
+    """Hyperbolic distance of two sheet points of equal length."""
+    return _quadrance_distance(_hyp_quadrance(x, y))
 
 
 def distance(space: Space, x, y) -> float:
@@ -388,12 +411,13 @@ def geodesic_point(space: Space, x, y, t: float):
     return kernels(space)[1](x, y, t)
 
 
-def _euclid_geodesic(x, y, t: float):
+def _euclid_geodesic(x, y, t: float, d=None):
     return tuple(a + t * (b - a) for a, b in zip(x, y))
 
 
-def _hyp_geodesic(x, y, t: float):
-    d = _hyp_distance(x, y)
+def _hyp_geodesic(x, y, t: float, d=None):
+    if d is None:
+        d = _hyp_distance(x, y)
     if d < 1e-14:
         return x
     # (sinh((1-t)d) x + sinh(td) y) / sinh d, with weights in [0, 1]
@@ -402,7 +426,7 @@ def _hyp_geodesic(x, y, t: float):
     return _lift([a * u + b * v for u, v in zip(x[1:], y[1:])], "distance", d)
 
 
-def _tree_geodesic(tree: Tree, x, y, t: float):
+def _tree_geodesic(tree: Tree, x, y, t: float, d=None):
     route = tree._route(x, y)
     if route[0] == 0.0:
         return x

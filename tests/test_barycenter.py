@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -421,9 +421,9 @@ def reference_center(space, config, tol, max_iters, flat=True):
         return BarycenterResult(config.items[0].point, 0, [0.0], True)
     if n == 2:
         return BarycenterResult(two_point_center(space, *config.items), 0, [0.0], True)
-    trace = [config_diameter(space, config)]
+    trace = [_per_pair_diameter(space, config)]
     if flat and trace[0] >= tol and max_iters >= 1:
-        center = _flat_center(space, _pairs(config), trace[0])
+        center = _flat_center(space, _pairs(config), _table(space, config), trace[0])
         if center is not None:
             return BarycenterResult(center, 1, [trace[0], 0.0], True)
     iterations = 0
@@ -432,7 +432,7 @@ def reference_center(space, config, tol, max_iters, flat=True):
             partial = BarycenterResult(config.items[0].point, iterations, trace, False)
             raise ConvergenceError("reference", partial)
         if flat and space.kind == "hyperbolic" and trace[-1] < tol ** (1 / 3):
-            center = _sheet_mean(_pairs(config), trace[-1])
+            center = _sheet_mean(_pairs(config), _table(space, config), trace[-1])
             return BarycenterResult(center, iterations + 1, trace + [0.0], True)
         total, items = config.total_mass, config.items
         moved = []
@@ -449,13 +449,25 @@ def reference_center(space, config, tol, max_iters, flat=True):
             point = two_point_center(space, item, WeightedPoint(c, rest_mass))
             moved.append(WeightedPoint(point, rest_mass / (n - 1)))
         config = Configuration(tuple(moved))
-        trace.append(config_diameter(space, config))
+        trace.append(_per_pair_diameter(space, config))
         iterations += 1
     return BarycenterResult(config.items[0].point, iterations, trace, True)
 
 
 def _pairs(config):
     return [(item.point, item.mass) for item in config.items]
+
+
+def _per_pair_diameter(space, config):
+    """The largest `spaces.distance` of the pairs, each measured alone."""
+    pairs = combinations(config.points, 2)
+    return max([0.0] + [sp.distance(space, p, q) for p, q in pairs])
+
+
+def _table(space, config):
+    """The pair table of a configuration: its pairs' measures."""
+    measure = sp.pair_measure(space)[0]
+    return [measure(p, q) for p, q in combinations(config.points, 2)]
 
 
 def _outcome(center, space, config, tol, max_iters):
@@ -547,6 +559,39 @@ def test_memo_cuts_geodesic_work(monkeypatch):
     res = center_of_mass(space, cfg)
     assert res.converged and res.iterations == 3
     assert len(calls) == 1176
+
+
+def test_each_pair_is_measured_once_per_configuration(monkeypatch):
+    """Each configuration's pairs are measured once, into a table that its
+    complements, its two-point rule and its near-flat close read: 1,212
+    quadrances through the measure that `spaces.pair_measure` hands out
+    for the unit H^2 configuration of 6 points, and no call of the
+    metric.  939 of the 1,176 interpolations join a point to a complement
+    center, a pair no table holds, and measure it themselves: 2,151
+    quadrances in all, where measuring every pair at each use took 4,290."""
+    space = Space.hyperbolic(2)
+    rng = sp.sub_rng(11, 7)
+    cfg = unit_configuration(space, [sp.draw_point(space, rng, 2.0) for _ in range(6)])
+    measured, metric_calls, interpolated = [], [], []
+    pair_measure, kernels = sp.pair_measure, sp.kernels
+
+    def counted_pair_measure(space):
+        measure, to_distance = pair_measure(space)
+        return lambda *args: measured.append(args) or measure(*args), to_distance
+
+    def counted_kernels(space):
+        metric, interpolate = kernels(space)
+        return (
+            lambda *args: metric_calls.append(args) or metric(*args),
+            lambda *args: interpolated.append(args) or interpolate(*args),
+        )
+
+    monkeypatch.setattr(sp, "pair_measure", counted_pair_measure)
+    monkeypatch.setattr(sp, "kernels", counted_kernels)
+    res = center_of_mass(space, cfg)
+    assert res.converged and res.iterations == 3
+    assert (len(measured), len(metric_calls), len(interpolated)) == (1212, 0, 1176)
+    assert sum(1 for args in interpolated if args[3] is None) == 939
 
 
 def test_memo_keeps_the_partial_result(hyp2):
@@ -739,7 +784,7 @@ def test_a_point_just_off_the_path_takes_the_recursion(tree_space):
         ],
     )
     d0 = config_diameter(tree_space, cfg)
-    assert _flat_center(tree_space, _pairs(cfg), d0) is None
+    assert _flat_center(tree_space, _pairs(cfg), _table(tree_space, cfg), d0) is None
     res = center_of_mass(tree_space, cfg)
     assert res.converged and res.diameter_trace[-1] != 0.0
     assert repr(res) == repr(reference_center(tree_space, cfg, 1e-8, 200))
@@ -843,7 +888,8 @@ def test_the_tail_is_within_d0_cubed_of_the_limit(dim, n, spread):
         cfg = near_config(space, rng, n, 2.0, spread)
         d0 = config_diameter(space, cfg)
         limit = oracle.center(cfg.points, _masses(cfg))
-        assert oracle.distance(_sheet_mean(_pairs(cfg), d0), limit) <= d0**3
+        got = _sheet_mean(_pairs(cfg), _table(space, cfg), d0)
+        assert oracle.distance(got, limit) <= d0**3
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -885,7 +931,7 @@ def test_the_projection_keeps_its_digits_far_out(dim):
     worst = 0.0
     for _ in range(30):
         cfg = near_config(space, rng, 4, 8.0, 1e-3)
-        got = _sheet_mean(_pairs(cfg), config_diameter(space, cfg))
+        got = _sheet_mean(_pairs(cfg), _table(space, cfg), config_diameter(space, cfg))
         exact = oracle.projected_mean(cfg.points, _masses(cfg))
         worst = max(worst, oracle.distance(got, exact))
     assert worst <= 1e-12

@@ -290,6 +290,27 @@ def test_levels_match_the_oracle(dim):
     assert worst <= 1e-13
 
 
+@pytest.mark.parametrize("k", [30, 35, 40])
+def test_far_levels_near_the_line_toward_xi_match_the_oracle(k):
+    """A point at x0 = 2^k whose transverse part off the line toward xi is
+    0.5 to 3: rounding c v_i in y_i - c v_i would move its level by up to
+    3e-8 at 2^30 and 3e-5 at 2^40, so past x0 = 2^12 that part is summed
+    exactly, and the level is within a few ulps of the oracle's."""
+    space = sp.Space.hyperbolic(2)
+    xi = IdealPoint.null_vector((1.0, 0.6, 0.8))
+    v = xi.vector
+    along = [c / v[0] for c in v[1:]]
+    across = [-along[1], along[0]]
+    rng = sp.sub_rng(24, k)
+    worst = 0.0
+    for _ in range(40):
+        p = float(rng.uniform(0.5, 3.0)) * (1.0 if rng.random() < 0.5 else -1.0)
+        x = sp._lift([2.0**k * a + p * w for a, w in zip(along, across)], "y", k)
+        assert abs(x[0] / 2.0**k - 1.0) < 1e-6
+        worst = max(worst, abs(sp.busemann(space, xi, x) - float(oracle.level(x, v))))
+    assert worst <= 1e-14
+
+
 # a space, a point in it, and a short and a long ideal vector
 _SHORT_AND_LONG = {
     "E3": (sp.Space.euclidean(3), (1.0, 2.0, 3.0), [(0.0, 1.0), (0.0, 0.0, 0.0, 1.0)]),
@@ -802,6 +823,43 @@ def test_kernel_is_bit_identical_to_the_reference(seed, which, how, t, n):
     points = [sp.draw_point(space, rng, 3.0) for _ in range(n)]
     points[1:1] = [x, y][: min(n, 2)]
     assert repr(sp.diameter(space, points)) == repr(reference_diameter(space, points))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=SEEDS,
+    dim=st.sampled_from([2, 3]),
+    exponent=st.floats(min_value=-6.0, max_value=math.log10(30.0)),
+    kinds=st.lists(st.sampled_from(["far", "same", "ulp", "near"]), min_size=2, max_size=7),
+    cut=st.integers(min_value=1, max_value=6),
+)
+def test_the_largest_measure_maps_to_the_largest_distance(seed, dim, exponent, kinds, cut):
+    """`diameter` and `hausdorff` take the extreme quadrance and map only
+    it to a distance.  That is the extreme of the per-pair distances, bit
+    for bit, as long as libm's asinh is monotone: sets of 2 to 7 points at
+    scale 1e-6 to 30, with duplicates, ulp neighbours and near points."""
+    from horocenter.horosphere import ConvexBody
+    from horocenter.lipschitz import hausdorff
+
+    space = sp.Space.hyperbolic(dim)
+    rng = np.random.default_rng(seed)
+    points = [sp.draw_point(space, rng, 10.0**exponent)]
+    for how in kinds[1:]:
+        x = points[int(rng.integers(len(points)))]
+        if how == "far":
+            x = sp.draw_point(space, rng, 10.0**exponent)
+        points.append(_partner(space, x, rng, how) if how in ("ulp", "near") else x)
+    pairs = [sp.distance(space, p, q) for i, p in enumerate(points) for q in points[i + 1 :]]
+    assert repr(sp.diameter(space, points)) == repr(max(pairs))
+
+    cut = min(cut, len(points) - 1)
+    a, b = ConvexBody.of(space, points[:cut]), ConvexBody.of(space, points[cut:])
+
+    def directed(src, dst):
+        return max(min(sp.distance(space, p, q) for q in dst) for p in src)
+
+    want = max(directed(a.generators, b.generators), directed(b.generators, a.generators))
+    assert repr(hausdorff(space, a, b)) == repr(want)
 
 
 # -- accuracy against the 40-digit oracle -------------------------------------------

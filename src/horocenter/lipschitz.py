@@ -47,7 +47,7 @@ from .barycenter import (
     replace_mass,
     replace_point,
 )
-from .horosphere import ConvexBody, SelectOptions, select
+from .horosphere import ConvexBody, SelectOptions, _select
 from .spaces import TREE, GeometryError, IdealPoint, Space, _left_sum
 from .values import Frozen, Value
 
@@ -216,7 +216,7 @@ def selector_scan(params: ScanParams) -> LipschitzReport:
     xi = params.ideal
     if xi is None:
         raise GeometryError("selector scan needs an ideal point")
-    spaces.validate_ideal(space, xi)
+    horo = spaces.horofunction(space, xi)
     opts = SelectOptions(
         tol=params.tol, max_iters=params.max_iters, smoothing=params.smoothing
     )
@@ -225,7 +225,7 @@ def selector_scan(params: ScanParams) -> LipschitzReport:
         body, perturbed = body_case(params, i)
         return hausdorff(space, body, perturbed), body, perturbed
 
-    report = _scan(params, sample, lambda body: select(space, body, xi, opts=opts))
+    report = _scan(params, sample, lambda body: _select(space, horo, body, opts))
     if space.kind == TREE and not params.smoothing:
         report.straddle = branch_straddle_probe(space, xi, smoothing=False)
     return report
@@ -257,9 +257,9 @@ def branch_straddle_probe(
         raise GeometryError("the straddle probe needs a marked-end ideal point")
     if not tree.branch_vertices:
         raise GeometryError("tree has no branch vertex to straddle")
+    horo = spaces.horofunction(space, xi)
     vertex = tree.branch_vertices[0]
-    anchor = tree.leaf_edge(xi.leaf)
-    toward_end = tree.vertex_path(vertex, xi.leaf)[0] if vertex != xi.leaf else anchor.index
+    toward_end = tree.vertex_path(vertex, xi.leaf)[0]  # a branch vertex is no leaf
     branches = [ei for _, ei in tree.adjacency[vertex] if ei != toward_end][:2]
     if len(branches) < 2:
         raise GeometryError(f"vertex {vertex!r} lacks two branches off the end")
@@ -278,9 +278,7 @@ def branch_straddle_probe(
     for _ in range(STRADDLE_HALVINGS + 1):
         lo = pair(contact_depth - delta, contact_depth + delta)
         hi = pair(contact_depth + delta, contact_depth - delta)
-        gap = spaces.distance(
-            space, select(space, lo, xi, opts=opts), select(space, hi, xi, opts=opts)
-        )
+        gap = spaces.distance(space, *(_select(space, horo, b, opts) for b in (lo, hi)))
         ratios.append(gap / hausdorff(space, lo, hi))
         delta *= 0.5
     return ratios

@@ -5,8 +5,8 @@ choice of metric and geodesic interpolator lives only in ``kernels``, of
 pair measure (the quadrance <x-y, x-y> in H^n) in ``pair_measure``, and
 of horofunction level and ray toward an ideal point in ``horofunction``.
 ``distance``, ``geodesic_point``, ``diameter``, ``busemann`` and
-``ray_point`` check their arguments and then call these unchecked
-callables, which a caller that makes many calls takes once.  The spaces:
+``ray_point`` check their arguments and then call these callables, which
+a caller that makes many calls takes once.  The spaces:
 
 * ``euclidean`` -- R^n, points are coordinate tuples.
 * ``hyperbolic`` -- the hyperboloid sheet {<x,x> = -1, x0 > 0} in
@@ -20,12 +20,13 @@ callables, which a caller that makes many calls takes once.  The spaces:
 Points and ideal vectors have ``coordinate_count`` entries, n in R^n and
 n + 1 in H^n.  ``canonical_point`` is the one point check, which every
 input point passes once, in ``Configuration.of`` or ``ConvexBody.of``.
-Past it only lengths are checked: ``busemann``, ``ray_point`` and
-``ray_separation`` check their points' and their ideal vector's, and
-``check_arity`` those of ``distance``, ``geodesic_point``, ``diameter``,
-``center_of_mass`` and ``hausdorff``.  An ideal point is checked in full
-by ``validate_ideal``, once per call of ``select``, ``first_horosphere``,
-``classify_body`` or ``limit_separation``, and not by ``horofunction``.
+Past it only lengths are checked: ``busemann`` and ``ray_point`` check
+their point's, and ``check_arity`` those of ``distance``,
+``geodesic_point``, ``diameter``, ``ray_separation``, ``center_of_mass``
+and ``hausdorff``.  An ideal point is checked in one place:
+``horofunction`` builds its pair from what ``validate_ideal`` returns, and
+every level, ray and selector reads through such a pair, so the library
+refuses what ``validate_ideal`` refuses, with its message.
 
 Ideal points are unit directions (euclidean), future-pointing null
 vectors of any positive scale (hyperbolic), or marked leaf ids (tree).
@@ -69,7 +70,7 @@ MAX_DIM = 1024  # keeps coordinate tuples and draws small; far above desk scale
 IDEAL_TOL = 1e-9
 _T_BITS = 26  # fractional bits of the stereographic parameter of a null vector
 _RAY_X0_MAX, _RAY_LEVEL_TOL = 2.0**39, 3.5e-8  # see ray_point
-_V0_MIN, _V0_MAX = 2.0**-64, 2.0**64  # see _moderate
+_V0_MIN, _V0_MAX = 2.0**-64, 2.0**64  # see validate_ideal
 
 _SEED_MASK = 0x7FFF_FFFF_FFFF_FFFF
 
@@ -152,19 +153,9 @@ def _mink(x, y) -> float:
     return s
 
 
-def _moderate(v):
-    """v, or, if v0 > 0 lies outside [2^-64, 2^64], v scaled exactly by a
-    power of two to v0 in [0.5, 1).  Levels and rays read only ratios of v.
-    Within that range _hyp_alpha neither under- nor overflows for
-    x0 < 2^512, the range _lift keeps, and log(v0) rounds by under 5e-15."""
-    if v[0] > _V0_MAX or 0.0 < v[0] < _V0_MIN:
-        return [math.ldexp(c, -math.frexp(v[0])[1]) for c in v]
-    return v
-
-
 def _hyp_alpha(x, v) -> float:
     """-<x, v> = x0 v0 - y.v_s for a sheet point x and a v read as null,
-    with v0 as _moderate leaves it; an error unless it is positive.
+    as validate_ideal returns it; an error unless it is positive.
 
     When y.v_s > 0 that cancels; on the lift the Lagrange identity gives
     (v0^2 + |y ^ v_s|^2) / (x0 v0 + y.v_s) with |y ^ v_s|^2 =
@@ -175,7 +166,7 @@ def _hyp_alpha(x, v) -> float:
     """
     x0, v0 = x[0], v[0]
     dot = _left_sum(a * b for a, b in zip(x[1:], v[1:]))
-    if dot <= 0.0 or v0 <= 0.0:  # no cancellation: x0 v0 and -dot share a sign
+    if dot <= 0.0:  # no cancellation: x0 v0 and -dot share a sign
         alpha = x0 * v0 - dot
     else:
         t = dot / v0
@@ -190,7 +181,7 @@ def _hyp_alpha(x, v) -> float:
                 d = x[i] - c * v[i]
                 q += d * d
         alpha = v0 * (1.0 + q) / (x0 + t)
-    if not alpha > 0.0:  # NaN too, from a raw vector holding one
+    if not alpha > 0.0:  # NaN too, from a raw point off the sheet
         raise GeometryError("ideal vector points away from the sheet")
     return alpha
 
@@ -288,12 +279,18 @@ def canonical_point(space: Space, p):
     return tuple(float(c) for c in p)
 
 
-def validate_ideal(space: Space, xi: IdealPoint) -> None:
+def validate_ideal(space: Space, xi: IdealPoint):
+    """What horofunction builds its pair from, or an error: the unit
+    direction, the marked leaf, or the null vector v as given if v0 lies
+    in [2^-64, 2^64], else scaled exactly by a power of two to v0 in
+    [0.5, 1).  Levels and rays read only ratios of v; within that range
+    _hyp_alpha neither under- nor overflows for x0 < 2^512, the range
+    _lift keeps, and log(v0) rounds by under 5e-15."""
     if space.kind == TREE:
         if xi.leaf is None:
             raise GeometryError("tree ideal point must name a marked leaf")
         space.tree.leaf_edge(xi.leaf)
-        return
+        return xi.leaf
     if xi.vector is None:
         raise GeometryError(f"{space.kind} ideal point needs a vector")
     v = xi.vector
@@ -302,8 +299,9 @@ def validate_ideal(space: Space, xi: IdealPoint) -> None:
         norm = math.sqrt(sum(c * c for c in v))
         if not abs(norm - 1.0) <= 1e-12:
             raise GeometryError(f"direction must be unit, |u| = {norm}")
-        return
-    _checked_null(v)
+        return v
+    u = _checked_null(v)
+    return v if _V0_MIN <= v[0] <= _V0_MAX else u
 
 
 def normalize_ideal(space: Space, xi: IdealPoint) -> IdealPoint:
@@ -440,20 +438,17 @@ def _tree_geodesic(tree: Tree, x, y, t: float, d=None):
 
 
 def horofunction(space: Space, xi: IdealPoint):
-    """(level, ray), unchecked: busemann(space, xi, x) and ray_point(space,
-    x, xi, s) call level(x) and ray(x, s) after their checks, and a caller
-    that has validated xi builds them once.  In H^n xi is moderated and
-    log(xi0) taken here, once.  ray(x, 0) is x."""
+    """(level, ray) toward xi, once xi passes validate_ideal: busemann(space,
+    xi, x) and ray_point(space, x, xi, s) are level(x) and ray(x, s) after
+    their point checks, and a caller that reads many levels builds the pair
+    once.  In H^n log(xi0) is taken here, once.  ray(x, 0) is x."""
+    v = validate_ideal(space, xi)
     if space.kind == EUCLIDEAN:
-        u = xi.vector
         def level(x):
-            return -_left_sum(a * c for a, c in zip(x, u))
+            return -_left_sum(a * c for a, c in zip(x, v))
         def step(x, s):
-            return tuple(a + s * c for a, c in zip(x, u))
+            return tuple(a + s * c for a, c in zip(x, v))
     elif space.kind == HYPERBOLIC:
-        v = _moderate(xi.vector)
-        if not v[0] > 0.0:  # a raw vector, which validate_ideal refuses
-            raise GeometryError("ideal vector points away from the sheet")
         log_v0 = math.log(v[0])
         def level(x):  # -<basepoint, v> = v0 exactly: _hyp_alpha's dot is 0
             return math.log(_hyp_alpha(x, v)) - log_v0
@@ -469,11 +464,11 @@ def horofunction(space: Space, xi: IdealPoint):
                     raise GeometryError(f"ray point at s = {s} is too far out: {off}")
             return r
     else:
-        tree, leaf = space.tree, xi.leaf
-        def level(x):  # the depth first: it raises TreeError for an unmarked leaf
-            return tree.depth_toward_end(x, leaf) - tree.base_depth[leaf]
+        tree = space.tree
+        def level(x):
+            return tree.depth_toward_end(x, v) - tree.base_depth[v]
         def step(x, s):
-            return tree.ray(x, leaf, s)
+            return tree.ray(x, v, s)
     return level, lambda x, s: step(x, s) if s else x
 
 
@@ -483,36 +478,32 @@ def ray_point(space: Space, x, xi: IdealPoint, s: float):
     In H^n it is the lift of exp(-s) y + sinh(s) xi_s / alpha, whose level
     alpha e^-s the rounding of y moves by up to 2.3 (2^-52 x0)^2 relative.
     Past x0 = 2^39, where that passes 3.5e-8, the level is read back, and
-    ray_point raises naming s if it is off by more.  Hyperbolic xi is read
-    as exactly null (see busemann)."""
+    ray_point raises naming s if it is off by more.  xi is checked as
+    busemann checks it, at s = 0 too."""
     if not 0.0 <= s < math.inf:
         raise GeometryError(f"ray parameter s must be finite and nonnegative, got {s}")
     _check_length(space, x)
-    _check_length(space, xi.vector, "components")
-    if s == 0.0:
-        return x
     return horofunction(space, xi)[1](x, s)
 
 
 def busemann(space: Space, xi: IdealPoint, x) -> float:
     """Horofunction level of x: 0 at basepoint(space) -- the origin,
     (1, 0, ..., 0) or the tree's basepoint -- decreasing at unit rate
-    toward xi.  Hyperbolic xi is read as exactly null, as every
-    constructor makes it: a raw IdealPoint(vector=v) that is null only to
-    IDEAL_TOL gets the level as if it were null."""
+    toward xi.  xi passes validate_ideal or is refused with its message;
+    hyperbolic xi is read as exactly null, as every constructor makes it,
+    so a raw IdealPoint(vector=v) that is null only to IDEAL_TOL gets the
+    level as if it were null."""
     _check_length(space, x)
-    _check_length(space, xi.vector, "components")
     return horofunction(space, xi)[0](x)
 
 
 def ray_separation(space: Space, x, y, xi: IdealPoint, s: float) -> float:
     """distance(ray(x, xi, s), ray(y, xi, s)), computed stably per space."""
-    _check_length(space, xi.vector, "components")
+    level = horofunction(space, xi)[0]  # checks xi in every space
     if space.kind == EUCLIDEAN:
         return distance(space, x, y)  # parallel rays keep their separation
     if space.kind == HYPERBOLIC:
         check_arity(space, (x, y))
-        level = horofunction(space, xi)[0]
         a2 = 0.25 * max(_hyp_quadrance(x, y), 0.0)  # sinh^2(d0/2)
         g2 = math.sinh(0.5 * (level(x) - level(y))) ** 2
         cm1 = 2.0 * (g2 + (a2 - g2) * math.exp(-2.0 * s))

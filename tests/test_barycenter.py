@@ -11,6 +11,7 @@ import hyperboloid_oracle as oracle
 from conftest import TREE_EDGES, TREE_LEAVES
 from horocenter import GeometryError, Space, spaces as sp
 from horocenter.barycenter import (
+    DEFAULT_TOL,
     BarycenterResult,
     Configuration,
     ConvergenceError,
@@ -1027,3 +1028,36 @@ def test_hull_sample_within_diameter(any_space):
     for i in range(len(samples)):
         for j in range(i + 1, len(samples)):
             assert sp.distance(any_space, samples[i], samples[j]) <= diam + 1e-9
+
+
+# -- the center is Lipschitz in its points -----------------------------------
+
+LIPSCHITZ_SLACK = 4 * DEFAULT_TOL  # absolute: the stopping rule leaves a few tol
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_SPACES))
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=SEEDS, n=st.integers(min_value=2, max_value=6), shift_all=st.booleans(),
+    twin=st.booleans(),
+)
+def test_the_center_is_lipschitz_in_its_points(name, seed, n, shift_all, twin):
+    # for fixed masses, d(c(x), c(y)) <= sum (m_i / M) d(x_i, y_i): equality
+    # holds in flat space and along tree geodesics, strict curvature shrinks
+    # it; a twin is a second point 1e-9 from the first
+    space = MEMO_SPACES[name]
+    rng = sp.sub_rng(seed)
+    points = [sp.draw_point(space, rng, 2.0) for _ in range(n)]
+    if twin:
+        points[1] = sp.random_shift(space, points[0], 1e-9, rng)
+    masses = [float(m) for m in rng.uniform(0.5, 2.0, n)]
+    moved = list(points)
+    for k in (range(n) if shift_all else [int(rng.integers(n))]):
+        moved[k] = sp.random_shift(space, points[k], float(rng.uniform(0.0, 1.0)), rng)
+    before, after = (
+        center_of_mass(space, Configuration.of(space, zip(p, masses)), max_points=n).center
+        for p in (points, moved)
+    )
+    total = math.fsum(masses)
+    bound = sum(m / total * sp.distance(space, p, q) for m, p, q in zip(masses, points, moved))
+    assert sp.distance(space, before, after) <= bound + LIPSCHITZ_SLACK

@@ -21,7 +21,7 @@ from horocenter.horosphere import (
     select,
     snap_singular,
 )
-from horocenter.lipschitz import ScanParams, body_case
+from horocenter.lipschitz import ScanParams, body_case, hausdorff, selector_scan
 from horocenter.trees import TreePoint
 
 from conftest import TREE_EDGES, TREE_LEAVES, ideal_for
@@ -524,6 +524,21 @@ def test_select_checks_xi_once_and_reads_each_level_once_per_stage(hyp2, monkeyp
     counts = count_kernel(monkeypatch)
     select(hyp2, body, xi)
     assert counts == {"built": 1, "level": 12, "ray": 6, "checked_null": 1}
+
+
+def test_selector_scan_checks_xi_once_and_selects_as_select_does(hyp2, monkeypatch):
+    # one pair serves all 8 samples, each of which is select's answer
+    xi = ideal_for(hyp2)
+    params = ScanParams(space=hyp2, samples=8, seed=5, ideal=xi)
+    expected = []
+    for i in range(params.samples):
+        body, perturbed = body_case(params, i)
+        out = sp.distance(hyp2, select(hyp2, body, xi), select(hyp2, perturbed, xi))
+        expected.append((i, hausdorff(hyp2, body, perturbed), out))
+    counts = count_kernel(monkeypatch)
+    report = selector_scan(params)
+    assert counts["built"] == 1 and counts["checked_null"] == 1
+    assert repr([r[:3] for r in report.records]) == repr(expected)
 
 
 @pytest.mark.parametrize(

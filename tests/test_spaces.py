@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from horocenter import GeometryError, IdealPoint, basepoint
 from horocenter import spaces as sp
+from horocenter.horosphere import ConvexBody, classify_body, first_horosphere, select
 from horocenter.trees import TreeError, TreePoint
 
 import hyperboloid_oracle as oracle
@@ -164,7 +165,7 @@ def _outcome(call):
 
 def _kernel_draws():
     """(space, xi, x, s) over E^1-E^3, H^1-H^5 and the conftest tree; in
-    H^n also xi scaled by 2^-1000 and 2^1000, which _moderate rescales,
+    H^n also xi scaled by 2^-1000 and 2^1000, which validate_ideal rescales,
     and s up to 45, where rays pass x0 = 2^39 and are read back or refused."""
     tree = sp.Space.tree_space(TREE_EDGES, TREE_LEAVES)
     for space in (
@@ -195,21 +196,6 @@ def test_horofunction_is_busemann_and_ray_point_bit_for_bit():
             refused += isinstance(got, str)
             read_back += not isinstance(got, str) and got[0] > 2.0**39
     assert refused > 0 and read_back > 0
-
-
-def test_horofunction_refuses_an_unmarked_leaf_as_busemann_does(tree_space):
-    # a level reads the point's depth before the basepoint's, so the
-    # lookup of an unmarked end fails in leaf_edge, not in base_depth
-    end, x = IdealPoint.end("D"), basepoint(tree_space)
-    level, ray = sp.horofunction(tree_space, end)
-    for call in (
-        lambda: level(x),
-        lambda: ray(x, 1.0),
-        lambda: sp.busemann(tree_space, end, x),
-        lambda: sp.ray_point(tree_space, x, end, 1.0),
-    ):
-        with pytest.raises(TreeError, match="'D' is not a marked ideal leaf"):
-            call()
 
 
 def test_ray_examples(euclid2):
@@ -390,25 +376,52 @@ def test_ray_kernels_check_the_ideal_length(kernel, name):
             calls[kernel](IdealPoint(vector=v))
 
 
-@pytest.mark.parametrize(
-    "v, x",
-    [
-        ((-1.0, 1.0, 0.0), (1.0, 0.0, 0.0)),
-        ((0.0, 1.0, 0.0), (math.sqrt(2.0), 1.0, 0.0)),
-        ((math.nan, 1.0, 0.0), (1.0, 0.0, 0.0)),
-    ],
-    ids=["past-pointing-at-basepoint", "v0-zero", "v0-nan"],
-)
-def test_a_raw_ideal_vector_off_the_future_cone_is_refused(hyp2, v, x):
-    # raw vectors that no constructor lets through: -<x, v> is -1, -1, NaN
-    xi = IdealPoint(vector=v)
+# per space, two points of a body; per case, a raw ideal point that no
+# constructor lets through, and what validate_ideal raises for it
+_GATE_SPACES = {
+    "E2": (sp.Space.euclidean(2), (0.0, 0.0), (1.0, 0.5)),
+    "H2": (sp.Space.hyperbolic(2), (1.0, 0.0, 0.0), (1.25, 0.75, 0.0)),
+    "tree": (sp.Space.tree_space(TREE_EDGES, TREE_LEAVES), TreePoint("A-B", 0.0),
+             TreePoint("B-D", 1.0)),
+}
+_REFUSED = {
+    "non-unit": ("E2", IdealPoint(vector=(2.0, 0.0)), "direction must be unit, |u| = 2.0"),
+    "wrong-length": ("H2", IdealPoint(vector=(1.0, 1.0)), "expected 3 components, got 2"),
+    "not-null": ("H2", IdealPoint(vector=(1.0, 0.5, 0.0)),
+                 "ideal vector must be null, <xi,xi> = -0.75"),
+    "past-pointing": ("H2", IdealPoint(vector=(-1.0, 1.0, 0.0)),
+                      "ideal vector must be future pointing"),
+    "v0-zero": ("H2", IdealPoint(vector=(0.0, 1.0, 0.0)), "ideal vector must be future pointing"),
+    "v0-nan": ("H2", IdealPoint(vector=(math.nan, 1.0, 0.0)),
+               "ideal vector must have >= 2 finite components, got (nan, 1.0, 0.0)"),
+    "unmarked-leaf": ("tree", IdealPoint.end("D"), "'D' is not a marked ideal leaf"),
+    "no-leaf": ("tree", IdealPoint(vector=(1.0, 0.0)), "tree ideal point must name a marked leaf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_every_ideal_reader_refuses_what_validate_ideal_refuses(case):
+    # horofunction is the one gate: each level, ray and selector reads
+    # through it, so each raises validate_ideal's error, at s = 0 too
+    name, xi, message = _REFUSED[case]
+    space, x, y = _GATE_SPACES[name]
+    body = ConvexBody.of(space, [x, y])
+    with pytest.raises(GeometryError) as expected:
+        sp.validate_ideal(space, xi)
+    assert str(expected.value) == message
     for call in (
-        lambda: sp.busemann(hyp2, xi, x),
-        lambda: sp.ray_point(hyp2, x, xi, 1.0),
-        lambda: sp.ray_separation(hyp2, x, x, xi, 1.0),
+        lambda: sp.horofunction(space, xi),
+        lambda: sp.busemann(space, xi, x),
+        lambda: sp.ray_point(space, x, xi, 0.0),
+        lambda: sp.ray_point(space, x, xi, 1.0),
+        lambda: sp.ray_separation(space, x, y, xi, 1.0),
+        lambda: first_horosphere(space, body, xi),
+        lambda: classify_body(space, body, xi),
+        lambda: select(space, body, xi),
     ):
-        with pytest.raises(GeometryError, match="points away from the sheet"):
+        with pytest.raises(GeometryError) as got:
             call()
+        assert type(got.value) is type(expected.value) and str(got.value) == message
 
 
 @pytest.mark.parametrize("k", [-1000, 1000])

@@ -1,7 +1,7 @@
 """Seeded perturbation scans estimating Lipschitz moduli.
 
 The three scans share one sample loop.  Sample i draws from its own
-generator seeded by the pair (seed, i), so reports are bit-identical
+stream seeded by the pair (seed, i), so reports are bit-identical
 across runs, independent of execution order, and distinct seeds never
 share a sample.  Each sample gives an input displacement and two inputs;
 the loop maps both inputs to points and records the distance between
@@ -104,7 +104,7 @@ def hausdorff(space: Space, a: ConvexBody, b: ConvexBody) -> float:
 
 def draw_configuration(space: Space, rng, n_points: int, scale: float) -> Configuration:
     points = [spaces.draw_point(space, rng, scale) for _ in range(n_points)]
-    masses = [float(m) for m in rng.uniform(MASS_LOW, MASS_HIGH, n_points)]
+    masses = [float(rng.uniform(MASS_LOW, MASS_HIGH)) for _ in range(n_points)]
     return Configuration.of(space, zip(points, masses))
 
 

@@ -181,8 +181,8 @@ def _hyp_alpha(x, v) -> float:
                 d = x[i] - c * v[i]
                 q += d * d
         alpha = v0 * (1.0 + q) / (x0 + t)
-    if not alpha > 0.0:  # NaN too, from a raw point off the sheet
-        raise GeometryError("ideal vector points away from the sheet")
+    if not alpha > 0.0:  # NaN too; v passed validate_ideal, so x is at fault
+        raise GeometryError(f"point {tuple(x)} is off the hyperboloid sheet")
     return alpha
 
 
@@ -514,22 +514,23 @@ def ray_separation(space: Space, x, y, xi: IdealPoint, s: float) -> float:
 
 
 # -- seeded generation -------------------------------------------------------
-# `Generator` below is numpy.random.Generator; annotations are never
-# evaluated, so only a draw loads numpy.
+# `Stream` below is stream.Stream; annotations are never evaluated, so
+# only a draw loads it.
 
 
-def sub_rng(seed: int, index: int = 0) -> Generator:
-    """Per-sample generator seeded by the pair (seed, index).
+def sub_rng(seed: int, index: int = 0) -> Stream:
+    """Per-sample stream seeded by the pair (seed, index): the draws of
+    numpy.random.default_rng([seed, index]) with both masked to 63 bits.
 
     Distinct pairs give independent streams, so no two seeds share a
     sample, and each sample depends on nothing but its own pair, so
     parallel and sequential runs agree.
     """
-    from numpy.random import default_rng  # only seeded draws load numpy
-    return default_rng([int(seed) & _SEED_MASK, int(index) & _SEED_MASK])
+    from .stream import Stream  # only seeded draws load the ziggurat tables
+    return Stream(int(seed) & _SEED_MASK, int(index) & _SEED_MASK)
 
 
-def draw_point(space: Space, rng: Generator, scale: float):
+def draw_point(space: Space, rng: Stream, scale: float):
     """One point within distance `scale` of the basepoint."""
     if not 0.0 < scale < math.inf:
         raise GeometryError(f"scale must be positive and finite, got {scale}")
@@ -554,7 +555,7 @@ def random_point(space: Space, seed: int, scale: float):
     return draw_point(space, sub_rng(seed), scale)
 
 
-def draw_ideal(space: Space, rng: Generator) -> IdealPoint:
+def draw_ideal(space: Space, rng: Stream) -> IdealPoint:
     if space.kind == EUCLIDEAN:
         return IdealPoint(vector=_unit_gauss(rng, space.dim))
     if space.kind == HYPERBOLIC:
@@ -565,12 +566,12 @@ def draw_ideal(space: Space, rng: Generator) -> IdealPoint:
     return IdealPoint(leaf=leaves[int(rng.integers(len(leaves)))])
 
 
-def random_shift(space: Space, x, step: float, rng: Generator):
+def random_shift(space: Space, x, step: float, rng: Stream):
     """Geodesic exponential step of size `step` in a random direction."""
     return _random_shift(space, x, step, rng, "step", step)
 
 
-def _random_shift(space: Space, x, step: float, rng: Generator, name: str, value: float):
+def _random_shift(space: Space, x, step: float, rng: Stream, name: str, value: float):
     """random_shift; an overflow names the parameter `name` = value."""
     if not 0.0 <= step < math.inf:
         raise GeometryError(f"step must be finite and nonnegative, got {step}")
@@ -581,7 +582,7 @@ def _random_shift(space: Space, x, step: float, rng: Generator, name: str, value
         return tuple(a + step * u for a, u in zip(x, direction))
     if space.kind == HYPERBOLIC:
         while True:
-            g = tuple(float(c) for c in rng.normal(size=space.dim + 1))
+            g = tuple(float(rng.normal()) for _ in range(space.dim + 1))
             gx = _mink(g, x)
             tangent = tuple(gi + gx * a for gi, a in zip(g, x))
             norm2 = _mink(tangent, tangent)
@@ -601,9 +602,27 @@ def _cosh_sinh(r: float, name: str, value: float):
         raise GeometryError(f"{name} = {value} overflows: cosh({r}) is out of range") from None
 
 
-def _unit_gauss(rng: Generator, dim: int) -> tuple[float, ...]:
+def _unit_gauss(rng: Stream, dim: int) -> tuple[float, ...]:
     while True:
-        g = rng.normal(size=dim)
-        norm = math.sqrt(float(g.dot(g)))
+        g = [float(rng.normal()) for _ in range(dim)]
+        norm = math.sqrt(_fma_norm2(g))
         if norm > 1e-12:
-            return tuple(float(c / norm) for c in g)
+            return tuple(c / norm for c in g)
+
+
+def _fma_norm2(g) -> float:
+    """|g|^2 as the chain s = fma(c, c, s), each step rounded once.
+
+    This is OpenBLAS's dot on x86-64 with FMA for up to 15 entries, which
+    numpy's draws were normalised by.  Veltkamp's split gives each square
+    as p + e exactly while no square underflows, as for normal draws, and
+    fsum rounds s + p + e once.
+    """
+    s = 0.0
+    for c in g:
+        t = 134217729.0 * c  # 2^27 + 1
+        hi = t - (t - c)
+        lo = c - hi
+        p = c * c
+        s = math.fsum((s, p, ((hi * hi - p) + 2.0 * hi * lo) + lo * lo))
+    return s

@@ -128,7 +128,7 @@ def test_c04_hyperbolic_contraction_and_convergence(hyperbolic_instances):
 def test_c05_uniqueness_under_permutation(hyperbolic_instances):
     worst = 0.0
     for seed, config, result in hyperbolic_instances:
-        order = list(sp.sub_rng(seed, 999).permutation(len(config)))
+        order = list(np.random.default_rng([seed, 999]).permutation(len(config)))
         other = center_of_mass(HYP, permuted(config, order), 1e-8, 200)
         worst = max(worst, sp.distance(HYP, result.center, other.center))
     assert worst <= 1e-8

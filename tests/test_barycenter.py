@@ -1050,7 +1050,7 @@ def test_the_center_is_lipschitz_in_its_points(name, seed, n, shift_all, twin):
     points = [sp.draw_point(space, rng, 2.0) for _ in range(n)]
     if twin:
         points[1] = sp.random_shift(space, points[0], 1e-9, rng)
-    masses = [float(m) for m in rng.uniform(0.5, 2.0, n)]
+    masses = [rng.uniform(0.5, 2.0) for _ in range(n)]
     moved = list(points)
     for k in (range(n) if shift_all else [int(rng.integers(n))]):
         moved[k] = sp.random_shift(space, points[k], float(rng.uniform(0.0, 1.0)), rng)

@@ -328,12 +328,13 @@ def test_far_hyperbolic_scans_run_clean(command, scale, seed, capsys):
     assert json.loads(capsys.readouterr().out)["summary"]["failures"] == 0
 
 
-def test_barycenter_select_and_classify_never_load_numpy(tmp_path, tree_file):
-    # numpy serves only seeded draws, and no command needs dataclasses or
-    # inspect, whose import cost every start-up about 10 ms; each command
-    # loads only the library modules it runs, so barycenter loads neither
-    # horosphere nor lipschitz, and select and classify skip lipschitz; one
-    # document is both a configuration and a body
+def test_no_command_loads_numpy(tmp_path, tree_file):
+    # the scans draw from the library's own stream, so no command loads
+    # numpy, and none needs dataclasses or inspect, whose import cost every
+    # start-up about 10 ms; each command loads only the library modules it
+    # runs, so barycenter loads neither horosphere nor lipschitz, and select
+    # and classify skip lipschitz; one document is both a configuration and
+    # a body
     docs = {
         "euclid.json": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
         "hyp.json": [[1.0, 0.0, 0.0], [1.5430806348152437, 1.1752011936438014, 0.0]],
@@ -346,24 +347,25 @@ def test_barycenter_select_and_classify_never_load_numpy(tmp_path, tree_file):
         ]
         doc = {"points": [dict(p, mass=1.0) for p in pts], "generators": pts}
         (tmp_path / name).write_text(json.dumps(doc))
-    runs = [
-        [*space, "--input", str(tmp_path / name), "--output", str(tmp_path / "out")]
-        for space, name in (
-            (["--space", "euclidean", "--dim", "2"], "euclid.json"),
-            (["--space", "hyperbolic", "--dim", "2"], "hyp.json"),
-            (["--space-json", tree_file], "tree_doc.json"),
-        )
-    ]
+    spaces = (
+        (["--space", "euclidean", "--dim", "2"], "euclid.json"),
+        (["--space", "hyperbolic", "--dim", "2"], "hyp.json"),
+        (["--space-json", tree_file], "tree_doc.json"),
+    )
+    out = ["--output", str(tmp_path / "out")]
+    runs = [[*space, "--input", str(tmp_path / name), *out] for space, name in spaces]
+    scans = [[*space, "--samples", "2", *out] for space, _ in spaces]
     script = (
         "import sys, horocenter\n"
         "from horocenter.cli import main\n"
-        "for command in ('barycenter', 'select', 'classify'):\n"
-        f"    for args in {runs!r}:\n"
-        "        assert main([command, *args]) == 0\n"
-        "    unused = ('horocenter.horosphere', 'horocenter.lipschitz')\n"
-        "    print(command, sorted(m for m in sys.modules if m in unused))\n"
+        "unused = ('horocenter.horosphere', 'horocenter.lipschitz')\n"
         "heavy = {'numpy', 'dataclasses', 'inspect'}\n"
-        "print(sorted(m for m in sys.modules if m.partition('.')[0] in heavy))\n"
+        "for command in ('barycenter', 'select', 'classify', "
+        "'scan-shift', 'scan-mass', 'scan-selector'):\n"
+        f"    for args in ({runs!r} if 'scan' not in command else {scans!r}):\n"
+        "        assert main([command, *args]) == 0\n"
+        "    print(command, sorted(m for m in sys.modules if m in unused),\n"
+        "          sorted(m for m in sys.modules if m.partition('.')[0] in heavy))\n"
     )
     src = os.path.dirname(os.path.dirname(horocenter.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -374,11 +376,15 @@ def test_barycenter_select_and_classify_never_load_numpy(tmp_path, tree_file):
         text=True,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == [
-        "barycenter []",
-        "select ['horocenter.horosphere']",
-        "classify ['horocenter.horosphere']",
-        "[]",
+    both = "['horocenter.horosphere', 'horocenter.lipschitz'] []"
+    lines = [line for line in done.stdout.splitlines() if not line.startswith("max_ratio=")]
+    assert lines == [
+        "barycenter [] []",
+        "select ['horocenter.horosphere'] []",
+        "classify ['horocenter.horosphere'] []",
+        f"scan-shift {both}",
+        f"scan-mass {both}",
+        f"scan-selector {both}",
     ]
 
 

@@ -30,7 +30,7 @@ HOMES = {
     ],
     "trees": ["Tree", "TreeError", "TreePoint"],
 }
-SUBMODULES = [*HOMES, "cli", "errors", "jsonio", "values"]
+SUBMODULES = [*HOMES, "cli", "errors", "jsonio", "stream", "values"]
 
 SCRIPT = f"""
 import importlib, sys

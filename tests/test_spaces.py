@@ -323,7 +323,7 @@ def test_levels_match_the_oracle(dim):
             x = sp.draw_point(space, rng, scale)
             xi = sp.draw_ideal(space, rng)
             points = [x]
-            for s in rng.uniform(0.0, 20.0, size=3):
+            for s in [rng.uniform(0.0, 20.0) for _ in range(3)]:
                 try:
                     points.append(sp.ray_point(space, x, xi, float(s)))
                 except GeometryError:
@@ -773,6 +773,17 @@ def test_distance_convexity_between_geodesics(any_space, seed, t):
         any_space, a1, b1
     )
     assert sp.distance(any_space, left, right) <= bound + 1e-9
+
+
+@pytest.mark.parametrize("p", [(-1.0, 0.0, 0.0), (math.nan, 0.0, 0.0)])
+def test_a_raw_point_off_the_sheet_is_blamed_not_the_ideal_point(p):
+    # xi passes validate_ideal, so a level or ray that cannot be read is
+    # the point's fault, and the message names it
+    space, xi = sp.Space.hyperbolic(2), IdealPoint.null_vector((1, 1, 0))
+    for call in (lambda: sp.busemann(space, xi, p), lambda: sp.ray_point(space, p, xi, 1.0)):
+        with pytest.raises(GeometryError) as got:
+            call()
+        assert str(got.value) == f"point {p} is off the hyperboloid sheet"
 
 
 @settings(max_examples=60, deadline=None)

@@ -247,8 +247,8 @@ def _rest_pairs(n: int) -> tuple:
 class _Recursion:
     """The construction of one top-level call, on (point, mass) tuples.
 
-    Every configuration carries its pair table: the pair measure
-    (`spaces.pair_measure`, the quadrance in H^n) of each pair of its
+    Every configuration carries its pair table: the measure of
+    `spaces.kernels` (the quadrance in H^n) of each pair of its
     points, in `combinations` order, taken once.  Its diameter, its
     complements' tables (`_rest_pairs`), the two-point rule's distance and
     the near-flat close all read from it.  `settle(items, table)` iterates
@@ -276,8 +276,7 @@ class _Recursion:
         # projected step (see settle); nothing else is near-flat
         self.near_flat = tol ** (1.0 / 3.0) if space.kind == HYPERBOLIC else 0.0
         self.max_iters, self.max_points = max_iters, max_points
-        self.measure, self.to_distance = spaces.pair_measure(space)
-        self.interpolate = spaces.kernels(space)[1]
+        self.measure, self.to_distance, self.interpolate = spaces.kernels(space)
         self.memo = {}
 
     def table(self, items) -> list:
@@ -429,8 +428,6 @@ def center_of_mass(
     point, its completed iterations and its diameter trace.
     """
     recursion, items, table, _ = _start(space, config, tol, max_iters, max_points)
-    if len(items) == 1:
-        return BarycenterResult(items[0][0], 0, [0.0], True)
     if len(items) == 2:
         return BarycenterResult(recursion.center(items, table), 0, [0.0], True)
     center, iterations, trace = recursion.settle(items, table)

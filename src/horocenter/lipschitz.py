@@ -94,7 +94,7 @@ def hausdorff(space: Space, a: ConvexBody, b: ConvexBody) -> float:
     to a distance once."""
     a, b = a.generators, b.generators
     spaces.check_arity(space, a + b)
-    measure, to_distance = spaces.pair_measure(space)
+    measure, to_distance, _ = spaces.kernels(space)
     nearest = (min(measure(p, q) for q in dst) for src, dst in ((a, b), (b, a)) for p in src)
     return spaces.farthest(to_distance, nearest)
 
@@ -146,7 +146,7 @@ def body_case(params: ScanParams, index: int):
 
 
 def _shift(params: ScanParams, x, step: float, rng):
-    """spaces.random_shift by a step set by epsilon, naming epsilon if it overflows."""
+    """A random geodesic step set by epsilon, naming epsilon if it overflows."""
     return spaces._random_shift(params.space, x, step, rng, "epsilon", params.epsilon)
 
 
@@ -261,8 +261,6 @@ def branch_straddle_probe(
     vertex = tree.branch_vertices[0]
     toward_end = tree.vertex_path(vertex, xi.leaf)[0]  # a branch vertex is no leaf
     branches = [ei for _, ei in tree.adjacency[vertex] if ei != toward_end][:2]
-    if len(branches) < 2:
-        raise GeometryError(f"vertex {vertex!r} lacks two branches off the end")
     opts = SelectOptions(smoothing=smoothing)
     contact_depth = 0.5 * opts.snap_tol
     delta = 0.5 * contact_depth

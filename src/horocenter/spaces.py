@@ -1,9 +1,9 @@
 """Three model Hadamard spaces behind one functional interface.
 
 Every operation takes a :class:`Space` descriptor first.  The per-kind
-choice of metric and geodesic interpolator lives only in ``kernels``, of
-pair measure (the quadrance <x-y, x-y> in H^n) in ``pair_measure``, and
-of horofunction level and ray toward an ideal point in ``horofunction``.
+choice of pair measure (the quadrance <x-y, x-y> in H^n), distance and
+geodesic interpolator lives only in ``kernels``, and of horofunction
+level and ray toward an ideal point only in ``horofunction``.
 ``distance``, ``geodesic_point``, ``diameter``, ``busemann`` and
 ``ray_point`` check their arguments and then call these callables, which
 a caller that makes many calls takes once.  The spaces:
@@ -70,7 +70,6 @@ MAX_DIM = 1024  # keeps coordinate tuples and draws small; far above desk scale
 IDEAL_TOL = 1e-9
 _T_BITS = 26  # fractional bits of the stereographic parameter of a null vector
 _RAY_X0_MAX, _RAY_LEVEL_TOL = 2.0**39, 3.5e-8  # see ray_point
-_V0_MIN, _V0_MAX = 2.0**-64, 2.0**64  # see validate_ideal
 
 _SEED_MASK = 0x7FFF_FFFF_FFFF_FFFF
 
@@ -155,7 +154,8 @@ def _mink(x, y) -> float:
 
 def _hyp_alpha(x, v) -> float:
     """-<x, v> = x0 v0 - y.v_s for a sheet point x and a v read as null,
-    as validate_ideal returns it; an error unless it is positive.
+    as validate_ideal returns it, with v0 in [1, 2); an error unless it is
+    positive.
 
     When y.v_s > 0 that cancels; on the lift the Lagrange identity gives
     (v0^2 + |y ^ v_s|^2) / (x0 v0 + y.v_s) with |y ^ v_s|^2 =
@@ -196,12 +196,12 @@ def _is_null(v) -> bool:
 
 def _checked_null(v) -> list[float]:
     """Raise unless v is finite, future pointing and null to IDEAL_TOL v0^2;
-    return v scaled exactly, by a power of two, to v0 in [0.5, 1)."""
+    return v scaled exactly, by a power of two, to v0 in [1, 2)."""
     if len(v) < 2 or not all(math.isfinite(c) for c in v):
         raise GeometryError(f"ideal vector must have >= 2 finite components, got {v}")
     if v[0] <= 0.0:
         raise GeometryError("ideal vector must be future pointing")
-    u = [math.ldexp(c, -math.frexp(v[0])[1]) for c in v]
+    u = [math.ldexp(c, 1 - math.frexp(v[0])[1]) for c in v]
     if not any(u[1:]):
         raise GeometryError("ideal vector needs a nonzero spatial part")
     if not abs(_mink(u, u)) <= IDEAL_TOL * u[0] * u[0]:
@@ -281,11 +281,12 @@ def canonical_point(space: Space, p):
 
 def validate_ideal(space: Space, xi: IdealPoint):
     """What horofunction builds its pair from, or an error: the unit
-    direction, the marked leaf, or the null vector v as given if v0 lies
-    in [2^-64, 2^64], else scaled exactly by a power of two to v0 in
-    [0.5, 1).  Levels and rays read only ratios of v; within that range
-    _hyp_alpha neither under- nor overflows for x0 < 2^512, the range
-    _lift keeps, and log(v0) rounds by under 5e-15."""
+    direction, the marked leaf, or the null vector scaled exactly, by a
+    power of two, to v0 in [1, 2).  Every vector IdealPoint.null_vector
+    snaps, and every draw_ideal, already has v0 = 1 + |t|^2 there and
+    keeps its bits.  Levels and rays read only ratios of v, so v and
+    v 2^k give the same bits; in that range _hyp_alpha neither under- nor
+    overflows for x0 < 2^512, the range _lift keeps."""
     if space.kind == TREE:
         if xi.leaf is None:
             raise GeometryError("tree ideal point must name a marked leaf")
@@ -300,8 +301,7 @@ def validate_ideal(space: Space, xi: IdealPoint):
         if not abs(norm - 1.0) <= 1e-12:
             raise GeometryError(f"direction must be unit, |u| = {norm}")
         return v
-    u = _checked_null(v)
-    return v if _V0_MIN <= v[0] <= _V0_MAX else u
+    return _checked_null(v)
 
 
 def normalize_ideal(space: Space, xi: IdealPoint) -> IdealPoint:
@@ -315,29 +315,23 @@ def normalize_ideal(space: Space, xi: IdealPoint) -> IdealPoint:
 
 
 def kernels(space: Space):
-    """The space's metric and geodesic interpolator, (metric, interpolate).
+    """The space's (measure, to_distance, interpolate).
 
-    metric(x, y) is the distance and interpolate(x, y, t, d=None) the
-    point at arclength fraction t from x toward y, for 0 < t < 1, where d
-    is their distance if the caller has it; neither checks its arguments.
-    `distance` and `geodesic_point` call these after their checks, and a
-    caller that makes many calls in one space can take them once.
+    measure(x, y) is the quadrance <x-y, x-y> in H^n and the distance
+    elsewhere, and to_distance(measure(x, y)) is the distance.
+    to_distance is nondecreasing, so it commutes with max and min: a set
+    of pairs pays one sqrt and asinh, at its extreme.  interpolate(x, y,
+    t, d=None) is the point at arclength fraction t from x toward y, for
+    0 < t < 1, where d is their distance if the caller has it.  None of
+    them checks its arguments.  `distance` and `geodesic_point` call these
+    after their checks, and a caller that makes many calls in one space
+    can take them once.
     """
     if space.kind == EUCLIDEAN:
-        return math.dist, _euclid_geodesic
+        return math.dist, float, _euclid_geodesic  # float(d) is d
     if space.kind == HYPERBOLIC:
-        return _hyp_distance, _hyp_geodesic
-    return space.tree.distance, partial(_tree_geodesic, space.tree)
-
-
-def pair_measure(space: Space):
-    """(measure, to_distance): measure(x, y) is the quadrance <x-y, x-y> in
-    H^n and the distance elsewhere, and to_distance(measure(x, y)) is the
-    distance.  to_distance is nondecreasing, so it commutes with max and
-    min: a set of pairs pays one sqrt and asinh, at its extreme."""
-    if space.kind == HYPERBOLIC:
-        return _hyp_quadrance, _quadrance_distance
-    return kernels(space)[0], float  # float(d) is d
+        return _hyp_quadrance, _quadrance_distance, _hyp_geodesic
+    return space.tree.distance, float, partial(_tree_geodesic, space.tree)
 
 
 def diameter(space: Space, points) -> float:
@@ -348,7 +342,7 @@ def diameter(space: Space, points) -> float:
     pair that holds one.
     """
     check_arity(space, points)
-    measure, to_distance = pair_measure(space)
+    measure, to_distance, _ = kernels(space)
     return farthest(to_distance, starmap(measure, combinations(points, 2)))
 
 
@@ -390,17 +384,13 @@ def _quadrance_distance(q: float) -> float:
     return 2.0 * math.asinh(0.5 * math.sqrt(q))
 
 
-def _hyp_distance(x, y) -> float:
-    """Hyperbolic distance of two sheet points of equal length."""
-    return _quadrance_distance(_hyp_quadrance(x, y))
-
-
 def distance(space: Space, x, y) -> float:
     """Geodesic distance.  Arity is checked here; the rest of a point's
     validity (on-sheet, offsets in range) is checked once, where it
     enters a Configuration or ConvexBody, by canonical_point."""
     check_arity(space, (x, y))
-    return kernels(space)[0](x, y)
+    measure, to_distance, _ = kernels(space)
+    return to_distance(measure(x, y))
 
 
 def geodesic_point(space: Space, x, y, t: float):
@@ -412,7 +402,7 @@ def geodesic_point(space: Space, x, y, t: float):
     if t == 1.0:
         return y
     check_arity(space, (x, y))
-    return kernels(space)[1](x, y, t)
+    return kernels(space)[2](x, y, t)
 
 
 def _euclid_geodesic(x, y, t: float, d=None):
@@ -421,7 +411,7 @@ def _euclid_geodesic(x, y, t: float, d=None):
 
 def _hyp_geodesic(x, y, t: float, d=None):
     if d is None:
-        d = _hyp_distance(x, y)
+        d = _quadrance_distance(_hyp_quadrance(x, y))
     if d < 1e-14:
         return x
     # (sinh((1-t)d) x + sinh(td) y) / sinh d, with weights in [0, 1]
@@ -566,13 +556,9 @@ def draw_ideal(space: Space, rng: Stream) -> IdealPoint:
     return IdealPoint(leaf=leaves[int(rng.integers(len(leaves)))])
 
 
-def random_shift(space: Space, x, step: float, rng: Stream):
-    """Geodesic exponential step of size `step` in a random direction."""
-    return _random_shift(space, x, step, rng, "step", step)
-
-
 def _random_shift(space: Space, x, step: float, rng: Stream, name: str, value: float):
-    """random_shift; an overflow names the parameter `name` = value."""
+    """Geodesic exponential step of size `step` in a random direction; an
+    overflow names the parameter `name` = value."""
     if not 0.0 <= step < math.inf:
         raise GeometryError(f"step must be finite and nonnegative, got {step}")
     if step == 0.0:

@@ -467,7 +467,7 @@ def _per_pair_diameter(space, config):
 
 def _table(space, config):
     """The pair table of a configuration: its pairs' measures."""
-    measure = sp.pair_measure(space)[0]
+    measure = sp.kernels(space)[0]
     return [measure(p, q) for p, q in combinations(config.points, 2)]
 
 
@@ -548,13 +548,13 @@ def test_memo_cuts_geodesic_work(monkeypatch):
     kernels = sp.kernels
 
     def counted_kernels(space):
-        metric, interpolate = kernels(space)
+        measure, to_distance, interpolate = kernels(space)
 
         def counted(*args):
             calls.append(args)
             return interpolate(*args)
 
-        return metric, counted
+        return measure, to_distance, counted
 
     monkeypatch.setattr(sp, "kernels", counted_kernels)
     res = center_of_mass(space, cfg)
@@ -565,33 +565,29 @@ def test_memo_cuts_geodesic_work(monkeypatch):
 def test_each_pair_is_measured_once_per_configuration(monkeypatch):
     """Each configuration's pairs are measured once, into a table that its
     complements, its two-point rule and its near-flat close read: 1,212
-    quadrances through the measure that `spaces.pair_measure` hands out
-    for the unit H^2 configuration of 6 points, and no call of the
-    metric.  939 of the 1,176 interpolations join a point to a complement
-    center, a pair no table holds, and measure it themselves: 2,151
-    quadrances in all, where measuring every pair at each use took 4,290."""
+    quadrances through the measure that `spaces.kernels` hands out for
+    the unit H^2 configuration of 6 points.  939 of the 1,176
+    interpolations join a point to a complement center, a pair no table
+    holds, and measure it themselves: 2,151 quadrances in all, where
+    measuring every pair at each use took 4,290."""
     space = Space.hyperbolic(2)
     rng = sp.sub_rng(11, 7)
     cfg = unit_configuration(space, [sp.draw_point(space, rng, 2.0) for _ in range(6)])
-    measured, metric_calls, interpolated = [], [], []
-    pair_measure, kernels = sp.pair_measure, sp.kernels
-
-    def counted_pair_measure(space):
-        measure, to_distance = pair_measure(space)
-        return lambda *args: measured.append(args) or measure(*args), to_distance
+    measured, interpolated = [], []
+    kernels = sp.kernels
 
     def counted_kernels(space):
-        metric, interpolate = kernels(space)
+        measure, to_distance, interpolate = kernels(space)
         return (
-            lambda *args: metric_calls.append(args) or metric(*args),
+            lambda *args: measured.append(args) or measure(*args),
+            to_distance,
             lambda *args: interpolated.append(args) or interpolate(*args),
         )
 
-    monkeypatch.setattr(sp, "pair_measure", counted_pair_measure)
     monkeypatch.setattr(sp, "kernels", counted_kernels)
     res = center_of_mass(space, cfg)
     assert res.converged and res.iterations == 3
-    assert (len(measured), len(metric_calls), len(interpolated)) == (1212, 0, 1176)
+    assert (len(measured), len(interpolated)) == (1212, 1176)
     assert sum(1 for args in interpolated if args[3] is None) == 939
 
 
@@ -856,11 +852,14 @@ NEAR_FLAT = [(_at(0.75, -0.5), 1.0), (_at(0.7506, -0.4998), 2.0), (_at(0.7499, -
 def near_config(space, rng, n, radius, spread):
     """n points within spread/2 of a point at distance `radius` from the
     basepoint, so of diameter at most `spread`, with masses in [0.5, 2]."""
-    base = sp.random_shift(space, sp.basepoint(space), radius, rng)
+    base = sp._random_shift(space, sp.basepoint(space), radius, rng, "step", radius)
     return Configuration.of(
         space,
         [
-            (sp.random_shift(space, base, spread / 2, rng), float(rng.uniform(0.5, 2.0)))
+            (
+                sp._random_shift(space, base, spread / 2, rng, "step", spread / 2),
+                float(rng.uniform(0.5, 2.0)),
+            )
             for _ in range(n)
         ],
     )
@@ -1049,11 +1048,12 @@ def test_the_center_is_lipschitz_in_its_points(name, seed, n, shift_all, twin):
     rng = sp.sub_rng(seed)
     points = [sp.draw_point(space, rng, 2.0) for _ in range(n)]
     if twin:
-        points[1] = sp.random_shift(space, points[0], 1e-9, rng)
+        points[1] = sp._random_shift(space, points[0], 1e-9, rng, "step", 1e-9)
     masses = [rng.uniform(0.5, 2.0) for _ in range(n)]
     moved = list(points)
     for k in (range(n) if shift_all else [int(rng.integers(n))]):
-        moved[k] = sp.random_shift(space, points[k], float(rng.uniform(0.0, 1.0)), rng)
+        step = float(rng.uniform(0.0, 1.0))
+        moved[k] = sp._random_shift(space, points[k], step, rng, "step", step)
     before, after = (
         center_of_mass(space, Configuration.of(space, zip(p, masses)), max_points=n).center
         for p in (points, moved)
@@ -1061,3 +1061,63 @@ def test_the_center_is_lipschitz_in_its_points(name, seed, n, shift_all, twin):
     total = math.fsum(masses)
     bound = sum(m / total * sp.distance(space, p, q) for m, p, q in zip(masses, points, moved))
     assert sp.distance(space, before, after) <= bound + LIPSCHITZ_SLACK
+
+
+# -- the center is Lipschitz in its masses -----------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_SPACES))
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, n=st.integers(min_value=2, max_value=6), twin=st.booleans())
+def test_the_center_is_lipschitz_in_its_masses(name, seed, n, twin):
+    """Changing m_k by delta moves the center by at most
+    D |delta| (M - m_k) / (M (M + delta)), for the diameter D, the total
+    mass M and the change delta that m_k carries after rounding: the total
+    variation of the normalized masses times D.  For n = 2 it holds with
+    equality, as the two-point rule moves by exactly that.  For n >= 3 it
+    is a conjecture, checked here numerically only; whether Navas (2013)
+    proves it has not been checked.  Masses are log-uniform in [0.1, 10],
+    delta within 0.9 m_k, n at most 5 in H^n; a twin is a second point
+    1e-9 from the first."""
+    space = MEMO_SPACES[name]
+    if space.kind == "hyperbolic":
+        n = min(n, 5)
+    rng = sp.sub_rng(seed)
+    points = [sp.draw_point(space, rng, 2.0) for _ in range(n)]
+    if twin:
+        points[1] = sp._random_shift(space, points[0], 1e-9, rng, "step", 1e-9)
+    masses = [10.0 ** float(rng.uniform(-1.0, 1.0)) for _ in range(n)]
+    k = int(rng.integers(n))
+    changed = list(masses)
+    changed[k] += 0.9 * masses[k] * float(rng.uniform(-1.0, 1.0))
+    delta = changed[k] - masses[k]
+    config = Configuration.of(space, zip(points, masses))
+    before, after = (
+        center_of_mass(space, Configuration.of(space, zip(points, m)), max_points=n).center
+        for m in (masses, changed)
+    )
+    total = config.total_mass
+    diameter = config_diameter(space, config)
+    bound = diameter * abs(delta) * (total - masses[k]) / (total * (total + delta))
+    assert sp.distance(space, before, after) <= bound + LIPSCHITZ_SLACK
+
+
+# -- refusals that no other test reaches ---------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda space, cfg: leave_one_out_step(space, cfg),
+         "leave-one-out step needs at least 3 points, got 2"),
+        (lambda space, cfg: hull_sample(space, cfg, 0, 1), "depth must be >= 1, got 0"),
+        (lambda space, cfg: hull_sample(space, Configuration(cfg.items[:1]), 2, 1),
+         "hull sampling needs at least 2 generators"),
+    ],
+    ids=["leave-one-out", "hull-depth", "hull-generators"],
+)
+def test_too_small_inputs_are_refused(call, message, euclid2):
+    cfg = unit_configuration(euclid2, [(0.0, 0.0), (1.0, 0.0)])
+    with pytest.raises(GeometryError) as exc:
+        call(euclid2, cfg)
+    assert str(exc.value) == message

@@ -680,6 +680,7 @@ UNTESTED_PATHS = {  # documents the runs below read, by file name
     "unmarked.json": {"space": "tree", "edges": [["A", "B", 1.0], ["B", "C", 1.0]]},
     "tree-body.json": {"generators": [{"edge": "A-B", "offset": 0.5}]},
     "body.json": {"generators": [[0.0, 0.0], [0.0, 1.0], [0.0, 0.5]]},
+    "basepoint.json": {**TREE_DOC, "basepoint": "A-B"},
 }
 
 
@@ -733,3 +734,27 @@ def test_a_scan_past_the_default_recursion_cap_exits_0(command, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert len(json.loads(captured.out)["records"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["--space", "euclidean", "--dim", "2", "--output", "missing/out.json"],
+         "error: missing/out.json: No such file or directory"),
+        (["--space-json", "basepoint.json", "--input", "tree-body.json"],
+         "error: space.basepoint: expected [edge-id, offset]"),
+        (["--space", "euclidean", "--dim", "2", "--ideal", "[1,0]"],
+         "error: ideal: expected an object"),
+    ],
+    ids=["output-directory", "basepoint-string", "ideal-not-object"],
+)
+def test_output_and_document_shape_errors_exit_1(argv, line, tmp_path, monkeypatch, capsys):
+    """A missing output directory, a tree basepoint given as a string and
+    an ideal that is not an object each exit 1 with one stderr line."""
+    for name, doc in UNTESTED_PATHS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    if "--input" not in argv:
+        argv = [*argv, "--input", "body.json"]
+    assert main(["select", *argv]) == 1
+    assert capsys.readouterr() == ("", line + "\n")

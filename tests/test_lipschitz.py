@@ -318,3 +318,37 @@ def test_selector_scan_attaches_straddle(tree_space):
         )
     )
     assert smoothed.straddle is None
+
+
+@pytest.mark.parametrize(
+    "scan, fields, message",
+    [
+        (point_shift_scan, {"samples": 0}, "samples must be >= 1, got 0"),
+        (point_shift_scan, {"n_points": 0}, "n_points must be >= 1, got 0"),
+        (mass_shift_scan, {"n_points": 1}, "mass shift scan needs n_points >= 2"),
+    ],
+    ids=["samples", "n-points", "mass-one-point"],
+)
+def test_scans_refuse_empty_work(euclid2, scan, fields, message):
+    with pytest.raises(GeometryError) as exc:
+        scan(ScanParams(space=euclid2, **fields))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "edges, xi, message",
+    [
+        ([("A", "B", 2.0), ("B", "C", 3.0), ("B", "D", 1.5)], IdealPoint.direction((1.0,)),
+         "the straddle probe needs a marked-end ideal point"),
+        ([("A", "B", 2.0), ("B", "C", 3.0)], IdealPoint.end("C"),
+         "tree has no branch vertex to straddle"),
+        ([("A", "B", 2.0), ("B", "C", 3.0), ("B", "D", 5e-5)], IdealPoint.end("C"),
+         "branch edges too short for the straddle family"),
+    ],
+    ids=["direction", "path", "short-branch"],
+)
+def test_straddle_refuses_trees_without_a_family(edges, xi, message):
+    space = sp.Space.tree_space(edges, ["C"])
+    with pytest.raises(GeometryError) as exc:
+        branch_straddle_probe(space, xi)
+    assert str(exc.value) == message

@@ -424,24 +424,26 @@ def test_every_ideal_reader_refuses_what_validate_ideal_refuses(case):
         assert type(got.value) is type(expected.value) and str(got.value) == message
 
 
-@pytest.mark.parametrize("k", [-1000, 1000])
-def test_null_vectors_of_any_scale_read_alike(hyp2, k):
-    # xi scaled by 2^k names the same ideal point; far out, dividing by
-    # v0 = 2^-1000 alone would overflow to inf and give NaN levels
-    xi = IdealPoint.null_vector((1.0, 0.6, 0.8))
-    scaled = IdealPoint.null_vector([math.ldexp(c, k) for c in xi.vector])
-    assert scaled.vector == tuple(math.ldexp(c, k) for c in xi.vector)
-    rng = sp.sub_rng(24)
-    for _ in range(20):
-        x, y = sp.draw_point(hyp2, rng, 20.0), sp.draw_point(hyp2, rng, 20.0)
-        assert sp.busemann(hyp2, scaled, x) == pytest.approx(
-            sp.busemann(hyp2, xi, x), rel=1e-15, abs=1e-14
-        )
-        # a power-of-two scale cancels from y + sinh(s) xi_s / alpha exactly
-        assert sp.ray_point(hyp2, x, scaled, 3.0) == sp.ray_point(hyp2, x, xi, 3.0)
-        assert sp.ray_separation(hyp2, x, y, scaled, 3.0) == pytest.approx(
-            sp.ray_separation(hyp2, x, y, xi, 3.0), rel=1e-12
-        )
+@pytest.mark.parametrize("k", [-1000, -3, -1, 1, 3, 1000])
+def test_null_vectors_of_any_scale_read_alike(k):
+    # xi scaled by 2^k names the same ideal point, and validate_ideal reads
+    # both at xi0 in [1, 2), so levels, rays and separations agree bit for
+    # bit in H^2, H^3 and H^5; far out, dividing by xi0 = 2^-1000 alone
+    # would overflow
+    for dim in (2, 3, 5):
+        space = sp.Space.hyperbolic(dim)
+        rng = sp.sub_rng(24, dim)
+        for _ in range(4):
+            xi = sp.draw_ideal(space, rng)
+            scaled = IdealPoint.null_vector([math.ldexp(c, k) for c in xi.vector])
+            assert scaled.vector == tuple(math.ldexp(c, k) for c in xi.vector)
+            for _ in range(10):
+                x, y = sp.draw_point(space, rng, 20.0), sp.draw_point(space, rng, 20.0)
+                assert sp.busemann(space, scaled, x) == sp.busemann(space, xi, x)
+                assert sp.ray_point(space, x, scaled, 3.0) == sp.ray_point(space, x, xi, 3.0)
+                assert sp.ray_separation(space, x, y, scaled, 3.0) == sp.ray_separation(
+                    space, x, y, xi, 3.0
+                )
 
 
 def test_ray_separation_matches_naive_evaluation(any_space):
@@ -475,7 +477,10 @@ def test_hyperbolic_ray_separation_matches_the_oracle(s, near):
         rng = sp.sub_rng(31, dim)
         for _ in range(40):
             x = sp.draw_point(space, rng, 2.0)
-            y = sp.random_shift(space, x, 1e-3, rng) if near else sp.draw_point(space, rng, 2.0)
+            if near:
+                y = sp._random_shift(space, x, 1e-3, rng, "step", 1e-3)
+            else:
+                y = sp.draw_point(space, rng, 2.0)
             xi = sp.draw_ideal(space, rng)
             want = oracle.ray_separation(x, y, xi.vector, s)
             got = Decimal(sp.ray_separation(space, x, y, xi, s))
@@ -502,7 +507,7 @@ def test_random_shift_step_size(euclid3, hyp2):
     rng = np.random.default_rng(5)
     for space in (euclid3, hyp2):
         x = sp.draw_point(space, rng, 2.0)
-        y = sp.random_shift(space, x, 0.25, rng)
+        y = sp._random_shift(space, x, 0.25, rng, "step", 0.25)
         assert sp.distance(space, x, y) == pytest.approx(0.25, abs=1e-9)
 
 
@@ -512,18 +517,20 @@ def test_overflowing_hyperbolic_draws_name_their_parameter(hyp2):
     with pytest.raises(GeometryError, match=r"^scale = 1e\+300 overflows"):
         sp.draw_point(hyp2, rng, 1e300)
     with pytest.raises(GeometryError, match=r"^step = 1e\+308 overflows"):
-        sp.random_shift(hyp2, basepoint(hyp2), 1e308, rng)
+        sp._random_shift(hyp2, basepoint(hyp2), 1e308, rng, "step", 1e308)
     # cosh is finite here, but past radius ~355 x0^2 of the point is not
     with pytest.raises(GeometryError, match=r"^scale = 400\.0 overflows: the point's x0\^2"):
         for _ in range(20):
             sp.draw_point(hyp2, rng, 400.0)
     with pytest.raises(GeometryError, match=r"^step = 709\.0 overflows: the point's x0\^2"):
-        sp.random_shift(hyp2, basepoint(hyp2), 709.0, rng)
+        sp._random_shift(hyp2, basepoint(hyp2), 709.0, rng, "step", 709.0)
 
 
 NON_FINITE_PARAMETER = {
     "s": lambda space, v: sp.ray_point(space, basepoint(space), ideal_for(space), v),
-    "step": lambda space, v: sp.random_shift(space, basepoint(space), v, sp.sub_rng(0)),
+    "step": lambda space, v: sp._random_shift(
+        space, basepoint(space), v, sp.sub_rng(0), "step", v
+    ),
     "scale": lambda space, v: sp.random_point(space, 0, v),
 }
 
@@ -644,6 +651,36 @@ def test_point_validation_rejects_non_finite(euclid2, hyp2):
     ):
         with pytest.raises(GeometryError, match="finite"):
             sp.canonical_point(space, p)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: sp.canonical_point(_GATE_SPACES["tree"][0], ("A-B", 0.5)),
+         GeometryError, "tree space expects TreePoint, got tuple"),
+        (lambda: sp.canonical_point(sp.Space.euclidean(2), [0.0, 0.0]),
+         GeometryError, "point must be a tuple of floats"),
+        (lambda: sp.canonical_point(_GATE_SPACES["tree"][0], TreePoint("A-B", math.nan)),
+         TreeError, "non-finite offset on edge A-B"),
+        (lambda: sp.draw_ideal(sp.Space.tree_space([("A", "B", 1.0)]), sp.sub_rng(0)),
+         GeometryError, "tree has no marked ideal leaves"),
+    ],
+    ids=["tuple-in-tree", "list-in-euclid", "nan-offset", "unmarked-tree"],
+)
+def test_points_and_draws_are_refused_with_their_message(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_trivial_inputs_come_back_unchanged(euclid2, hyp2):
+    # normalize_ideal snaps hyperbolic vectors only, a point is 0 from
+    # itself along every ray, and a zero step moves nothing
+    xi = IdealPoint.direction((3.0, 4.0))
+    assert sp.normalize_ideal(euclid2, xi) is xi
+    x = sp.draw_point(hyp2, sp.sub_rng(1), 2.0)
+    assert sp.ray_separation(hyp2, x, x, ideal_for(hyp2), 2.0) == 0.0
+    assert sp._random_shift(hyp2, x, 0.0, sp.sub_rng(0), "step", 0.0) is x
 
 
 # -- exactly null ideal vectors ----------------------------------------------------

@@ -183,3 +183,9 @@ def test_random_tree_metric_is_symmetric_to_the_bit(space, seed):
         d = tree.distance(p, q)
         assert d == tree.distance(q, p)
         assert tree.distance(tree.walk(p, q, d), q) <= 1e-12
+
+
+def test_point_toward_refuses_an_edge_off_the_vertex(tree_space):
+    tree = tree_space.tree
+    with pytest.raises(TreeError, match=r"^edge B-C is not incident to 'A'$"):
+        tree.point_toward("A", 1, 0.5)

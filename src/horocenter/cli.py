@@ -154,7 +154,7 @@ def _resolve_ideal(space: Space, args, doc=None) -> IdealPoint:
         return IdealPoint.direction((1.0,) + (0.0,) * (space.dim - 1))
     if space.kind == HYPERBOLIC:
         return IdealPoint.null_vector((1.0, 1.0) + (0.0,) * (space.dim - 1))
-    leaves = sorted(space.tree.ideal_leaves)
+    leaves = list(space.tree.ends)
     if not leaves:
         raise InputError("ideal: tree has no marked leaves; pass --ideal")
     return IdealPoint.end(leaves[0])

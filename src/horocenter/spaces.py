@@ -80,7 +80,14 @@ class Space(Frozen):
     __slots__ = ("kind", "dim", "tree")
 
     def __init__(self, kind: str, dim: int = 0, tree: Tree | None = None):
-        if kind != TREE and not 1 <= dim <= MAX_DIM:
+        if kind == TREE:
+            if not isinstance(tree, Tree):
+                raise GeometryError(f"tree must be a Tree in a tree space, got {tree!r}")
+        elif kind not in (EUCLIDEAN, HYPERBOLIC):
+            raise GeometryError(f"kind must be euclidean, hyperbolic or tree, got {kind!r}")
+        elif isinstance(dim, bool) or not isinstance(dim, int):
+            raise GeometryError(f"dim must be an integer, got {dim!r}")
+        elif not 1 <= dim <= MAX_DIM:
             raise GeometryError(f"dim must lie in [1, {MAX_DIM}], got {dim}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "dim", dim)
@@ -290,7 +297,7 @@ def validate_ideal(space: Space, xi: IdealPoint):
     if space.kind == TREE:
         if xi.leaf is None:
             raise GeometryError("tree ideal point must name a marked leaf")
-        space.tree.leaf_edge(xi.leaf)
+        space.tree.end(xi.leaf)
         return xi.leaf
     if xi.vector is None:
         raise GeometryError(f"{space.kind} ideal point needs a vector")
@@ -489,7 +496,7 @@ def busemann(space: Space, xi: IdealPoint, x) -> float:
 
 def ray_separation(space: Space, x, y, xi: IdealPoint, s: float) -> float:
     """distance(ray(x, xi, s), ray(y, xi, s)), computed stably per space."""
-    level = horofunction(space, xi)[0]  # checks xi in every space
+    level, ray = horofunction(space, xi)  # checks xi in every space
     if space.kind == EUCLIDEAN:
         return distance(space, x, y)  # parallel rays keep their separation
     if space.kind == HYPERBOLIC:
@@ -500,7 +507,7 @@ def ray_separation(space: Space, x, y, xi: IdealPoint, s: float) -> float:
         if cm1 <= 0.0:
             return 0.0
         return 2.0 * math.asinh(math.sqrt(0.5 * cm1))
-    return space.tree.distance(space.tree.ray(x, xi.leaf, s), space.tree.ray(y, xi.leaf, s))
+    return space.tree.distance(ray(x, s), ray(y, s))
 
 
 # -- seeded generation -------------------------------------------------------
@@ -550,7 +557,7 @@ def draw_ideal(space: Space, rng: Stream) -> IdealPoint:
         return IdealPoint(vector=_unit_gauss(rng, space.dim))
     if space.kind == HYPERBOLIC:
         return IdealPoint(vector=_null_vector((1.0,) + _unit_gauss(rng, space.dim)))
-    leaves = sorted(space.tree.ideal_leaves)
+    leaves = list(space.tree.ends)
     if not leaves:
         raise GeometryError("tree has no marked ideal leaves")
     return IdealPoint(leaf=leaves[int(rng.integers(len(leaves)))])

@@ -3,10 +3,10 @@
 A tree space is a connected acyclic graph with strictly positive edge
 lengths.  Points live on edges as (edge id, offset), the offset measured
 from the edge's first vertex.  Degree-1 vertices may be marked as ideal
-leaves: the incident edge of a marked leaf is treated as extending past
-the leaf without bound, so offsets outside the physical range are legal
-there.  That extension is how rays to infinity, and hence horofunctions,
-are realized on a finite topology.
+leaves: the edge of a marked leaf extends past the leaf without bound,
+so offsets outside the physical range are legal there, and rays to
+infinity, hence horofunctions, exist on a finite topology.  Each end's
+frame and each vertex's point are derived once, when the tree is built.
 
 Distances between arbitrary edge points reduce to leg-to-endpoint plus
 vertex-to-vertex terms; both legs use |offset - endpoint offset|, which
@@ -56,9 +56,9 @@ class Tree:
     """Immutable tree topology with precomputed vertex metrics.
 
     Construction validates connectivity, acyclicity and the ideal-leaf
-    marks, and precomputes all-pairs vertex distances plus per-source
+    marks, and derives once all-pairs vertex distances, per-source
     predecessor tables (trees here are desk sized, so quadratic tables
-    are the simplest correct choice).
+    are the simplest), vertex points and end frames (``ends``, by leaf).
     """
 
     def __init__(self, edges, ideal_leaves=(), basepoint=None):
@@ -88,7 +88,8 @@ class Tree:
         if len(self.edges) != len(self.vertices) - 1:
             raise TreeError("edge count must equal vertex count minus one")
         self.adjacency = adjacency
-        self.degree = {vert: len(nbrs) for vert, nbrs in adjacency.items()}
+        # a vertex's first neighbour lies along its lowest-index edge
+        self._vertex_points = {v: self.point_toward(v, n[0][1], 0.0) for v, n in adjacency.items()}
 
         self._dist: dict[str, dict[str, float]] = {}
         self._prev: dict[str, dict[str, int]] = {}
@@ -103,13 +104,16 @@ class Tree:
             self._prev[source] = prev
 
         self.ideal_leaves = frozenset(str(x) for x in ideal_leaves)
-        for leaf in self.ideal_leaves:
-            if leaf not in self.degree:
+        self.ends: dict[str, tuple[TreeEdge, float, TreePoint]] = {}
+        for leaf in sorted(self.ideal_leaves):
+            if leaf not in adjacency:
                 raise TreeError(f"unknown ideal leaf {leaf!r}")
-            if self.degree[leaf] != 1:
+            if len(adjacency[leaf]) != 1:
                 raise TreeError(f"ideal leaf {leaf!r} must have degree 1")
+            e = self.edges[adjacency[leaf][0][1]]
+            self.ends[leaf] = (e, 1.0 if e.v == leaf else -1.0, self._vertex_points[leaf])
         self.branch_vertices = tuple(
-            vert for vert in self.vertices if self.degree[vert] >= 3
+            vert for vert in self.vertices if len(adjacency[vert]) >= 3
         )
         if basepoint is None:
             basepoint = TreePoint(self.edges[0].eid, 0.0)
@@ -138,11 +142,12 @@ class Tree:
         except KeyError:
             raise TreeError(f"unknown edge {eid!r}") from None
 
-    def leaf_edge(self, leaf: str) -> TreeEdge:
-        if leaf not in self.ideal_leaves:
-            raise TreeError(f"{leaf!r} is not a marked ideal leaf")
-        _, ei = self.adjacency[leaf][0]
-        return self.edges[ei]
+    def end(self, leaf: str) -> tuple[TreeEdge, float, TreePoint]:
+        """(leaf edge, sign of offset steps outward, leaf point) of an end."""
+        try:
+            return self.ends[leaf]
+        except KeyError:
+            raise TreeError(f"{leaf!r} is not a marked ideal leaf") from None
 
     def vertex_path(self, a: str, b: str) -> list[int]:
         """Edge indices along the unique vertex path from a to b."""
@@ -170,10 +175,8 @@ class Tree:
             raise TreeError(f"offset {off} beyond edge {e.eid} of length {e.length}")
 
     def vertex_point(self, vertex: str) -> TreePoint:
-        """Canonical point at a vertex: lowest incident edge index."""
-        ei = min(ei for _, ei in self.adjacency[vertex])
-        e = self.edges[ei]
-        return TreePoint(e.eid, 0.0 if e.u == vertex else e.length)
+        """Canonical point at a vertex: on its lowest-index incident edge."""
+        return self._vertex_points[vertex]
 
     def canonical(self, p: TreePoint) -> TreePoint:
         self.validate(p)
@@ -276,25 +279,20 @@ class Tree:
 
     def ray(self, p: TreePoint, leaf: str, s: float) -> TreePoint:
         """Point at arclength s from p along the ray toward the end at leaf."""
-        e = self.leaf_edge(leaf)
-        outward = 1.0 if e.v == leaf else -1.0
-        anchor_off = e.length if e.v == leaf else 0.0
-        if self.edge(p.edge).index == e.index:
+        e, outward, anchor = self.end(leaf)
+        if p.edge == e.eid:
             return TreePoint(e.eid, p.offset + outward * s)
-        anchor = self.vertex_point(leaf)
         route = self._route(p, anchor)
         if s <= route[0]:
             return self._follow(p, anchor, route, s)
-        return TreePoint(e.eid, anchor_off + outward * (s - route[0]))
+        return TreePoint(e.eid, anchor.offset + outward * (s - route[0]))
 
     def depth_toward_end(self, p: TreePoint, leaf: str) -> float:
         """Signed distance to the leaf anchor; negative past the leaf."""
-        e = self.leaf_edge(leaf)
-        if self.edge(p.edge).index == e.index:
-            outward = 1.0 if e.v == leaf else -1.0
-            anchor_off = e.length if e.v == leaf else 0.0
-            return -outward * (p.offset - anchor_off)
-        return self.distance(p, self.vertex_point(leaf))
+        e, outward, anchor = self.end(leaf)
+        if p.edge == e.eid:
+            return -outward * (p.offset - anchor.offset)
+        return self.distance(p, anchor)
 
     # -- assorted helpers --------------------------------------------------
 
@@ -330,14 +328,8 @@ class Tree:
         heading_v = bool(rng.integers(2))
         remaining = step
         while remaining > 0.0:
-            if heading_v:
-                stop_vertex, boundary = e.v, e.length
-            else:
-                stop_vertex, boundary = e.u, 0.0
-            if stop_vertex in self.ideal_leaves:
-                gap = math.inf
-            else:
-                gap = abs(boundary - off)
+            stop_vertex, boundary = (e.v, e.length) if heading_v else (e.u, 0.0)
+            gap = math.inf if stop_vertex in self.ideal_leaves else abs(boundary - off)
             if remaining <= gap:
                 return TreePoint(e.eid, off + (remaining if heading_v else -remaining))
             remaining -= gap

@@ -676,6 +676,7 @@ UNTESTED_PATHS = {  # documents the runs below read, by file name
         "edges": [["A", "B", 1.0], ["B", "C", 1.0], ["C", "A", 1.0], ["D", "E", 1.0]],
     },
     "dash.json": {"space": "tree", "edges": [["A-1", "B", 1.0]]},
+    "numbered.json": {"space": "tree", "edges": [[1, "B", 1.0]]},
     "leaves.json": {"space": "tree", "edges": [["A", "B", 1.0]], "ideal_leaves": "B"},
     "unmarked.json": {"space": "tree", "edges": [["A", "B", 1.0], ["B", "C", 1.0]]},
     "tree-body.json": {"generators": [{"edge": "A-B", "offset": 0.5}]},
@@ -693,6 +694,11 @@ UNTESTED_PATHS = {  # documents the runs below read, by file name
             1,
             "error: space: vertex names must not contain '-': 'A-1', 'B'",
         ),
+        (
+            ["--space-json", "numbered.json"],
+            1,
+            "error: space.edges[0]: vertex names must be strings",
+        ),
         (["--space-json", "leaves.json"], 1, "error: space.ideal_leaves: expected a list"),
         (
             ["--space-json", "unmarked.json", "--input", "tree-body.json"],
@@ -709,8 +715,8 @@ UNTESTED_PATHS = {  # documents the runs below read, by file name
         ),
     ],
     ids=[
-        "disconnected", "dashed-name", "leaves-not-list", "no-marked-leaf", "no-space",
-        "tree-flag", "no-dim", "select-no-iterations",
+        "disconnected", "dashed-name", "numbered-name", "leaves-not-list", "no-marked-leaf",
+        "no-space", "tree-flag", "no-dim", "select-no-iterations",
     ],
 )
 def test_each_exit_prints_its_one_line(argv, code, line, tmp_path, monkeypatch, capsys):

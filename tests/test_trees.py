@@ -189,3 +189,59 @@ def test_point_toward_refuses_an_edge_off_the_vertex(tree_space):
     tree = tree_space.tree
     with pytest.raises(TreeError, match=r"^edge B-C is not incident to 'A'$"):
         tree.point_toward("A", 1, 0.5)
+
+
+# the conftest tree with every edge reversed: its marked leaves C and E
+# become the first vertices of their edges, so offsets fall outward
+FLIPPED_EDGES = [(v, u, length) for u, v, length in TREE_EDGES]
+
+
+def test_each_marked_leaf_keeps_its_orientation():
+    for edges, outward in ((TREE_EDGES, 1.0), (FLIPPED_EDGES, -1.0)):
+        tree = Tree(edges, TREE_LEAVES)
+        assert list(tree.ends) == sorted(TREE_LEAVES)
+        for leaf in TREE_LEAVES:
+            edge, sign, _ = tree.end(leaf)
+            assert leaf in (edge.u, edge.v)
+            assert sign == outward
+    with pytest.raises(TreeError, match=r"^'D' is not a marked ideal leaf$"):
+        tree.end("D")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    space=st.one_of(
+        marked_trees(),
+        st.sampled_from(
+            [Space.tree_space(edges, TREE_LEAVES) for edges in (TREE_EDGES, FLIPPED_EDGES)]
+        ),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rays_descend_their_end_at_unit_rate(space, seed):
+    """Whichever vertex of its edge a marked leaf is, a ray toward its
+    end lowers the depth by its length, starts at its point, and the
+    end's anchor is the leaf's vertex point."""
+    tree = space.tree
+    rng = spaces.sub_rng(seed)
+    for leaf in tree.ends:
+        assert tree.end(leaf)[2] == tree.vertex_point(leaf)
+        assert spaces.busemann(space, spaces.IdealPoint.end(leaf), tree.basepoint) == 0.0
+        for _ in range(10):
+            p = spaces.draw_point(space, rng, 3.0)
+            # half the points lie out on the marked leaf's extension
+            for q in (p, tree.ray(p, leaf, 6.0 * float(rng.random()))):
+                s = 6.0 * float(rng.random())
+                depth = tree.depth_toward_end(q, leaf)
+                moved = tree.depth_toward_end(tree.ray(q, leaf, s), leaf)
+                assert abs(moved - (depth - s)) <= 1e-12 * (1.0 + abs(depth))
+                assert tree.ray(q, leaf, 0.0) == q
+
+
+def test_a_random_walk_stops_at_an_unmarked_leaf(tree):
+    class Heading:  # integers(2) heads toward the edge's second vertex
+        def integers(self, n):
+            return 1
+
+    shifted = tree.random_walk_shift(TreePoint("B-D", 1.0), 2.0, Heading())
+    assert shifted == tree.vertex_point("D")

@@ -15,7 +15,7 @@ from horocenter.barycenter import BarycenterResult, Configuration, WeightedPoint
 from horocenter.horosphere import ConvexBody, SelectOptions, ShrinkClass
 from horocenter.lipschitz import LipschitzReport, ScanParams, ScanRecord
 from horocenter.spaces import MAX_DIM, IdealPoint, Space
-from horocenter.trees import TreeEdge, TreePoint
+from horocenter.trees import Tree, TreeEdge, TreePoint
 
 E2 = Space("euclidean", 2)
 UNIT = WeightedPoint((0.0,), 1.0)
@@ -161,7 +161,7 @@ def test_defaults_fill_keyword_construction():
     assert SelectOptions() == SelectOptions(1e-8, 200, 1e-6, 1e-4, True)
     assert ScanParams(E2) == ScanParams(E2, 4, 100, 0.05, 0, 1e-8, 200, True, None, 2.0)
     assert IdealPoint() == IdealPoint(None, None)
-    assert Space("tree").dim == 0
+    assert Space("tree", tree=Tree([("A", "B", 1.0)])).dim == 0
     assert LipschitzReport([], 0.0, 0.0, 0, 0).straddle is None
 
 
@@ -171,6 +171,22 @@ def test_defaults_fill_keyword_construction():
 def test_space_checks_its_dim(kind, dim):
     with pytest.raises(GeometryError, match=rf"dim must lie in \[1, {MAX_DIM}\], got {dim}$"):
         Space(kind, dim)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("bogus", 2), r"^kind must be euclidean, hyperbolic or tree, got 'bogus'$"),
+        (("hyperbolic", 2.5), r"^dim must be an integer, got 2\.5$"),
+        (("euclidean", 2.0), r"^dim must be an integer, got 2\.0$"),
+        (("euclidean", True), r"^dim must be an integer, got True$"),
+        (("tree",), r"^tree must be a Tree in a tree space, got None$"),
+        (("tree", 0, "A-B"), r"^tree must be a Tree in a tree space, got 'A-B'$"),
+    ],
+)
+def test_space_refuses_what_it_cannot_serve(args, message):
+    with pytest.raises(GeometryError, match=message):
+        Space(*args)
 
 
 def test_scan_record_is_a_named_tuple():

@@ -12,31 +12,27 @@ diameter drops below tolerance.
 Where the geometry is flat, one step collapses the configuration onto
 its weighted mean, and the center is computed in that closed form
 without the recursion: every configuration in R^n, and tree points that
-all lie on one geodesic.  The result keeps the shape of one step (one iteration,
-diameter trace [d0, 0.0]), and ``max_points`` does not apply to it.
+all lie on one geodesic.  In H^n the diameter contracts about cubically,
+and a near-flat configuration, of diameter below tol**(1/3), closes in
+one projected step: the sheet projection of its mass-weighted ambient
+mean, within about 0.015 d^3 of the construction's limit (see
+`_Recursion.settle`).  Either close counts as one iteration with trace
+entry 0.0, at every level of the recursion, and ``max_points`` does not
+apply to it.
 
 Hyperbolic configurations and tree points spread over branches take the
-recursion.  It runs on plain (point, mass) tuples with the space's pair
-measure and interpolator fetched once per top-level call, and measures
-each pair of a configuration once (see `_Recursion`);
-`Configuration`, `WeightedPoint` and `BarycenterResult` exist only at its
-boundary.  One top-level call computes each distinct sub-configuration's
-center once (the center of S minus {i, j} is needed from both i and j),
-but every step moves the points, so each sub-center's later steps start
-afresh and the cost still grows faster than exponentially in n: about
-1.5, 6.5, 25 and 95 ms for n = 5, 6, 7 and 8 in H^2 on one Xeon core.
+recursion, `_Recursion`, on plain (point, mass) tuples; `Configuration`,
+`WeightedPoint` and `BarycenterResult` exist only at its boundary.  One
+top-level call computes each distinct sub-configuration's center once
+and measures each pair of a configuration once, but every step moves the
+points, so each sub-center's later steps start afresh and the cost still
+grows faster than exponentially in n: about 1.7, 7, 30 and 105 ms for
+unit masses at n = 5, 6, 7 and 8 in H^2 on one core of a shared Xeon.
 ``max_points`` caps the size of a configuration that takes a recursive
 step (default 7) and can be raised explicitly.  Every step shrinks the
 diameter, but convergence can be only linear: near a tree branch vertex
 the ratio per step stays constant.  Masses whose sum overflows are
 scaled by 2**-64 first (see `_finite_masses`).
-
-In H^n the diameter contracts about cubically, and a near-flat
-configuration, of diameter below tol**(1/3), closes in one projected
-step: the sheet projection of its mass-weighted ambient mean, within
-about 0.015 d^3 of the construction's limit (see `_Recursion.settle`).
-It too counts as one iteration with trace entry 0.0, at every level of
-the recursion, and ``max_points`` does not apply to it.
 """
 
 from __future__ import annotations
@@ -44,7 +40,7 @@ from __future__ import annotations
 import math
 from functools import cache
 from itertools import combinations, starmap
-from operator import mul
+from operator import itemgetter, mul
 
 from . import spaces
 from .spaces import EUCLIDEAN, HYPERBOLIC, TREE, GeometryError, Space, _left_sum, farthest
@@ -121,14 +117,19 @@ def unit_configuration(space: Space, points) -> Configuration:
 def two_point_center(space: Space, a: WeightedPoint, b: WeightedPoint):
     """Center of two weighted points; symmetric in its arguments.  It is
     the recursion's two-point rule, so a non-finite center raises."""
-    recursion, items, table, _ = _start(
-        space, Configuration((a, b)), DEFAULT_TOL, DEFAULT_MAX_ITERS, DEFAULT_MAX_POINTS
-    )
-    return recursion.center(items, table)
+    return center_of_mass(space, Configuration((a, b))).center
 
 
 def config_diameter(space: Space, config: Configuration) -> float:
     return spaces.diameter(space, config.points)
+
+
+def _finite(space: Space, c):
+    """c, or an error if a coordinate (a tree point's offset) is not finite."""
+    coords = (c.offset,) if space.kind == TREE else c
+    if not all(map(math.isfinite, coords)):
+        raise GeometryError(f"configuration overflows: center {c}")
+    return c
 
 
 def _finite_masses(masses):
@@ -227,38 +228,39 @@ def _sheet_mean(items, table, d: float):
     near the largest double, and every sum is an fsum, which is correctly
     rounded and so the same in every item order and on every Python.
     """
-    total = math.fsum([m for _, m in items])
-    weights = [m / total for _, m in items]
-    points = [p for p, _ in items]
-    spatial = [math.fsum(map(mul, weights, column)) for column in list(zip(*points))[1:]]
-    spread = math.fsum(map(mul, starmap(mul, combinations(weights, 2)), table))
-    s = math.sqrt(1.0 + spread)
-    return spaces._lift([c / s for c in spatial], "diameter", d)
+    points, masses = zip(*items)
+    total = math.fsum(masses)
+    weights = [m / total for m in masses]
+    s = math.sqrt(1.0 + math.fsum(map(mul, starmap(mul, combinations(weights, 2)), table)))
+    columns = list(zip(*points))[1:]  # the lift gives x0
+    return spaces._lift([math.fsum(map(mul, weights, c)) / s for c in columns], "diameter", d)
 
 
 @cache
-def _rest_pairs(n: int) -> tuple:
-    """For each item i of n, the positions in their pair table of the pairs
-    without i, in order: the pair table of the other n - 1 items."""
-    pairs = list(combinations(range(n), 2))
-    return tuple(tuple(k for k, pair in enumerate(pairs) if i not in pair) for i in range(n))
+def _complements(n: int) -> tuple:
+    """For each item i of n, getters of the other items and of the entries
+    of their pair table, those that leave i out (the one entry at n = 3)."""
+    def leaving(i, k):  # the k-subsets of range(n) that leave i out, by position
+        return itemgetter(*(j for j, s in enumerate(combinations(range(n), k)) if i not in s))
+    return tuple((leaving(i, 1), leaving(i, 2)) for i in range(n))
 
 
 class _Recursion:
     """The construction of one top-level call, on (point, mass) tuples.
 
     Every configuration carries its pair table: the measure of
-    `spaces.kernels` (the quadrance in H^n) of each pair of its
-    points, in `combinations` order, taken once.  Its diameter, its
-    complements' tables (`_rest_pairs`), the two-point rule's distance and
-    the near-flat close all read from it.  `settle(items, table)` iterates
-    to (center, iterations, diameter trace) and `step(items, table)` takes
-    one leave-one-out step; they share one memo that maps the items of a
-    sub-configuration to its center, so a center that several branches
-    need (that of S minus {i, j} is reached from both i and j) is computed
-    once.  Items that compare equal share a key, as 0.0 and -0.0 do, and
-    tol, max_iters and max_points are fixed for the memo's life.  The
-    masses must have a finite sum (see `_finite_masses`).
+    `spaces.kernels` (the quadrance in H^n) of each pair of its points, in
+    `combinations` order, taken once.  Its diameter, its complements'
+    tables (`_complements`), the two-point rule's distance and the
+    near-flat close read from it.  `settle` iterates to (center,
+    iterations, diameter trace); `step` takes one leave-one-out step.  The
+    memo maps a complement's items to its center, so a center that two
+    branches need (S minus {i, j}, from i and from j) is computed once.
+    It holds first-step complements only: a later step's complements hold
+    points that the step before moved, which no other branch reaches.
+    Items that compare equal share a key, as 0.0 and -0.0 do; tol,
+    max_iters and max_points are fixed for the memo's life.  The masses
+    must have a finite sum (see `_finite_masses`).
     """
 
     __slots__ = (
@@ -296,53 +298,49 @@ class _Recursion:
             raise GeometryError(f"geodesic parameter must lie in [0, 1], got {t}")
         return self.interpolate(x, y, t, d)
 
-    def center(self, items, table):
-        """The center of two or more items with pair table `table`."""
-        if len(items) > 2:
-            return self.settle(items, table)[0]
-        (x, mx), (y, my) = items
-        c = self.between(x, mx, y, my, self.to_distance(table[0]))
-        coords = (c.offset,) if self.space.kind == TREE else c
-        if not all(map(math.isfinite, coords)):
-            raise GeometryError(f"configuration overflows: center {c}")
-        return c
-
-    def step(self, items, table):
+    def step(self, items, table, first):
+        """One leave-one-out step; only a configuration's first step uses the memo."""
         n = len(items)
         total = _left_sum([m for _, m in items])
+        memo, between, to_distance = self.memo, self.between, self.to_distance
         moved = []
-        for i, ((x, m), keep) in enumerate(zip(items, _rest_pairs(n))):
-            rest = items[:i] + items[i + 1 :]
+        for (x, m), (others, pick) in zip(items, _complements(n)):
+            rest = others(items)
             rest_mass = total - m
             if not rest_mass > 0.0:  # m dwarfs the rest, and M - m_i cancels
                 rest_mass = math.fsum([other for _, other in rest])
-            c = self.memo.get(rest)
+            c = memo.get(rest) if first else None
             if c is None:
-                c = self.memo[rest] = self.center(rest, [table[k] for k in keep])
-            moved.append((self.between(x, m, c, rest_mass), rest_mass / (n - 1)))
+                if n == 3:  # the two-point rule; overflow fails a diameter or point check
+                    (y, my), (z, mz) = rest
+                    c = between(y, my, z, mz, to_distance(pick(table)))
+                else:
+                    c = self.settle(rest, pick(table))[0]
+                if first:
+                    memo[rest] = c
+            moved.append((between(x, m, c, rest_mass), rest_mass / (n - 1)))
         return tuple(moved)
 
     def settle(self, items, table):
         """(center, iterations, diameter trace) from items and pair table.
 
-        A flat configuration closes in closed form (`_flat_center`).  A
-        hyperbolic one closes in one projected step, `_sheet_mean`, once
-        its diameter d before a step lies in [tol, delta), delta =
-        tol**(1/3).  A point of a chord, projected onto the sheet, lies
-        within O(d^3) of the geodesic point at the same mass fraction, so
-        the projected mean misses the construction's limit by O(d^3):
-        against the recursion run to tol 1e-13 (H^2 and H^3, n = 3 to 5,
-        d from 1e-3 to 1), the miss was at most 0.015 d^3.  Below delta
-        that is at most 0.015 tol, more than 60 times inside the tol that
-        the recursion itself stops at.  The step counts as one iteration
-        with trace entry 0.0; max_iters and the cap apply as to any step
-        before it, and the cap not to the projected step itself.
+        A flat configuration closes in closed form (`_flat_center`), and a
+        hyperbolic one in one projected step, `_sheet_mean`, once its
+        diameter d before a step lies in [tol, delta), delta = tol**(1/3).
+        A chord point projected onto the sheet lies within O(d^3) of the
+        geodesic point at the same mass fraction: against the recursion run
+        to tol 1e-13 (H^2 and H^3, n = 3 to 5, d from 1e-3 to 1), the
+        projected mean missed the limit by at most 0.015 d^3, so below delta
+        by at most 0.015 tol, more than 60 times inside the tol that the
+        recursion stops at.  It counts as one iteration with trace entry
+        0.0; max_iters and the cap apply as to any step before it, and the
+        cap not to the projected step itself.
         """
-        tol, max_iters = self.tol, self.max_iters
+        tol, max_iters, to_distance = self.tol, self.max_iters, self.to_distance
         n = len(items)
         trace, iterations = [], 0
         while True:
-            d = farthest(self.to_distance, table)
+            d = farthest(to_distance, table)
             if not math.isfinite(d):
                 raise GeometryError(f"configuration overflows: diameter {d}")
             trace.append(d)
@@ -367,7 +365,7 @@ class _Recursion:
                     "raise max_points explicitly to accept the cost"
                 )
             try:
-                items = self.step(items, table)
+                items = self.step(items, table, not iterations)
             except ConvergenceError as exc:  # a sub-configuration's; report ours
                 exc.result = BarycenterResult(items[0][0], iterations, trace, False)
                 raise
@@ -405,8 +403,8 @@ def leave_one_out_step(
     if n < 3:
         raise GeometryError(f"leave-one-out step needs at least 3 points, got {n}")
     recursion, items, table, k = _start(space, config, tol, max_iters, max_points)
-    items = recursion.step(items, table)
-    return Configuration(tuple(WeightedPoint(p, math.ldexp(m, k)) for p, m in items))
+    moved = [(_finite(space, p), math.ldexp(m, k)) for p, m in recursion.step(items, table, True)]
+    return Configuration(tuple(starmap(WeightedPoint, moved)))
 
 
 def center_of_mass(
@@ -418,18 +416,18 @@ def center_of_mass(
 ) -> BarycenterResult:
     """Iterate the construction until the configuration diameter < tol.
 
-    A flat configuration (see `_flat_center`) whose diameter d0 is at
-    least tol, with max_iters >= 1, returns its closed-form center as one
-    step, at every level of the recursion.  A hyperbolic configuration
-    closes the same way, in one projected step, once its diameter is
-    below tol**(1/3) (see `_Recursion.settle`).  `max_points` caps only
-    the configurations that take a recursive step.  A non-convergence at
-    any level carries the partial result of this configuration: its first
+    A flat configuration of diameter at least tol, with max_iters >= 1, and
+    a near-flat hyperbolic one close in one step, at every level of the
+    recursion (see `_Recursion.settle`); `max_points` caps only the
+    configurations that take a recursive step.  A non-convergence at any
+    level carries the partial result of this configuration: its first
     point, its completed iterations and its diameter trace.
     """
     recursion, items, table, _ = _start(space, config, tol, max_iters, max_points)
-    if len(items) == 2:
-        return BarycenterResult(recursion.center(items, table), 0, [0.0], True)
+    if len(items) == 2:  # the two-point rule
+        (x, mx), (y, my) = items
+        c = recursion.between(x, mx, y, my, recursion.to_distance(table[0]))
+        return BarycenterResult(_finite(space, c), 0, [0.0], True)
     center, iterations, trace = recursion.settle(items, table)
     return BarycenterResult(center, iterations, trace, True)
 

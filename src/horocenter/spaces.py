@@ -531,13 +531,11 @@ def draw_point(space: Space, rng: Stream, scale: float):
     """One point within distance `scale` of the basepoint."""
     if not 0.0 < scale < math.inf:
         raise GeometryError(f"scale must be positive and finite, got {scale}")
-    if space.kind == EUCLIDEAN:
+    if space.kind != TREE:
         direction = _unit_gauss(rng, space.dim)
         r = scale * float(rng.random())
-        return tuple(r * u for u in direction)
-    if space.kind == HYPERBOLIC:
-        direction = _unit_gauss(rng, space.dim)
-        r = scale * float(rng.random())
+        if space.kind == EUCLIDEAN:
+            return tuple(r * u for u in direction)
         s = _cosh_sinh(r, "scale", scale)[1]
         return _lift([s * u for u in direction], "scale", scale)
     tree = space.tree

@@ -103,6 +103,8 @@ class Tree:
             self._dist[source] = dist
             self._prev[source] = prev
 
+        if isinstance(ideal_leaves, str):  # would mark its characters
+            raise TreeError(f"ideal_leaves must be a collection of names, got {ideal_leaves!r}")
         self.ideal_leaves = frozenset(str(x) for x in ideal_leaves)
         self.ends: dict[str, tuple[TreeEdge, float, TreePoint]] = {}
         for leaf in sorted(self.ideal_leaves):
@@ -176,6 +178,8 @@ class Tree:
 
     def vertex_point(self, vertex: str) -> TreePoint:
         """Canonical point at a vertex: on its lowest-index incident edge."""
+        if vertex not in self._vertex_points:
+            raise TreeError(f"unknown vertex {vertex!r}")
         return self._vertex_points[vertex]
 
     def canonical(self, p: TreePoint) -> TreePoint:

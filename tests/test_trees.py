@@ -191,6 +191,25 @@ def test_point_toward_refuses_an_edge_off_the_vertex(tree_space):
         tree.point_toward("A", 1, 0.5)
 
 
+@pytest.mark.parametrize("end", ["C", "C1"])
+def test_a_bare_string_of_ideal_leaves_is_refused(end):
+    """A string would mark its characters: "AC" marked A and C with no
+    error, and a leaf named "C1" failed as an unknown leaf 'C'."""
+    edges = [("A", "B", 1.0), ("B", end, 2.0)]
+    for leaves in ("A" + end, end):
+        message = rf"^ideal_leaves must be a collection of names, got '{leaves}'$"
+        with pytest.raises(TreeError, match=message):
+            Tree(edges, leaves)
+    assert Tree(edges, [end]).ideal_leaves == {end}
+
+
+def test_vertex_point_refuses_an_unknown_vertex(tree_space):
+    tree = tree_space.tree
+    assert tree.vertex_point("E") == tree.end("E")[2]
+    with pytest.raises(TreeError, match=r"^unknown vertex 'Z'$"):
+        tree.vertex_point("Z")
+
+
 # the conftest tree with every edge reversed: its marked leaves C and E
 # become the first vertices of their edges, so offsets fall outward
 FLIPPED_EDGES = [(v, u, length) for u, v, length in TREE_EDGES]

@@ -26,7 +26,7 @@ recursion, `_Recursion`, on plain (point, mass) tuples; `Configuration`,
 top-level call computes each distinct sub-configuration's center once
 and measures each pair of a configuration once, but every step moves the
 points, so each sub-center's later steps start afresh and the cost still
-grows faster than exponentially in n: about 1.7, 7, 30 and 105 ms for
+grows faster than exponentially in n: about 1.2, 5, 20 and 75 ms for
 unit masses at n = 5, 6, 7 and 8 in H^2 on one core of a shared Xeon.
 ``max_points`` caps the size of a configuration that takes a recursive
 step (default 7) and can be raised explicitly.  Every step shrinks the
@@ -252,8 +252,10 @@ class _Recursion:
     `spaces.kernels` (the quadrance in H^n) of each pair of its points, in
     `combinations` order, taken once.  Its diameter, its complements'
     tables (`_complements`), the two-point rule's distance and the
-    near-flat close read from it.  `settle` iterates to (center,
-    iterations, diameter trace); `step` takes one leave-one-out step.  The
+    near-flat close read from it; a move toward a complement's center, a
+    pair no table holds, leaves its quadrance to the interpolator.
+    `settle` iterates to (center, iterations, diameter trace); `step`
+    takes one leave-one-out step, moving as `between` does.  The
     memo maps a complement's items to its center, so a center that two
     branches need (S minus {i, j}, from i and from j) is computed once.
     It holds first-step complements only: a later step's complements hold
@@ -301,8 +303,10 @@ class _Recursion:
     def step(self, items, table, first):
         """One leave-one-out step; only a configuration's first step uses the memo."""
         n = len(items)
-        total = _left_sum([m for _, m in items])
-        memo, between, to_distance = self.memo, self.between, self.to_distance
+        total = 0.0  # _left_sum, without its frame
+        for _, m in items:
+            total += m
+        memo, between, interpolate = self.memo, self.between, self.interpolate
         moved = []
         for (x, m), (others, pick) in zip(items, _complements(n)):
             rest = others(items)
@@ -313,12 +317,20 @@ class _Recursion:
             if c is None:
                 if n == 3:  # the two-point rule; overflow fails a diameter or point check
                     (y, my), (z, mz) = rest
-                    c = between(y, my, z, mz, to_distance(pick(table)))
+                    d = self.to_distance(pick(table))
+                    if my > 0.0 and mz > 0.0 and 0.0 < (t := mz / (my + mz)) < 1.0:
+                        c = interpolate(y, z, t, d)
+                    else:  # t is 0 or 1, or between refuses the masses
+                        c = between(y, my, z, mz, d)
                 else:
                     c = self.settle(rest, pick(table))[0]
                 if first:
                     memo[rest] = c
-            moved.append((between(x, m, c, rest_mass), rest_mass / (n - 1)))
+            if m > 0.0 and rest_mass > 0.0 and 0.0 < (t := rest_mass / (m + rest_mass)) < 1.0:
+                c = interpolate(x, c, t, None)
+            else:
+                c = between(x, m, c, rest_mass)
+            moved.append((c, rest_mass / (n - 1)))
         return tuple(moved)
 
     def settle(self, items, table):

@@ -329,7 +329,8 @@ def kernels(space: Space):
     to_distance is nondecreasing, so it commutes with max and min: a set
     of pairs pays one sqrt and asinh, at its extreme.  interpolate(x, y,
     t, d=None) is the point at arclength fraction t from x toward y, for
-    0 < t < 1, where d is their distance if the caller has it.  None of
+    0 < t < 1, where d is their distance if the caller has it (else the
+    H^n one takes the quadrance itself, not through measure).  None of
     them checks its arguments.  `distance` and `geodesic_point` call these
     after their checks, and a caller that makes many calls in one space
     can take them once.
@@ -386,9 +387,7 @@ def _hyp_quadrance(x, y) -> float:
 
 def _quadrance_distance(q: float) -> float:
     """2 asinh(sqrt(q)/2), the distance at quadrance q, nondecreasing in q."""
-    if q <= 0.0:
-        return 0.0
-    return 2.0 * math.asinh(0.5 * math.sqrt(q))
+    return 0.0 if q <= 0.0 else 2.0 * math.asinh(0.5 * math.sqrt(q))
 
 
 def distance(space: Space, x, y) -> float:
@@ -417,14 +416,28 @@ def _euclid_geodesic(x, y, t: float, d=None):
 
 
 def _hyp_geodesic(x, y, t: float, d=None):
+    # one frame, as the recursion's hottest call: it repeats _hyp_quadrance,
+    # _quadrance_distance and _lift operation for operation; change them together
+    n = len(x)
     if d is None:
-        d = _quadrance_distance(_hyp_quadrance(x, y))
+        e = x[0] - y[0]
+        q = -e * e
+        for i in range(1, n):
+            e = x[i] - y[i]
+            q += e * e
+        d = 0.0 if q <= 0.0 else 2.0 * math.asinh(0.5 * math.sqrt(q))
     if d < 1e-14:
         return x
     # (sinh((1-t)d) x + sinh(td) y) / sinh d, with weights in [0, 1]
     sh = math.sinh(d)
     a, b = math.sinh((1.0 - t) * d) / sh, math.sinh(t * d) / sh
-    return _lift([a * u + b * v for u, v in zip(x[1:], y[1:])], "distance", d)
+    s = []
+    for i in range(1, n):
+        s.append(a * x[i] + b * y[i])
+    x0 = math.hypot(1.0, *s)
+    if not x0 * x0 < math.inf:
+        raise GeometryError(f"distance = {d} overflows: the point's x0^2 = {x0 * x0}")
+    return (x0, *s)
 
 
 def _tree_geodesic(tree: Tree, x, y, t: float, d=None):

@@ -1,7 +1,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, starmap
 
 import numpy as np
 import pytest
@@ -80,16 +80,52 @@ def test_two_point_mass_validation(euclid2):
         ((1e308, math.nan), r"geodesic parameter must lie in \[0, 1\], got nan"),
     ],
 )
-def test_the_two_point_rule_refuses_bad_masses(euclid2, masses, message):
+def test_the_two_point_rule_refuses_bad_masses(euclid2, hyp2, masses, message):
     """two_point_center is the recursion's two-point rule, and a mass of 0
     or below, or NaN, is refused there also where the mass sum overflows;
     center_of_mass refuses the same configuration, built past its
-    checks, with the same message."""
-    items = tuple(WeightedPoint((float(i), 0.0), m) for i, m in enumerate(masses))
+    checks, with the same message, in E^2 and in H^2."""
+    for space in (euclid2, hyp2):
+        items = tuple(WeightedPoint(_on_x_axis(space, i), m) for i, m in enumerate(masses))
+        with pytest.raises(GeometryError, match=f"^{message}$"):
+            two_point_center(space, *items)
+        with pytest.raises(GeometryError, match=f"^{message}$"):
+            center_of_mass(space, Configuration(items))
+
+
+def _on_x_axis(space, r):
+    """The point at distance r from the basepoint along the first axis."""
+    if space.kind == "euclidean":
+        return (float(r), 0.0)
+    return (math.cosh(r), math.sinh(r), 0.0)
+
+
+@pytest.mark.parametrize(
+    "masses, message",
+    [
+        ((0.0, 1.0, 1.0), "masses must be positive"),
+        ((-0.0, 2.0, 1.0), "masses must be positive"),
+        ((-1.0, 0.5, 0.5), "masses must be positive"),  # M - m_0 = -m_0: t = 1/0
+        ((1.0, -1.0, 1.0), "masses must be positive"),  # in a two-point rule, t = 1/0
+        ((1.0, 1.0, -2.0), "masses must be positive"),
+        ((1e308, 1e308, -1.0), "masses must be positive"),  # the sum overflows first
+        ((math.nan, 1.0, 1.0), r"geodesic parameter must lie in \[0, 1\], got nan"),
+        ((1.0, 1.0, math.nan), r"geodesic parameter must lie in \[0, 1\], got nan"),
+        ((1e308, math.nan, 1e308), r"geodesic parameter must lie in \[0, 1\], got nan"),
+    ],
+)
+def test_the_step_refuses_bad_masses(hyp2, masses, message):
+    """Each move of a step calls the interpolator itself, and hands the
+    masses it must refuse to the two-point rule: a three-point H^2
+    configuration built past its checks, with a mass of 0 or below or NaN,
+    is refused with the rule's message, as it was before the move was
+    inlined, by center_of_mass and by leave_one_out_step."""
+    points = [_on_x_axis(hyp2, 0.3), _on_x_axis(hyp2, -0.5), (math.cosh(0.4), 0.0, math.sinh(0.4))]
+    cfg = Configuration(tuple(starmap(WeightedPoint, zip(points, masses))))
     with pytest.raises(GeometryError, match=f"^{message}$"):
-        two_point_center(euclid2, *items)
+        center_of_mass(hyp2, cfg)
     with pytest.raises(GeometryError, match=f"^{message}$"):
-        center_of_mass(euclid2, Configuration(items))
+        leave_one_out_step(hyp2, cfg)
 
 
 def test_an_overflowing_two_point_center_raises(euclid2):
@@ -624,8 +660,9 @@ def test_each_pair_is_measured_once_per_configuration(monkeypatch):
     quadrances through the measure that `spaces.kernels` hands out for
     the unit H^2 configuration of 6 points.  939 of the 1,176
     interpolations join a point to a complement center, a pair no table
-    holds, and measure it themselves: 2,151 quadrances in all, where
-    measuring every pair at each use took 4,290."""
+    holds, and take its quadrance inside the interpolator, not through
+    the measure: 2,151 quadrances in all, where measuring every pair at
+    each use took 4,290."""
     space = Space.hyperbolic(2)
     rng = sp.sub_rng(11, 7)
     cfg = unit_configuration(space, [sp.draw_point(space, rng, 2.0) for _ in range(6)])

@@ -489,6 +489,26 @@ def test_select_hyperbolic_returns_contact(hyp2):
     assert sp.distance(hyp2, select(hyp2, body, xi), expected) == 0.0
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="select returns the lowest generator, which jumps at a contact tie",
+)
+def test_select_does_not_jump_at_a_contact_tie(hyp2):
+    """Two generators at one level, 0.13600 toward xi = (1, 1, 0): lowering
+    either by eta along its ray moves the body by about eta in Hausdorff
+    distance, but select returns the lowered generator, so its output
+    jumps the whole distance between them (1.7626, a ratio of 17,626 at
+    eta = 1e-4).  A Lipschitz selector moves by O(eta)."""
+    xi = IdealPoint.null_vector((1.0, 1.0, 0.0))
+    a, b = (sp._lift([0.3, y], "y", y) for y in (1.0, -1.0))
+    assert sp.busemann(hyp2, xi, a) == sp.busemann(hyp2, xi, b)
+    eta = 1e-4
+    lower_a = select(hyp2, ConvexBody.of(hyp2, [sp.ray_point(hyp2, a, xi, eta), b]), xi)
+    lower_b = select(hyp2, ConvexBody.of(hyp2, [a, sp.ray_point(hyp2, b, xi, eta)]), xi)
+    assert sp.distance(hyp2, lower_a, lower_b) <= 10.0 * eta
+
+
 def select_by_stages(space, body, xi, opts=SelectOptions()):
     """select composed from its public stages, each checking its own input."""
     level, contact = first_horosphere(space, body, xi)

@@ -965,6 +965,57 @@ def test_kernel_is_bit_identical_to_the_reference(seed, which, how, t, n):
     assert repr(sp.diameter(space, points)) == repr(reference_diameter(space, points))
 
 
+def composed_geodesic(x, y, t, d=None):
+    """The hyperbolic interpolator composed from the kernels that
+    `spaces._hyp_geodesic` repeats in its own frame: the distance from
+    `_hyp_quadrance` and `_quadrance_distance`, the sinh weights over the
+    spatial parts, and `_lift`."""
+    if d is None:
+        d = sp._quadrance_distance(sp._hyp_quadrance(x, y))
+    if d < 1e-14:
+        return x
+    sh = math.sinh(d)
+    a, b = math.sinh((1.0 - t) * d) / sh, math.sinh(t * d) / sh
+    return sp._lift([a * u + b * v for u, v in zip(x[1:], y[1:])], "distance", d)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("scale", [0.5, 2.0, 8.0, 14.0])
+def test_the_fused_geodesic_is_its_composition_bit_for_bit(dim, scale):
+    """Each interpolation of the center recursion runs in one frame, which
+    must give the bits of the kernels it inlines, with the distance given
+    and missing, and hand back x itself for coincident points."""
+    space = sp.Space.hyperbolic(dim)
+    rng = sp.sub_rng(31, dim * 100 + int(scale))
+    for _ in range(200):
+        x, y = sp.draw_point(space, rng, scale), sp.draw_point(space, rng, scale)
+        t = float(rng.random()) or 0.5  # in (0, 1)
+        d = sp.distance(space, x, y)
+        for args in ((x, y, t), (x, y, t, None), (x, y, t, d), (y, x, t, d)):
+            assert repr(sp._hyp_geodesic(*args)) == repr(composed_geodesic(*args))
+        twin = tuple(x)  # equal, not identical
+        assert sp._hyp_geodesic(x, twin, t) is x
+        assert sp._hyp_geodesic(x, y, t, 0.0) is x
+
+
+@pytest.mark.parametrize(
+    "spatial",
+    [
+        ((1e200, 0.0), (1e200, 1.0)),  # x0^2 of the raw points and the move overflows
+        ((1e154, 0.0), (-1e154, 0.0)),  # the quadrance overflows
+        ((math.nan, 0.0), (0.3, 0.0)),  # a NaN distance moves, and fails the lift
+        ((math.inf, 0.0), (0.3, 0.0)),
+    ],
+)
+def test_the_fused_geodesic_raises_as_its_composition_does(spatial):
+    x, y = ((math.hypot(1.0, *s),) + s for s in spatial)
+    with pytest.raises(GeometryError, match=r"^distance = \S+ overflows") as want:
+        composed_geodesic(x, y, 0.25)
+    with pytest.raises(GeometryError) as got:
+        sp._hyp_geodesic(x, y, 0.25)
+    assert str(got.value) == str(want.value)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     seed=SEEDS,

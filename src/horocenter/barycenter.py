@@ -26,7 +26,7 @@ recursion, `_Recursion`, on plain (point, mass) tuples; `Configuration`,
 top-level call computes each distinct sub-configuration's center once
 and measures each pair of a configuration once, but every step moves the
 points, so each sub-center's later steps start afresh and the cost still
-grows faster than exponentially in n: about 1.2, 5, 20 and 75 ms for
+grows faster than exponentially in n: about 1.0, 4.4, 17 and 66 ms for
 unit masses at n = 5, 6, 7 and 8 in H^2 on one core of a shared Xeon.
 ``max_points`` caps the size of a configuration that takes a recursive
 step (default 7) and can be raised explicitly.  Every step shrinks the
@@ -43,7 +43,7 @@ from itertools import combinations, starmap
 from operator import itemgetter, mul
 
 from . import spaces
-from .spaces import EUCLIDEAN, HYPERBOLIC, TREE, GeometryError, Space, _left_sum, farthest
+from .spaces import EUCLIDEAN, HYPERBOLIC, TREE, GeometryError, Space, _left_sum
 from .trees import Tree, TreePoint
 from .values import Frozen, Value
 
@@ -115,8 +115,9 @@ def unit_configuration(space: Space, points) -> Configuration:
 
 
 def two_point_center(space: Space, a: WeightedPoint, b: WeightedPoint):
-    """Center of two weighted points; symmetric in its arguments.  It is
-    the recursion's two-point rule, so a non-finite center raises."""
+    """Center of two weighted points; symmetric in its arguments up to
+    rounding (swapped, the last bits can differ).  It is the recursion's
+    two-point rule, so a non-finite center raises."""
     return center_of_mass(space, Configuration((a, b))).center
 
 
@@ -232,14 +233,15 @@ def _sheet_mean(items, table, d: float):
     total = math.fsum(masses)
     weights = [m / total for m in masses]
     s = math.sqrt(1.0 + math.fsum(map(mul, starmap(mul, combinations(weights, 2)), table)))
-    columns = list(zip(*points))[1:]  # the lift gives x0
+    columns = zip(*points)
+    next(columns)  # x0, which the lift gives
     return spaces._lift([math.fsum(map(mul, weights, c)) / s for c in columns], "diameter", d)
 
 
 @cache
 def _complements(n: int) -> tuple:
     """For each item i of n, getters of the other items and of the entries
-    of their pair table, those that leave i out (the one entry at n = 3)."""
+    of their pair table, those that leave i out."""
     def leaving(i, k):  # the k-subsets of range(n) that leave i out, by position
         return itemgetter(*(j for j, s in enumerate(combinations(range(n), k)) if i not in s))
     return tuple((leaving(i, 1), leaving(i, 2)) for i in range(n))
@@ -254,20 +256,26 @@ class _Recursion:
     tables (`_complements`), the two-point rule's distance and the
     near-flat close read from it; a move toward a complement's center, a
     pair no table holds, leaves its quadrance to the interpolator.
-    `settle` iterates to (center, iterations, diameter trace); `step`
-    takes one leave-one-out step, moving as `between` does.  The
-    memo maps a complement's items to its center, so a center that two
-    branches need (S minus {i, j}, from i and from j) is computed once.
-    It holds first-step complements only: a later step's complements hold
-    points that the step before moved, which no other branch reaches.
-    Items that compare equal share a key, as 0.0 and -0.0 do; tol,
-    max_iters and max_points are fixed for the memo's life.  The masses
-    must have a finite sum (see `_finite_masses`).
+    `settle` iterates to (center, iterations, diameter trace); it takes
+    each leave-one-out step with no call of its own, moving as `between`
+    does.
+
+    A generation begins at the top-level configuration and at every later
+    step: the configurations that first steps reach from it are its
+    subsets, named by their items' positions in it.  Its memo maps those
+    small-int tuples to centers, so a center that two branches need (S
+    minus {i, j}, from i and from j) is computed once.  Only a first step
+    touches the memo: a later step's complements hold points that the step
+    before moved, which no other branch reaches, and they begin a new
+    generation with a new memo.  Items are never compared, so duplicate
+    points and signed zeros are each computed from their own items; tol,
+    max_iters and max_points are fixed for the recursion's life.  The
+    masses must have a finite sum (see `_finite_masses`).
     """
 
     __slots__ = (
-        "space", "tol", "near_flat", "max_iters", "max_points", "measure", "to_distance",
-        "interpolate", "memo",
+        "space", "tol", "near_flat", "flat", "max_iters", "max_points", "measure",
+        "to_distance", "interpolate",
     )
 
     def __init__(self, space: Space, tol: float, max_iters: int, max_points: int):
@@ -279,9 +287,9 @@ class _Recursion:
         # below this diameter a hyperbolic configuration closes in one
         # projected step (see settle); nothing else is near-flat
         self.near_flat = tol ** (1.0 / 3.0) if space.kind == HYPERBOLIC else 0.0
+        self.flat = space.kind in (EUCLIDEAN, TREE)  # the kinds _flat_center can close
         self.max_iters, self.max_points = max_iters, max_points
         self.measure, self.to_distance, self.interpolate = spaces.kernels(space)
-        self.memo = {}
 
     def table(self, items) -> list:
         """The pair table of items."""
@@ -300,41 +308,12 @@ class _Recursion:
             raise GeometryError(f"geodesic parameter must lie in [0, 1], got {t}")
         return self.interpolate(x, y, t, d)
 
-    def step(self, items, table, first):
-        """One leave-one-out step; only a configuration's first step uses the memo."""
-        n = len(items)
-        total = 0.0  # _left_sum, without its frame
-        for _, m in items:
-            total += m
-        memo, between, interpolate = self.memo, self.between, self.interpolate
-        moved = []
-        for (x, m), (others, pick) in zip(items, _complements(n)):
-            rest = others(items)
-            rest_mass = total - m
-            if not rest_mass > 0.0:  # m dwarfs the rest, and M - m_i cancels
-                rest_mass = math.fsum([other for _, other in rest])
-            c = memo.get(rest) if first else None
-            if c is None:
-                if n == 3:  # the two-point rule; overflow fails a diameter or point check
-                    (y, my), (z, mz) = rest
-                    d = self.to_distance(pick(table))
-                    if my > 0.0 and mz > 0.0 and 0.0 < (t := mz / (my + mz)) < 1.0:
-                        c = interpolate(y, z, t, d)
-                    else:  # t is 0 or 1, or between refuses the masses
-                        c = between(y, my, z, mz, d)
-                else:
-                    c = self.settle(rest, pick(table))[0]
-                if first:
-                    memo[rest] = c
-            if m > 0.0 and rest_mass > 0.0 and 0.0 < (t := rest_mass / (m + rest_mass)) < 1.0:
-                c = interpolate(x, c, t, None)
-            else:
-                c = between(x, m, c, rest_mass)
-            moved.append((c, rest_mass / (n - 1)))
-        return tuple(moved)
-
-    def settle(self, items, table):
-        """(center, iterations, diameter trace) from items and pair table.
+    def settle(self, items, table, places, memo, once=False):
+        """(center, iterations, diameter trace) from items and pair table,
+        with every step taken in this frame.  `places` are the items'
+        positions in the configuration that began their generation, whose
+        memo is `memo`.  With `once` it takes one step without the checks
+        below and returns the moved items (`leave_one_out_step`).
 
         A flat configuration closes in closed form (`_flat_center`), and a
         hyperbolic one in one projected step, `_sheet_mean`, once its
@@ -347,42 +326,101 @@ class _Recursion:
         recursion stops at.  It counts as one iteration with trace entry
         0.0; max_iters and the cap apply as to any step before it, and the
         cap not to the projected step itself.
+
+        Three items, the recursion's leaves, take each complement's center
+        from the two-point rule; more items take it from `settle`.
         """
         tol, max_iters, to_distance = self.tol, self.max_iters, self.to_distance
+        measure, interpolate, between = self.measure, self.interpolate, self.between
         n = len(items)
         trace, iterations = [], 0
         while True:
-            d = farthest(to_distance, table)
-            if not math.isfinite(d):
-                raise GeometryError(f"configuration overflows: diameter {d}")
-            trace.append(d)
-            if d < tol:
-                return items[0][0], iterations, trace
-            if iterations >= max_iters:
-                raise ConvergenceError(
-                    f"diameter {d:.3e} still above tol {tol:.3e} "
-                    f"after {iterations} iterations",
-                    BarycenterResult(items[0][0], iterations, trace, False),
-                )
-            if not iterations:
-                c = _flat_center(self.space, items, table, d)
-                if c is not None:
-                    return c, 1, [d, 0.0]
-            if d < self.near_flat:
-                trace.append(0.0)
-                return _sheet_mean(items, table, d), iterations + 1, trace
-            if n > self.max_points:
-                raise GeometryError(
-                    f"{n} points exceeds the recursion cap {self.max_points}; "
-                    "raise max_points explicitly to accept the cost"
-                )
-            try:
-                items = self.step(items, table, not iterations)
-            except ConvergenceError as exc:  # a sub-configuration's; report ours
-                exc.result = BarycenterResult(items[0][0], iterations, trace, False)
-                raise
-            table = self.table(items)
-            iterations += 1
+            if not once:
+                d = to_distance(max((0.0, *table)))  # farthest, without its frame
+                if not math.isfinite(d):
+                    raise GeometryError(f"configuration overflows: diameter {d}")
+                trace.append(d)
+                if d < tol:
+                    return items[0][0], iterations, trace
+                if iterations >= max_iters:
+                    raise ConvergenceError(
+                        f"diameter {d:.3e} still above tol {tol:.3e} "
+                        f"after {iterations} iterations",
+                        BarycenterResult(items[0][0], iterations, trace, False),
+                    )
+                if not iterations and self.flat:
+                    c = _flat_center(self.space, items, table, d)
+                    if c is not None:
+                        return c, 1, [d, 0.0]
+                if d < self.near_flat:
+                    trace.append(0.0)
+                    return _sheet_mean(items, table, d), iterations + 1, trace
+                if n > self.max_points:
+                    raise GeometryError(
+                        f"{n} points exceeds the recursion cap {self.max_points}; "
+                        "raise max_points explicitly to accept the cost"
+                    )
+            total = 0.0  # _left_sum, without its frame
+            for _, m in items:
+                total += m
+            first, moved = not iterations, []
+            if n == 3:  # each complement is a pair: the two-point rule gives its center
+                a, b, c = items
+                i, j, k = places
+                ab, ac, bc = table
+                for (x, m), (y, my), (z, mz), q, key in (
+                    (a, b, c, bc, (j, k)), (b, a, c, ac, (i, k)), (c, a, b, ab, (i, j))
+                ):
+                    rest_mass = total - m
+                    if not rest_mass > 0.0:  # m dwarfs the rest, and M - m_i cancels
+                        rest_mass = math.fsum([my, mz])
+                    center = memo.get(key) if first else None
+                    if center is None:  # overflow fails a diameter or point check
+                        d = to_distance(q)
+                        if my > 0.0 and mz > 0.0 and 0.0 < (t := mz / (my + mz)) < 1.0:
+                            center = interpolate(y, z, t, d)
+                        else:  # t is 0 or 1, or between refuses the masses
+                            center = between(y, my, z, mz, d)
+                        if first:
+                            memo[key] = center
+                    if m > 0.0 and rest_mass > 0.0 and (
+                        0.0 < (t := rest_mass / (m + rest_mass)) < 1.0
+                    ):
+                        moved.append((interpolate(x, center, t, None), rest_mass / 2))
+                    else:
+                        moved.append((between(x, m, center, rest_mass), rest_mass / 2))
+            else:
+                try:
+                    for (x, m), (others, pick) in zip(items, _complements(n)):
+                        rest = others(items)
+                        rest_mass = total - m
+                        if not rest_mass > 0.0:
+                            rest_mass = math.fsum([other for _, other in rest])
+                        key = others(places)
+                        center = memo.get(key) if first else None
+                        if center is None:
+                            center = self.settle(rest, pick(table), key, memo)[0]
+                            if first:
+                                memo[key] = center
+                        if m > 0.0 and rest_mass > 0.0 and (
+                            0.0 < (t := rest_mass / (m + rest_mass)) < 1.0
+                        ):
+                            moved.append((interpolate(x, center, t, None), rest_mass / (n - 1)))
+                        else:
+                            moved.append((between(x, m, center, rest_mass), rest_mass / (n - 1)))
+                except ConvergenceError as exc:  # a sub-configuration's; report ours
+                    if not once:
+                        exc.result = BarycenterResult(items[0][0], iterations, trace, False)
+                    raise
+            if once:
+                return moved
+            items, iterations = moved, iterations + 1
+            if n == 3:  # self.table, unrolled
+                (x, _), (y, _), (z, _) = items
+                table = [measure(x, y), measure(x, z), measure(y, z)]
+            else:
+                table = self.table(items)
+                places, memo = range(n), {}  # the next step's complements begin a generation
 
 
 def _start(space: Space, config: Configuration, tol, max_iters, max_points):
@@ -415,7 +453,8 @@ def leave_one_out_step(
     if n < 3:
         raise GeometryError(f"leave-one-out step needs at least 3 points, got {n}")
     recursion, items, table, k = _start(space, config, tol, max_iters, max_points)
-    moved = [(_finite(space, p), math.ldexp(m, k)) for p, m in recursion.step(items, table, True)]
+    moved = recursion.settle(items, table, range(n), {}, once=True)
+    moved = [(_finite(space, p), math.ldexp(m, k)) for p, m in moved]
     return Configuration(tuple(starmap(WeightedPoint, moved)))
 
 
@@ -440,7 +479,7 @@ def center_of_mass(
         (x, mx), (y, my) = items
         c = recursion.between(x, mx, y, my, recursion.to_distance(table[0]))
         return BarycenterResult(_finite(space, c), 0, [0.0], True)
-    center, iterations, trace = recursion.settle(items, table)
+    center, iterations, trace = recursion.settle(items, table, range(len(items)), {})
     return BarycenterResult(center, iterations, trace, True)
 
 

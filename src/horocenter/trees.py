@@ -37,8 +37,8 @@ class TreePoint(Frozen):
 
     __slots__ = ("edge", "offset")
 
-    # straight-line: tree points are hashed and compared as memo keys of
-    # the center recursion
+    # straight-line, without the generic Frozen equality's and hash's
+    # `_astuple` call
     def __eq__(self, other):
         if other.__class__ is not TreePoint:
             return NotImplemented

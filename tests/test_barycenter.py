@@ -578,7 +578,8 @@ def test_memo_is_bit_identical_to_the_reference(case):
     """Sharing complement centers changes no bit of any center, iteration
     count or diameter trace, nor the partial result of a non-convergence,
     also where the items hold duplicate points and signed zeros (which
-    compare equal as memo keys) or where the recursion fails."""
+    memo keys, being positions, never share) or where the recursion
+    fails."""
     assert _outcome(center_of_mass, *case) == _outcome(reference_center, *case)
 
 
@@ -612,45 +613,64 @@ def test_memo_cuts_geodesic_work(monkeypatch):
 def test_only_a_first_step_touches_the_memo(monkeypatch):
     """A configuration's first step reads and fills the memo; a later step
     does not, as its complements hold points that the step before moved,
-    which no other branch reaches.  For the unit H^2 configuration of 6
-    points that is 786 lookups, 470 of them hits, and 316 stores, where
-    reading the memo in every step made 939 lookups with the same 470
-    hits, and 469 stores.  The center is the memo-free recursion's, bit
-    for bit."""
+    which no other branch reaches (and whose positions would name a stale
+    entry).  For the unit H^2 configuration of 6 points that is 786
+    lookups, 470 of them hits, and 316 stores.  The center is the
+    memo-free recursion's, bit for bit.
+
+    Each memo reaches a configuration as its `settle` argument, so a
+    wrapper of `settle` counts what it reads and stores; every entry of
+    every memo is a counted store, so no frame wrote one past the wrapper.
+    A configuration has stepped once it measures a moved pair table, the
+    only measuring a settle does in its own frame."""
     space = Space.hyperbolic(2)
     rng = sp.sub_rng(11, 7)
     cfg = unit_configuration(space, [sp.draw_point(space, rng, 2.0) for _ in range(6)])
     reference = reference_center(space, cfg, 1e-8, 200)
-    firsts, touches = [], []  # touches: (what, whether a first step did it)
+    stepped, touches = [], []  # touches: (what, whether a first step did it)
+    memos = {}  # every memo the recursion made, by id
 
-    class CountedMemo(dict):
+    class CountedMemo:
+        def __init__(self, memo):
+            self.memo = memo
+
         def get(self, key):
-            touches.append(("hit" if key in self else "miss", firsts[-1]))
-            return super().get(key)
+            touches.append(("hit" if key in self.memo else "miss", not stepped[-1]))
+            return self.memo.get(key)
 
         def __setitem__(self, key, value):
-            touches.append(("store", firsts[-1]))
-            super().__setitem__(key, value)
+            touches.append(("store", not stepped[-1]))
+            self.memo[key] = value
 
-    init, step = _Recursion.__init__, _Recursion.step
+    settle, kernels = _Recursion.settle, sp.kernels
 
-    def counted_init(self, *args):
-        init(self, *args)
-        self.memo = CountedMemo()
-
-    def counted_step(self, items, table, first):
-        firsts.append(first)
+    def counted_settle(self, items, table, places, memo, once=False):
+        if not isinstance(memo, CountedMemo):
+            memos[id(memo)] = memo
+            memo = CountedMemo(memo)
+        stepped.append(False)
         try:
-            return step(self, items, table, first)
+            return settle(self, items, table, places, memo, once)
         finally:
-            firsts.pop()
+            stepped.pop()
 
-    monkeypatch.setattr(_Recursion, "__init__", counted_init)
-    monkeypatch.setattr(_Recursion, "step", counted_step)
+    def counted_kernels(space):
+        measure, to_distance, interpolate = kernels(space)
+
+        def counted(*args):
+            if stepped:
+                stepped[-1] = True
+            return measure(*args)
+
+        return counted, to_distance, interpolate
+
+    monkeypatch.setattr(_Recursion, "settle", counted_settle)
+    monkeypatch.setattr(sp, "kernels", counted_kernels)
     res = center_of_mass(space, cfg)
     assert all(first for _, first in touches)
     counts = Counter(what for what, _ in touches)
     assert (counts["hit"], counts["miss"], counts["store"]) == (470, 316, 316)
+    assert sum(map(len, memos.values())) == 316
     assert res.iterations == 3 and repr(res) == repr(reference)
 
 
@@ -695,6 +715,123 @@ def test_memo_keeps_the_partial_result(hyp2):
         with pytest.raises(ConvergenceError) as ref:
             reference_center(hyp2, cfg, 1e-8, max_iters)
         assert repr(info.value.result) == repr(ref.value.result)
+
+
+# the branches at the conftest tree's vertex B, and a span of offsets on each
+# that stays off B
+BRANCHES = (("A-B", 0.0, 1.9), ("B-C", 0.1, 3.0), ("B-D", 0.1, 1.5))
+
+
+def _three_points(space, rng, zeros=True):
+    """Three seeded points: in H^n within distance 2 of the basepoint; on
+    the tree one per branch at B, so that the flat close gives None.  With
+    `zeros`, signed zeros are set at random (on the tree an offset of
+    -0.0, which puts a point at a vertex)."""
+    if space.kind == "tree":
+        return [
+            TreePoint(edge, float(rng.uniform(lo, hi)))
+            if not zeros or rng.random() < 0.9
+            else TreePoint(edge, float(rng.choice([0.0, -0.0])))
+            for edge, lo, hi in BRANCHES
+        ]
+    zero = [None, None, 0.0, -0.0] if zeros else [None]
+    return [
+        _signed_zeros(space, sp.draw_point(space, rng, 2.0), list(rng.choice(zero, 2)))
+        for _ in range(3)
+    ]
+
+
+@pytest.mark.parametrize("name", ["hyp2", "hyp3", "tree"])
+def test_three_point_settles_match_the_reference(name):
+    """Three items settle in one path, the two-point rule for each
+    complement and the moves in one frame, with position keys in the memo.
+    Its center, iterations and trace, and the partial result of a
+    non-convergence at max_iters 0 and 1, are those of the memo-free
+    reference, bit for bit: for random masses, for a point repeated, and
+    for signed zeros, which no two memo keys share."""
+    space = MEMO_SPACES[name]
+    rng = np.random.default_rng(32)
+    for _ in range(25):
+        points = _three_points(space, rng)
+        if rng.random() < 0.3:
+            points[2] = points[int(rng.integers(2))]
+        masses = [float(m) for m in 10.0 ** rng.uniform(-2.0, 2.0, 3)]
+        cfg = Configuration.of(space, list(zip(points, masses)))
+        for max_iters in (0, 1, 200):
+            case = (space, cfg, 1e-8, max_iters)
+            assert _outcome(center_of_mass, *case) == _outcome(reference_center, *case)
+
+
+def test_signed_zeros_never_share_a_memo_entry(hyp2):
+    """Memo keys are item positions, so two items that compare equal but
+    differ in the sign of a zero each get their own complement centers:
+    here items 1 and 2 are both the basepoint, with 0.0 and -0.0, and each
+    moved point is the memo-free composition's, sign of zero included.
+    Keying by items shared one entry between them and moved item 2 to a
+    first spatial coordinate of -0.0 where the composition gives 0.0."""
+    spatial = [(-0.0, -0.0), (0.0, 0.0), (-0.0, -0.0), (-0.0, -1.8310592540218686)]
+    points = [(math.sqrt(1.0 + y0 * y0 + y1 * y1), y0, y1) for y0, y1 in spatial]
+    cfg = Configuration.of(hyp2, list(zip(points, [1.0, 1000.0, 1000.0, 1.0])))
+    items, total = cfg.items, cfg.total_mass
+    expected = []
+    for i, item in enumerate(items):
+        rest = Configuration(items[:i] + items[i + 1 :])
+        c = reference_center(hyp2, rest, 1e-8, 200).center
+        expected.append(
+            WeightedPoint(two_point_center(hyp2, item, WeightedPoint(c, total - item.mass)),
+                          (total - item.mass) / 3)
+        )
+    assert repr(leave_one_out_step(hyp2, cfg)) == repr(Configuration(tuple(expected)))
+
+
+def _far_triangle(r):
+    """Three raw H^2 points at distance r from the basepoint, 120 degrees
+    apart: past r = 355 a move toward them overflows."""
+    angles = [2.0 * math.pi * i / 3.0 for i in range(3)]
+    spatial = [(math.sinh(r) * math.cos(a), math.sinh(r) * math.sin(a)) for a in angles]
+    return [(math.hypot(1.0, *y), *y) for y in spatial]
+
+
+@pytest.mark.parametrize("name", ["hyp2", "hyp3", "tree"])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (0.0, "masses must be positive"),
+        (-0.0, "masses must be positive"),
+        (-1.0, "masses must be positive"),
+        (math.nan, r"geodesic parameter must lie in \[0, 1\], got nan"),
+        (math.inf, r"geodesic parameter must lie in \[0, 1\], got nan"),
+    ],
+)
+def test_three_point_settles_refuse_bad_masses(name, bad, message):
+    """A three-point configuration built past its checks, with a mass of 0,
+    -0.0, below 0, NaN or inf at any place, is refused with the two-point
+    rule's messages, by center_of_mass and by leave_one_out_step.  On the
+    tree, center_of_mass meets a NaN or inf mass first in the flat close's
+    exact sum, which raises a bare ValueError or OverflowError (ROADMAP
+    Defects), so only leave_one_out_step is checked there."""
+    space = MEMO_SPACES[name]
+    points = _three_points(space, np.random.default_rng(5), zeros=False)
+    calls = [center_of_mass, leave_one_out_step]
+    if space.kind == "tree" and not math.isfinite(bad):
+        calls = [leave_one_out_step]
+    for place in range(3):
+        masses = [1.0, 2.0, 0.5]
+        masses[place] = bad
+        cfg = Configuration(tuple(starmap(WeightedPoint, zip(points, masses))))
+        for call in calls:
+            with pytest.raises(GeometryError, match=f"^{message}$"):
+                call(space, cfg)
+
+
+def test_an_overflowing_three_point_settle_names_its_cause(hyp2):
+    """Raw far H^2 points whose moves overflow are refused by the diameter
+    check in center_of_mass and by the move's lift in leave_one_out_step."""
+    cfg = Configuration(tuple(WeightedPoint(p, 1.0) for p in _far_triangle(360.0)))
+    with pytest.raises(GeometryError, match="^configuration overflows: diameter inf$"):
+        center_of_mass(hyp2, cfg)
+    with pytest.raises(GeometryError, match=r"^distance = inf overflows: the point's x0\^2 = nan$"):
+        leave_one_out_step(hyp2, cfg)
 
 
 @pytest.mark.parametrize("max_iters", [0, 1, 2])
@@ -1193,6 +1330,41 @@ def test_the_center_is_lipschitz_in_its_masses(name, seed, n, twin):
     diameter = config_diameter(space, config)
     bound = diameter * abs(delta) * (total - masses[k]) / (total * (total + delta))
     assert sp.distance(space, before, after) <= bound + LIPSCHITZ_SLACK
+
+
+def test_the_center_is_not_w1_lipschitz_in_its_masses(tree_space):
+    """No proof of the mass bound can pass through W1.  Changing m_k by
+    delta moves the normalized measure by W1 = |delta| / (M + delta) *
+    sum_j (m_j / M) d(x_k, x_j), which is at most the D * TV bound of
+    test_the_center_is_lipschitz_in_its_masses.  On the conftest tree a
+    hill-climb (ROADMAP direction 12) found four points and masses whose
+    center moves 1.19375 times W1, so the center map is not 1-Lipschitz
+    in W1, while it stays at 0.036 of the D * TV bound.  The center is
+    the same at tol 1e-8, 1e-12 and 1e-14; its three-point
+    sub-configurations are spread over the branches at B."""
+    points = [
+        TreePoint("A-E", 1.8560417930421045),
+        TreePoint("B-C", 0.2549561534806549),
+        TreePoint("B-D", 1.5),
+        TreePoint("B-C", 0.2526089801684051),
+    ]
+    masses = [0.14592179288861504, 0.07425423850841659, 0.4065785893043006, 7.582200492669917]
+    k, changed = 1, list(masses)
+    changed[k] += 0.08228683899994364
+    delta = changed[k] - masses[k]
+    before, after = (
+        center_of_mass(tree_space, Configuration.of(tree_space, zip(points, m))).center
+        for m in (masses, changed)
+    )
+    moved = sp.distance(tree_space, before, after)
+    total = math.fsum(masses)
+    w1 = abs(delta) / (total + delta) * math.fsum(
+        m / total * sp.distance(tree_space, points[k], p) for m, p in zip(masses, points)
+    )
+    diameter = sp.diameter(tree_space, points)
+    bound = diameter * abs(delta) * (total - masses[k]) / (total * (total + delta))
+    assert moved / w1 > 1.19
+    assert moved <= bound
 
 
 # -- refusals that no other test reaches ---------------------------------------

@@ -31,8 +31,10 @@ unit masses at n = 5, 6, 7 and 8 in H^2 on one core of a shared Xeon.
 ``max_points`` caps the size of a configuration that takes a recursive
 step (default 7) and can be raised explicitly.  Every step shrinks the
 diameter, but convergence can be only linear: near a tree branch vertex
-the ratio per step stays constant.  Masses whose sum overflows are
-scaled by 2**-64 first (see `_finite_masses`).
+the ratio per step stays constant.  `center_of_mass`, `leave_one_out_step`
+and `two_point_center` enter the recursion through `_start`, which checks
+each mass once, as `Configuration.of` does, and scales masses whose sum
+reaches 2**1023 by 2**-64 (see `_finite_masses`).
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ DEFAULT_MAX_POINTS = 7
 # Every finite double is an integer multiple of 2**-1074, so x * 2**1074 is
 # an integer, and sums and products of such integers never round.
 _EXACT_BITS = 1074
-_MASS_SHIFT = 64  # scales an overflowing mass sum back into range (see _finite_masses)
+_MASS_SHIFT = 64  # scales a mass sum near overflow back into range (see _finite_masses)
 
 
 class ConvergenceError(RuntimeError):
@@ -81,10 +83,7 @@ class Configuration(Frozen):
             if not isinstance(item, WeightedPoint):
                 point, mass = item
                 item = WeightedPoint(point, float(mass))
-            if not (math.isfinite(item.mass) and item.mass > 0.0):
-                raise GeometryError(
-                    f"points[{i}].mass: must be positive and finite, got {item.mass}"
-                )
+            _checked_mass(i, item.mass)
             try:
                 point = spaces.canonical_point(space, item.point)
             except GeometryError as exc:
@@ -108,6 +107,13 @@ class Configuration(Frozen):
 
 class BarycenterResult(Value):
     __slots__ = ("center", "iterations", "diameter_trace", "converged")
+
+
+def _checked_mass(i: int, mass):
+    """Mass i, or an error naming its entry if it is not positive and finite."""
+    if not (math.isfinite(mass) and mass > 0.0):
+        raise GeometryError(f"points[{i}].mass: must be positive and finite, got {mass}")
+    return mass
 
 
 def unit_configuration(space: Space, points) -> Configuration:
@@ -134,19 +140,19 @@ def _finite(space: Space, c):
 
 
 def _finite_masses(masses):
-    """(masses / 2**k, k), with k = 64 where the sum of the masses
-    overflows and k = 0 otherwise.
+    """(masses / 2**k, k), with k = 64 where the sum of the positive finite
+    masses reaches 2**1023 and k = 0 otherwise: a step's rounding can carry
+    a sum near the largest double past it, but never doubles it.
 
     A common power-of-two factor leaves every mass ratio unchanged, and
     the scaling is exact for masses of at least 2**-958.  A smaller mass,
     whose pull is below rounding, is floored at the smallest subnormal
-    rather than flushed to zero.  A mass of 0 or below, or NaN, is left
-    as it is, for `_Recursion.between` to refuse.
+    rather than flushed to zero.
     """
-    if _left_sum(masses) < math.inf:
+    if _left_sum(masses) < 2.0**1023:
         return masses, 0
     floor = math.ulp(0.0)
-    return [max(math.ldexp(m, -_MASS_SHIFT), floor) if m > 0.0 else m for m in masses], _MASS_SHIFT
+    return [max(math.ldexp(m, -_MASS_SHIFT), floor) for m in masses], _MASS_SHIFT
 
 
 def _exact(x: float) -> int:
@@ -269,8 +275,8 @@ class _Recursion:
     before moved, which no other branch reaches, and they begin a new
     generation with a new memo.  Items are never compared, so duplicate
     points and signed zeros are each computed from their own items; tol,
-    max_iters and max_points are fixed for the recursion's life.  The
-    masses must have a finite sum (see `_finite_masses`).
+    max_iters and max_points are fixed for the recursion's life.  `_start`
+    checks the masses, and a step forms only positive finite ones.
     """
 
     __slots__ = (
@@ -297,15 +303,11 @@ class _Recursion:
 
     def between(self, x, mx, y, my, d=None):
         """The two-point center of (x, mx) and (y, my), d apart if given."""
-        if mx <= 0.0 or my <= 0.0:
-            raise GeometryError("masses must be positive")
         t = my / (mx + my)
-        if not 0.0 < t < 1.0:
-            if t == 0.0:
-                return x
-            if t == 1.0:
-                return y
-            raise GeometryError(f"geodesic parameter must lie in [0, 1], got {t}")
+        if t == 0.0:
+            return x
+        if t == 1.0:
+            return y
         return self.interpolate(x, y, t, d)
 
     def settle(self, items, table, places, memo, once=False):
@@ -371,21 +373,17 @@ class _Recursion:
                 for (x, m), (y, my), (z, mz), q, key in (
                     (a, b, c, bc, (j, k)), (b, a, c, ac, (i, k)), (c, a, b, ab, (i, j))
                 ):
-                    rest_mass = total - m
-                    if not rest_mass > 0.0:  # m dwarfs the rest, and M - m_i cancels
-                        rest_mass = math.fsum([my, mz])
+                    rest_mass = total - m or math.fsum([my, mz])  # M - m_i cancels to 0
                     center = memo.get(key) if first else None
                     if center is None:  # overflow fails a diameter or point check
                         d = to_distance(q)
-                        if my > 0.0 and mz > 0.0 and 0.0 < (t := mz / (my + mz)) < 1.0:
+                        if 0.0 < (t := mz / (my + mz)) < 1.0:
                             center = interpolate(y, z, t, d)
-                        else:  # t is 0 or 1, or between refuses the masses
+                        else:  # t is 0 or 1
                             center = between(y, my, z, mz, d)
                         if first:
                             memo[key] = center
-                    if m > 0.0 and rest_mass > 0.0 and (
-                        0.0 < (t := rest_mass / (m + rest_mass)) < 1.0
-                    ):
+                    if 0.0 < (t := rest_mass / (m + rest_mass)) < 1.0:
                         moved.append((interpolate(x, center, t, None), rest_mass / 2))
                     else:
                         moved.append((between(x, m, center, rest_mass), rest_mass / 2))
@@ -393,18 +391,14 @@ class _Recursion:
                 try:
                     for (x, m), (others, pick) in zip(items, _complements(n)):
                         rest = others(items)
-                        rest_mass = total - m
-                        if not rest_mass > 0.0:
-                            rest_mass = math.fsum([other for _, other in rest])
+                        rest_mass = total - m or math.fsum([other for _, other in rest])
                         key = others(places)
                         center = memo.get(key) if first else None
                         if center is None:
                             center = self.settle(rest, pick(table), key, memo)[0]
                             if first:
                                 memo[key] = center
-                        if m > 0.0 and rest_mass > 0.0 and (
-                            0.0 < (t := rest_mass / (m + rest_mass)) < 1.0
-                        ):
+                        if 0.0 < (t := rest_mass / (m + rest_mass)) < 1.0:
                             moved.append((interpolate(x, center, t, None), rest_mass / (n - 1)))
                         else:
                             moved.append((between(x, m, center, rest_mass), rest_mass / (n - 1)))
@@ -428,7 +422,7 @@ def _start(space: Space, config: Configuration, tol, max_iters, max_points):
     pair table, and the mass scale k of `_finite_masses`."""
     recursion = _Recursion(space, tol, max_iters, max_points)
     spaces.check_arity(space, config.points)
-    masses, k = _finite_masses([item.mass for item in config.items])
+    masses, k = _finite_masses([_checked_mass(i, it.mass) for i, it in enumerate(config.items)])
     items = tuple(zip(config.points, masses))
     return recursion, items, recursion.table(items), k
 
@@ -445,9 +439,9 @@ def leave_one_out_step(
     Output point i is the two-point center of (x_i, m_i) and the fully
     recursive center of the other points carrying mass M - m_i; the new
     mass label is (M - m_i)/(n - 1), so total mass is preserved.  Where
-    M - m_i rounds to 0 or below (m_i dwarfs the rest), the exact sum of
-    the other masses stands in for it.  Masses whose sum overflows are
-    stepped at 2**-64 scale and scaled back.
+    M - m_i rounds to 0 (m_i dwarfs the rest), the exact sum of the other
+    masses stands in for it.  Masses whose sum reaches 2**1023 are stepped
+    at 2**-64 scale and scaled back.
     """
     n = len(config)
     if n < 3:

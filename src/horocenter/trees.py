@@ -37,16 +37,6 @@ class TreePoint(Frozen):
 
     __slots__ = ("edge", "offset")
 
-    # straight-line, without the generic Frozen equality's and hash's
-    # `_astuple` call
-    def __eq__(self, other):
-        if other.__class__ is not TreePoint:
-            return NotImplemented
-        return (self.edge, self.offset) == (other.edge, other.offset)
-
-    def __hash__(self):
-        return hash((self.edge, self.offset))
-
 
 class TreeEdge(Frozen):
     __slots__ = ("u", "v", "length", "eid", "index")

@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, starmap
@@ -71,25 +73,32 @@ def test_two_point_mass_validation(euclid2):
         )
 
 
+def _refused(i, mass):
+    """The message that refuses mass i, anchored: Configuration.of's."""
+    return rf"^points\[{i}\]\.mass: must be positive and finite, got {re.escape(str(mass))}$"
+
+
 @pytest.mark.parametrize(
-    "masses, message",
+    "masses, entry",
     [
-        ((1.0, -1.0), "masses must be positive"),
-        ((math.inf, -1.0), "masses must be positive"),  # the sum overflows first
-        ((math.nan, 1.0), r"geodesic parameter must lie in \[0, 1\], got nan"),
-        ((1e308, math.nan), r"geodesic parameter must lie in \[0, 1\], got nan"),
+        ((1.0, -1.0), 1),
+        ((math.inf, -1.0), 0),  # the first entry at fault is named
+        ((math.nan, 1.0), 0),
+        ((1e308, math.nan), 1),
     ],
 )
-def test_the_two_point_rule_refuses_bad_masses(euclid2, hyp2, masses, message):
+def test_the_two_point_rule_refuses_bad_masses(euclid2, hyp2, masses, entry):
     """two_point_center is the recursion's two-point rule, and a mass of 0
-    or below, or NaN, is refused there also where the mass sum overflows;
-    center_of_mass refuses the same configuration, built past its
-    checks, with the same message, in E^2 and in H^2."""
+    or below, NaN or inf is refused where the recursion starts, with the
+    message of Configuration.of; center_of_mass refuses the same
+    configuration, built past its checks, with the same message, in E^2
+    and in H^2."""
+    message = _refused(entry, masses[entry])
     for space in (euclid2, hyp2):
         items = tuple(WeightedPoint(_on_x_axis(space, i), m) for i, m in enumerate(masses))
-        with pytest.raises(GeometryError, match=f"^{message}$"):
+        with pytest.raises(GeometryError, match=message):
             two_point_center(space, *items)
-        with pytest.raises(GeometryError, match=f"^{message}$"):
+        with pytest.raises(GeometryError, match=message):
             center_of_mass(space, Configuration(items))
 
 
@@ -101,30 +110,31 @@ def _on_x_axis(space, r):
 
 
 @pytest.mark.parametrize(
-    "masses, message",
+    "masses, entry",
     [
-        ((0.0, 1.0, 1.0), "masses must be positive"),
-        ((-0.0, 2.0, 1.0), "masses must be positive"),
-        ((-1.0, 0.5, 0.5), "masses must be positive"),  # M - m_0 = -m_0: t = 1/0
-        ((1.0, -1.0, 1.0), "masses must be positive"),  # in a two-point rule, t = 1/0
-        ((1.0, 1.0, -2.0), "masses must be positive"),
-        ((1e308, 1e308, -1.0), "masses must be positive"),  # the sum overflows first
-        ((math.nan, 1.0, 1.0), r"geodesic parameter must lie in \[0, 1\], got nan"),
-        ((1.0, 1.0, math.nan), r"geodesic parameter must lie in \[0, 1\], got nan"),
-        ((1e308, math.nan, 1e308), r"geodesic parameter must lie in \[0, 1\], got nan"),
+        ((0.0, 1.0, 1.0), 0),
+        ((-0.0, 2.0, 1.0), 0),
+        ((-1.0, 0.5, 0.5), 0),  # M - m_0 = -m_0 would give t = 1/0
+        ((1.0, -1.0, 1.0), 1),  # in a two-point rule, t = 1/0
+        ((1.0, 1.0, -2.0), 2),
+        ((1e308, 1e308, -1.0), 2),  # refused before the overflowing sum is scaled
+        ((math.nan, 1.0, 1.0), 0),
+        ((1.0, 1.0, math.nan), 2),
+        ((1e308, math.nan, 1e308), 1),
     ],
 )
-def test_the_step_refuses_bad_masses(hyp2, masses, message):
-    """Each move of a step calls the interpolator itself, and hands the
-    masses it must refuse to the two-point rule: a three-point H^2
-    configuration built past its checks, with a mass of 0 or below or NaN,
-    is refused with the rule's message, as it was before the move was
-    inlined, by center_of_mass and by leave_one_out_step."""
+def test_the_step_refuses_bad_masses(hyp2, masses, entry):
+    """Every move of a step calls the interpolator itself, with no mass
+    check of its own: a three-point H^2 configuration built past its
+    checks, with a mass of 0 or below or NaN, is refused where the
+    recursion starts, naming the first entry at fault, by center_of_mass
+    and by leave_one_out_step."""
     points = [_on_x_axis(hyp2, 0.3), _on_x_axis(hyp2, -0.5), (math.cosh(0.4), 0.0, math.sinh(0.4))]
     cfg = Configuration(tuple(starmap(WeightedPoint, zip(points, masses))))
-    with pytest.raises(GeometryError, match=f"^{message}$"):
+    message = _refused(entry, masses[entry])
+    with pytest.raises(GeometryError, match=message):
         center_of_mass(hyp2, cfg)
-    with pytest.raises(GeometryError, match=f"^{message}$"):
+    with pytest.raises(GeometryError, match=message):
         leave_one_out_step(hyp2, cfg)
 
 
@@ -288,7 +298,8 @@ def test_overflowing_masses_keep_the_midpoint(euclid2, hyp2):
     assert two_point_center(euclid2, a, b) == (0.5, 0.0)
     cfg = Configuration.of(euclid2, [(a.point, a.mass), (b.point, b.mass)])
     assert center_of_mass(euclid2, cfg).center == (0.5, 0.0)
-    points = [sp.draw_point(hyp2, np.random.default_rng(8), 2.0) for _ in range(3)]
+    rng = np.random.default_rng(8)
+    points = [sp.draw_point(hyp2, rng, 2.0) for _ in range(3)]
     heavy = Configuration.of(hyp2, [(p, 1e308) for p in points])
     assert center_of_mass(hyp2, heavy).converged
 
@@ -311,7 +322,8 @@ def test_an_overflowing_mass_sum_is_scaled_exactly(space, n):
     if space.kind == "tree":
         points = SPREAD[:n]
     else:
-        points = [sp.draw_point(space, np.random.default_rng(n), 2.0) for _ in range(n)]
+        rng = np.random.default_rng(n)
+        points = [sp.draw_point(space, rng, 2.0) for _ in range(n)]
     masses = [1e308, 1.5e308, 0.7e308, 1e308][:n]
     big = Configuration.of(space, list(zip(points, masses)))
     small = Configuration.of(space, [(p, math.ldexp(m, -64)) for p, m in zip(points, masses)])
@@ -322,6 +334,28 @@ def test_an_overflowing_mass_sum_is_scaled_exactly(space, n):
             two_point_center(space, *small.items)
         )
         return
+    stepped, scaled = leave_one_out_step(space, big), leave_one_out_step(space, small)
+    assert repr(stepped.points) == repr(scaled.points)
+    assert [i.mass for i in stepped.items] == [math.ldexp(i.mass, 64) for i in scaled.items]
+
+
+@pytest.mark.parametrize("space", ["hyp2", "tree"])
+def test_a_mass_sum_near_the_largest_double_is_scaled(space):
+    """Masses that sum to just below the largest double are scaled by
+    2**-64 too, because a step's rounding can carry their sum past it:
+    unscaled, a move's M - m_i + m_i overflowed and left its point where
+    it was, and the next step's sum overflowed to a NaN mass fraction."""
+    space = MEMO_SPACES[space]
+    if space.kind == "tree":
+        points = SPREAD[:3]
+    else:
+        rng = np.random.default_rng(1)
+        points = [sp.draw_point(space, rng, 2.0) for _ in range(3)]
+    masses = [2.592660065916198e307, 8.548410341197351e307, 6.835860941509608e307]
+    big = Configuration.of(space, list(zip(points, masses)))
+    small = Configuration.of(space, [(p, math.ldexp(m, -64)) for p, m in zip(points, masses)])
+    assert big.total_mass == sys.float_info.max
+    assert repr(center_of_mass(space, big)) == repr(center_of_mass(space, small))
     stepped, scaled = leave_one_out_step(space, big), leave_one_out_step(space, small)
     assert repr(stepped.points) == repr(scaled.points)
     assert [i.mass for i in stepped.items] == [math.ldexp(i.mass, 64) for i in scaled.items]
@@ -792,36 +826,119 @@ def _far_triangle(r):
     return [(math.hypot(1.0, *y), *y) for y in spatial]
 
 
+BAD_MASSES = [0.0, -0.0, -1.0, math.nan, math.inf]
+
+
 @pytest.mark.parametrize("name", ["hyp2", "hyp3", "tree"])
-@pytest.mark.parametrize(
-    "bad, message",
-    [
-        (0.0, "masses must be positive"),
-        (-0.0, "masses must be positive"),
-        (-1.0, "masses must be positive"),
-        (math.nan, r"geodesic parameter must lie in \[0, 1\], got nan"),
-        (math.inf, r"geodesic parameter must lie in \[0, 1\], got nan"),
-    ],
-)
-def test_three_point_settles_refuse_bad_masses(name, bad, message):
+@pytest.mark.parametrize("bad", BAD_MASSES)
+def test_three_point_settles_refuse_bad_masses(name, bad):
     """A three-point configuration built past its checks, with a mass of 0,
-    -0.0, below 0, NaN or inf at any place, is refused with the two-point
-    rule's messages, by center_of_mass and by leave_one_out_step.  On the
-    tree, center_of_mass meets a NaN or inf mass first in the flat close's
-    exact sum, which raises a bare ValueError or OverflowError (ROADMAP
-    Defects), so only leave_one_out_step is checked there."""
+    -0.0, below 0, NaN or inf at any place, is refused with the message of
+    Configuration.of, naming the entry, by center_of_mass and by
+    leave_one_out_step."""
     space = MEMO_SPACES[name]
     points = _three_points(space, np.random.default_rng(5), zeros=False)
-    calls = [center_of_mass, leave_one_out_step]
-    if space.kind == "tree" and not math.isfinite(bad):
-        calls = [leave_one_out_step]
     for place in range(3):
         masses = [1.0, 2.0, 0.5]
         masses[place] = bad
         cfg = Configuration(tuple(starmap(WeightedPoint, zip(points, masses))))
-        for call in calls:
-            with pytest.raises(GeometryError, match=f"^{message}$"):
+        for call in (center_of_mass, leave_one_out_step):
+            with pytest.raises(GeometryError, match=_refused(place, bad)):
                 call(space, cfg)
+
+
+# points whose configuration closes at once: in E^2, in H^2 below the
+# near-flat diameter tol**(1/3), and on the tree along one geodesic
+CLOSES = {
+    "euclid2": [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
+    "hyp2": [(math.hypot(1.0, *y), *y) for y in ((0.0, 0.0), (1e-3, 0.0), (0.0, 1e-3))],
+    "tree": [TreePoint("A-B", 0.5), TreePoint("B-C", 1.0), TreePoint("B-C", 2.0)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSES))
+def test_the_closes_refuse_bad_masses(name):
+    """Neither close weighs a mass that nothing has checked: a configuration
+    that closes at once, built past its checks, with masses (-1, 2, 0.5),
+    (1, -1, 0), or 0, -0.0, -1, NaN or inf at any place, is refused with
+    the message of Configuration.of, naming the first entry at fault, by
+    center_of_mass and by leave_one_out_step.  Without the check the flat
+    close returned a center for (-1, 2, 0.5), raised a bare
+    ZeroDivisionError for (1, -1, 0) and a bare ValueError or
+    OverflowError for NaN or inf; the near-flat close returned a center
+    or blamed the diameter."""
+    space, points = MEMO_SPACES[name], CLOSES[name]
+    closed = center_of_mass(space, Configuration.of(space, list(zip(points, [1.0, 2.0, 0.5]))))
+    assert (closed.iterations, closed.diameter_trace[-1]) == (1, 0.0)
+    cases = [((-1.0, 2.0, 0.5), 0), ((1.0, -1.0, 0.0), 1)]
+    for bad in BAD_MASSES:
+        for place in range(3):
+            masses = [1.0, 2.0, 0.5]
+            masses[place] = bad
+            cases.append((masses, place))
+    for masses, entry in cases:
+        cfg = Configuration(tuple(starmap(WeightedPoint, zip(points, masses))))
+        for call in (center_of_mass, leave_one_out_step):
+            with pytest.raises(GeometryError, match=_refused(entry, masses[entry])):
+                call(space, cfg)
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_SPACES))
+def test_one_and_two_points_refuse_bad_masses(name):
+    """One point needs no step and two take the two-point rule, but their
+    masses are checked where the recursion starts all the same: a bad mass
+    of one point, once returned as its center, is refused too."""
+    space = MEMO_SPACES[name]
+    points = [sp.basepoint(space), sp.draw_point(space, np.random.default_rng(6), 1.0)]
+    for bad in BAD_MASSES:
+        alone = Configuration((WeightedPoint(points[0], bad),))
+        with pytest.raises(GeometryError, match=_refused(0, bad)):
+            center_of_mass(space, alone)
+        for place in range(2):
+            masses = [1.0, 2.0]
+            masses[place] = bad
+            items = tuple(starmap(WeightedPoint, zip(points, masses)))
+            with pytest.raises(GeometryError, match=_refused(place, bad)):
+                center_of_mass(space, Configuration(items))
+            with pytest.raises(GeometryError, match=_refused(place, bad)):
+                two_point_center(space, *items)
+
+
+def _log_uniform_masses(rng, n):
+    """n masses log-uniform over [5e-324, 1e308], with ties, and in a third
+    of the draws one mass of 1e308 that dwarfs the rest."""
+    masses = [2.0 ** float(rng.uniform(-1074.0, math.log2(1e308))) for _ in range(n)]
+    for i in range(1, n):
+        if rng.random() < 0.25:
+            masses[i] = masses[int(rng.integers(i))]
+    if rng.random() < 1.0 / 3.0:
+        masses = [m * 2.0**-60 for m in masses]
+        masses[int(rng.integers(n))] = 1e308
+    return [max(m, 5e-324) for m in masses]
+
+
+@pytest.mark.parametrize("name", ["euclid2", "hyp2", "tree"])
+def test_every_mass_a_step_forms_is_positive_and_finite(name):
+    """The recursion checks masses only where it starts, because a step
+    forms each mass (M - m_i)/(n - 1) out of positive finite masses, and
+    the exact sum of the others stands in where M - m_i cancels: over
+    seeded masses from the smallest subnormal to 1e308, with ties and with
+    one mass that dwarfs the rest, for n = 3 to 6, every mass that three
+    chained steps form is positive and finite, and center_of_mass passes
+    every check on the same masses."""
+    space = MEMO_SPACES[name]
+    rng = np.random.default_rng(33)
+    for _ in range(12):
+        n = int(rng.integers(3, 7))
+        points = [sp.draw_point(space, rng, 1.0) for _ in range(n)]
+        cfg = Configuration.of(space, list(zip(points, _log_uniform_masses(rng, n))))
+        try:
+            center_of_mass(space, cfg, 1e-4, 2)
+        except ConvergenceError:
+            pass
+        for _ in range(3):
+            cfg = leave_one_out_step(space, cfg, 1e-4)
+            assert all(0.0 < item.mass < math.inf for item in cfg.items), cfg.items
 
 
 def test_an_overflowing_three_point_settle_names_its_cause(hyp2):

@@ -26,7 +26,7 @@ recursion, `_Recursion`, on plain (point, mass) tuples; `Configuration`,
 top-level call computes each distinct sub-configuration's center once
 and measures each pair of a configuration once, but every step moves the
 points, so each sub-center's later steps start afresh and the cost still
-grows faster than exponentially in n: about 1.0, 4.4, 17 and 66 ms for
+grows faster than exponentially in n: about 0.7, 2.9, 12 and 45 ms for
 unit masses at n = 5, 6, 7 and 8 in H^2 on one core of a shared Xeon.
 ``max_points`` caps the size of a configuration that takes a recursive
 step (default 7) and can be raised explicitly.  Every step shrinks the

@@ -2,10 +2,11 @@
 
 The three scans share one sample loop.  Sample i draws from its own
 stream seeded by the pair (seed, i), so reports are bit-identical
-across runs, independent of execution order, and distinct seeds never
-share a sample.  Each sample gives an input displacement and two inputs;
-the loop maps both inputs to points and records the distance between
-them over the input displacement:
+across runs, independent of execution order, and distinct seeds in
+[0, 2**63), the only ones accepted, never share a sample.  Each sample
+gives an input displacement and two inputs; the loop maps both inputs to
+points and records the distance between them over the input
+displacement:
 
 * point shift -- move one point of a weighted configuration by a geodesic
   step of size epsilon, ratio = center displacement / point displacement;
@@ -77,6 +78,7 @@ class ScanParams(Frozen):
             raise GeometryError(f"n_points must be >= 1, got {self.n_points}")
         if self.max_iters < 0:
             raise GeometryError(f"max_iters must be >= 0, got {self.max_iters}")
+        spaces.checked_seed(self.seed)
         return self
 
 

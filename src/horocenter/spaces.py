@@ -334,10 +334,21 @@ def kernels(space: Space):
     them checks its arguments.  `distance` and `geodesic_point` call these
     after their checks, and a caller that makes many calls in one space
     can take them once.
+
+    H^2 and H^3, where the center recursion spends its time, get
+    `_h2_quadrance`/`_h2_geodesic` and `_h3_quadrance`/`_h3_geodesic`,
+    unrolled copies of the generic pair with the same bits; a
+    wrong-length point raises from their unpacking, so callers check
+    arity first.  The names are read from this module at each call, so a
+    wrapper installed there sees every call.
     """
     if space.kind == EUCLIDEAN:
         return math.dist, float, _euclid_geodesic  # float(d) is d
     if space.kind == HYPERBOLIC:
+        if space.dim == 2:
+            return _h2_quadrance, _quadrance_distance, _h2_geodesic
+        if space.dim == 3:
+            return _h3_quadrance, _quadrance_distance, _h3_geodesic
         return _hyp_quadrance, _quadrance_distance, _hyp_geodesic
     return space.tree.distance, float, partial(_tree_geodesic, space.tree)
 
@@ -417,7 +428,8 @@ def _euclid_geodesic(x, y, t: float, d=None):
 
 def _hyp_geodesic(x, y, t: float, d=None):
     # one frame, as the recursion's hottest call: it repeats _hyp_quadrance,
-    # _quadrance_distance and _lift operation for operation; change them together
+    # _quadrance_distance and _lift operation for operation, and _h2_geodesic
+    # and _h3_geodesic repeat it; change them together
     n = len(x)
     if d is None:
         e = x[0] - y[0]
@@ -438,6 +450,61 @@ def _hyp_geodesic(x, y, t: float, d=None):
     if not x0 * x0 < math.inf:
         raise GeometryError(f"distance = {d} overflows: the point's x0^2 = {x0 * x0}")
     return (x0, *s)
+
+
+# _hyp_quadrance and _hyp_geodesic unrolled for H^2 and H^3, operation for
+# operation (each sum left to right, from -e0*e0), so they give the same bits;
+# change them with the generic pair
+
+
+def _h2_quadrance(x, y) -> float:
+    x0, x1, x2 = x
+    y0, y1, y2 = y
+    e0, e1, e2 = x0 - y0, x1 - y1, x2 - y2
+    return -e0 * e0 + e1 * e1 + e2 * e2
+
+
+def _h2_geodesic(x, y, t: float, d=None):
+    x0, x1, x2 = x
+    y0, y1, y2 = y
+    if d is None:
+        e0, e1, e2 = x0 - y0, x1 - y1, x2 - y2
+        q = -e0 * e0 + e1 * e1 + e2 * e2
+        d = 0.0 if q <= 0.0 else 2.0 * math.asinh(0.5 * math.sqrt(q))
+    if d < 1e-14:
+        return x
+    sh = math.sinh(d)
+    a, b = math.sinh((1.0 - t) * d) / sh, math.sinh(t * d) / sh
+    s1, s2 = a * x1 + b * y1, a * x2 + b * y2
+    z0 = math.hypot(1.0, s1, s2)
+    if not z0 * z0 < math.inf:
+        raise GeometryError(f"distance = {d} overflows: the point's x0^2 = {z0 * z0}")
+    return (z0, s1, s2)
+
+
+def _h3_quadrance(x, y) -> float:
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    e0, e1, e2, e3 = x0 - y0, x1 - y1, x2 - y2, x3 - y3
+    return -e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3
+
+
+def _h3_geodesic(x, y, t: float, d=None):
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    if d is None:
+        e0, e1, e2, e3 = x0 - y0, x1 - y1, x2 - y2, x3 - y3
+        q = -e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3
+        d = 0.0 if q <= 0.0 else 2.0 * math.asinh(0.5 * math.sqrt(q))
+    if d < 1e-14:
+        return x
+    sh = math.sinh(d)
+    a, b = math.sinh((1.0 - t) * d) / sh, math.sinh(t * d) / sh
+    s1, s2, s3 = a * x1 + b * y1, a * x2 + b * y2, a * x3 + b * y3
+    z0 = math.hypot(1.0, s1, s2, s3)
+    if not z0 * z0 < math.inf:
+        raise GeometryError(f"distance = {d} overflows: the point's x0^2 = {z0 * z0}")
+    return (z0, s1, s2, s3)
 
 
 def _tree_geodesic(tree: Tree, x, y, t: float, d=None):
@@ -528,16 +595,27 @@ def ray_separation(space: Space, x, y, xi: IdealPoint, s: float) -> float:
 # only a draw loads it.
 
 
+def checked_seed(seed) -> int:
+    """seed as an int, or an error naming it unless it lies in [0, 2**63),
+    where no two seeds share a stream: masked to 63 bits, -1 would draw
+    the samples of 2**63 - 1, and 2**63 those of 0."""
+    seed = int(seed)
+    if not 0 <= seed <= _SEED_MASK:
+        raise GeometryError(f"seed must lie in [0, 2**63), got {seed}")
+    return seed
+
+
 def sub_rng(seed: int, index: int = 0) -> Stream:
     """Per-sample stream seeded by the pair (seed, index): the draws of
-    numpy.random.default_rng([seed, index]) with both masked to 63 bits.
+    numpy.random.default_rng([seed, index]), with the index masked to 63
+    bits and the seed refused outside them (`checked_seed`).
 
     Distinct pairs give independent streams, so no two seeds share a
     sample, and each sample depends on nothing but its own pair, so
     parallel and sequential runs agree.
     """
     from .stream import Stream  # only seeded draws load the ziggurat tables
-    return Stream(int(seed) & _SEED_MASK, int(index) & _SEED_MASK)
+    return Stream(checked_seed(seed), int(index) & _SEED_MASK)
 
 
 def draw_point(space: Space, rng: Stream, scale: float):

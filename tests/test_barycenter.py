@@ -738,6 +738,53 @@ def test_each_pair_is_measured_once_per_configuration(monkeypatch):
     assert sum(1 for args in interpolated if args[3] is None) == 939
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_the_unrolled_kernels_give_every_caller_the_generic_bits(dim, monkeypatch):
+    """`kernels` hands out unrolled kernels in H^2 and H^3.  Each of their
+    callers gives what it gives with the generic kernels, bit for bit:
+    the full `center_of_mass` result, `leave_one_out_step`, `diameter`,
+    `geodesic_point` and `hausdorff`, for n = 3 to 6 with unit and random
+    masses."""
+    from horocenter.horosphere import ConvexBody
+    from horocenter.lipschitz import hausdorff
+
+    space = Space.hyperbolic(dim)
+    rng = sp.sub_rng(43, dim)
+    configs = []
+    for n in (3, 4, 5, 6):
+        for _ in range(2 if n == 6 else 4):
+            points = [sp.draw_point(space, rng, 2.0) for _ in range(n)]
+            masses = [float(rng.uniform(0.5, 2.0)) for _ in range(n)]
+            configs.append(unit_configuration(space, points))
+            configs.append(Configuration.of(space, zip(points, masses)))
+
+    def outcomes():
+        out = []
+        for cfg in configs:
+            points = cfg.points
+            halves = ConvexBody.of(space, points[:2]), ConvexBody.of(space, points[2:])
+            moves = [
+                sp.geodesic_point(space, p, q, t)
+                for p, q in combinations(points, 2)
+                for t in (0.25, 2.0**-30, 1.0 - 2.0**-30)
+            ]
+            out += [
+                repr(center_of_mass(space, cfg)),
+                repr(leave_one_out_step(space, cfg)),
+                repr(sp.diameter(space, points)),
+                repr(moves),
+                repr(hausdorff(space, *halves)),
+            ]
+        return out
+
+    assert sp.kernels(space)[0] is not sp._hyp_quadrance
+    assert sp.kernels(space)[2] is not sp._hyp_geodesic
+    unrolled = outcomes()
+    generic = (sp._hyp_quadrance, sp._quadrance_distance, sp._hyp_geodesic)
+    monkeypatch.setattr(sp, "kernels", lambda space: generic)
+    assert outcomes() == unrolled
+
+
 def test_memo_keeps_the_partial_result(hyp2):
     """A non-convergence inside the recursion still surfaces the partial
     result the memo-free recursion gives, whether the top level or a

@@ -670,6 +670,16 @@ def test_an_overflowing_perturbation_names_epsilon(command, space, flag, message
     assert capsys.readouterr().err.startswith(f"error: scan: {message}")
 
 
+@pytest.mark.parametrize("seed", ["-1", "9223372036854775808"])
+@pytest.mark.parametrize("command", ["scan-shift", "scan-mass", "scan-selector"])
+def test_a_seed_outside_the_stream_range_exits_1(command, seed, capsys):
+    """--seed -1 would draw the samples of 2**63 - 1, and 2**63 those of 0."""
+    assert main([command, "--space", "euclidean", "--dim", "2", "--seed", seed]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: scan: seed must lie in [0, 2**63), got {seed}\n"
+    assert captured.out == ""
+
+
 UNTESTED_PATHS = {  # documents the runs below read, by file name
     "cycle.json": {
         "space": "tree",

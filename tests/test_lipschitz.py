@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,30 @@ def test_seeds_draw_different_samples(hyp2):
         return sorted(r.ratio for r in point_shift_scan(params).records)
 
     assert ratios(0) != ratios(5)
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**63), 2**63, 2**64 + 5])
+def test_scan_params_refuse_a_seed_that_would_alias(euclid2, seed):
+    """Seeds outside [0, 2**63) would draw the samples of one inside:
+    masked to 63 bits, -1 reads as 2**63 - 1 and 2**63 as 0."""
+    params = ScanParams(space=euclid2, n_points=2, samples=1, seed=seed)
+    message = re.escape(f"seed must lie in [0, 2**63), got {seed}")
+    with pytest.raises(GeometryError, match=f"^{message}$"):
+        params.validated()
+    for scan in (point_shift_scan, mass_shift_scan):
+        with pytest.raises(GeometryError, match=f"^{message}$"):
+            scan(params)
+    with pytest.raises(GeometryError, match=f"^{message}$"):
+        sp.sub_rng(seed)
+
+
+def test_the_seed_range_ends_draw_their_own_samples(euclid2):
+    """0 and 2**63 - 1 are both accepted and share no sample."""
+    def ratios(seed):
+        params = ScanParams(space=euclid2, n_points=3, samples=8, seed=seed).validated()
+        return [r.ratio for r in point_shift_scan(params).records]
+
+    assert ratios(0) != ratios(2**63 - 1)
 
 
 @pytest.mark.parametrize("field", ["epsilon", "scale"])

@@ -979,23 +979,30 @@ def composed_geodesic(x, y, t, d=None):
     return sp._lift([a * u + b * v for u, v in zip(x[1:], y[1:])], "distance", d)
 
 
+UNROLLED = [(2, sp._h2_quadrance, sp._h2_geodesic), (3, sp._h3_quadrance, sp._h3_geodesic)]
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("scale", [0.5, 2.0, 8.0, 14.0])
 def test_the_fused_geodesic_is_its_composition_bit_for_bit(dim, scale):
     """Each interpolation of the center recursion runs in one frame, which
     must give the bits of the kernels it inlines, with the distance given
-    and missing, and hand back x itself for coincident points."""
+    and missing, and hand back x itself for coincident points and for a
+    distance below 1e-14: the generic interpolator and the unrolled one
+    that `kernels` hands out."""
     space = sp.Space.hyperbolic(dim)
     rng = sp.sub_rng(31, dim * 100 + int(scale))
     for _ in range(200):
         x, y = sp.draw_point(space, rng, scale), sp.draw_point(space, rng, scale)
         t = float(rng.random()) or 0.5  # in (0, 1)
         d = sp.distance(space, x, y)
-        for args in ((x, y, t), (x, y, t, None), (x, y, t, d), (y, x, t, d)):
-            assert repr(sp._hyp_geodesic(*args)) == repr(composed_geodesic(*args))
-        twin = tuple(x)  # equal, not identical
-        assert sp._hyp_geodesic(x, twin, t) is x
-        assert sp._hyp_geodesic(x, y, t, 0.0) is x
+        for geodesic in (sp._hyp_geodesic, sp.kernels(space)[2]):
+            for args in ((x, y, t), (x, y, t, None), (x, y, t, d), (y, x, t, d)):
+                assert repr(geodesic(*args)) == repr(composed_geodesic(*args))
+            twin = tuple(x)  # equal, not identical
+            assert geodesic(x, twin, t) is x
+            assert geodesic(x, y, t, 0.0) is x
+            assert geodesic(x, y, t, 9.9e-15) is x
 
 
 @pytest.mark.parametrize(
@@ -1008,12 +1015,90 @@ def test_the_fused_geodesic_is_its_composition_bit_for_bit(dim, scale):
     ],
 )
 def test_the_fused_geodesic_raises_as_its_composition_does(spatial):
-    x, y = ((math.hypot(1.0, *s),) + s for s in spatial)
-    with pytest.raises(GeometryError, match=r"^distance = \S+ overflows") as want:
-        composed_geodesic(x, y, 0.25)
-    with pytest.raises(GeometryError) as got:
-        sp._hyp_geodesic(x, y, 0.25)
-    assert str(got.value) == str(want.value)
+    """In H^2, and in H^3 with a zero last coordinate, for the generic and
+    the unrolled interpolator."""
+    for dim, _, unrolled in UNROLLED:
+        x, y = ((math.hypot(1.0, *s),) + s + (0.0,) * (dim - 2) for s in spatial)
+        with pytest.raises(GeometryError, match=r"^distance = \S+ overflows") as want:
+            composed_geodesic(x, y, 0.25)
+        for geodesic in (sp._hyp_geodesic, unrolled):
+            with pytest.raises(GeometryError) as got:
+                geodesic(x, y, 0.25)
+            assert str(got.value) == str(want.value)
+
+
+def _result_or_error(kernel, *args):
+    """The repr of what kernel(*args) returns, or the type and message of
+    what it raises."""
+    try:
+        return repr(kernel(*args))
+    except Exception as exc:  # noqa: BLE001 -- both sides must raise alike
+        return type(exc), str(exc)
+
+
+# arclength fractions 2^-k and 1 - 2^-k, near the ends of (0, 1), where one
+# sinh weight is tiny
+FRACTIONS = [0.5] + [f(2.0**-k) for k in (2, 10, 30, 52) for f in (float, lambda e: 1.0 - e)]
+
+
+@pytest.mark.parametrize("dim, quadrance, geodesic", UNROLLED)
+@pytest.mark.parametrize("scale", [1e-9, 1e-4, 0.5, 2.0, 8.0, 30.0, 120.0, 354.0])
+def test_the_unrolled_kernels_are_the_generic_ones_bit_for_bit(dim, quadrance, geodesic, scale):
+    """The H^2 and H^3 kernels do what `_hyp_quadrance` and `_hyp_geodesic`
+    do, operation for operation: the same bits at every scale from 1e-9
+    out to near the edge where x0^2 overflows, with the distance given
+    and missing."""
+    space = sp.Space.hyperbolic(dim)
+    rng = sp.sub_rng(37, dim * 1000 + int(math.log2(scale)) + 40)
+    for _ in range(40):
+        x, y = sp.draw_point(space, rng, scale), sp.draw_point(space, rng, scale)
+        for a, b in ((x, y), (y, x), (x, x)):
+            q = quadrance(a, b)
+            assert repr(q) == repr(sp._hyp_quadrance(a, b))
+            for t in FRACTIONS:
+                for d in (None, sp._quadrance_distance(q)):
+                    got = _result_or_error(geodesic, a, b, t, d)
+                    assert got == _result_or_error(sp._hyp_geodesic, a, b, t, d)
+
+
+@pytest.mark.parametrize("dim, quadrance, geodesic", UNROLLED)
+def test_the_unrolled_kernels_raise_as_the_generic_ones_do(dim, quadrance, geodesic):
+    """Past the overflow edge, where x0^2 or the quadrance overflows or
+    sinh d leaves the double range, both raise the same error."""
+    far = [(1e153, 0.0), (-1e153, 0.0), (1e200, 1.0), (3e153, 2e153), (0.0, -5e153)]
+    points = [(math.hypot(1.0, *s),) + s + (0.0,) * (dim - 2) for s in far]
+    raised = 0
+    for x in points:
+        for y in points:
+            assert repr(quadrance(x, y)) == repr(sp._hyp_quadrance(x, y))
+            for t in (0.5, 2.0**-30):
+                for d in (None, 700.0, 711.0, math.inf, math.nan):
+                    got = _result_or_error(geodesic, x, y, t, d)
+                    assert got == _result_or_error(sp._hyp_geodesic, x, y, t, d)
+                    raised += isinstance(got, tuple)
+    assert raised > 0
+
+
+def test_kernels_hand_out_the_unrolled_kernels_in_h2_and_h3_only(monkeypatch):
+    """H^2 and H^3 get the unrolled pair and every other H^n the generic
+    one, each read from the module when `kernels` is called, so a wrapper
+    installed there sees the calls."""
+    for dim, quadrance, geodesic in UNROLLED:
+        assert sp.kernels(sp.Space.hyperbolic(dim)) == (quadrance, sp._quadrance_distance, geodesic)
+    for dim in (1, 4, 7):
+        generic = (sp._hyp_quadrance, sp._quadrance_distance, sp._hyp_geodesic)
+        assert sp.kernels(sp.Space.hyperbolic(dim)) == generic
+    wrapped, h3_geodesic = [], sp._h3_geodesic
+
+    def counted(*args):
+        wrapped.append(args)
+        return h3_geodesic(*args)
+
+    monkeypatch.setattr(sp, "_h3_geodesic", counted)
+    space = sp.Space.hyperbolic(3)
+    x, y = sp.random_point(space, 1, 2.0), sp.random_point(space, 2, 2.0)
+    assert sp.geodesic_point(space, x, y, 0.25) == h3_geodesic(x, y, 0.25)
+    assert wrapped == [(x, y, 0.25)]
 
 
 @settings(max_examples=300, deadline=None)

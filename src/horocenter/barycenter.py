@@ -26,7 +26,7 @@ recursion, `_Recursion`, on plain (point, mass) tuples; `Configuration`,
 top-level call computes each distinct sub-configuration's center once
 and measures each pair of a configuration once, but every step moves the
 points, so each sub-center's later steps start afresh and the cost still
-grows faster than exponentially in n: about 0.7, 2.9, 12 and 45 ms for
+grows faster than exponentially in n: about 0.5, 2.5, 10 and 39 ms for
 unit masses at n = 5, 6, 7 and 8 in H^2 on one core of a shared Xeon.
 ``max_points`` caps the size of a configuration that takes a recursive
 step (default 7) and can be raised explicitly.  Every step shrinks the
@@ -264,7 +264,9 @@ class _Recursion:
     pair no table holds, leaves its quadrance to the interpolator.
     `settle` iterates to (center, iterations, diameter trace); it takes
     each leave-one-out step with no call of its own, moving as `between`
-    does.
+    does.  Three items, the recursion's leaves, settle in a loop of their
+    own that keeps the items and the table in locals and closes a
+    near-flat triple inline; more items take the generic loop.
 
     A generation begins at the top-level configuration and at every later
     step: the configurations that first steps reach from it are its
@@ -329,27 +331,107 @@ class _Recursion:
         0.0; max_iters and the cap apply as to any step before it, and the
         cap not to the projected step itself.
 
-        Three items, the recursion's leaves, take each complement's center
-        from the two-point rule; more items take it from `settle`.
+        Three items, the recursion's leaves and most of its settles, run a
+        loop of their own on locals: each complement is a pair, whose center
+        the two-point rule gives from the pair's table entry, and the
+        near-flat close is `_sheet_mean` written out for three items, with
+        the same fsums over the same terms.  More items run the generic
+        loop, which takes each complement's center from `settle`.
         """
         tol, max_iters, to_distance = self.tol, self.max_iters, self.to_distance
         measure, interpolate, between = self.measure, self.interpolate, self.between
         n = len(items)
         trace, iterations = [], 0
+        if n == 3:
+            (a, ma), (b, mb), (c, mc) = items
+            qab, qac, qbc = table
+            i, j, k = places
+            while True:
+                if not once:
+                    d = to_distance(max(0.0, qab, qac, qbc))
+                    if not math.isfinite(d):
+                        raise _overflows(d)
+                    trace.append(d)
+                    if d < tol:
+                        return a, iterations, trace
+                    if iterations >= max_iters:
+                        raise _unconverged(d, tol, a, iterations, trace)
+                    if not iterations and self.flat:  # items and table are still the arguments
+                        center = _flat_center(self.space, items, table, d)
+                        if center is not None:
+                            return center, 1, [d, 0.0]
+                    if d < self.near_flat:  # _sheet_mean, for three items
+                        trace.append(0.0)
+                        total = math.fsum((ma, mb, mc))
+                        wa, wb, wc = ma / total, mb / total, mc / total
+                        s = math.sqrt(1.0 + math.fsum((wa * wb * qab, wa * wc * qac, wb * wc * qbc)))
+                        columns = zip(a, b, c)
+                        next(columns)  # x0, which the lift gives
+                        spatial = [math.fsum((wa * x, wb * y, wc * z)) / s for x, y, z in columns]
+                        return spaces._lift(spatial, "diameter", d), iterations + 1, trace
+                    if n > self.max_points:
+                        raise _over_cap(n, self.max_points)
+                total, first = ma + mb + mc, not iterations
+                # a's complement (b, c)
+                ra = total - ma or math.fsum([mb, mc])  # M - m_i cancels to 0
+                ca = memo.get((j, k)) if first else None
+                if ca is None:  # overflow fails a diameter or point check
+                    d = to_distance(qbc)
+                    if 0.0 < (t := mc / (mb + mc)) < 1.0:
+                        ca = interpolate(b, c, t, d)
+                    else:  # t is 0 or 1
+                        ca = between(b, mb, c, mc, d)
+                    if first:
+                        memo[j, k] = ca
+                if 0.0 < (t := ra / (ma + ra)) < 1.0:
+                    pa = interpolate(a, ca, t, None)
+                else:
+                    pa = between(a, ma, ca, ra)
+                # b's complement (a, c)
+                rb = total - mb or math.fsum([ma, mc])
+                cb = memo.get((i, k)) if first else None
+                if cb is None:
+                    d = to_distance(qac)
+                    if 0.0 < (t := mc / (ma + mc)) < 1.0:
+                        cb = interpolate(a, c, t, d)
+                    else:
+                        cb = between(a, ma, c, mc, d)
+                    if first:
+                        memo[i, k] = cb
+                if 0.0 < (t := rb / (mb + rb)) < 1.0:
+                    pb = interpolate(b, cb, t, None)
+                else:
+                    pb = between(b, mb, cb, rb)
+                # c's complement (a, b)
+                rc = total - mc or math.fsum([ma, mb])
+                cc = memo.get((i, j)) if first else None
+                if cc is None:
+                    d = to_distance(qab)
+                    if 0.0 < (t := mb / (ma + mb)) < 1.0:
+                        cc = interpolate(a, b, t, d)
+                    else:
+                        cc = between(a, ma, b, mb, d)
+                    if first:
+                        memo[i, j] = cc
+                if 0.0 < (t := rc / (mc + rc)) < 1.0:
+                    pc = interpolate(c, cc, t, None)
+                else:
+                    pc = between(c, mc, cc, rc)
+                a, ma, b, mb, c, mc = pa, ra / 2, pb, rb / 2, pc, rc / 2
+                if once:
+                    return [(a, ma), (b, mb), (c, mc)]
+                iterations += 1
+                qab, qac, qbc = measure(a, b), measure(a, c), measure(b, c)
         while True:
             if not once:
                 d = to_distance(max((0.0, *table)))  # farthest, without its frame
                 if not math.isfinite(d):
-                    raise GeometryError(f"configuration overflows: diameter {d}")
+                    raise _overflows(d)
                 trace.append(d)
                 if d < tol:
                     return items[0][0], iterations, trace
                 if iterations >= max_iters:
-                    raise ConvergenceError(
-                        f"diameter {d:.3e} still above tol {tol:.3e} "
-                        f"after {iterations} iterations",
-                        BarycenterResult(items[0][0], iterations, trace, False),
-                    )
+                    raise _unconverged(d, tol, items[0][0], iterations, trace)
                 if not iterations and self.flat:
                     c = _flat_center(self.space, items, table, d)
                     if c is not None:
@@ -358,63 +440,53 @@ class _Recursion:
                     trace.append(0.0)
                     return _sheet_mean(items, table, d), iterations + 1, trace
                 if n > self.max_points:
-                    raise GeometryError(
-                        f"{n} points exceeds the recursion cap {self.max_points}; "
-                        "raise max_points explicitly to accept the cost"
-                    )
+                    raise _over_cap(n, self.max_points)
             total = 0.0  # _left_sum, without its frame
             for _, m in items:
                 total += m
             first, moved = not iterations, []
-            if n == 3:  # each complement is a pair: the two-point rule gives its center
-                a, b, c = items
-                i, j, k = places
-                ab, ac, bc = table
-                for (x, m), (y, my), (z, mz), q, key in (
-                    (a, b, c, bc, (j, k)), (b, a, c, ac, (i, k)), (c, a, b, ab, (i, j))
-                ):
-                    rest_mass = total - m or math.fsum([my, mz])  # M - m_i cancels to 0
+            try:
+                for (x, m), (others, pick) in zip(items, _complements(n)):
+                    rest = others(items)
+                    rest_mass = total - m or math.fsum([other for _, other in rest])
+                    key = others(places)
                     center = memo.get(key) if first else None
-                    if center is None:  # overflow fails a diameter or point check
-                        d = to_distance(q)
-                        if 0.0 < (t := mz / (my + mz)) < 1.0:
-                            center = interpolate(y, z, t, d)
-                        else:  # t is 0 or 1
-                            center = between(y, my, z, mz, d)
+                    if center is None:
+                        center = self.settle(rest, pick(table), key, memo)[0]
                         if first:
                             memo[key] = center
                     if 0.0 < (t := rest_mass / (m + rest_mass)) < 1.0:
-                        moved.append((interpolate(x, center, t, None), rest_mass / 2))
+                        moved.append((interpolate(x, center, t, None), rest_mass / (n - 1)))
                     else:
-                        moved.append((between(x, m, center, rest_mass), rest_mass / 2))
-            else:
-                try:
-                    for (x, m), (others, pick) in zip(items, _complements(n)):
-                        rest = others(items)
-                        rest_mass = total - m or math.fsum([other for _, other in rest])
-                        key = others(places)
-                        center = memo.get(key) if first else None
-                        if center is None:
-                            center = self.settle(rest, pick(table), key, memo)[0]
-                            if first:
-                                memo[key] = center
-                        if 0.0 < (t := rest_mass / (m + rest_mass)) < 1.0:
-                            moved.append((interpolate(x, center, t, None), rest_mass / (n - 1)))
-                        else:
-                            moved.append((between(x, m, center, rest_mass), rest_mass / (n - 1)))
-                except ConvergenceError as exc:  # a sub-configuration's; report ours
-                    if not once:
-                        exc.result = BarycenterResult(items[0][0], iterations, trace, False)
-                    raise
+                        moved.append((between(x, m, center, rest_mass), rest_mass / (n - 1)))
+            except ConvergenceError as exc:  # a sub-configuration's; report ours
+                if not once:
+                    exc.result = BarycenterResult(items[0][0], iterations, trace, False)
+                raise
             if once:
                 return moved
-            items, iterations = moved, iterations + 1
-            if n == 3:  # self.table, unrolled
-                (x, _), (y, _), (z, _) = items
-                table = [measure(x, y), measure(x, z), measure(y, z)]
-            else:
-                table = self.table(items)
-                places, memo = range(n), {}  # the next step's complements begin a generation
+            items, table, iterations = moved, self.table(moved), iterations + 1
+            places, memo = range(n), {}  # the next step's complements begin a generation
+
+
+def _overflows(d: float) -> GeometryError:
+    return GeometryError(f"configuration overflows: diameter {d}")
+
+
+def _unconverged(d: float, tol: float, point, iterations: int, trace) -> ConvergenceError:
+    """The error of a configuration still d wide after its last iteration,
+    carrying its partial result: its first point, iterations and trace."""
+    return ConvergenceError(
+        f"diameter {d:.3e} still above tol {tol:.3e} after {iterations} iterations",
+        BarycenterResult(point, iterations, trace, False),
+    )
+
+
+def _over_cap(n: int, cap: int) -> GeometryError:
+    return GeometryError(
+        f"{n} points exceeds the recursion cap {cap}; "
+        "raise max_points explicitly to accept the cost"
+    )
 
 
 def _start(space: Space, config: Configuration, tol, max_iters, max_points):

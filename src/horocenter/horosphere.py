@@ -192,7 +192,7 @@ def select(
     mean (a non-shrinking E^2 body takes about 0.16 ms with 12 generators
     on one Xeon core); in H^n and for points spread over tree branches it
     is the recursion, whose cost grows faster than exponentially with the
-    number of points (about 0.7, 2.9 and 12 ms for 5, 6 and 7 points in
+    number of points (about 0.5, 2.5 and 10 ms for 5, 6 and 7 points in
     H^2).
     """
     return _select(space, spaces.horofunction(space, xi), body, opts or SelectOptions())

@@ -595,27 +595,27 @@ def ray_separation(space: Space, x, y, xi: IdealPoint, s: float) -> float:
 # only a draw loads it.
 
 
-def checked_seed(seed) -> int:
-    """seed as an int, or an error naming it unless it lies in [0, 2**63),
-    where no two seeds share a stream: masked to 63 bits, -1 would draw
-    the samples of 2**63 - 1, and 2**63 those of 0."""
+def checked_seed(seed, name: str = "seed") -> int:
+    """seed as an int, or an error naming it as `name` unless it lies in
+    [0, 2**63), where no two seeds share a stream: masked to 63 bits, -1
+    would draw the samples of 2**63 - 1, and 2**63 those of 0."""
     seed = int(seed)
     if not 0 <= seed <= _SEED_MASK:
-        raise GeometryError(f"seed must lie in [0, 2**63), got {seed}")
+        raise GeometryError(f"{name} must lie in [0, 2**63), got {seed}")
     return seed
 
 
 def sub_rng(seed: int, index: int = 0) -> Stream:
     """Per-sample stream seeded by the pair (seed, index): the draws of
-    numpy.random.default_rng([seed, index]), with the index masked to 63
-    bits and the seed refused outside them (`checked_seed`).
+    numpy.random.default_rng([seed, index]), with the seed and the index
+    each refused outside [0, 2**63) (`checked_seed`).
 
     Distinct pairs give independent streams, so no two seeds share a
     sample, and each sample depends on nothing but its own pair, so
     parallel and sequential runs agree.
     """
     from .stream import Stream  # only seeded draws load the ziggurat tables
-    return Stream(checked_seed(seed), int(index) & _SEED_MASK)
+    return Stream(checked_seed(seed), checked_seed(index, "index"))
 
 
 def draw_point(space: Space, rng: Stream, scale: float):

@@ -26,6 +26,7 @@ from horocenter.barycenter import (
     permuted,
     two_point_center,
     unit_configuration,
+    _finite_masses,
     _flat_center,
     _Recursion,
     _sheet_mean,
@@ -822,25 +823,53 @@ def _three_points(space, rng, zeros=True):
     ]
 
 
-@pytest.mark.parametrize("name", ["hyp2", "hyp3", "tree"])
+def _composition(space, cfg):
+    """`leave_one_out_step` as its definition composes it, without the
+    memo: each item moved toward its complement's reference center."""
+    items, total, n = cfg.items, cfg.total_mass, len(cfg)
+    moved = []
+    for i, item in enumerate(items):
+        rest = Configuration(items[:i] + items[i + 1 :])
+        c = reference_center(space, rest, 1e-8, 200).center
+        rest_mass = total - item.mass or math.fsum(other.mass for other in rest.items)
+        point = two_point_center(space, item, WeightedPoint(c, rest_mass))
+        moved.append(WeightedPoint(point, rest_mass / (n - 1)))
+    return Configuration(tuple(moved))
+
+
+# the generic kernels serve H^5
+THREE_POINT_SPACES = {**MEMO_SPACES, "hyp5": Space.hyperbolic(5)}
+# a dominant mass: a pair's t rounds to 0 or 1, and with two tiny masses
+# so does the dominant item's move
+DOMINANT = ((1e300, 1e-300, 1.0), (1e300, 1e-300, 1e-300))
+
+
+@pytest.mark.parametrize("name", sorted(THREE_POINT_SPACES))
 def test_three_point_settles_match_the_reference(name):
-    """Three items settle in one path, the two-point rule for each
-    complement and the moves in one frame, with position keys in the memo.
-    Its center, iterations and trace, and the partial result of a
+    """Three items settle in a loop of their own, the two-point rule for
+    each complement and the moves in one frame, with position keys in the
+    memo.  Its center, iterations and trace, and the partial result of a
     non-convergence at max_iters 0 and 1, are those of the memo-free
-    reference, bit for bit: for random masses, for a point repeated, and
-    for signed zeros, which no two memo keys share."""
-    space = MEMO_SPACES[name]
+    reference, bit for bit, and `leave_one_out_step` moves each item as
+    the composition does: for random masses, for a point repeated, for
+    signed zeros, which no two memo keys share, and for a dominant mass,
+    where a complement's or a move's t rounds to 0 or 1 and the two-point
+    rule returns an endpoint.  E^2 closes its centers in closed form, so there
+    the step alone runs the loop."""
+    space = THREE_POINT_SPACES[name]
     rng = np.random.default_rng(32)
-    for _ in range(25):
+    for k in range(30):
         points = _three_points(space, rng)
         if rng.random() < 0.3:
             points[2] = points[int(rng.integers(2))]
         masses = [float(m) for m in 10.0 ** rng.uniform(-2.0, 2.0, 3)]
+        if k % 3 == 0:
+            masses = [float(m) for m in rng.permutation(DOMINANT[k % 2])]
         cfg = Configuration.of(space, list(zip(points, masses)))
         for max_iters in (0, 1, 200):
             case = (space, cfg, 1e-8, max_iters)
             assert _outcome(center_of_mass, *case) == _outcome(reference_center, *case)
+        assert repr(leave_one_out_step(space, cfg)) == repr(_composition(space, cfg))
 
 
 def test_signed_zeros_never_share_a_memo_entry(hyp2):
@@ -853,16 +882,7 @@ def test_signed_zeros_never_share_a_memo_entry(hyp2):
     spatial = [(-0.0, -0.0), (0.0, 0.0), (-0.0, -0.0), (-0.0, -1.8310592540218686)]
     points = [(math.sqrt(1.0 + y0 * y0 + y1 * y1), y0, y1) for y0, y1 in spatial]
     cfg = Configuration.of(hyp2, list(zip(points, [1.0, 1000.0, 1000.0, 1.0])))
-    items, total = cfg.items, cfg.total_mass
-    expected = []
-    for i, item in enumerate(items):
-        rest = Configuration(items[:i] + items[i + 1 :])
-        c = reference_center(hyp2, rest, 1e-8, 200).center
-        expected.append(
-            WeightedPoint(two_point_center(hyp2, item, WeightedPoint(c, total - item.mass)),
-                          (total - item.mass) / 3)
-        )
-    assert repr(leave_one_out_step(hyp2, cfg)) == repr(Configuration(tuple(expected)))
+    assert repr(leave_one_out_step(hyp2, cfg)) == repr(_composition(hyp2, cfg))
 
 
 def _far_triangle(r):
@@ -1329,6 +1349,32 @@ def test_the_projection_keeps_its_digits_far_out(dim):
         exact = oracle.projected_mean(cfg.points, _masses(cfg))
         worst = max(worst, oracle.distance(got, exact))
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_the_three_point_close_is_the_sheet_mean(dim):
+    """A near-flat triple closes in the three-item loop, which writes
+    `_sheet_mean` out: its center is `_sheet_mean`'s on the same items,
+    table and diameter, by repr.  Masses are log-uniform in [1e-300,
+    1e300], and in every fourth case two of them sum past the largest
+    double, so `center_of_mass` closes the masses `_finite_masses` scales."""
+    space = Space.hyperbolic(dim)
+    rng = np.random.default_rng(35 + dim)
+    for k in range(40):
+        spread = float(10.0 ** rng.uniform(-6.0, math.log10(2e-3)))
+        points = near_config(space, rng, 3, float(rng.uniform(0.0, 3.0)), spread).points
+        masses = [float(m) for m in 10.0 ** rng.uniform(-300.0, 300.0, 3)]
+        if k % 4 == 0:
+            masses[k % 3] = masses[(k + 1) % 3] = 1.5e308
+        cfg = Configuration.of(space, list(zip(points, masses)))
+        res = center_of_mass(space, cfg)
+        d = res.diameter_trace[0]
+        assert DEFAULT_TOL <= d < DEFAULT_TOL ** (1 / 3)
+        assert (res.iterations, res.diameter_trace[1:]) == (1, [0.0])
+        scaled, shift = _finite_masses(masses)
+        assert shift == (64 if k % 4 == 0 else 0)
+        expected = _sheet_mean(list(zip(points, scaled)), _table(space, cfg), d)
+        assert repr(res.center) == repr(expected)
 
 
 def test_the_tail_center_is_pinned_to_the_bit(hyp2):

@@ -356,7 +356,7 @@ def _projected_body_case(name, scale, seed, index, toward_first=False):
     """
     space = ORACLE_SPACES[name]
     body, _ = body_case(ScanParams(space, n_points=5, seed=seed, scale=scale), index)
-    xi = sp.draw_ideal(space, sp.sub_rng(seed, -1))
+    xi = sp.draw_ideal(space, sp.sub_rng(seed, 2**63 - 1))
     if toward_first and space.kind == "hyperbolic":
         spatial = body.generators[0][1:]
         assume(any(spatial))

@@ -86,6 +86,15 @@ def test_scan_params_refuse_a_seed_that_would_alias(euclid2, seed):
         sp.sub_rng(seed)
 
 
+@pytest.mark.parametrize("index", [-1, -(2**63), 2**63, 2**64 + 5])
+def test_sub_rng_refuses_an_index_that_would_alias(index):
+    """Sample indices outside [0, 2**63) would draw the stream of one
+    inside: masked to 63 bits, -1 reads as 2**63 - 1 and 2**63 as 0."""
+    message = re.escape(f"index must lie in [0, 2**63), got {index}")
+    with pytest.raises(GeometryError, match=f"^{message}$"):
+        sp.sub_rng(5, index)
+
+
 def test_the_seed_range_ends_draw_their_own_samples(euclid2):
     """0 and 2**63 - 1 are both accepted and share no sample."""
     def ratios(seed):

@@ -22,7 +22,7 @@ np = pytest.importorskip("numpy")
 MASK = 2**63 - 1
 PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 SEEDS = [0, 1, 2**31 - 1, 2**63 - 1] + [random.Random(1).getrandbits(63) for _ in range(6)]
-INDICES = [0, 999, -1] + [random.Random(2).getrandbits(63) for _ in range(3)]
+INDICES = [0, 999, 2**63 - 1] + [random.Random(2).getrandbits(63) for _ in range(3)]
 
 
 def reference(seed, index):

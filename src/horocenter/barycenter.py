@@ -26,15 +26,14 @@ recursion, `_Recursion`, on plain (point, mass) tuples; `Configuration`,
 top-level call computes each distinct sub-configuration's center once
 and measures each pair of a configuration once, but every step moves the
 points, so each sub-center's later steps start afresh and the cost still
-grows faster than exponentially in n: about 0.5, 2.5, 10 and 39 ms for
-unit masses at n = 5, 6, 7 and 8 in H^2 on one core of a shared Xeon.
-``max_points`` caps the size of a configuration that takes a recursive
-step (default 7) and can be raised explicitly.  Every step shrinks the
-diameter, but convergence can be only linear: near a tree branch vertex
-the ratio per step stays constant.  `center_of_mass`, `leave_one_out_step`
-and `two_point_center` enter the recursion through `_start`, which checks
-each mass once, as `Configuration.of` does, and scales masses whose sum
-reaches 2**1023 by 2**-64 (see `_finite_masses`).
+grows faster than exponentially in n.  ``max_points`` caps the size of a
+configuration that takes a recursive step (default 7) and can be raised
+explicitly.  Every step shrinks the diameter, but convergence can be
+only linear: near a tree branch vertex the ratio per step stays
+constant.  `center_of_mass`, `leave_one_out_step` and `two_point_center`
+enter the recursion through `_start`, which checks each mass once, as
+`Configuration.of` does, and scales masses whose sum reaches 2**1023 by
+2**-64 (see `_finite_masses`).
 """
 
 from __future__ import annotations
@@ -238,7 +237,10 @@ def _sheet_mean(items, table, d: float):
     points, masses = zip(*items)
     total = math.fsum(masses)
     weights = [m / total for m in masses]
-    s = math.sqrt(1.0 + math.fsum(map(mul, starmap(mul, combinations(weights, 2)), table)))
+    vv = 1.0 + math.fsum(map(mul, starmap(mul, combinations(weights, 2)), table))
+    if vv <= 0.0:
+        raise _cancelled(vv, d)
+    s = math.sqrt(vv)
     columns = zip(*points)
     next(columns)  # x0, which the lift gives
     return spaces._lift([math.fsum(map(mul, weights, c)) / s for c in columns], "diameter", d)
@@ -364,7 +366,10 @@ class _Recursion:
                         trace.append(0.0)
                         total = math.fsum((ma, mb, mc))
                         wa, wb, wc = ma / total, mb / total, mc / total
-                        s = math.sqrt(1.0 + math.fsum((wa * wb * qab, wa * wc * qac, wb * wc * qbc)))
+                        vv = 1.0 + math.fsum((wa * wb * qab, wa * wc * qac, wb * wc * qbc))
+                        if vv <= 0.0:
+                            raise _cancelled(vv, d)
+                        s = math.sqrt(vv)
                         columns = zip(a, b, c)
                         next(columns)  # x0, which the lift gives
                         spatial = [math.fsum((wa * x, wb * y, wc * z)) / s for x, y, z in columns]
@@ -471,6 +476,15 @@ class _Recursion:
 
 def _overflows(d: float) -> GeometryError:
     return GeometryError(f"configuration overflows: diameter {d}")
+
+
+def _cancelled(vv: float, d: float) -> GeometryError:
+    """The error of a near-flat close whose -<v,v> = 1 + sum w_i w_j q_ij
+    reads vv <= 0: far out, pair-table quadrances cancel below 0."""
+    return GeometryError(
+        f"configuration too far out for its near-flat close at diameter {d}: "
+        f"its pair quadrances cancel, 1 + sum w_i w_j q_ij = {vv}"
+    )
 
 
 def _unconverged(d: float, tol: float, point, iterations: int, trace) -> ConvergenceError:

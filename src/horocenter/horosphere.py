@@ -189,11 +189,9 @@ def select(
     result is smoothed across branch vertices unless smoothing is off.
     Levels are read from the basepoint.  The center is uncapped.  In E^n,
     and for tree points on one geodesic, it is the closed-form weighted
-    mean (a non-shrinking E^2 body takes about 0.16 ms with 12 generators
-    on one Xeon core); in H^n and for points spread over tree branches it
-    is the recursion, whose cost grows faster than exponentially with the
-    number of points (about 0.5, 2.5 and 10 ms for 5, 6 and 7 points in
-    H^2).
+    mean, whose cost grows with the number of generator pairs; in H^n and
+    for points spread over tree branches it is the recursion, whose cost
+    grows faster than exponentially with the number of points.
     """
     return _select(space, spaces.horofunction(space, xi), body, opts or SelectOptions())
 

@@ -42,7 +42,10 @@ Hyperbolic closed forms used below:
 * alpha = -<x, xi> for a null xi, a quotient of positive terms over the
   spatial parts (``_hyp_alpha``), so a level log(alpha) does not cancel;
 * ray(x, xi, s) = exp(-s) x + sinh(s) xi / alpha, computed on the spatial
-  parts and lifted;
+  parts and lifted (``_hyp_ray``);
+* in H^2 and H^3, levels and rays read through unrolled copies of
+  ``_hyp_alpha`` and ``_hyp_ray`` with the same bits, as geodesics and
+  quadrances do through unrolled copies of the generic kernels;
 * separation of two rays toward the same end,
   cosh d(s) - 1 = 2 sinh^2(g/2) + 2 (sinh^2(d0/2) - sinh^2(g/2)) e^{-2s}
   with g the horofunction gap b(x) - b(y) and sinh^2(d0/2) = <x-y, x-y>/4
@@ -172,7 +175,9 @@ def _hyp_alpha(x, v) -> float:
     as the difference, so past x0 = 2^12 |y - c v_s|^2 is summed exactly.
     """
     x0, v0 = x[0], v[0]
-    dot = _left_sum(a * b for a, b in zip(x[1:], v[1:]))
+    dot = 0.0  # _left_sum, without its frame
+    for i in range(1, len(x)):
+        dot += x[i] * v[i]
     if dot <= 0.0:  # no cancellation: x0 v0 and -dot share a sign
         alpha = x0 * v0 - dot
     else:
@@ -189,6 +194,51 @@ def _hyp_alpha(x, v) -> float:
                 q += d * d
         alpha = v0 * (1.0 + q) / (x0 + t)
     if not alpha > 0.0:  # NaN too; v passed validate_ideal, so x is at fault
+        raise GeometryError(f"point {tuple(x)} is off the hyperboloid sheet")
+    return alpha
+
+
+# _hyp_alpha unrolled for H^2 and H^3, operation for operation, so they give
+# the same bits: the dot drops the generic sum's leading 0.0 + and so can be
+# -0.0 where that sum is 0.0, which only the dot <= 0.0 branch sees, where
+# x0 v0 - dot differs at most in the sign of a zero, refused either way; q
+# drops a 0.0 + of a square, which never changes it.  Past x0 = 2^12 the
+# cancelling branch is the generic one's exact sum.  Change them with
+# _hyp_alpha
+
+
+def _h2_alpha(x, v) -> float:
+    x0, x1, x2 = x
+    v0, v1, v2 = v
+    dot = x1 * v1 + x2 * v2
+    if dot <= 0.0:
+        alpha = x0 * v0 - dot
+    elif x0 > 2.0**12:
+        return _hyp_alpha(x, v)
+    else:
+        t = dot / v0
+        c = t / v0
+        d1, d2 = x1 - c * v1, x2 - c * v2
+        alpha = v0 * (1.0 + (d1 * d1 + d2 * d2)) / (x0 + t)
+    if not alpha > 0.0:
+        raise GeometryError(f"point {tuple(x)} is off the hyperboloid sheet")
+    return alpha
+
+
+def _h3_alpha(x, v) -> float:
+    x0, x1, x2, x3 = x
+    v0, v1, v2, v3 = v
+    dot = x1 * v1 + x2 * v2 + x3 * v3
+    if dot <= 0.0:
+        alpha = x0 * v0 - dot
+    elif x0 > 2.0**12:
+        return _hyp_alpha(x, v)
+    else:
+        t = dot / v0
+        c = t / v0
+        d1, d2, d3 = x1 - c * v1, x2 - c * v2, x3 - c * v3
+        alpha = v0 * (1.0 + (d1 * d1 + d2 * d2 + d3 * d3)) / (x0 + t)
+    if not alpha > 0.0:
         raise GeometryError(f"point {tuple(x)} is off the hyperboloid sheet")
     return alpha
 
@@ -283,7 +333,9 @@ def canonical_point(space: Space, p):
         tol = HYPERBOLOID_TOL * p[0] * p[0]  # an overflowing x0^2 accepts nothing
         if not abs(_mink(p, p) + 1.0) <= tol < math.inf:
             raise GeometryError(f"point is off the hyperboloid: <x,x> = {_mink(p, p)}")
-    return tuple(float(c) for c in p)
+    if type(p) is tuple and all(type(c) is float for c in p):
+        return p  # a body or configuration shares it: no copy per aggregate
+    return tuple(map(float, p))
 
 
 def validate_ideal(space: Space, xi: IdealPoint):
@@ -518,35 +570,95 @@ def horofunction(space: Space, xi: IdealPoint):
     """(level, ray) toward xi, once xi passes validate_ideal: busemann(space,
     xi, x) and ray_point(space, x, xi, s) are level(x) and ray(x, s) after
     their point checks, and a caller that reads many levels builds the pair
-    once.  In H^n log(xi0) is taken here, once.  ray(x, 0) is x."""
+    once.  In H^n log(xi0) is taken here, once.  ray(x, 0) is x.
+
+    H^2 and H^3, where `select` reads its levels and rays, get `_h2_alpha`
+    and `_h2_ray`, and `_h3_alpha` and `_h3_ray`: unrolled copies of
+    `_hyp_alpha` and `_hyp_ray` with the same bits, read from this module
+    at each call, as `kernels` reads its kernels.  A wrong-length point
+    raises from their unpacking, so callers check lengths first.
+    """
     v = validate_ideal(space, xi)
     if space.kind == EUCLIDEAN:
         def level(x):
             return -_left_sum(a * c for a, c in zip(x, v))
-        def step(x, s):
-            return tuple(a + s * c for a, c in zip(x, v))
+        def ray(x, s):
+            return tuple(a + s * c for a, c in zip(x, v)) if s else x
     elif space.kind == HYPERBOLIC:
+        if space.dim == 2:
+            alpha, step = _h2_alpha, _h2_ray
+        elif space.dim == 3:
+            alpha, step = _h3_alpha, _h3_ray
+        else:
+            alpha, step = _hyp_alpha, _hyp_ray
         log_v0 = math.log(v[0])
-        def level(x):  # -<basepoint, v> = v0 exactly: _hyp_alpha's dot is 0
-            return math.log(_hyp_alpha(x, v)) - log_v0
-        def step(x, s):
-            sh = _cosh_sinh(s, "s", s)[1]
-            alpha = _hyp_alpha(x, v)
-            decay, grow = math.exp(-s), sh / alpha
-            r = _lift([decay * a + grow * n for a, n in zip(x[1:], v[1:])], "s", s)
-            if r[0] > _RAY_X0_MAX:
-                want, read = alpha * decay, _hyp_alpha(r, v)
-                if not abs(read - want) <= _RAY_LEVEL_TOL * want:
-                    off = f"its level reads {read:.3e}, not {want:.3e}"
-                    raise GeometryError(f"ray point at s = {s} is too far out: {off}")
-            return r
+        def level(x):  # -<basepoint, v> = v0 exactly: alpha's dot is 0
+            return math.log(alpha(x, v)) - log_v0
+        ray = partial(step, v)
     else:
         tree = space.tree
         def level(x):
             return tree.depth_toward_end(x, v) - tree.base_depth[v]
-        def step(x, s):
-            return tree.ray(x, v, s)
-    return level, lambda x, s: step(x, s) if s else x
+        def ray(x, s):
+            return tree.ray(x, v, s) if s else x
+    return level, ray
+
+
+def _hyp_ray(v, x, s: float):
+    """The ray point at arclength s from x toward the null vector v, as
+    validate_ideal returns it (see ray_point); x itself at s = 0."""
+    if not s:
+        return x
+    sh = _sinh(s, "s", s)
+    alpha = _hyp_alpha(x, v)
+    decay, grow = math.exp(-s), sh / alpha
+    r = _lift([decay * a + grow * n for a, n in zip(x[1:], v[1:])], "s", s)
+    return _read_back(r, v, alpha * decay, s) if r[0] > _RAY_X0_MAX else r
+
+
+def _read_back(r, v, want: float, s: float):
+    """r, once its level alpha reads within _RAY_LEVEL_TOL of want."""
+    read = _hyp_alpha(r, v)
+    if not abs(read - want) <= _RAY_LEVEL_TOL * want:
+        off = f"its level reads {read:.3e}, not {want:.3e}"
+        raise GeometryError(f"ray point at s = {s} is too far out: {off}")
+    return r
+
+
+# _hyp_ray unrolled for H^2 and H^3, operation for operation, with _lift
+# written out; change them with _hyp_ray
+
+
+def _h2_ray(v, x, s: float):
+    if not s:
+        return x
+    sh = _sinh(s, "s", s)
+    alpha = _h2_alpha(x, v)
+    decay, grow = math.exp(-s), sh / alpha
+    _, x1, x2 = x
+    _, v1, v2 = v
+    y1, y2 = decay * x1 + grow * v1, decay * x2 + grow * v2
+    y0 = math.hypot(1.0, y1, y2)
+    if not y0 * y0 < math.inf:
+        raise GeometryError(f"s = {s} overflows: the point's x0^2 = {y0 * y0}")
+    r = (y0, y1, y2)
+    return _read_back(r, v, alpha * decay, s) if y0 > _RAY_X0_MAX else r
+
+
+def _h3_ray(v, x, s: float):
+    if not s:
+        return x
+    sh = _sinh(s, "s", s)
+    alpha = _h3_alpha(x, v)
+    decay, grow = math.exp(-s), sh / alpha
+    _, x1, x2, x3 = x
+    _, v1, v2, v3 = v
+    y1, y2, y3 = decay * x1 + grow * v1, decay * x2 + grow * v2, decay * x3 + grow * v3
+    y0 = math.hypot(1.0, y1, y2, y3)
+    if not y0 * y0 < math.inf:
+        raise GeometryError(f"s = {s} overflows: the point's x0^2 = {y0 * y0}")
+    r = (y0, y1, y2, y3)
+    return _read_back(r, v, alpha * decay, s) if y0 > _RAY_X0_MAX else r
 
 
 def ray_point(space: Space, x, xi: IdealPoint, s: float):
@@ -627,7 +739,7 @@ def draw_point(space: Space, rng: Stream, scale: float):
         r = scale * float(rng.random())
         if space.kind == EUCLIDEAN:
             return tuple(r * u for u in direction)
-        s = _cosh_sinh(r, "scale", scale)[1]
+        s = _sinh(r, "scale", scale)
         return _lift([s * u for u in direction], "scale", scale)
     tree = space.tree
     target = tree.random_physical_point(rng)
@@ -681,7 +793,19 @@ def _cosh_sinh(r: float, name: str, value: float):
     try:
         return math.cosh(r), math.sinh(r)
     except OverflowError:
-        raise GeometryError(f"{name} = {value} overflows: cosh({r}) is out of range") from None
+        raise _out_of_range(r, name, value) from None
+
+
+def _sinh(r: float, name: str, value: float) -> float:
+    """sinh r, or the error that _cosh_sinh raises for r."""
+    try:
+        return math.sinh(r)
+    except OverflowError:
+        raise _out_of_range(r, name, value) from None
+
+
+def _out_of_range(r: float, name: str, value: float) -> GeometryError:
+    return GeometryError(f"{name} = {value} overflows: cosh({r}) is out of range")
 
 
 def _unit_gauss(rng: Stream, dim: int) -> tuple[float, ...]:

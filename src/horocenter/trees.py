@@ -179,6 +179,8 @@ class Tree:
             return self.vertex_point(e.u)
         if abs(p.offset - e.length) <= VERTEX_SNAP:
             return self.vertex_point(e.v)
+        if type(p) is TreePoint and type(p.edge) is str and type(p.offset) is float:
+            return p  # a body or configuration shares it: no copy per aggregate
         return TreePoint(e.eid, float(p.offset))
 
     # -- metric ----------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 import re
 import sys
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations, permutations, starmap
 
@@ -1596,3 +1597,84 @@ def test_too_small_inputs_are_refused(call, message, euclid2):
     with pytest.raises(GeometryError) as exc:
         call(euclid2, cfg)
     assert str(exc.value) == message
+
+
+# -- far out -----------------------------------------------------------------------
+
+
+def _on_the_x_axis(*s):
+    """Unit-mass H^2 points at arclengths s along the x1 axis."""
+    return [((math.cosh(a), math.sinh(a), 0.0), 1.0) for a in s]
+
+
+# three points 15.9 to 20.5 out on one geodesic, whose pair quadrances cancel
+# below 0 once the recursion brings them within tol**(1/3) of each other
+CANCELLING = (17.813755066950186, 20.532592832171645, 15.896214210190928)
+
+
+def test_a_near_flat_close_whose_quadrances_cancel_is_named(hyp2):
+    """Far out, a pair-table quadrance <x-y, x-y> of near points cancels
+    and can come out negative, and with it 1 + sum w_i w_j q_ij, which the
+    near-flat close takes the square root of: an error that names the
+    cancellation, not math.sqrt's, in the three-item close and in
+    `_sheet_mean`."""
+    cfg = Configuration.of(hyp2, _on_the_x_axis(*CANCELLING))
+    with pytest.raises(GeometryError, match=r"pair quadrances cancel, 1 \+ sum w_i w_j q_ij = -"):
+        center_of_mass(hyp2, cfg)
+    items = [(p, 1.0) for p in cfg.points] + [(cfg.points[0], 1.0)]
+    with pytest.raises(GeometryError, match=r"at diameter 0\.001: its pair quadrances cancel"):
+        _sheet_mean(items, [-10.0] * 6, 1e-3)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize(
+    "c",
+    [0.0, 2.0, 4.0, 8.0]
+    + [
+        pytest.param(
+            c,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="far-field defect: pair quadrances and geodesic points far out "
+                "lose digits like x0^2, so the center misses the exact one by more than tol",
+            ),
+        )
+        for c in (12.0, 16.0)
+    ],
+)
+def test_points_on_one_geodesic_center_at_their_mean_arclength(dim, c):
+    """Three points on one geodesic at arclengths c - 2, c and c + 2 from
+    the basepoint: the construction stays on the geodesic, where it is the
+    flat one, so the exact center is the point at arclength sum m_i s_i / M.
+    The center is within tol of it out to c = 8 (5.1e-10 at most), and
+    misses by 4.5e-8 to 1.7e-6 at c = 12 and by 1.1e-3 to 2.6e-3 at 16."""
+    space = Space.hyperbolic(dim)
+    u = (0.6, 0.8) if dim == 2 else (2.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0)
+    arclengths = (c - 2.0, c, c + 2.0)
+    points = [sp._lift([math.sinh(s) * a for a in u], "s", s) for s in arclengths]
+    for masses in ((1.0, 1.0, 1.0), (1.0, 2.0, 3.0)):
+        got = center_of_mass(space, Configuration.of(space, list(zip(points, masses))), 1e-8)
+        with localcontext() as ctx:
+            ctx.prec = oracle.DIGITS
+            weighted = sum(Decimal(m) * Decimal(s) for m, s in zip(masses, arclengths))
+            mean = weighted / sum(map(Decimal, masses))
+            norm = sum(Decimal(a) ** 2 for a in u).sqrt()
+            exact = (0.0, *(oracle._sinh(mean) * Decimal(a) / norm for a in u))
+        assert oracle.distance(got.center, exact) <= 1e-8
+
+
+def test_the_three_item_loop_keeps_the_recursion_cap(hyp2):
+    cfg = Configuration.of(hyp2, _on_the_x_axis(0.0, 1.0, 2.5))
+    with pytest.raises(GeometryError, match="^3 points exceeds the recursion cap 2; "):
+        center_of_mass(hyp2, cfg, max_points=2)
+    assert center_of_mass(hyp2, cfg, max_points=3).converged
+
+
+def test_an_overflowing_four_point_settle_names_its_cause(hyp2):
+    """Four raw H^2 points at spatial +-1e154, whose quadrances overflow:
+    the generic loop's diameter check refuses them."""
+    spatial = [(1e154, 0.0), (-1e154, 0.0), (0.0, 1e154), (0.0, -1e154)]
+    cfg = Configuration(tuple(WeightedPoint((math.hypot(1.0, *y), *y), 1.0) for y in spatial))
+    with pytest.raises(GeometryError, match="^configuration overflows: diameter inf$"):
+        center_of_mass(hyp2, cfg)

@@ -407,6 +407,21 @@ def test_exit_1_on_overflowing_configuration(tmp_path, capsys):
         assert "configuration" in captured.err
 
 
+def test_exit_1_when_a_far_near_flat_close_cancels(tmp_path, capsys):
+    # three H^2 points 16 to 21 out on one geodesic, whose pair quadrances
+    # cancel below 0 once the recursion brings them near each other
+    s = (17.813755066950186, 20.532592832171645, 15.896214210190928)
+    points = [{"coords": [math.cosh(a), math.sinh(a), 0.0], "mass": 1.0} for a in s]
+    conf = tmp_path / "far.json"
+    conf.write_text(json.dumps({"points": points}))
+    code = main(["barycenter", "--space", "hyperbolic", "--dim", "2", "--input", str(conf)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: configuration too far out for its near-flat close")
+    assert "pair quadrances cancel" in captured.err and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "command, message",
     [

@@ -642,6 +642,27 @@ def test_canonical_point_is_idempotent(any_space):
         assert repr(sp.canonical_point(any_space, once)) == repr(once)
 
 
+def test_a_canonical_point_is_kept_not_copied(hyp2, tree_space):
+    """A point already in canonical form, a plain tuple of floats or a
+    TreePoint with a str edge and a float offset, passes the gate as the
+    same object, so bodies and configurations that share a point share
+    its storage; other input is converted to that form."""
+    p = sp.random_point(hyp2, 1, 2.0)
+    assert sp.canonical_point(hyp2, p) is p
+    assert ConvexBody.of(hyp2, [p, sp.basepoint(hyp2)]).generators[0] is p
+
+    class Coords(tuple):
+        pass
+
+    for q in (tuple(np.float64(c) for c in p), Coords(p)):
+        got = sp.canonical_point(hyp2, q)
+        assert type(got) is tuple and all(type(c) is float for c in got) and got == p
+    t = TreePoint("B-C", 1.25)
+    assert sp.canonical_point(tree_space, t) is t
+    got = sp.canonical_point(tree_space, TreePoint("B-C", np.float64(1.25)))
+    assert got == t and type(got.offset) is float
+
+
 def test_point_validation_rejects_non_finite(euclid2, hyp2):
     for space, p in (
         (euclid2, (math.nan, 0.0)),
@@ -1099,6 +1120,113 @@ def test_kernels_hand_out_the_unrolled_kernels_in_h2_and_h3_only(monkeypatch):
     x, y = sp.random_point(space, 1, 2.0), sp.random_point(space, 2, 2.0)
     assert sp.geodesic_point(space, x, y, 0.25) == h3_geodesic(x, y, 0.25)
     assert wrapped == [(x, y, 0.25)]
+
+
+READINGS = [(2, sp._h2_alpha, sp._h2_ray), (3, sp._h3_alpha, sp._h3_ray)]
+
+
+def _mirrored(x):
+    """The sheet point with x's spatial part negated: its dot product with
+    an ideal vector has the other sign."""
+    return (x[0],) + tuple(-c for c in x[1:])
+
+
+@pytest.mark.parametrize("dim, alpha, ray", READINGS)
+@pytest.mark.parametrize("scale", [1e-9, 1e-4, 0.5, 2.0, 8.0, 30.0, 120.0, 354.0])
+def test_the_unrolled_readings_are_the_generic_ones_bit_for_bit(dim, alpha, ray, scale):
+    """The H^2 and H^3 levels and rays do what `_hyp_alpha` and `_hyp_ray`
+    do: the same bits, or the same error, at every scale from 1e-9 out to
+    near where x0^2 overflows, for each point and its mirror image, so on
+    both sides of the dot product's sign, and at s from 0 to past where
+    ray points are read back."""
+    space = sp.Space.hyperbolic(dim)
+    rng = sp.sub_rng(43, dim * 1000 + int(math.log2(scale)) + 40)
+    signs = set()
+    for _ in range(40):
+        v = sp.validate_ideal(space, sp.draw_ideal(space, rng))
+        x = sp.draw_point(space, rng, scale)
+        for p in (x, _mirrored(x)):
+            assert _result_or_error(alpha, p, v) == _result_or_error(sp._hyp_alpha, p, v)
+            signs.add(sp._left_sum(a * b for a, b in zip(p[1:], v[1:])) > 0.0)
+            assert ray(v, p, 0.0) is p
+            for s in (1e-12, 0.7, 6.0, 29.0, 44.0):
+                assert _result_or_error(ray, v, p, s) == _result_or_error(sp._hyp_ray, v, p, s)
+    assert signs == {False, True}
+
+
+@pytest.mark.parametrize("dim, alpha, ray", READINGS)
+def test_the_unrolled_readings_take_every_branch_of_the_generic_ones(dim, alpha, ray):
+    """Far draws take the exact sum past x0 = 2^12 and the read-back past
+    x0 = 2^39, which returns some ray points and refuses others; the
+    unrolled readings give the generic bits and errors there too."""
+    space = sp.Space.hyperbolic(dim)
+    rng = sp.sub_rng(44, dim)
+    exact = read_back = refused = 0
+    for _ in range(300):
+        v = sp.validate_ideal(space, sp.draw_ideal(space, rng))
+        x = sp.draw_point(space, rng, float(rng.uniform(0.0, 20.0)))
+        s = float(rng.uniform(0.0, 45.0))
+        for p in (x, _mirrored(x)):
+            assert repr(alpha(p, v)) == repr(sp._hyp_alpha(p, v))
+            exact += p[0] > 2.0**12 and sp._left_sum(a * b for a, b in zip(p[1:], v[1:])) > 0.0
+            got = _result_or_error(ray, v, p, s)
+            assert got == _result_or_error(sp._hyp_ray, v, p, s)
+            if isinstance(got, tuple):
+                assert got[0] is GeometryError and f"s = {s!r} is too far out" in got[1]
+                refused += 1
+            else:
+                read_back += ray(v, p, s)[0] > 2.0**39
+    assert exact > 0 and read_back > 0 and refused > 0
+
+
+@pytest.mark.parametrize("dim, alpha, ray", READINGS)
+def test_the_unrolled_readings_raise_as_the_generic_ones_do(dim, alpha, ray):
+    """Points off the sheet, where alpha is not positive, and rays whose
+    sinh s or lifted x0^2 overflows raise the generic errors, with the
+    generic messages, as do NaN and signed zeros."""
+    space = sp.Space.hyperbolic(dim)
+    xi = sp.validate_ideal(space, IdealPoint.null_vector((1.0, 1.0) + (0.0,) * (dim - 1)))
+    spatial = [(0.0, 0.0), (5.0, 0.0), (-5.0, 0.0), (1e154, 0.0), (-1e154, 1e150), (3.0, -4.0)]
+    raw = [(-1.0, 0.0, 0.0), (math.nan, 0.0, 0.0), (0.0, 0.0, 0.0), (-0.0, -0.0, 0.0),
+           (1.0, 5.0, 0.0), (1.0, -0.0, -0.0)]
+    messages = []
+    for x in [(math.hypot(1.0, *y),) + y for y in spatial] + raw:
+        p = x + (0.0,) * (dim - 2)
+        for q in (p, _mirrored(p)):
+            got = _result_or_error(alpha, q, xi)
+            assert got == _result_or_error(sp._hyp_alpha, q, xi)
+            for s in (1.0, 30.0, 700.0, 710.4758600739439, 710.475860073944, 800.0, math.nan):
+                got = _result_or_error(ray, xi, q, s)
+                assert got == _result_or_error(sp._hyp_ray, xi, q, s)
+                messages.append(got[1] if isinstance(got, tuple) else "")
+    for error in ("off the hyperboloid sheet", "x0^2 = inf", "cosh(800.0) is out of range"):
+        assert any(error in m for m in messages)
+
+
+def test_horofunction_reads_through_the_unrolled_readings_in_h2_and_h3_only(monkeypatch):
+    """H^2 and H^3 levels and rays read `_h2_alpha`/`_h2_ray` and
+    `_h3_alpha`/`_h3_ray`, and every other H^n the generic pair, each
+    taken from the module when `horofunction` is called, so a wrapper
+    installed there sees the calls."""
+    for dim in (1, 2, 3, 4, 7):
+        space = sp.Space.hyperbolic(dim)
+        ray = dict((d, r) for d, _, r in READINGS).get(dim, sp._hyp_ray)
+        xi = sp.draw_ideal(space, sp.sub_rng(45, dim))
+        assert sp.horofunction(space, xi)[1].func is ray
+    wrapped, h3_alpha = [], sp._h3_alpha
+
+    def counted(*args):
+        wrapped.append(args)
+        return h3_alpha(*args)
+
+    monkeypatch.setattr(sp, "_h3_alpha", counted)
+    space = sp.Space.hyperbolic(3)
+    xi, x = sp.draw_ideal(space, sp.sub_rng(45)), sp.random_point(space, 1, 2.0)
+    level, ray = sp.horofunction(space, xi)
+    assert level(x) == math.log(h3_alpha(x, xi.vector)) - math.log(xi.vector[0])
+    assert len(wrapped) == 1
+    ray(x, 1.0)
+    assert len(wrapped) == 2
 
 
 @settings(max_examples=300, deadline=None)

@@ -76,18 +76,33 @@ class Configuration(Frozen):
     @classmethod
     def of(cls, space: Space, items) -> "Configuration":
         """The configuration of (point, mass) pairs or WeightedPoints; an
-        error names its entry, as points[i] or points[i].mass."""
+        error names its entry, as points[i] or points[i].mass.  A mass is
+        anything float() reads but a str or bytes, stored as that float,
+        which must be positive and finite; a refusal shows a
+        WeightedPoint's mass as given and a pair's as the float it reads
+        as."""
         out = []
+        canonical = spaces.canonical_point
         for i, item in enumerate(items):
-            if not isinstance(item, WeightedPoint):
-                point, mass = item
-                item = WeightedPoint(point, float(mass))
-            _checked_mass(i, item.mass)
+            if isinstance(item, WeightedPoint):
+                point, mass = item.point, item.mass
+                value = mass if type(mass) is float else _mass_value(i, mass)
+            else:
+                try:
+                    point, mass = item
+                except (TypeError, ValueError):
+                    raise GeometryError(
+                        f"points[{i}]: expected a (point, mass) pair or a WeightedPoint, "
+                        f"got {type(item).__name__}"
+                    ) from None
+                value = mass = mass if type(mass) is float else _mass_value(i, mass)
+            if not 0.0 < value < math.inf:
+                raise _refused_mass(i, mass)
             try:
-                point = spaces.canonical_point(space, item.point)
+                point = canonical(space, point)
             except GeometryError as exc:
                 raise type(exc)(f"points[{i}]: {exc}") from None
-            out.append(WeightedPoint(point, float(item.mass)))
+            out.append(WeightedPoint(point, value))
         if not out:
             raise GeometryError("points: a configuration needs at least one point")
         return cls(tuple(out))
@@ -111,8 +126,28 @@ class BarycenterResult(Value):
 def _checked_mass(i: int, mass):
     """Mass i, or an error naming its entry if it is not positive and finite."""
     if not (math.isfinite(mass) and mass > 0.0):
-        raise GeometryError(f"points[{i}].mass: must be positive and finite, got {mass}")
+        raise _refused_mass(i, mass)
     return mass
+
+
+def _refused_mass(i: int, mass) -> GeometryError:
+    return GeometryError(f"points[{i}].mass: must be positive and finite, got {mass}")
+
+
+def _mass_value(i: int, mass) -> float:
+    """float(mass), or an error naming entry i: a str is refused, as a
+    point refuses it, and so is what float() cannot read or overflows on."""
+    if not isinstance(mass, (str, bytes, bytearray)):
+        try:
+            return float(mass)
+        except OverflowError:
+            name = type(mass).__name__
+            raise GeometryError(
+                f"points[{i}].mass: must be positive and finite, got an out-of-range {name}"
+            ) from None
+        except (TypeError, ValueError):
+            pass
+    raise GeometryError(f"points[{i}].mass: must be a real number, got {type(mass).__name__}")
 
 
 def unit_configuration(space: Space, points) -> Configuration:

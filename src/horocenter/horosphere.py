@@ -52,12 +52,12 @@ class ConvexBody(Frozen):
     @classmethod
     def of(cls, space: Space, points) -> "ConvexBody":
         """The body spanned by points; an error names its generators[i]."""
-        canon = []
-        for i, p in enumerate(points):
-            try:
-                canon.append(spaces.canonical_point(space, p))
-            except GeometryError as exc:
-                raise type(exc)(f"generators[{i}]: {exc}") from None
+        canon, canonical = [], spaces.canonical_point
+        try:
+            for p in points:
+                canon.append(canonical(space, p))
+        except GeometryError as exc:  # canon holds the points before it
+            raise type(exc)(f"generators[{len(canon)}]: {exc}") from None
         if not canon:
             raise GeometryError("generators: a body needs at least one generator")
         return cls(tuple(dict.fromkeys(canon)))  # first of equal points, in order

@@ -75,6 +75,7 @@ _T_BITS = 26  # fractional bits of the stereographic parameter of a null vector
 _RAY_X0_MAX, _RAY_LEVEL_TOL = 2.0**39, 3.5e-8  # see ray_point
 
 _SEED_MASK = 0x7FFF_FFFF_FFFF_FFFF
+_FLOAT = frozenset((float,))  # the entry types of a plain point
 
 
 class Space(Frozen):
@@ -317,11 +318,50 @@ def _check_length(space: Space, v, unit: str = "coordinates"):
 def canonical_point(space: Space, p):
     """p as the aggregates store it, or an error: the type, finiteness,
     length and sheet checks here, the edge and offset checks in
-    Tree.canonical."""
-    if space.kind == TREE:
+    Tree.canonical.
+
+    A tuple of floats that passes comes back as itself when it and its
+    entries are of exactly those types, so that every body or
+    configuration that holds it shares it, and as a copy of that form
+    otherwise.  Such plain points are accepted in one pass: in H^2 and
+    H^3 the sheet check reads the coordinates unrolled, in _mink's order,
+    and a pass with a positive x0 and a finite tolerance leaves no
+    coordinate infinite or NaN, so finiteness needs no pass of its own.
+    Every other point, and every refusal, takes `_checked_copy`, whose
+    checks and messages run in the order given above.
+    """
+    kind = space.kind
+    if kind == TREE:
         if not isinstance(p, TreePoint):
             raise GeometryError(f"tree space expects TreePoint, got {type(p).__name__}")
         return space.tree.canonical(p)
+    if type(p) is tuple:
+        n = len(p)
+        if kind == EUCLIDEAN:
+            if n == space.dim and _FLOAT.issuperset(map(type, p)) and all(map(math.isfinite, p)):
+                return p
+        elif n == 3 == space.dim + 1:  # H^2, then H^3, then any H^n
+            x0, x1, x2 = p
+            if type(x0) is type(x1) is type(x2) is float and x0 > 0.0:
+                tol = HYPERBOLOID_TOL * x0 * x0
+                if abs(-x0 * x0 + x1 * x1 + x2 * x2 + 1.0) <= tol < math.inf:
+                    return p
+        elif n == 4 == space.dim + 1:
+            x0, x1, x2, x3 = p
+            if type(x0) is type(x1) is type(x2) is type(x3) is float and x0 > 0.0:
+                tol = HYPERBOLOID_TOL * x0 * x0
+                if abs(-x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3 + 1.0) <= tol < math.inf:
+                    return p
+        elif n == space.dim + 1 and _FLOAT.issuperset(map(type, p)) and p[0] > 0.0:
+            tol = HYPERBOLOID_TOL * p[0] * p[0]
+            if abs(_mink(p, p) + 1.0) <= tol < math.inf:
+                return p
+    return _checked_copy(space, p)
+
+
+def _checked_copy(space: Space, p) -> tuple[float, ...]:
+    """canonical_point's checks in their order, on a point that is not
+    plain or is refused; a copy of p as a plain tuple of plain floats."""
     if not isinstance(p, tuple) or not all(isinstance(c, float) for c in p):
         raise GeometryError("point must be a tuple of floats")
     if not all(map(math.isfinite, p)):
@@ -333,8 +373,6 @@ def canonical_point(space: Space, p):
         tol = HYPERBOLOID_TOL * p[0] * p[0]  # an overflowing x0^2 accepts nothing
         if not abs(_mink(p, p) + 1.0) <= tol < math.inf:
             raise GeometryError(f"point is off the hyperboloid: <x,x> = {_mink(p, p)}")
-    if type(p) is tuple and all(type(c) is float for c in p):
-        return p  # a body or configuration shares it: no copy per aggregate
     return tuple(map(float, p))
 
 

@@ -156,16 +156,6 @@ class Tree:
 
     # -- points ----------------------------------------------------------
 
-    def validate(self, p: TreePoint) -> None:
-        e = self.edge(p.edge)
-        off = p.offset
-        if not math.isfinite(off):
-            raise TreeError(f"non-finite offset on edge {e.eid}")
-        if off < -VERTEX_SNAP and e.u not in self.ideal_leaves:
-            raise TreeError(f"offset {off} below edge {e.eid}")
-        if off > e.length + VERTEX_SNAP and e.v not in self.ideal_leaves:
-            raise TreeError(f"offset {off} beyond edge {e.eid} of length {e.length}")
-
     def vertex_point(self, vertex: str) -> TreePoint:
         """Canonical point at a vertex: on its lowest-index incident edge."""
         if vertex not in self._vertex_points:
@@ -173,15 +163,32 @@ class Tree:
         return self._vertex_points[vertex]
 
     def canonical(self, p: TreePoint) -> TreePoint:
-        self.validate(p)
-        e = self.edge(p.edge)
-        if abs(p.offset) <= VERTEX_SNAP:
-            return self.vertex_point(e.u)
-        if abs(p.offset - e.length) <= VERTEX_SNAP:
-            return self.vertex_point(e.v)
-        if type(p) is TreePoint and type(p.edge) is str and type(p.offset) is float:
-            return p  # a body or configuration shares it: no copy per aggregate
-        return TreePoint(e.eid, float(p.offset))
+        """p as the aggregates store it, or an error naming its edge or
+        offset: the vertex's point within VERTEX_SNAP of a vertex, else p
+        itself if it is a plain TreePoint of a str and a float, so that
+        every aggregate that holds it shares it, else a copy of that form.
+        An offset of type float inside its edge, farther than VERTEX_SNAP
+        from both vertices, passes every check below at once."""
+        try:
+            e = self._by_id[p.edge]
+        except KeyError:
+            raise TreeError(f"unknown edge {p.edge!r}") from None
+        off = p.offset
+        inside = type(off) is float and VERTEX_SNAP < off and VERTEX_SNAP < e.length - off
+        if not inside:
+            if not math.isfinite(off):
+                raise TreeError(f"non-finite offset on edge {e.eid}")
+            if off < -VERTEX_SNAP and e.u not in self.ideal_leaves:
+                raise TreeError(f"offset {off} below edge {e.eid}")
+            if off > e.length + VERTEX_SNAP and e.v not in self.ideal_leaves:
+                raise TreeError(f"offset {off} beyond edge {e.eid} of length {e.length}")
+            if abs(off) <= VERTEX_SNAP:
+                return self._vertex_points[e.u]
+            if abs(off - e.length) <= VERTEX_SNAP:
+                return self._vertex_points[e.v]
+        if type(p) is TreePoint and type(p.edge) is str and type(off) is float:
+            return p
+        return TreePoint(e.eid, float(off))
 
     # -- metric ----------------------------------------------------------
 

@@ -2,15 +2,18 @@
 
 A subclass names its fields in ``__slots__``, in constructor order, and
 may default the trailing ones in a class-level ``_defaults`` mapping.
-Unless it writes its own ``__init__``, its constructor (one
-``object.__setattr__`` per field) derives from the slots, as do equality
-(same class only, by field tuple), the ``Name(field=value, ...)`` repr,
+Two methods are compiled from the slots once, when the class is created,
+as `collections.namedtuple` compiles its ``__new__``: ``_astuple``,
+which returns the field tuple, and, unless the class writes its own,
+``__init__`` (one ``object.__setattr__`` per field).  Equality (same
+class only, by field tuple), the ``Name(field=value, ...)`` repr,
 copying and, for `Frozen`, the hash of the field tuple and the refusal
-of assignment.  Each constructor is compiled once, when its class is
-created, as `collections.namedtuple` compiles its ``__new__``: a dozen
-functions of a few lines, which a cold CLI run cannot measure.  The
-standard library's record decorator loads ``inspect`` and compiles
-several methods per class, about 20 ms of every CLI start-up.
+of assignment derive from them.  They are two dozen functions of a few
+lines, which a cold CLI run cannot measure, and a compiled ``_astuple``
+reads each field by name in one short frame, so the hashes of
+``ConvexBody.of``'s dedupe run no generator.  The standard library's
+record decorator loads ``inspect`` and compiles several methods per
+class, about 20 ms of every CLI start-up.
 """
 
 
@@ -20,24 +23,33 @@ class Value:
     __slots__ = ()
 
     def __init_subclass__(cls):
-        """Give a class with fields and no ``__init__`` one from its slots."""
+        """Give a class with fields its ``_astuple`` and, unless it writes
+        its own ``__init__``, a constructor, both from its slots."""
         super().__init_subclass__()
         fields = cls.__dict__.get("__slots__", ())
-        if not fields or "__init__" in cls.__dict__:
+        if not fields:
             return
-        defaults = cls.__dict__.get("_defaults", {})
-        trailing = fields[len(fields) - len(defaults) :]
-        if set(trailing) != set(defaults):
-            raise TypeError(f"{cls.__qualname__}._defaults must name trailing fields")
-        body = "".join(f"\n    object.__setattr__(self, {name!r}, {name})" for name in fields)
+        source = f"def _astuple(self):\n    return ({''.join(f'self.{name}, ' for name in fields)})\n"
+        methods = ["_astuple"]
+        if "__init__" not in cls.__dict__:
+            defaults = cls.__dict__.get("_defaults", {})
+            trailing = fields[len(fields) - len(defaults) :]
+            if set(trailing) != set(defaults):
+                raise TypeError(f"{cls.__qualname__}._defaults must name trailing fields")
+            body = "".join(f"\n    object.__setattr__(self, {name!r}, {name})" for name in fields)
+            source += f"def __init__(self, {', '.join(fields)}):{body}"
+            methods.append("__init__")
         namespace = {}
-        exec(f"def __init__(self, {', '.join(fields)}):{body}", namespace)
-        init = cls.__init__ = namespace["__init__"]
-        init.__defaults__ = tuple(defaults[name] for name in trailing)
-        init.__qualname__, init.__module__ = f"{cls.__qualname__}.__init__", cls.__module__
+        exec(source, namespace)
+        for name in methods:
+            method = namespace[name]
+            method.__qualname__, method.__module__ = f"{cls.__qualname__}.{name}", cls.__module__
+            setattr(cls, name, method)
+        if "__init__" in methods:
+            cls.__init__.__defaults__ = tuple(defaults[name] for name in trailing)
 
     def _astuple(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return ()  # no fields
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -1664,6 +1664,108 @@ def test_points_on_one_geodesic_center_at_their_mean_arclength(dim, c):
         assert oracle.distance(got.center, exact) <= 1e-8
 
 
+def _mean_arclength(arclengths, masses) -> Fraction:
+    return sum(map(Fraction.__mul__, map(Fraction, masses), arclengths)) / sum(map(Fraction, masses))
+
+
+@pytest.mark.parametrize("c", [0.0, 2.0, 4.0, 8.0, 12.0, 16.0])
+def test_points_on_a_line_center_at_their_mean_arclength(c):
+    """The flat half of the one-geodesic check: the arclengths and masses
+    of test_points_on_one_geodesic_center_at_their_mean_arclength on a
+    line in E^1, where the mean is summed exactly and rounded once, so the
+    center is the double nearest sum m_i s_i / M, and on the line through
+    0 along (0.6, 0.8) in E^2, where rounding the points and the direction
+    moves it by less than 2^-51 (c + 2)."""
+    arclengths = (c - 2.0, c, c + 2.0)
+    u = (0.6, 0.8)
+    for masses in ((1.0, 1.0, 1.0), (1.0, 2.0, 3.0)):
+        mean = _mean_arclength(arclengths, masses)
+        line = Configuration.of(Space.euclidean(1), [((s,), m) for s, m in zip(arclengths, masses)])
+        assert center_of_mass(Space.euclidean(1), line).center == (float(mean),)
+        plane = Configuration.of(
+            Space.euclidean(2), [((s * u[0], s * u[1]), m) for s, m in zip(arclengths, masses)]
+        )
+        got = center_of_mass(Space.euclidean(2), plane).center
+        assert math.dist(got, [float(mean * Fraction(a)) for a in u]) <= 2.0**-51 * (c + 2.0)
+
+
+def _on_the_e_to_c_path(tree, s: float) -> TreePoint:
+    """The conftest tree's geodesic through E, A, B and C as arclength from
+    the branch vertex B: A-E (marked end E) below s = -2, past E below
+    s = -3, A-B on [-2, 0], B-C above, past C (a marked end) above s = 3."""
+    if s < -2.0:
+        return tree.canonical(TreePoint("A-E", -2.0 - s))
+    if s < 0.0:
+        return tree.canonical(TreePoint("A-B", 2.0 + s))
+    return tree.canonical(TreePoint("B-C", s))
+
+
+def _arclength_on_the_e_to_c_path(p: TreePoint) -> float:
+    return {"A-E": -2.0 - p.offset, "A-B": p.offset - 2.0, "B-C": p.offset}[p.edge]
+
+
+@pytest.mark.parametrize("c", [-4.0, 0.0, 2.0, 4.0, 8.0, 16.0])
+def test_points_on_a_tree_path_center_at_their_mean_arclength(tree_space, monkeypatch, c):
+    """The tree half: the same arclengths, shifted, on a path through the
+    branch vertex B that runs past the marked ends E (c = -4) and C
+    (c >= 2).  `_segment_center` takes every case, and its mean, exact
+    until the offset is rounded once, is within 2^-50 (|c| + 4) of
+    sum m_i s_i / M."""
+    import horocenter.barycenter as bc
+
+    segment = bc._segment_center
+    centers = []
+
+    def spied(*args):
+        centers.append(segment(*args))
+        return centers[-1]
+
+    monkeypatch.setattr(bc, "_segment_center", spied)
+    tree, arclengths = tree_space.tree, (c - 2.0, c, c + 2.0)
+    for masses in ((1.0, 1.0, 1.0), (1.0, 2.0, 3.0)):
+        points = [_on_the_e_to_c_path(tree, s) for s in arclengths]
+        got = center_of_mass(tree_space, Configuration.of(tree_space, list(zip(points, masses))))
+        assert centers.pop() == got.center and got.iterations == 1
+        error = _arclength_on_the_e_to_c_path(got.center) - _mean_arclength(arclengths, masses)
+        assert abs(error) <= 2.0**-50 * (abs(c) + 4.0)
+
+
+def _with_axes(p, k, j, flip):
+    """p with spatial axes k and j swapped, or, if flip, axis k negated."""
+    q = list(p)
+    if flip:
+        q[k] = -q[k]
+    else:
+        q[k], q[j] = q[j], q[k]
+    return tuple(q)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_the_center_follows_flips_and_swaps_of_spatial_axes(dim):
+    """Negating a spatial axis is exact in floats, and every kernel reads
+    its signs only through squares, products with the same sign and
+    hypot, so the center's coordinate flips bit for bit, with the same
+    iterations and trace.  Swapping two axes reorders sums and hypot's
+    arguments: the center moves by at most 8 ulps of its x0 (2 in 2,000
+    configurations of 3 to 5 points within distance 2)."""
+    space = Space.hyperbolic(dim)
+    for case in range(30):
+        rng = sp.sub_rng(5, 100 * dim + case)
+        n = 3 + case % 3
+        points = [sp.draw_point(space, rng, 2.0) for _ in range(n)]
+        masses = [0.5 + 1.5 * float(rng.random()) for _ in range(n)]
+        base = center_of_mass(space, Configuration.of(space, list(zip(points, masses))))
+        for k in range(1, dim + 1):
+            moved = [_with_axes(p, k, 0, True) for p in points]
+            got = center_of_mass(space, Configuration.of(space, list(zip(moved, masses))))
+            assert got.center == _with_axes(base.center, k, 0, True)
+            assert (got.iterations, got.diameter_trace) == (base.iterations, base.diameter_trace)
+        moved = [_with_axes(p, 1, dim, False) for p in points]
+        got = center_of_mass(space, Configuration.of(space, list(zip(moved, masses))))
+        want = _with_axes(base.center, 1, dim, False)
+        assert max(abs(a - b) for a, b in zip(got.center, want)) <= 8 * math.ulp(want[0])
+
+
 def test_the_three_item_loop_keeps_the_recursion_cap(hyp2):
     cfg = Configuration.of(hyp2, _on_the_x_axis(0.0, 1.0, 2.5))
     with pytest.raises(GeometryError, match="^3 points exceeds the recursion cap 2; "):

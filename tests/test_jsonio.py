@@ -164,8 +164,8 @@ def _count_calls(monkeypatch, owner, name):
 def test_each_point_passes_one_gate(monkeypatch):
     tr = Space.tree_space(TREE_EDGES, TREE_LEAVES)
     hyp = Space.hyperbolic(2)
-    tree_checks = _count_calls(monkeypatch, Tree, "validate")
-    sheet_checks = _count_calls(monkeypatch, spaces, "_mink")
+    tree_checks = _count_calls(monkeypatch, Tree, "canonical")
+    point_checks = _count_calls(monkeypatch, spaces, "canonical_point")
     gens = [{"edge": "A-B", "offset": 0.5}, {"edge": "B-C", "offset": 0.0},
             {"edge": "B-D", "offset": 1.0}]
     jsonio.body_from_json(tr, {"generators": gens})
@@ -176,7 +176,7 @@ def test_each_point_passes_one_gate(monkeypatch):
     assert len(tree_checks) == 6
     coords = [[1.0, 0.0, 0.0], [1.5430806348152437, 1.1752011936438014, 0.0]]
     jsonio.body_from_json(hyp, {"generators": coords})
-    assert len(sheet_checks) == 2
+    assert [space.kind for space, _ in point_checks] == ["tree"] * 6 + ["hyperbolic"] * 2
 
 
 def test_body_round_trip():

@@ -38,17 +38,17 @@ def test_topology_validation():
 
 
 def test_point_validation(tree):
-    tree.validate(TreePoint("A-B", 1.0))
+    tree.canonical(TreePoint("A-B", 1.0))
     with pytest.raises(TreeError):
-        tree.validate(TreePoint("A-Z", 0.5))
+        tree.canonical(TreePoint("A-Z", 0.5))
     with pytest.raises(TreeError):
-        tree.validate(TreePoint("A-B", 2.5))  # A-B has length 2, B not a marked end
+        tree.canonical(TreePoint("A-B", 2.5))  # A-B has length 2, B not a marked end
     with pytest.raises(TreeError):
-        tree.validate(TreePoint("A-B", -0.5))
+        tree.canonical(TreePoint("A-B", -0.5))
     # extensions allowed past marked ends only
-    tree.validate(TreePoint("B-C", 7.0))
+    tree.canonical(TreePoint("B-C", 7.0))
     with pytest.raises(TreeError):
-        tree.validate(TreePoint("B-D", 7.0))
+        tree.canonical(TreePoint("B-D", 7.0))
 
 
 def test_vertex_canonicalization(tree):

@@ -25,7 +25,7 @@ import json
 import math
 
 from . import spaces
-from .barycenter import BarycenterResult, Configuration, WeightedPoint
+from .barycenter import BarycenterResult, Configuration
 from .spaces import EUCLIDEAN, HYPERBOLIC, TREE, IdealPoint, Space
 from .trees import TreePoint
 
@@ -155,7 +155,7 @@ def configuration_from_json(space: Space, doc) -> Configuration:
     for i, entry in enumerate(entries):
         where = f"configuration.points[{i}]"
         mass = _number(_require(entry, "mass", None, where), f"{where}.mass")
-        items.append(WeightedPoint(point_from_json(space, entry, where), mass))
+        items.append((point_from_json(space, entry, where), mass))
     return _named("configuration.", Configuration.of, space, items)
 
 

@@ -6,7 +6,10 @@ geodesic interpolator lives only in ``kernels``, and of horofunction
 level and ray toward an ideal point only in ``horofunction``.
 ``distance``, ``geodesic_point``, ``diameter``, ``busemann`` and
 ``ray_point`` check their arguments and then call these callables, which
-a caller that makes many calls takes once.  The spaces:
+a caller that makes many calls takes once.  In H^n they come from one
+family of kernels per dimension, written once over the coordinates and
+compiled for that n on first use (``_hyperbolic``), so each kernel runs
+with no loop over its coordinates.  The spaces:
 
 * ``euclidean`` -- R^n, points are coordinate tuples.
 * ``hyperbolic`` -- the hyperboloid sheet {<x,x> = -1, x0 > 0} in
@@ -40,12 +43,10 @@ Hyperbolic closed forms used below:
 * distance(x, y) = 2 asinh(sqrt(<x-y, x-y>)/2), which is exact for nearby
   points where acosh(-<x,y>) loses half the significand;
 * alpha = -<x, xi> for a null xi, a quotient of positive terms over the
-  spatial parts (``_hyp_alpha``), so a level log(alpha) does not cancel;
+  spatial parts (the family's ``alpha``), so a level log(alpha) does not
+  cancel;
 * ray(x, xi, s) = exp(-s) x + sinh(s) xi / alpha, computed on the spatial
-  parts and lifted (``_hyp_ray``);
-* in H^2 and H^3, levels and rays read through unrolled copies of
-  ``_hyp_alpha`` and ``_hyp_ray`` with the same bits, as geodesics and
-  quadrances do through unrolled copies of the generic kernels;
+  parts and lifted (the family's ``ray``);
 * separation of two rays toward the same end,
   cosh d(s) - 1 = 2 sinh^2(g/2) + 2 (sinh^2(d0/2) - sinh^2(g/2)) e^{-2s}
   with g the horofunction gap b(x) - b(y) and sinh^2(d0/2) = <x-y, x-y>/4
@@ -57,7 +58,7 @@ Hyperbolic closed forms used below:
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import cache, partial
 from itertools import chain, combinations, starmap
 
 from .errors import GeometryError
@@ -163,85 +164,126 @@ def _mink(x, y) -> float:
     return s
 
 
-def _hyp_alpha(x, v) -> float:
-    """-<x, v> = x0 v0 - y.v_s for a sheet point x and a v read as null,
-    as validate_ideal returns it, with v0 in [1, 2); an error unless it is
-    positive.
+# -- the hyperbolic kernels --------------------------------------------------
+# Each kernel is written once, below, over the coordinates of H^n, and
+# _hyperbolic compiles the family for one n: a `pattern` in backquotes is
+# repeated for the spatial coordinates 1..n with # as the index, so
+# "x0`, x#`" reads "x0, x1, x2" in H^2.  Every sum runs left to right from
+# the loop's first term, so a kernel gives the bits of one loop over the
+# coordinates in every dimension, with no loop and no indexing.
+#
+# alpha is -<x, v> = x0 v0 - y.v_s for a sheet point x and a v read as null,
+# as validate_ideal returns it, with v0 in [1, 2); an error unless it is
+# positive.  When y.v_s > 0 that cancels; on the lift the Lagrange identity
+# gives (v0^2 + |y ^ v_s|^2) / (x0 v0 + y.v_s) with |y ^ v_s|^2 =
+# v0^2 |y - c v_s|^2, c = y.v_s / v0^2: a quotient of positive terms, here
+# divided through by v0, so v0^2 is never formed.  Rounding c v_i moves
+# y_i - c v_i by up to 2^-53 |y|, near the line toward v as much as the
+# difference, so past x0 = 2^12 |y - c v_s|^2 is summed exactly
+# (_exact_residual).  ray is the ray point at arclength s from x toward v
+# (see ray_point), x itself at s = 0.  on_sheet is canonical_point's test
+# of a plain point of the right length.
 
-    When y.v_s > 0 that cancels; on the lift the Lagrange identity gives
-    (v0^2 + |y ^ v_s|^2) / (x0 v0 + y.v_s) with |y ^ v_s|^2 =
-    v0^2 |y - c v_s|^2, c = y.v_s / v0^2: a quotient of positive terms,
-    here divided through by v0, so v0^2 is never formed.  Rounding c v_i
-    moves y_i - c v_i by up to 2^-53 |y|, near the line toward v as much
-    as the difference, so past x0 = 2^12 |y - c v_s|^2 is summed exactly.
-    """
-    x0, v0 = x[0], v[0]
-    dot = 0.0  # _left_sum, without its frame
-    for i in range(1, len(x)):
-        dot += x[i] * v[i]
+_KERNELS = """
+def quadrance(x, y):
+    x0`, x#` = x
+    y0`, y#` = y
+    e0`, e#` = x0 - y0`, x# - y#`
+    return -e0 * e0` + e# * e#`
+
+
+def geodesic(x, y, t, d=None):
+    x0`, x#` = x
+    y0`, y#` = y
+    if d is None:
+        e0`, e#` = x0 - y0`, x# - y#`
+        q = -e0 * e0` + e# * e#`
+        d = 0.0 if q <= 0.0 else 2.0 * math.asinh(0.5 * math.sqrt(q))
+    if d < 1e-14:
+        return x
+    # (sinh((1-t)d) x + sinh(td) y) / sinh d, with weights in [0, 1]
+    sh = math.sinh(d)
+    a, b = math.sinh((1.0 - t) * d) / sh, math.sinh(t * d) / sh
+    `s#, ` = `a * x# + b * y#, `
+    z0 = math.hypot(1.0`, s#`)
+    if not z0 * z0 < math.inf:
+        raise GeometryError(f"distance = {d} overflows: the point's x0^2 = {z0 * z0}")
+    return (z0`, s#`)
+
+
+def alpha(x, v):
+    x0`, x#` = x
+    v0`, v#` = v
+    dot = 0.0` + x# * v#`
     if dot <= 0.0:  # no cancellation: x0 v0 and -dot share a sign
-        alpha = x0 * v0 - dot
+        level = x0 * v0 - dot
     else:
         t = dot / v0
         if x0 > 2.0**12:
-            from fractions import Fraction  # far levels only
-            y, w = [Fraction(a) for a in x[1:]], [Fraction(b) for b in v[1:]]
-            c = sum(a * b for a, b in zip(y, w)) / Fraction(v0) ** 2
-            q = float(sum((a - c * b) ** 2 for a, b in zip(y, w)))
+            q = _exact_residual(x, v)
         else:
-            c, q = t / v0, 0.0
-            for i in range(1, len(x)):
-                d = x[i] - c * v[i]
-                q += d * d
-        alpha = v0 * (1.0 + q) / (x0 + t)
-    if not alpha > 0.0:  # NaN too; v passed validate_ideal, so x is at fault
+            c = t / v0
+            `d#, ` = `x# - c * v#, `
+            q = 0.0` + d# * d#`
+        level = v0 * (1.0 + q) / (x0 + t)
+    if not level > 0.0:  # NaN too; v passed validate_ideal, so x is at fault
         raise GeometryError(f"point {tuple(x)} is off the hyperboloid sheet")
-    return alpha
+    return level
 
 
-# _hyp_alpha unrolled for H^2 and H^3, operation for operation, so they give
-# the same bits: the dot drops the generic sum's leading 0.0 + and so can be
-# -0.0 where that sum is 0.0, which only the dot <= 0.0 branch sees, where
-# x0 v0 - dot differs at most in the sign of a zero, refused either way; q
-# drops a 0.0 + of a square, which never changes it.  Past x0 = 2^12 the
-# cancelling branch is the generic one's exact sum.  Change them with
-# _hyp_alpha
+def ray(v, x, s):
+    if not s:
+        return x
+    sh = _sinh(s, "s", s)
+    level = alpha(x, v)
+    decay, grow = math.exp(-s), sh / level
+    _`, x#` = x
+    _`, v#` = v
+    `y#, ` = `decay * x# + grow * v#, `
+    y0 = math.hypot(1.0`, y#`)
+    if not y0 * y0 < math.inf:
+        raise GeometryError(f"s = {s} overflows: the point's x0^2 = {y0 * y0}")
+    r = (y0`, y#`)
+    return _read_back(alpha, r, v, level * decay, s) if y0 > _RAY_X0_MAX else r
 
 
-def _h2_alpha(x, v) -> float:
-    x0, x1, x2 = x
-    v0, v1, v2 = v
-    dot = x1 * v1 + x2 * v2
-    if dot <= 0.0:
-        alpha = x0 * v0 - dot
-    elif x0 > 2.0**12:
-        return _hyp_alpha(x, v)
-    else:
-        t = dot / v0
-        c = t / v0
-        d1, d2 = x1 - c * v1, x2 - c * v2
-        alpha = v0 * (1.0 + (d1 * d1 + d2 * d2)) / (x0 + t)
-    if not alpha > 0.0:
-        raise GeometryError(f"point {tuple(x)} is off the hyperboloid sheet")
-    return alpha
+def on_sheet(p):
+    x0`, x#` = p
+    return (
+        type(x0)` is type(x#)` is float
+        and x0 > 0.0
+        and abs(-x0 * x0` + x# * x#` + 1.0) <= HYPERBOLOID_TOL * x0 * x0 < math.inf
+    )
+"""
 
 
-def _h3_alpha(x, v) -> float:
-    x0, x1, x2, x3 = x
-    v0, v1, v2, v3 = v
-    dot = x1 * v1 + x2 * v2 + x3 * v3
-    if dot <= 0.0:
-        alpha = x0 * v0 - dot
-    elif x0 > 2.0**12:
-        return _hyp_alpha(x, v)
-    else:
-        t = dot / v0
-        c = t / v0
-        d1, d2, d3 = x1 - c * v1, x2 - c * v2, x3 - c * v3
-        alpha = v0 * (1.0 + (d1 * d1 + d2 * d2 + d3 * d3)) / (x0 + t)
-    if not alpha > 0.0:
-        raise GeometryError(f"point {tuple(x)} is off the hyperboloid sheet")
-    return alpha
+class _Family(Frozen):
+    """The kernels of one H^n, compiled from _KERNELS."""
+
+    __slots__ = ("quadrance", "geodesic", "alpha", "ray", "on_sheet")
+
+
+@cache
+def _hyperbolic(dim: int) -> _Family:
+    """The kernels of H^dim, compiled on first use and kept for the
+    process: about 1 ms in H^2 or H^3 and 0.1 s in H^1024.  Each is named
+    for its dimension, as _h2_quadrance, and raises from its unpacking on
+    a point of the wrong length, so callers check lengths first."""
+    parts = _KERNELS.split("`")
+    parts[1::2] = ["".join(p.replace("#", str(i)) for i in range(1, dim + 1)) for p in parts[1::2]]
+    namespace = dict(globals())  # alpha and ray find this family's alpha
+    exec(compile("".join(parts), f"<H^{dim} kernels>", "exec"), namespace)
+    for name in _Family._fields:
+        namespace[name].__name__ = namespace[name].__qualname__ = f"_h{dim}_{name}"
+    return _Family(*(namespace[name] for name in _Family._fields))
+
+
+def _exact_residual(x, v) -> float:
+    """|y - c v_s|^2 for alpha past x0 = 2^12, summed exactly."""
+    from fractions import Fraction  # far levels only
+    y, w = [Fraction(a) for a in x[1:]], [Fraction(b) for b in v[1:]]
+    c = sum(a * b for a, b in zip(y, w)) / Fraction(v[0]) ** 2
+    return float(sum((a - c * b) ** 2 for a, b in zip(y, w)))
 
 
 def _is_null(v) -> bool:
@@ -323,10 +365,11 @@ def canonical_point(space: Space, p):
     A tuple of floats that passes comes back as itself when it and its
     entries are of exactly those types, so that every body or
     configuration that holds it shares it, and as a copy of that form
-    otherwise.  Such plain points are accepted in one pass: in H^2 and
-    H^3 the sheet check reads the coordinates unrolled, in _mink's order,
-    and a pass with a positive x0 and a finite tolerance leaves no
-    coordinate infinite or NaN, so finiteness needs no pass of its own.
+    otherwise.  Such plain points are accepted in one pass: in H^n the
+    family's on_sheet reads the types and the sheet residual, summed in
+    _mink's order, and a pass with a positive x0 and a finite tolerance
+    leaves no coordinate infinite or NaN, so finiteness needs no pass of
+    its own.
     Every other point, and every refusal, takes `_checked_copy`, whose
     checks and messages run in the order given above.
     """
@@ -340,22 +383,8 @@ def canonical_point(space: Space, p):
         if kind == EUCLIDEAN:
             if n == space.dim and _FLOAT.issuperset(map(type, p)) and all(map(math.isfinite, p)):
                 return p
-        elif n == 3 == space.dim + 1:  # H^2, then H^3, then any H^n
-            x0, x1, x2 = p
-            if type(x0) is type(x1) is type(x2) is float and x0 > 0.0:
-                tol = HYPERBOLOID_TOL * x0 * x0
-                if abs(-x0 * x0 + x1 * x1 + x2 * x2 + 1.0) <= tol < math.inf:
-                    return p
-        elif n == 4 == space.dim + 1:
-            x0, x1, x2, x3 = p
-            if type(x0) is type(x1) is type(x2) is type(x3) is float and x0 > 0.0:
-                tol = HYPERBOLOID_TOL * x0 * x0
-                if abs(-x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3 + 1.0) <= tol < math.inf:
-                    return p
-        elif n == space.dim + 1 and _FLOAT.issuperset(map(type, p)) and p[0] > 0.0:
-            tol = HYPERBOLOID_TOL * p[0] * p[0]
-            if abs(_mink(p, p) + 1.0) <= tol < math.inf:
-                return p
+        elif n == space.dim + 1 and _hyperbolic(space.dim).on_sheet(p):
+            return p
     return _checked_copy(space, p)
 
 
@@ -382,8 +411,8 @@ def validate_ideal(space: Space, xi: IdealPoint):
     power of two, to v0 in [1, 2).  Every vector IdealPoint.null_vector
     snaps, and every draw_ideal, already has v0 = 1 + |t|^2 there and
     keeps its bits.  Levels and rays read only ratios of v, so v and
-    v 2^k give the same bits; in that range _hyp_alpha neither under- nor
-    overflows for x0 < 2^512, the range _lift keeps."""
+    v 2^k give the same bits; in that range the family's alpha neither
+    under- nor overflows for x0 < 2^512, the range _lift keeps."""
     if space.kind == TREE:
         if xi.leaf is None:
             raise GeometryError("tree ideal point must name a marked leaf")
@@ -425,21 +454,17 @@ def kernels(space: Space):
     after their checks, and a caller that makes many calls in one space
     can take them once.
 
-    H^2 and H^3, where the center recursion spends its time, get
-    `_h2_quadrance`/`_h2_geodesic` and `_h3_quadrance`/`_h3_geodesic`,
-    unrolled copies of the generic pair with the same bits; a
-    wrong-length point raises from their unpacking, so callers check
-    arity first.  The names are read from this module at each call, so a
-    wrapper installed there sees every call.
+    H^n gets the quadrance and geodesic of `_hyperbolic(n)`, compiled for
+    n on the first call, which raise from their unpacking on a
+    wrong-length point, so callers check arity first.  The center
+    recursion takes its kernels here once per call, so a wrapper of this
+    function installed in this module sees every recursion.
     """
     if space.kind == EUCLIDEAN:
         return math.dist, float, _euclid_geodesic  # float(d) is d
     if space.kind == HYPERBOLIC:
-        if space.dim == 2:
-            return _h2_quadrance, _quadrance_distance, _h2_geodesic
-        if space.dim == 3:
-            return _h3_quadrance, _quadrance_distance, _h3_geodesic
-        return _hyp_quadrance, _quadrance_distance, _hyp_geodesic
+        family = _hyperbolic(space.dim)
+        return family.quadrance, _quadrance_distance, family.geodesic
     return space.tree.distance, float, partial(_tree_geodesic, space.tree)
 
 
@@ -475,17 +500,6 @@ def check_arity(space: Space, points) -> None:
                 )
 
 
-def _hyp_quadrance(x, y) -> float:
-    """<x-y, x-y> of two points of equal length, summed as _mink sums it,
-    one difference at a time, so it does not cancel like <x,x> does."""
-    d = x[0] - y[0]
-    q = -d * d
-    for i in range(1, len(x)):
-        d = x[i] - y[i]
-        q += d * d
-    return q
-
-
 def _quadrance_distance(q: float) -> float:
     """2 asinh(sqrt(q)/2), the distance at quadrance q, nondecreasing in q."""
     return 0.0 if q <= 0.0 else 2.0 * math.asinh(0.5 * math.sqrt(q))
@@ -516,87 +530,6 @@ def _euclid_geodesic(x, y, t: float, d=None):
     return tuple(a + t * (b - a) for a, b in zip(x, y))
 
 
-def _hyp_geodesic(x, y, t: float, d=None):
-    # one frame, as the recursion's hottest call: it repeats _hyp_quadrance,
-    # _quadrance_distance and _lift operation for operation, and _h2_geodesic
-    # and _h3_geodesic repeat it; change them together
-    n = len(x)
-    if d is None:
-        e = x[0] - y[0]
-        q = -e * e
-        for i in range(1, n):
-            e = x[i] - y[i]
-            q += e * e
-        d = 0.0 if q <= 0.0 else 2.0 * math.asinh(0.5 * math.sqrt(q))
-    if d < 1e-14:
-        return x
-    # (sinh((1-t)d) x + sinh(td) y) / sinh d, with weights in [0, 1]
-    sh = math.sinh(d)
-    a, b = math.sinh((1.0 - t) * d) / sh, math.sinh(t * d) / sh
-    s = []
-    for i in range(1, n):
-        s.append(a * x[i] + b * y[i])
-    x0 = math.hypot(1.0, *s)
-    if not x0 * x0 < math.inf:
-        raise GeometryError(f"distance = {d} overflows: the point's x0^2 = {x0 * x0}")
-    return (x0, *s)
-
-
-# _hyp_quadrance and _hyp_geodesic unrolled for H^2 and H^3, operation for
-# operation (each sum left to right, from -e0*e0), so they give the same bits;
-# change them with the generic pair
-
-
-def _h2_quadrance(x, y) -> float:
-    x0, x1, x2 = x
-    y0, y1, y2 = y
-    e0, e1, e2 = x0 - y0, x1 - y1, x2 - y2
-    return -e0 * e0 + e1 * e1 + e2 * e2
-
-
-def _h2_geodesic(x, y, t: float, d=None):
-    x0, x1, x2 = x
-    y0, y1, y2 = y
-    if d is None:
-        e0, e1, e2 = x0 - y0, x1 - y1, x2 - y2
-        q = -e0 * e0 + e1 * e1 + e2 * e2
-        d = 0.0 if q <= 0.0 else 2.0 * math.asinh(0.5 * math.sqrt(q))
-    if d < 1e-14:
-        return x
-    sh = math.sinh(d)
-    a, b = math.sinh((1.0 - t) * d) / sh, math.sinh(t * d) / sh
-    s1, s2 = a * x1 + b * y1, a * x2 + b * y2
-    z0 = math.hypot(1.0, s1, s2)
-    if not z0 * z0 < math.inf:
-        raise GeometryError(f"distance = {d} overflows: the point's x0^2 = {z0 * z0}")
-    return (z0, s1, s2)
-
-
-def _h3_quadrance(x, y) -> float:
-    x0, x1, x2, x3 = x
-    y0, y1, y2, y3 = y
-    e0, e1, e2, e3 = x0 - y0, x1 - y1, x2 - y2, x3 - y3
-    return -e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3
-
-
-def _h3_geodesic(x, y, t: float, d=None):
-    x0, x1, x2, x3 = x
-    y0, y1, y2, y3 = y
-    if d is None:
-        e0, e1, e2, e3 = x0 - y0, x1 - y1, x2 - y2, x3 - y3
-        q = -e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3
-        d = 0.0 if q <= 0.0 else 2.0 * math.asinh(0.5 * math.sqrt(q))
-    if d < 1e-14:
-        return x
-    sh = math.sinh(d)
-    a, b = math.sinh((1.0 - t) * d) / sh, math.sinh(t * d) / sh
-    s1, s2, s3 = a * x1 + b * y1, a * x2 + b * y2, a * x3 + b * y3
-    z0 = math.hypot(1.0, s1, s2, s3)
-    if not z0 * z0 < math.inf:
-        raise GeometryError(f"distance = {d} overflows: the point's x0^2 = {z0 * z0}")
-    return (z0, s1, s2, s3)
-
-
 def _tree_geodesic(tree: Tree, x, y, t: float, d=None):
     route = tree._route(x, y)
     if route[0] == 0.0:
@@ -610,11 +543,11 @@ def horofunction(space: Space, xi: IdealPoint):
     their point checks, and a caller that reads many levels builds the pair
     once.  In H^n log(xi0) is taken here, once.  ray(x, 0) is x.
 
-    H^2 and H^3, where `select` reads its levels and rays, get `_h2_alpha`
-    and `_h2_ray`, and `_h3_alpha` and `_h3_ray`: unrolled copies of
-    `_hyp_alpha` and `_hyp_ray` with the same bits, read from this module
-    at each call, as `kernels` reads its kernels.  A wrong-length point
-    raises from their unpacking, so callers check lengths first.
+    H^n levels and rays read the alpha and ray of `_hyperbolic(n)`, as
+    `kernels` hands out its family's kernels, and raise from their
+    unpacking on a wrong-length point, so callers check lengths first.
+    `select` and the scans build their pair here, so a wrapper of this
+    function installed in this module sees every one.
     """
     v = validate_ideal(space, xi)
     if space.kind == EUCLIDEAN:
@@ -623,16 +556,11 @@ def horofunction(space: Space, xi: IdealPoint):
         def ray(x, s):
             return tuple(a + s * c for a, c in zip(x, v)) if s else x
     elif space.kind == HYPERBOLIC:
-        if space.dim == 2:
-            alpha, step = _h2_alpha, _h2_ray
-        elif space.dim == 3:
-            alpha, step = _h3_alpha, _h3_ray
-        else:
-            alpha, step = _hyp_alpha, _hyp_ray
-        log_v0 = math.log(v[0])
+        family = _hyperbolic(space.dim)
+        alpha, log_v0 = family.alpha, math.log(v[0])
         def level(x):  # -<basepoint, v> = v0 exactly: alpha's dot is 0
             return math.log(alpha(x, v)) - log_v0
-        ray = partial(step, v)
+        ray = partial(family.ray, v)
     else:
         tree = space.tree
         def level(x):
@@ -642,61 +570,13 @@ def horofunction(space: Space, xi: IdealPoint):
     return level, ray
 
 
-def _hyp_ray(v, x, s: float):
-    """The ray point at arclength s from x toward the null vector v, as
-    validate_ideal returns it (see ray_point); x itself at s = 0."""
-    if not s:
-        return x
-    sh = _sinh(s, "s", s)
-    alpha = _hyp_alpha(x, v)
-    decay, grow = math.exp(-s), sh / alpha
-    r = _lift([decay * a + grow * n for a, n in zip(x[1:], v[1:])], "s", s)
-    return _read_back(r, v, alpha * decay, s) if r[0] > _RAY_X0_MAX else r
-
-
-def _read_back(r, v, want: float, s: float):
-    """r, once its level alpha reads within _RAY_LEVEL_TOL of want."""
-    read = _hyp_alpha(r, v)
+def _read_back(alpha, r, v, want: float, s: float):
+    """r, once its level alpha(r, v) reads within _RAY_LEVEL_TOL of want."""
+    read = alpha(r, v)
     if not abs(read - want) <= _RAY_LEVEL_TOL * want:
         off = f"its level reads {read:.3e}, not {want:.3e}"
         raise GeometryError(f"ray point at s = {s} is too far out: {off}")
     return r
-
-
-# _hyp_ray unrolled for H^2 and H^3, operation for operation, with _lift
-# written out; change them with _hyp_ray
-
-
-def _h2_ray(v, x, s: float):
-    if not s:
-        return x
-    sh = _sinh(s, "s", s)
-    alpha = _h2_alpha(x, v)
-    decay, grow = math.exp(-s), sh / alpha
-    _, x1, x2 = x
-    _, v1, v2 = v
-    y1, y2 = decay * x1 + grow * v1, decay * x2 + grow * v2
-    y0 = math.hypot(1.0, y1, y2)
-    if not y0 * y0 < math.inf:
-        raise GeometryError(f"s = {s} overflows: the point's x0^2 = {y0 * y0}")
-    r = (y0, y1, y2)
-    return _read_back(r, v, alpha * decay, s) if y0 > _RAY_X0_MAX else r
-
-
-def _h3_ray(v, x, s: float):
-    if not s:
-        return x
-    sh = _sinh(s, "s", s)
-    alpha = _h3_alpha(x, v)
-    decay, grow = math.exp(-s), sh / alpha
-    _, x1, x2, x3 = x
-    _, v1, v2, v3 = v
-    y1, y2, y3 = decay * x1 + grow * v1, decay * x2 + grow * v2, decay * x3 + grow * v3
-    y0 = math.hypot(1.0, y1, y2, y3)
-    if not y0 * y0 < math.inf:
-        raise GeometryError(f"s = {s} overflows: the point's x0^2 = {y0 * y0}")
-    r = (y0, y1, y2, y3)
-    return _read_back(r, v, alpha * decay, s) if y0 > _RAY_X0_MAX else r
 
 
 def ray_point(space: Space, x, xi: IdealPoint, s: float):
@@ -731,7 +611,7 @@ def ray_separation(space: Space, x, y, xi: IdealPoint, s: float) -> float:
         return distance(space, x, y)  # parallel rays keep their separation
     if space.kind == HYPERBOLIC:
         check_arity(space, (x, y))
-        a2 = 0.25 * max(_hyp_quadrance(x, y), 0.0)  # sinh^2(d0/2)
+        a2 = 0.25 * max(_hyperbolic(space.dim).quadrance(x, y), 0.0)  # sinh^2(d0/2)
         g2 = math.sinh(0.5 * (level(x) - level(y))) ** 2
         cm1 = 2.0 * (g2 + (a2 - g2) * math.exp(-2.0 * s))
         if cm1 <= 0.0:

@@ -171,12 +171,18 @@ class Tree:
         from both vertices, passes every check below at once."""
         try:
             e = self._by_id[p.edge]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable id
             raise TreeError(f"unknown edge {p.edge!r}") from None
         off = p.offset
         inside = type(off) is float and VERTEX_SNAP < off and VERTEX_SNAP < e.length - off
         if not inside:
-            if not math.isfinite(off):
+            try:
+                finite = math.isfinite(off)
+            except TypeError:
+                raise TreeError(f"offset on edge {e.eid} must be a number, got {off!r}") from None
+            except OverflowError:  # an int past the double range
+                finite = False
+            if not finite:
                 raise TreeError(f"non-finite offset on edge {e.eid}")
             if off < -VERTEX_SNAP and e.u not in self.ideal_leaves:
                 raise TreeError(f"offset {off} below edge {e.eid}")

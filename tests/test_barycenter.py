@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hyperboloid_oracle as oracle
+import kernel_reference as loops
 from conftest import TREE_EDGES, TREE_LEAVES
 from horocenter import GeometryError, Space, spaces as sp
 from horocenter.barycenter import (
@@ -742,8 +743,9 @@ def test_each_pair_is_measured_once_per_configuration(monkeypatch):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_the_unrolled_kernels_give_every_caller_the_generic_bits(dim, monkeypatch):
-    """`kernels` hands out unrolled kernels in H^2 and H^3.  Each of their
-    callers gives what it gives with the generic kernels, bit for bit:
+    """`kernels` hands out kernels compiled for the dimension, their loops
+    unrolled.  Each of their callers gives what it gives with the loop
+    reference of tests/kernel_reference.py, bit for bit:
     the full `center_of_mass` result, `leave_one_out_step`, `diameter`,
     `geodesic_point` and `hausdorff`, for n = 3 to 6 with unit and random
     masses."""
@@ -779,10 +781,10 @@ def test_the_unrolled_kernels_give_every_caller_the_generic_bits(dim, monkeypatc
             ]
         return out
 
-    assert sp.kernels(space)[0] is not sp._hyp_quadrance
-    assert sp.kernels(space)[2] is not sp._hyp_geodesic
+    assert sp.kernels(space)[0] is not loops.quadrance
+    assert sp.kernels(space)[2] is not loops.geodesic
     unrolled = outcomes()
-    generic = (sp._hyp_quadrance, sp._quadrance_distance, sp._hyp_geodesic)
+    generic = (loops.quadrance, sp._quadrance_distance, loops.geodesic)
     monkeypatch.setattr(sp, "kernels", lambda space: generic)
     assert outcomes() == unrolled
 

@@ -24,7 +24,7 @@ from horocenter import GeometryError, Space
 from horocenter import spaces as sp
 from horocenter.barycenter import Configuration, WeightedPoint
 from horocenter.horosphere import ConvexBody
-from horocenter.trees import TreePoint
+from horocenter.trees import TreeError, TreePoint
 
 SPACES = {
     "E1": Space.euclidean(1),
@@ -232,3 +232,30 @@ def test_a_mass_is_stored_as_the_float_it_reads_as(euclid2):
     items = [((0.0, 0.0), 2), WeightedPoint((1.0, 0.0), Fraction(1, 2)), [(2.0, 0.0), Real(3.0)]]
     masses = [item.mass for item in Configuration.of(euclid2, items).items]
     assert masses == [2.0, 0.5, 3.0] and {type(m) for m in masses} == {float}
+
+
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        (TreePoint(["A-B"], 1.0), r"unknown edge \['A-B'\]"),
+        (TreePoint("A-B", "1.0"), r"offset on edge A-B must be a number, got '1\.0'"),
+        (TreePoint("A-B", None), r"offset on edge A-B must be a number, got None"),
+        (TreePoint("A-B", 10**400), r"non-finite offset on edge A-B"),
+    ],
+    ids=["unhashable-edge", "str-offset", "none-offset", "int-offset-past-floats"],
+)
+def test_a_bad_tree_point_is_named_in_bodies_and_configurations(point, message):
+    """Each of these raised a bare TypeError or OverflowError, with no
+    points[i] or generators[i] to name it."""
+    space = SPACES["tree"]
+    good = TreePoint("A-B", 1.0)
+    with pytest.raises(TreeError, match=rf"^generators\[1\]: {message}$"):
+        ConvexBody.of(space, [good, point])
+    with pytest.raises(TreeError, match=rf"^points\[1\]: {message}$"):
+        Configuration.of(space, [(good, 1.0), (point, 1.0)])
+
+
+def test_a_subclass_without_slots_of_its_own_prints_its_fields():
+    """A caller's TreePoint type declares no slots; its repr names the
+    fields it inherits, not an empty list."""
+    assert repr(Placed("A-B", 1.0)) == "Placed(edge='A-B', offset=1.0)"

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from horocenter import GeometryError, IdealPoint, basepoint
 from horocenter import spaces as sp
+from horocenter.barycenter import center_of_mass, leave_one_out_step, unit_configuration
 from horocenter.horosphere import ConvexBody, classify_body, first_horosphere, select
 from horocenter.trees import TreeError, TreePoint
 
 import hyperboloid_oracle as oracle
+import kernel_reference as loops
 from conftest import TREE_EDGES, TREE_LEAVES, ideal_for
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
@@ -129,7 +131,7 @@ def busemann_from(space, xi, o, x):
     if space.kind == "euclidean":
         return -sp._left_sum((a - b) * u for a, b, u in zip(x, o, xi.vector))
     if space.kind == "hyperbolic":
-        return math.log(sp._hyp_alpha(x, xi.vector)) - math.log(sp._hyp_alpha(o, xi.vector))
+        return math.log(loops.alpha(x, xi.vector)) - math.log(loops.alpha(o, xi.vector))
     tree = space.tree
     return tree.depth_toward_end(x, xi.leaf) - tree.depth_toward_end(o, xi.leaf)
 
@@ -987,12 +989,12 @@ def test_kernel_is_bit_identical_to_the_reference(seed, which, how, t, n):
 
 
 def composed_geodesic(x, y, t, d=None):
-    """The hyperbolic interpolator composed from the kernels that
-    `spaces._hyp_geodesic` repeats in its own frame: the distance from
-    `_hyp_quadrance` and `_quadrance_distance`, the sinh weights over the
-    spatial parts, and `_lift`."""
+    """The hyperbolic interpolator composed from the kernels that the
+    compiled geodesic repeats in its own frame: the distance from the loop
+    reference's quadrance and `_quadrance_distance`, the sinh weights over
+    the spatial parts, and `_lift`."""
     if d is None:
-        d = sp._quadrance_distance(sp._hyp_quadrance(x, y))
+        d = sp._quadrance_distance(loops.quadrance(x, y))
     if d < 1e-14:
         return x
     sh = math.sinh(d)
@@ -1000,24 +1002,42 @@ def composed_geodesic(x, y, t, d=None):
     return sp._lift([a * u + b * v for u, v in zip(x[1:], y[1:])], "distance", d)
 
 
-UNROLLED = [(2, sp._h2_quadrance, sp._h2_geodesic), (3, sp._h3_quadrance, sp._h3_geodesic)]
+# the dimensions whose compiled kernels are checked against the loops of
+# tests/kernel_reference.py; each kernel is named for its dimension, as
+# _h2_quadrance, which names the test cases
+DIMS = [1, 2, 3, 4, 5, 64]
+UNROLLED = [(dim, sp._hyperbolic(dim).quadrance, sp._hyperbolic(dim).geodesic) for dim in DIMS]
+READINGS = [(dim, sp._hyperbolic(dim).alpha, sp._hyperbolic(dim).ray) for dim in DIMS]
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+def _rounds(count, dim):
+    """How many draws a test of H^dim takes: H^64 takes a quarter of
+    `count`, since each of its draws costs ten times an H^5 one."""
+    return count if dim <= 5 else count // 4
+
+
+def _sheet(spatial, dim):
+    """The sheet point over `spatial`, cut or padded with zeros to dim
+    coordinates."""
+    y = (tuple(spatial) + (0.0,) * dim)[:dim]
+    return (math.hypot(1.0, *y),) + y
+
+
+@pytest.mark.parametrize("dim", DIMS)
 @pytest.mark.parametrize("scale", [0.5, 2.0, 8.0, 14.0])
 def test_the_fused_geodesic_is_its_composition_bit_for_bit(dim, scale):
     """Each interpolation of the center recursion runs in one frame, which
     must give the bits of the kernels it inlines, with the distance given
     and missing, and hand back x itself for coincident points and for a
-    distance below 1e-14: the generic interpolator and the unrolled one
+    distance below 1e-14: the loop reference and the compiled interpolator
     that `kernels` hands out."""
     space = sp.Space.hyperbolic(dim)
     rng = sp.sub_rng(31, dim * 100 + int(scale))
-    for _ in range(200):
+    for _ in range(_rounds(200, dim)):
         x, y = sp.draw_point(space, rng, scale), sp.draw_point(space, rng, scale)
         t = float(rng.random()) or 0.5  # in (0, 1)
         d = sp.distance(space, x, y)
-        for geodesic in (sp._hyp_geodesic, sp.kernels(space)[2]):
+        for geodesic in (loops.geodesic, sp.kernels(space)[2]):
             for args in ((x, y, t), (x, y, t, None), (x, y, t, d), (y, x, t, d)):
                 assert repr(geodesic(*args)) == repr(composed_geodesic(*args))
             twin = tuple(x)  # equal, not identical
@@ -1036,13 +1056,14 @@ def test_the_fused_geodesic_is_its_composition_bit_for_bit(dim, scale):
     ],
 )
 def test_the_fused_geodesic_raises_as_its_composition_does(spatial):
-    """In H^2, and in H^3 with a zero last coordinate, for the generic and
-    the unrolled interpolator."""
-    for dim, _, unrolled in UNROLLED:
-        x, y = ((math.hypot(1.0, *s),) + s + (0.0,) * (dim - 2) for s in spatial)
+    """In every checked H^n but H^1, whose cut points coincide, with the
+    coordinates past the second zero, for the loop reference and the
+    compiled interpolator."""
+    for dim, _, compiled in UNROLLED[1:]:
+        x, y = (_sheet(s, dim) for s in spatial)
         with pytest.raises(GeometryError, match=r"^distance = \S+ overflows") as want:
             composed_geodesic(x, y, 0.25)
-        for geodesic in (sp._hyp_geodesic, unrolled):
+        for geodesic in (loops.geodesic, compiled):
             with pytest.raises(GeometryError) as got:
                 geodesic(x, y, 0.25)
             assert str(got.value) == str(want.value)
@@ -1065,21 +1086,21 @@ FRACTIONS = [0.5] + [f(2.0**-k) for k in (2, 10, 30, 52) for f in (float, lambda
 @pytest.mark.parametrize("dim, quadrance, geodesic", UNROLLED)
 @pytest.mark.parametrize("scale", [1e-9, 1e-4, 0.5, 2.0, 8.0, 30.0, 120.0, 354.0])
 def test_the_unrolled_kernels_are_the_generic_ones_bit_for_bit(dim, quadrance, geodesic, scale):
-    """The H^2 and H^3 kernels do what `_hyp_quadrance` and `_hyp_geodesic`
-    do, operation for operation: the same bits at every scale from 1e-9
-    out to near the edge where x0^2 overflows, with the distance given
-    and missing."""
+    """The compiled quadrance and geodesic, their loops unrolled over the
+    coordinates, do what the loop reference does, operation for
+    operation: the same bits at every scale from 1e-9 out to near the
+    edge where x0^2 overflows, with the distance given and missing."""
     space = sp.Space.hyperbolic(dim)
     rng = sp.sub_rng(37, dim * 1000 + int(math.log2(scale)) + 40)
-    for _ in range(40):
+    for _ in range(_rounds(40, dim)):
         x, y = sp.draw_point(space, rng, scale), sp.draw_point(space, rng, scale)
         for a, b in ((x, y), (y, x), (x, x)):
             q = quadrance(a, b)
-            assert repr(q) == repr(sp._hyp_quadrance(a, b))
+            assert repr(q) == repr(loops.quadrance(a, b))
             for t in FRACTIONS:
                 for d in (None, sp._quadrance_distance(q)):
                     got = _result_or_error(geodesic, a, b, t, d)
-                    assert got == _result_or_error(sp._hyp_geodesic, a, b, t, d)
+                    assert got == _result_or_error(loops.geodesic, a, b, t, d)
 
 
 @pytest.mark.parametrize("dim, quadrance, geodesic", UNROLLED)
@@ -1087,42 +1108,76 @@ def test_the_unrolled_kernels_raise_as_the_generic_ones_do(dim, quadrance, geode
     """Past the overflow edge, where x0^2 or the quadrance overflows or
     sinh d leaves the double range, both raise the same error."""
     far = [(1e153, 0.0), (-1e153, 0.0), (1e200, 1.0), (3e153, 2e153), (0.0, -5e153)]
-    points = [(math.hypot(1.0, *s),) + s + (0.0,) * (dim - 2) for s in far]
+    points = [_sheet(s, dim) for s in far]
     raised = 0
     for x in points:
         for y in points:
-            assert repr(quadrance(x, y)) == repr(sp._hyp_quadrance(x, y))
+            assert repr(quadrance(x, y)) == repr(loops.quadrance(x, y))
             for t in (0.5, 2.0**-30):
                 for d in (None, 700.0, 711.0, math.inf, math.nan):
                     got = _result_or_error(geodesic, x, y, t, d)
-                    assert got == _result_or_error(sp._hyp_geodesic, x, y, t, d)
+                    assert got == _result_or_error(loops.geodesic, x, y, t, d)
                     raised += isinstance(got, tuple)
     assert raised > 0
 
 
-def test_kernels_hand_out_the_unrolled_kernels_in_h2_and_h3_only(monkeypatch):
-    """H^2 and H^3 get the unrolled pair and every other H^n the generic
-    one, each read from the module when `kernels` is called, so a wrapper
-    installed there sees the calls."""
-    for dim, quadrance, geodesic in UNROLLED:
-        assert sp.kernels(sp.Space.hyperbolic(dim)) == (quadrance, sp._quadrance_distance, geodesic)
-    for dim in (1, 4, 7):
-        generic = (sp._hyp_quadrance, sp._quadrance_distance, sp._hyp_geodesic)
-        assert sp.kernels(sp.Space.hyperbolic(dim)) == generic
-    wrapped, h3_geodesic = [], sp._h3_geodesic
-
-    def counted(*args):
-        wrapped.append(args)
-        return h3_geodesic(*args)
-
-    monkeypatch.setattr(sp, "_h3_geodesic", counted)
-    space = sp.Space.hyperbolic(3)
-    x, y = sp.random_point(space, 1, 2.0), sp.random_point(space, 2, 2.0)
-    assert sp.geodesic_point(space, x, y, 0.25) == h3_geodesic(x, y, 0.25)
-    assert wrapped == [(x, y, 0.25)]
+def test_each_dimension_compiles_its_own_family_once():
+    """`_hyperbolic` compiles one family per dimension and keeps it, and
+    `kernels`, `horofunction` and the point gate read every H^n through
+    it, H^1 and H^4 as H^2 and H^3."""
+    families = {dim: sp._hyperbolic(dim) for dim in (1, 2, 3, 4, 7)}
+    assert len({id(family) for family in families.values()}) == len(families)
+    for dim, family in families.items():
+        assert sp._hyperbolic(dim) is family
+        assert family.quadrance.__name__ == f"_h{dim}_quadrance"
+        space = sp.Space.hyperbolic(dim)
+        assert sp.kernels(space) == (family.quadrance, sp._quadrance_distance, family.geodesic)
+        assert sp.horofunction(space, sp.draw_ideal(space, sp.sub_rng(45, dim)))[1].func is family.ray
+        x = sp.random_point(space, dim, 2.0)
+        assert family.on_sheet(x) and sp.canonical_point(space, x) is x
 
 
-READINGS = [(2, sp._h2_alpha, sp._h2_ray), (3, sp._h3_alpha, sp._h3_ray)]
+def test_a_wrapper_of_kernels_or_horofunction_sees_every_recursion_and_select(monkeypatch):
+    """Each center recursion takes its kernels from `spaces.kernels` once,
+    and each `select` its horofunction pair from `spaces.horofunction`
+    once, read from the module at each call, so a wrapper installed there
+    sees every one, in every H^n."""
+    kernels, horofunction = sp.kernels, sp.horofunction
+    took, built = [], []
+    monkeypatch.setattr(sp, "kernels", lambda space: took.append(space) or kernels(space))
+    monkeypatch.setattr(
+        sp, "horofunction", lambda space, xi: built.append(space) or horofunction(space, xi)
+    )
+    for dim in (1, 2, 3, 4):
+        space = sp.Space.hyperbolic(dim)
+        points = [sp.random_point(space, k, 1.5) for k in range(4)]
+        config = unit_configuration(space, points)
+        for step in (lambda: center_of_mass(space, config), lambda: leave_one_out_step(space, config)):
+            del took[:]
+            step()
+            assert took == [space]
+        xi = sp.draw_ideal(space, sp.sub_rng(46, dim))
+        del built[:]
+        for k in range(1, 4):
+            select(space, ConvexBody.of(space, points[:k + 1]), xi)
+        assert built == [space] * 3
+
+
+def test_the_longest_family_compiles_and_matches_the_loops():
+    """H^1024, MAX_DIM, is the longest source: each sum of 1,025 terms must
+    compile on every supported Python and give the loops' bits."""
+    space = sp.Space.hyperbolic(sp.MAX_DIM)
+    family = sp._hyperbolic(sp.MAX_DIM)
+    rng = sp.sub_rng(47)
+    for scale in (1e-4, 2.0, 30.0):
+        x, y = sp.draw_point(space, rng, scale), sp.draw_point(space, rng, scale)
+        v = sp.validate_ideal(space, sp.draw_ideal(space, rng))
+        assert repr(family.quadrance(x, y)) == repr(loops.quadrance(x, y))
+        assert repr(family.geodesic(x, y, 0.25)) == repr(loops.geodesic(x, y, 0.25))
+        for p in (x, _mirrored(x)):
+            assert repr(family.alpha(p, v)) == repr(loops.alpha(p, v))
+            assert repr(family.ray(v, p, 3.0)) == repr(loops.ray(v, p, 3.0))
+            assert family.on_sheet(p) and loops.on_sheet(p)
 
 
 def _mirrored(x):
@@ -1134,23 +1189,23 @@ def _mirrored(x):
 @pytest.mark.parametrize("dim, alpha, ray", READINGS)
 @pytest.mark.parametrize("scale", [1e-9, 1e-4, 0.5, 2.0, 8.0, 30.0, 120.0, 354.0])
 def test_the_unrolled_readings_are_the_generic_ones_bit_for_bit(dim, alpha, ray, scale):
-    """The H^2 and H^3 levels and rays do what `_hyp_alpha` and `_hyp_ray`
-    do: the same bits, or the same error, at every scale from 1e-9 out to
-    near where x0^2 overflows, for each point and its mirror image, so on
-    both sides of the dot product's sign, and at s from 0 to past where
-    ray points are read back."""
+    """The compiled levels and rays do what the loop reference does: the
+    same bits, or the same error, at every scale from 1e-9 out to near
+    where x0^2 overflows, for each point and its mirror image, so on both
+    sides of the dot product's sign, and at s from 0 to past where ray
+    points are read back."""
     space = sp.Space.hyperbolic(dim)
     rng = sp.sub_rng(43, dim * 1000 + int(math.log2(scale)) + 40)
     signs = set()
-    for _ in range(40):
+    for _ in range(_rounds(40, dim)):
         v = sp.validate_ideal(space, sp.draw_ideal(space, rng))
         x = sp.draw_point(space, rng, scale)
         for p in (x, _mirrored(x)):
-            assert _result_or_error(alpha, p, v) == _result_or_error(sp._hyp_alpha, p, v)
+            assert _result_or_error(alpha, p, v) == _result_or_error(loops.alpha, p, v)
             signs.add(sp._left_sum(a * b for a, b in zip(p[1:], v[1:])) > 0.0)
             assert ray(v, p, 0.0) is p
             for s in (1e-12, 0.7, 6.0, 29.0, 44.0):
-                assert _result_or_error(ray, v, p, s) == _result_or_error(sp._hyp_ray, v, p, s)
+                assert _result_or_error(ray, v, p, s) == _result_or_error(loops.ray, v, p, s)
     assert signs == {False, True}
 
 
@@ -1158,75 +1213,69 @@ def test_the_unrolled_readings_are_the_generic_ones_bit_for_bit(dim, alpha, ray,
 def test_the_unrolled_readings_take_every_branch_of_the_generic_ones(dim, alpha, ray):
     """Far draws take the exact sum past x0 = 2^12 and the read-back past
     x0 = 2^39, which returns some ray points and refuses others; the
-    unrolled readings give the generic bits and errors there too."""
+    compiled readings give the loops' bits and errors there too.  In H^1
+    every read-back of these draws passes, so none is refused."""
     space = sp.Space.hyperbolic(dim)
     rng = sp.sub_rng(44, dim)
     exact = read_back = refused = 0
-    for _ in range(300):
+    for _ in range(_rounds(300, dim)):
         v = sp.validate_ideal(space, sp.draw_ideal(space, rng))
         x = sp.draw_point(space, rng, float(rng.uniform(0.0, 20.0)))
         s = float(rng.uniform(0.0, 45.0))
         for p in (x, _mirrored(x)):
-            assert repr(alpha(p, v)) == repr(sp._hyp_alpha(p, v))
+            assert repr(alpha(p, v)) == repr(loops.alpha(p, v))
             exact += p[0] > 2.0**12 and sp._left_sum(a * b for a, b in zip(p[1:], v[1:])) > 0.0
             got = _result_or_error(ray, v, p, s)
-            assert got == _result_or_error(sp._hyp_ray, v, p, s)
+            assert got == _result_or_error(loops.ray, v, p, s)
             if isinstance(got, tuple):
                 assert got[0] is GeometryError and f"s = {s!r} is too far out" in got[1]
                 refused += 1
             else:
                 read_back += ray(v, p, s)[0] > 2.0**39
-    assert exact > 0 and read_back > 0 and refused > 0
+    assert exact > 0 and read_back > 0 and (refused > 0 or dim == 1)
 
 
 @pytest.mark.parametrize("dim, alpha, ray", READINGS)
 def test_the_unrolled_readings_raise_as_the_generic_ones_do(dim, alpha, ray):
     """Points off the sheet, where alpha is not positive, and rays whose
-    sinh s or lifted x0^2 overflows raise the generic errors, with the
-    generic messages, as do NaN and signed zeros."""
+    sinh s or lifted x0^2 overflows raise the loops' errors, with their
+    messages, as do NaN and signed zeros."""
     space = sp.Space.hyperbolic(dim)
     xi = sp.validate_ideal(space, IdealPoint.null_vector((1.0, 1.0) + (0.0,) * (dim - 1)))
     spatial = [(0.0, 0.0), (5.0, 0.0), (-5.0, 0.0), (1e154, 0.0), (-1e154, 1e150), (3.0, -4.0)]
     raw = [(-1.0, 0.0, 0.0), (math.nan, 0.0, 0.0), (0.0, 0.0, 0.0), (-0.0, -0.0, 0.0),
            (1.0, 5.0, 0.0), (1.0, -0.0, -0.0)]
     messages = []
-    for x in [(math.hypot(1.0, *y),) + y for y in spatial] + raw:
-        p = x + (0.0,) * (dim - 2)
-        for q in (p, _mirrored(p)):
+    for x in [_sheet(y, dim) for y in spatial] + [(r + (0.0,) * dim)[: dim + 1] for r in raw]:
+        for q in (x, _mirrored(x)):
             got = _result_or_error(alpha, q, xi)
-            assert got == _result_or_error(sp._hyp_alpha, q, xi)
+            assert got == _result_or_error(loops.alpha, q, xi)
             for s in (1.0, 30.0, 700.0, 710.4758600739439, 710.475860073944, 800.0, math.nan):
                 got = _result_or_error(ray, xi, q, s)
-                assert got == _result_or_error(sp._hyp_ray, xi, q, s)
+                assert got == _result_or_error(loops.ray, xi, q, s)
                 messages.append(got[1] if isinstance(got, tuple) else "")
     for error in ("off the hyperboloid sheet", "x0^2 = inf", "cosh(800.0) is out of range"):
         assert any(error in m for m in messages)
 
 
-def test_horofunction_reads_through_the_unrolled_readings_in_h2_and_h3_only(monkeypatch):
-    """H^2 and H^3 levels and rays read `_h2_alpha`/`_h2_ray` and
-    `_h3_alpha`/`_h3_ray`, and every other H^n the generic pair, each
-    taken from the module when `horofunction` is called, so a wrapper
-    installed there sees the calls."""
-    for dim in (1, 2, 3, 4, 7):
-        space = sp.Space.hyperbolic(dim)
-        ray = dict((d, r) for d, _, r in READINGS).get(dim, sp._hyp_ray)
-        xi = sp.draw_ideal(space, sp.sub_rng(45, dim))
-        assert sp.horofunction(space, xi)[1].func is ray
-    wrapped, h3_alpha = [], sp._h3_alpha
-
-    def counted(*args):
-        wrapped.append(args)
-        return h3_alpha(*args)
-
-    monkeypatch.setattr(sp, "_h3_alpha", counted)
-    space = sp.Space.hyperbolic(3)
-    xi, x = sp.draw_ideal(space, sp.sub_rng(45)), sp.random_point(space, 1, 2.0)
-    level, ray = sp.horofunction(space, xi)
-    assert level(x) == math.log(h3_alpha(x, xi.vector)) - math.log(xi.vector[0])
-    assert len(wrapped) == 1
-    ray(x, 1.0)
-    assert len(wrapped) == 2
+@pytest.mark.parametrize("dim", DIMS)
+def test_the_compiled_sheet_check_is_the_generic_one(dim):
+    """canonical_point's one-pass test of a plain point agrees with the
+    loop reference on drawn points, their neighbours one ulp and one
+    tolerance off the sheet, and points with a non-float, non-positive or
+    non-finite entry."""
+    space = sp.Space.hyperbolic(dim)
+    on_sheet, rng = sp._hyperbolic(dim).on_sheet, sp.sub_rng(48, dim)
+    seen = set()
+    for scale in (1e-4, 2.0, 30.0, 300.0):
+        x = sp.draw_point(space, rng, scale)
+        off = x[:-1] + (x[-1] + 4e-9 * x[0],)
+        ulp = (math.nextafter(x[0], math.inf),) + x[1:]
+        for p in (x, off, ulp, (-x[0],) + x[1:], x[:-1] + (math.inf,), x[:-1] + (np.float64(x[-1]),),
+                  (math.inf,) + x[1:], (math.nan,) + x[1:], (1,) + (0.0,) * dim):
+            assert on_sheet(p) is loops.on_sheet(p)
+            seen.add(on_sheet(p))
+    assert seen == {False, True}
 
 
 @settings(max_examples=300, deadline=None)

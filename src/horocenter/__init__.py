@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {  # home module -> its public names
     "barycenter": "BarycenterResult Configuration ConvergenceError WeightedPoint "
-    "center_of_mass config_diameter hull_sample leave_one_out_step "
+    "center_of_mass config_diameter leave_one_out_step "
     "two_point_center unit_configuration",
     "horosphere": "ConvexBody NON_SHRINKING SHRINKING SelectOptions ShrinkClass "
     "classify_body first_horosphere limit_separation project_to_level select "
@@ -17,7 +17,7 @@ _EXPORTS = {  # home module -> its public names
     "lipschitz": "LipschitzReport ScanParams ScanRecord branch_straddle_probe "
     "hausdorff mass_shift_scan point_shift_scan selector_scan",
     "spaces": "EUCLIDEAN HYPERBOLIC TREE GeometryError IdealPoint Space basepoint "
-    "busemann distance geodesic_point random_point ray_point",
+    "busemann distance geodesic_point ray_point",
     "trees": "Tree TreeError TreePoint",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -31,9 +31,10 @@ configuration that takes a recursive step (default 7) and can be raised
 explicitly.  Every step shrinks the diameter, but convergence can be
 only linear: near a tree branch vertex the ratio per step stays
 constant.  `center_of_mass`, `leave_one_out_step` and `two_point_center`
-enter the recursion through `_start`, which checks each mass once, as
-`Configuration.of` does, and scales masses whose sum reaches 2**1023 by
-2**-64 (see `_finite_masses`).
+enter the recursion through `_start`, which reads each item through the
+loop `Configuration.of` runs (`_checked_items`), so a configuration built
+past it gets the same refusal, and scales masses whose sum reaches
+2**1023 by 2**-64 (see `_finite_masses`).
 """
 
 from __future__ import annotations
@@ -75,37 +76,9 @@ class Configuration(Frozen):
 
     @classmethod
     def of(cls, space: Space, items) -> "Configuration":
-        """The configuration of (point, mass) pairs or WeightedPoints; an
-        error names its entry, as points[i] or points[i].mass.  A mass is
-        anything float() reads but a str or bytes, stored as that float,
-        which must be positive and finite; a refusal shows a
-        WeightedPoint's mass as given and a pair's as the float it reads
-        as."""
-        out = []
-        canonical = spaces.canonical_point
-        for i, item in enumerate(items):
-            if isinstance(item, WeightedPoint):
-                point, mass = item.point, item.mass
-                value = mass if type(mass) is float else _mass_value(i, mass)
-            else:
-                try:
-                    point, mass = item
-                except (TypeError, ValueError):
-                    raise GeometryError(
-                        f"points[{i}]: expected a (point, mass) pair or a WeightedPoint, "
-                        f"got {type(item).__name__}"
-                    ) from None
-                value = mass = mass if type(mass) is float else _mass_value(i, mass)
-            if not 0.0 < value < math.inf:
-                raise _refused_mass(i, mass)
-            try:
-                point = canonical(space, point)
-            except GeometryError as exc:
-                raise type(exc)(f"points[{i}]: {exc}") from None
-            out.append(WeightedPoint(point, value))
-        if not out:
-            raise GeometryError("points: a configuration needs at least one point")
-        return cls(tuple(out))
+        """The configuration of (point, mass) pairs or WeightedPoints, as
+        `_checked_items` reads them; an error names its entry."""
+        return cls(tuple(starmap(WeightedPoint, _checked_items(space, items))))
 
     @property
     def total_mass(self) -> float:
@@ -123,11 +96,38 @@ class BarycenterResult(Value):
     __slots__ = ("center", "iterations", "diameter_trace", "converged")
 
 
-def _checked_mass(i: int, mass):
-    """Mass i, or an error naming its entry if it is not positive and finite."""
-    if not (math.isfinite(mass) and mass > 0.0):
-        raise _refused_mass(i, mass)
-    return mass
+def _checked_items(space: Space, items) -> list:
+    """The (point, mass) pairs of (point, mass) pairs or WeightedPoints, or
+    an error that names its entry, as points[i] or points[i].mass: the one
+    reading of items, behind Configuration.of and the recursion's door
+    (`_start`).  A point is what spaces.canonical_point returns.  A mass
+    is anything float() reads but a str or bytes, stored as that float,
+    which must be positive and finite; a refusal shows a WeightedPoint's
+    mass as given and a pair's as the float it reads as."""
+    out = []
+    canonical = spaces.canonical_point
+    for i, item in enumerate(items):
+        if isinstance(item, WeightedPoint):
+            point, mass = item.point, item.mass
+            value = mass if type(mass) is float else _mass_value(i, mass)
+        else:
+            try:
+                point, mass = item
+            except (TypeError, ValueError):
+                raise GeometryError(
+                    f"points[{i}]: expected a (point, mass) pair or a WeightedPoint, "
+                    f"got {type(item).__name__}"
+                ) from None
+            value = mass = mass if type(mass) is float else _mass_value(i, mass)
+        if not 0.0 < value < math.inf:
+            raise _refused_mass(i, mass)
+        try:
+            out.append((canonical(space, point), value))
+        except GeometryError as exc:
+            raise type(exc)(f"points[{i}]: {exc}") from None
+    if not out:
+        raise GeometryError("points: a configuration needs at least one point")
+    return out
 
 
 def _refused_mass(i: int, mass) -> GeometryError:
@@ -315,7 +315,7 @@ class _Recursion:
     generation with a new memo.  Items are never compared, so duplicate
     points and signed zeros are each computed from their own items; tol,
     max_iters and max_points are fixed for the recursion's life.  `_start`
-    checks the masses, and a step forms only positive finite ones.
+    checks the items, and a step forms only positive finite masses.
     """
 
     __slots__ = (
@@ -540,11 +540,13 @@ def _over_cap(n: int, cap: int) -> GeometryError:
 
 def _start(space: Space, config: Configuration, tol, max_iters, max_points):
     """The recursion of one top-level call, the configuration's items and
-    pair table, and the mass scale k of `_finite_masses`."""
+    pair table, and the mass scale k of `_finite_masses`.  The items are
+    read as Configuration.of reads them (`_checked_items`), so a
+    configuration built past it is refused with its message."""
     recursion = _Recursion(space, tol, max_iters, max_points)
-    spaces.check_arity(space, config.points)
-    masses, k = _finite_masses([_checked_mass(i, it.mass) for i, it in enumerate(config.items)])
-    items = tuple(zip(config.points, masses))
+    points, masses = zip(*_checked_items(space, config.items))
+    masses, k = _finite_masses(masses)
+    items = tuple(zip(points, masses))
     return recursion, items, recursion.table(items), k
 
 
@@ -596,34 +598,6 @@ def center_of_mass(
         return BarycenterResult(_finite(space, c), 0, [0.0], True)
     center, iterations, trace = recursion.settle(items, table, range(len(items)), {})
     return BarycenterResult(center, iterations, trace, True)
-
-
-def hull_sample(space: Space, config: Configuration, depth: int, seed: int) -> list:
-    """Sample the convex hull by iterated random geodesic interpolation.
-
-    Each round doubles the sample set, so the result holds
-    len(config) * 2**depth points, all in the hull by construction.
-    """
-    if depth < 1:
-        raise GeometryError(f"depth must be >= 1, got {depth}")
-    if len(config) < 2:
-        raise GeometryError("hull sampling needs at least 2 generators")
-    rng = spaces.sub_rng(seed)
-    samples = list(config.points)
-    for _ in range(depth):
-        fresh = []
-        for i in range(len(samples)):
-            j = int(rng.integers(len(samples)))
-            t = float(rng.random())
-            fresh.append(spaces.geodesic_point(space, samples[i], samples[j], t))
-        samples.extend(fresh)
-    return samples
-
-
-def permuted(config: Configuration, order) -> Configuration:
-    """Configuration with items reordered; used by uniqueness checks."""
-    items = config.items
-    return Configuration(tuple(items[i] for i in order))
 
 
 def replace_point(config: Configuration, index: int, point) -> Configuration:

@@ -25,6 +25,7 @@ level per generator, so sets off one horosphere never shrink to a point.
 from __future__ import annotations
 
 import math
+from itertools import combinations, starmap
 
 from . import spaces
 from .barycenter import (
@@ -85,7 +86,7 @@ def first_horosphere(space: Space, body: ConvexBody, xi: IdealPoint):
     within a small absolute slack all count as contact).
     """
     gens, level = body.generators, spaces.horofunction(space, xi)[0]
-    return _contact(gens, [level(spaces._check_length(space, g)) for g in gens])
+    return _contact(gens, [level(g) for g in spaces.checked_points(space, gens)])
 
 
 def _contact(points, levels):
@@ -95,7 +96,7 @@ def _contact(points, levels):
 
 def project_to_level(space: Space, x, xi: IdealPoint, t: float):
     """Move x along its ray toward xi down to horofunction level t."""
-    spaces._check_length(space, x)
+    spaces.checked_points(space, (x,))
     level, ray = spaces.horofunction(space, xi)
     return _project(ray, x, level(x), t)
 
@@ -121,12 +122,12 @@ def _limit_spread(space: Space, points, xi: IdealPoint) -> float:
     first_horosphere and project_to_level, and gives exactly 0.0.
     """
     level = spaces.horofunction(space, xi)[0]
-    return _spread(space, points, lambda p: level(spaces._check_length(space, p)))
+    return _spread(space, spaces.checked_points(space, points), level)
 
 
 def _spread(space: Space, points, level) -> float:
-    if space.kind == EUCLIDEAN:
-        return spaces.diameter(space, points)
+    if space.kind == EUCLIDEAN:  # the diameter of points the caller checked
+        return spaces.farthest(float, starmap(math.dist, combinations(points, 2)))
     levels = list(map(level, points))
     gap = max(levels, default=0.0) - min(levels, default=0.0)
     return 0.0 if gap <= CONTACT_SLACK else gap
@@ -203,6 +204,7 @@ def _select(space: Space, horo, body: ConvexBody, opts: SelectOptions):
     if len(gens) == 1:
         return gens[0]
     level, ray = horo
+    # lengths only: ConvexBody.of ran the point rule, which here would cost ~10% of a round
     levels = [level(spaces._check_length(space, g)) for g in gens]
     t_star, contact = _contact(gens, levels)
     projected = [_project(ray, g, b, t_star) for g, b in zip(gens, levels)]

@@ -95,7 +95,7 @@ def hausdorff(space: Space, a: ConvexBody, b: ConvexBody) -> float:
     largest of each generator's nearest measure in the other set, mapped
     to a distance once."""
     a, b = a.generators, b.generators
-    spaces.check_arity(space, a + b)
+    spaces.checked_points(space, a + b)
     measure, to_distance, _ = spaces.kernels(space)
     nearest = (min(measure(p, q) for q in dst) for src, dst in ((a, b), (b, a)) for p in src)
     return spaces.farthest(to_distance, nearest)

@@ -21,12 +21,17 @@ with no loop over its coordinates.  The spaces:
 * ``tree`` -- a finite metric tree with marked ends (see ``trees``).
 
 Points and ideal vectors have ``coordinate_count`` entries, n in R^n and
-n + 1 in H^n.  ``canonical_point`` is the one point check, which every
-input point passes once, in ``Configuration.of`` or ``ConvexBody.of``.
-Past it only lengths are checked: ``busemann`` and ``ray_point`` check
-their point's, and ``check_arity`` those of ``distance``,
-``geodesic_point``, ``diameter``, ``ray_separation``, ``center_of_mass``
-and ``hausdorff``.  An ideal point is checked in one place:
+n + 1 in H^n.  ``canonical_point`` is the one point rule.
+``Configuration.of`` and ``ConvexBody.of`` store what it returns, and the
+center recursion's door (``barycenter._start``) reads each item through
+the loop ``Configuration.of`` runs.  Every other reader of points --
+``distance``, ``geodesic_point``, ``diameter``, ``busemann``,
+``ray_point``, ``ray_separation``, the horosphere readers and
+``hausdorff`` -- passes them through ``checked_points``, which refuses
+with canonical_point's message and then reads the points as given.  Only
+``select``'s inner loop checks no more than each generator's length: the
+full rule there cost about 10% of a ``select`` round.  An ideal point is
+checked in one place:
 ``horofunction`` builds its pair from what ``validate_ideal`` returns, and
 every level, ray and selector reads through such a pair, so the library
 refuses what ``validate_ideal`` refuses, with its message.
@@ -357,6 +362,15 @@ def _check_length(space: Space, v, unit: str = "coordinates"):
     return v
 
 
+def checked_points(space: Space, points):
+    """points as given, once each passes canonical_point; a refusal
+    carries its message.  No point is copied or snapped, so an accepted
+    input reads with every bit it came with."""
+    for p in points:
+        canonical_point(space, p)
+    return points
+
+
 def canonical_point(space: Space, p):
     """p as the aggregates store it, or an error: the type, finiteness,
     length and sheet checks here, the edge and offset checks in
@@ -456,7 +470,7 @@ def kernels(space: Space):
 
     H^n gets the quadrance and geodesic of `_hyperbolic(n)`, compiled for
     n on the first call, which raise from their unpacking on a
-    wrong-length point, so callers check arity first.  The center
+    wrong-length point, so callers check lengths first.  The center
     recursion takes its kernels here once per call, so a wrapper of this
     function installed in this module sees every recursion.
     """
@@ -469,15 +483,13 @@ def kernels(space: Space):
 
 
 def diameter(space: Space, points) -> float:
-    """Largest pairwise distance of a finite point set (0 below two points).
+    """Largest pairwise distance of a finite point set (0 below two points),
+    once each point passes canonical_point, the first refused blamed.
 
-    Pairs are measured in the order (0, 1), (0, 2), ..., (1, 2), ..., and
-    a wrong-length point is reported as `distance` would report the first
-    pair that holds one.
+    Pairs are measured in the order (0, 1), (0, 2), ..., (1, 2), ....
     """
-    check_arity(space, points)
     measure, to_distance, _ = kernels(space)
-    return farthest(to_distance, starmap(measure, combinations(points, 2)))
+    return farthest(to_distance, starmap(measure, combinations(checked_points(space, points), 2)))
 
 
 def farthest(to_distance, measures) -> float:
@@ -486,30 +498,16 @@ def farthest(to_distance, measures) -> float:
     return to_distance(max(chain((0.0,), measures)))
 
 
-def check_arity(space: Space, points) -> None:
-    """Raise for the first pair (0, k), or (0, 1), that holds a point of
-    the wrong length, naming both lengths; no-op in trees and below two
-    points."""
-    if space.kind != TREE and len(points) >= 2:
-        n = coordinate_count(space)
-        for k, p in enumerate(points):
-            if len(p) != n:
-                raise GeometryError(
-                    f"expected {n} coordinates, "
-                    f"got {len(points[0])} and {len(points[k or 1])}"
-                )
-
-
 def _quadrance_distance(q: float) -> float:
     """2 asinh(sqrt(q)/2), the distance at quadrance q, nondecreasing in q."""
     return 0.0 if q <= 0.0 else 2.0 * math.asinh(0.5 * math.sqrt(q))
 
 
 def distance(space: Space, x, y) -> float:
-    """Geodesic distance.  Arity is checked here; the rest of a point's
-    validity (on-sheet, offsets in range) is checked once, where it
-    enters a Configuration or ConvexBody, by canonical_point."""
-    check_arity(space, (x, y))
+    """Geodesic distance.  x and y pass canonical_point, the one point
+    rule, or are refused with its message (`checked_points`), and are then
+    read as given."""
+    checked_points(space, (x, y))
     measure, to_distance, _ = kernels(space)
     return to_distance(measure(x, y))
 
@@ -518,11 +516,11 @@ def geodesic_point(space: Space, x, y, t: float):
     """Point at arclength fraction t in [0, 1] from x toward y."""
     if not 0.0 <= t <= 1.0:
         raise GeometryError(f"geodesic parameter must lie in [0, 1], got {t}")
+    checked_points(space, (x, y))
     if t == 0.0:
         return x
     if t == 1.0:
         return y
-    check_arity(space, (x, y))
     return kernels(space)[2](x, y, t)
 
 
@@ -589,7 +587,7 @@ def ray_point(space: Space, x, xi: IdealPoint, s: float):
     busemann checks it, at s = 0 too."""
     if not 0.0 <= s < math.inf:
         raise GeometryError(f"ray parameter s must be finite and nonnegative, got {s}")
-    _check_length(space, x)
+    checked_points(space, (x,))
     return horofunction(space, xi)[1](x, s)
 
 
@@ -600,17 +598,17 @@ def busemann(space: Space, xi: IdealPoint, x) -> float:
     hyperbolic xi is read as exactly null, as every constructor makes it,
     so a raw IdealPoint(vector=v) that is null only to IDEAL_TOL gets the
     level as if it were null."""
-    _check_length(space, x)
+    checked_points(space, (x,))
     return horofunction(space, xi)[0](x)
 
 
 def ray_separation(space: Space, x, y, xi: IdealPoint, s: float) -> float:
     """distance(ray(x, xi, s), ray(y, xi, s)), computed stably per space."""
     level, ray = horofunction(space, xi)  # checks xi in every space
+    checked_points(space, (x, y))
     if space.kind == EUCLIDEAN:
-        return distance(space, x, y)  # parallel rays keep their separation
+        return math.dist(x, y)  # parallel rays keep their separation
     if space.kind == HYPERBOLIC:
-        check_arity(space, (x, y))
         a2 = 0.25 * max(_hyperbolic(space.dim).quadrance(x, y), 0.0)  # sinh^2(d0/2)
         g2 = math.sinh(0.5 * (level(x) - level(y))) ** 2
         cm1 = 2.0 * (g2 + (a2 - g2) * math.exp(-2.0 * s))
@@ -665,10 +663,6 @@ def draw_point(space: Space, rng: Stream, scale: float):
     if d <= scale:
         return target
     return tree.walk(tree.basepoint, target, scale * float(rng.random()))
-
-
-def random_point(space: Space, seed: int, scale: float):
-    return draw_point(space, sub_rng(seed), scale)
 
 
 def draw_ideal(space: Space, rng: Stream) -> IdealPoint:

@@ -1,11 +1,12 @@
 """Slotted value types, the base of the library's small records.
 
-A subclass names its fields in ``__slots__``, in constructor order, and
-may default the trailing ones in a class-level ``_defaults`` mapping.
+A subclass names its fields in ``__slots__``, in constructor order, after
+those of its parent, and may default the trailing ones in a class-level
+``_defaults`` mapping, which extends its parent's.
 Two methods are compiled from the slots once, when the class is created,
 as `collections.namedtuple` compiles its ``__new__``: ``_astuple``,
 which returns the field tuple, and, unless the class writes its own,
-``__init__`` (one ``object.__setattr__`` per field).  The slots are kept
+``__init__`` (one ``object.__setattr__`` per field).  The fields are kept
 as ``_fields``, which a subclass that declares no slots of its own
 inherits with ``_astuple``.  Equality (same class only, by field
 tuple), the ``Name(field=value, ...)`` repr,
@@ -24,19 +25,22 @@ class Value:
 
     __slots__ = ()
     _fields = ()
+    _defaults = {}
 
     def __init_subclass__(cls):
         """Give a class with fields its ``_astuple`` and, unless it writes
-        its own ``__init__``, a constructor, both from its slots."""
+        its own ``__init__``, a constructor, both from its parent's fields
+        and then its own slots; its ``_defaults`` extend its parent's."""
         super().__init_subclass__()
-        fields = cls.__dict__.get("__slots__", ())
-        if not fields:
+        own = cls.__dict__.get("__slots__", ())
+        if not own:
             return
-        cls._fields = tuple(fields)
+        parent = super(cls, cls)
+        fields = cls._fields = parent._fields + tuple(own)
+        defaults = cls._defaults = {**parent._defaults, **cls.__dict__.get("_defaults", {})}
         source = f"def _astuple(self):\n    return ({''.join(f'self.{name}, ' for name in fields)})\n"
         methods = ["_astuple"]
         if "__init__" not in cls.__dict__:
-            defaults = cls.__dict__.get("_defaults", {})
             trailing = fields[len(fields) - len(defaults) :]
             if set(trailing) != set(defaults):
                 raise TypeError(f"{cls.__qualname__}._defaults must name trailing fields")

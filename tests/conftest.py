@@ -1,6 +1,7 @@
 import pytest
 
-from horocenter import IdealPoint, Space
+from horocenter import GeometryError, IdealPoint, Space, spaces
+from horocenter.barycenter import Configuration
 
 # Shared desk-scale tree: B is a branch vertex (degree 3); C and E are
 # marked ends, D is a plain leaf.
@@ -50,3 +51,39 @@ def ideal_for(space) -> IdealPoint:
     if space.kind == "hyperbolic":
         return IdealPoint.null_vector((1.0, 1.0) + (0.0,) * (space.dim - 1))
     return IdealPoint.end(sorted(space.tree.ideal_leaves)[0])
+
+
+# -- sampling helpers that only the tests use ------------------------------------
+
+
+def random_point(space, seed: int, scale: float):
+    """One point within distance `scale` of the basepoint, from stream seed."""
+    return spaces.draw_point(space, spaces.sub_rng(seed), scale)
+
+
+def hull_sample(space, config, depth: int, seed: int) -> list:
+    """Sample the convex hull by iterated random geodesic interpolation.
+
+    Each round doubles the sample set, so the result holds
+    len(config) * 2**depth points, all in the hull by construction.
+    """
+    if depth < 1:
+        raise GeometryError(f"depth must be >= 1, got {depth}")
+    if len(config) < 2:
+        raise GeometryError("hull sampling needs at least 2 generators")
+    rng = spaces.sub_rng(seed)
+    samples = list(config.points)
+    for _ in range(depth):
+        fresh = []
+        for i in range(len(samples)):
+            j = int(rng.integers(len(samples)))
+            t = float(rng.random())
+            fresh.append(spaces.geodesic_point(space, samples[i], samples[j], t))
+        samples.extend(fresh)
+    return samples
+
+
+def permuted(config, order):
+    """The configuration with its items reordered, past Configuration.of."""
+    items = config.items
+    return Configuration(tuple(items[i] for i in order))

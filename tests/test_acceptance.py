@@ -16,9 +16,7 @@ from horocenter.barycenter import (
     WeightedPoint,
     center_of_mass,
     config_diameter,
-    hull_sample,
     leave_one_out_step,
-    permuted,
     two_point_center,
     unit_configuration,
 )
@@ -41,7 +39,7 @@ from horocenter.lipschitz import (
     shift_case,
 )
 
-from conftest import TREE_EDGES, TREE_LEAVES, ideal_for
+from conftest import TREE_EDGES, TREE_LEAVES, hull_sample, ideal_for, permuted, random_point
 
 EUCLID = Space.euclidean(2)
 HYP = Space.hyperbolic(2)
@@ -69,7 +67,7 @@ def test_c01_fixed_point_contract():
     for name, space in ALL_SPACES:
         xi = ideal_for(space)
         for seed in range(200):
-            x = sp.random_point(space, seed, 2.0)
+            x = random_point(space, seed, 2.0)
             got = select(space, ConvexBody.of(space, [x]), xi)
             worst = max(worst, sp.distance(space, got, x))
     assert worst <= 1e-12

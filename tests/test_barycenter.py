@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 import re
 import sys
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 
 import hyperboloid_oracle as oracle
 import kernel_reference as loops
-from conftest import TREE_EDGES, TREE_LEAVES
+from conftest import TREE_EDGES, TREE_LEAVES, hull_sample, permuted
 from horocenter import GeometryError, Space, spaces as sp
 from horocenter.barycenter import (
     DEFAULT_TOL,
@@ -23,9 +26,7 @@ from horocenter.barycenter import (
     WeightedPoint,
     center_of_mass,
     config_diameter,
-    hull_sample,
     leave_one_out_step,
-    permuted,
     two_point_center,
     unit_configuration,
     _finite_masses,
@@ -33,6 +34,7 @@ from horocenter.barycenter import (
     _Recursion,
     _sheet_mean,
 )
+from horocenter.cli import main
 from horocenter.trees import TreeError, TreePoint
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
@@ -974,6 +976,54 @@ def test_one_and_two_points_refuse_bad_masses(name):
                 two_point_center(space, *items)
 
 
+# items that Configuration.of refuses or reads, at entry 1: masses it
+# refuses or converts, and points the point rule refuses
+PAST_THE_GATE = {
+    "euclid2": [(math.nan, 0.0), [1.0, 0.0]],
+    "hyp2": [(1.0, 5.0, 0.0), (math.inf, 0.0, 0.0), [1.0, 0.0, 0.0]],
+    "tree": [TreePoint("A-B", -math.inf), ("A-B", 0.5)],
+}
+DOORS = {
+    "center_of_mass": center_of_mass,
+    "leave_one_out_step": leave_one_out_step,
+    "two_point_center": lambda space, cfg: two_point_center(space, *cfg.items[:2]),
+}
+
+
+@pytest.mark.parametrize("door", sorted(DOORS))
+@pytest.mark.parametrize("name", sorted(PAST_THE_GATE))
+def test_the_recursion_reads_items_as_configuration_of_does(name, door):
+    """A configuration built past Configuration.of gets its outcome where
+    the recursion starts: a str mass, a Decimal mass that reads as 0.0 and
+    a point the point rule refuses get its message, prefixed points[1];
+    a Decimal mass that reads as a positive float gets its center.  Before,
+    a str or Decimal mass raised a bare TypeError, an off-sheet point gave
+    a center and a NaN coordinate a bare ValueError."""
+    space, call = MEMO_SPACES[name], DOORS[door]
+    x, y = sp.basepoint(space), sp.draw_point(space, np.random.default_rng(7), 1.0)
+    cases = [[(x, 1.0), (y, m), (x, 0.5)] for m in ("2.5", Decimal("1e-400"), Decimal(2))]
+    cases += [[(x, 1.0), (p, 2.0), (x, 0.5)] for p in PAST_THE_GATE[name]]
+    for items in cases:
+        cfg = Configuration(tuple(starmap(WeightedPoint, items)))
+        try:
+            want = call(space, Configuration.of(space, cfg.items))
+        except GeometryError as exc:
+            with pytest.raises(GeometryError) as got:
+                call(space, cfg)
+            assert str(got.value) == str(exc) and str(exc).startswith("points[1]"), items
+        else:
+            assert items[1][1] == Decimal(2)
+            assert repr(call(space, cfg)) == repr(want)
+
+
+def test_an_empty_configuration_is_refused_where_the_recursion_starts(hyp2):
+    with pytest.raises(GeometryError) as want:
+        Configuration.of(hyp2, [])
+    with pytest.raises(GeometryError) as got:
+        center_of_mass(hyp2, Configuration(()))
+    assert str(got.value) == str(want.value) == "points: a configuration needs at least one point"
+
+
 def _log_uniform_masses(rng, n):
     """n masses log-uniform over [5e-324, 1e308], with ties, and in a third
     of the draws one mass of 1e308 that dwarfs the rest."""
@@ -1012,12 +1062,14 @@ def test_every_mass_a_step_forms_is_positive_and_finite(name):
 
 
 def test_an_overflowing_three_point_settle_names_its_cause(hyp2):
-    """Raw far H^2 points whose moves overflow are refused by the diameter
-    check in center_of_mass and by the move's lift in leave_one_out_step."""
+    """Raw far H^2 points whose moves overflow are refused where the
+    recursion starts, by the point rule, in center_of_mass and in
+    leave_one_out_step alike: their x0^2 overflows."""
     cfg = Configuration(tuple(WeightedPoint(p, 1.0) for p in _far_triangle(360.0)))
-    with pytest.raises(GeometryError, match="^configuration overflows: diameter inf$"):
+    refused = r"^points\[0\]: point is off the hyperboloid: <x,x> = nan$"
+    with pytest.raises(GeometryError, match=refused):
         center_of_mass(hyp2, cfg)
-    with pytest.raises(GeometryError, match=r"^distance = inf overflows: the point's x0\^2 = nan$"):
+    with pytest.raises(GeometryError, match=refused):
         leave_one_out_step(hyp2, cfg)
 
 
@@ -1664,6 +1716,64 @@ def test_points_on_one_geodesic_center_at_their_mean_arclength(dim, c):
             norm = sum(Decimal(a) ** 2 for a in u).sqrt()
             exact = (0.0, *(oracle._sinh(mean) * Decimal(a) / norm for a in u))
         assert oracle.distance(got.center, exact) <= 1e-8
+
+
+def _far_geodesic_configurations(count):
+    """count seeded (space, items) on one geodesic of H^2 or H^3 through
+    the basepoint: n = 3 to 5 points at arclengths in [0, 25], with unit
+    masses in half the draws and masses in [0.5, 2] in the others."""
+    rng = np.random.default_rng(16)
+    for k in range(count):
+        space = Space.hyperbolic(2 + k % 2)
+        u = rng.normal(size=space.dim)
+        u = [float(a) for a in u / np.linalg.norm(u)]
+        n = int(rng.integers(3, 6))
+        masses = [1.0] * n if k % 4 < 2 else [float(m) for m in rng.uniform(0.5, 2.0, n)]
+        points = [sp._lift([math.sinh(s) * a for a in u], "s", s) for s in rng.uniform(0.0, 25.0, n)]
+        yield space, list(zip(points, masses))
+
+
+def test_far_configurations_on_one_geodesic_raise_no_bare_error():
+    """Valid input at any scale gets a center, a GeometryError or a
+    ConvergenceError: over 800 far configurations on one geodesic, where
+    pair quadrances cancel (the far-field defect), no other exception
+    escapes center_of_mass."""
+    outcomes = Counter()
+    for space, items in _far_geodesic_configurations(800):
+        try:
+            center_of_mass(space, Configuration.of(space, items))
+            outcomes["center"] += 1
+        except (GeometryError, ConvergenceError) as exc:
+            outcomes[type(exc).__name__] += 1
+    assert outcomes["center"] > 600 and outcomes["GeometryError"] and outcomes["ConvergenceError"]
+
+
+def test_the_cli_keeps_its_exit_codes_on_far_configurations(tmp_path):
+    """`horocenter barycenter` on every fourth of the same configurations
+    exits 0, 1 or 2, with an error line and no traceback, and a 0 writes
+    strict JSON."""
+
+    def strict(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    codes = Counter()
+    for k, (space, items) in enumerate(_far_geodesic_configurations(800)):
+        if k % 4:
+            continue
+        doc = {"points": [{"coords": list(p), "mass": m} for p, m in items]}
+        (tmp_path / "space.json").write_text(json.dumps({"space": "hyperbolic", "dim": space.dim}))
+        (tmp_path / "doc.json").write_text(json.dumps(doc))
+        argv = ["barycenter", "--space-json", str(tmp_path / "space.json")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--input", str(tmp_path / "doc.json")])
+        assert code in (0, 1, 2) and "Traceback" not in err.getvalue(), err.getvalue()
+        if code == 0:
+            json.loads(out.getvalue(), parse_constant=strict)
+        else:
+            assert err.getvalue().startswith(("error: ", "barycenter: ")), err.getvalue()
+        codes[code] += 1
+    assert set(codes) == {0, 1, 2}, codes
 
 
 def _mean_arclength(arclengths, masses) -> Fraction:

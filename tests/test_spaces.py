@@ -10,12 +10,20 @@ from hypothesis import strategies as st
 from horocenter import GeometryError, IdealPoint, basepoint
 from horocenter import spaces as sp
 from horocenter.barycenter import center_of_mass, leave_one_out_step, unit_configuration
-from horocenter.horosphere import ConvexBody, classify_body, first_horosphere, select
+from horocenter.horosphere import (
+    ConvexBody,
+    classify_body,
+    first_horosphere,
+    limit_separation,
+    project_to_level,
+    select,
+)
+from horocenter.lipschitz import hausdorff
 from horocenter.trees import TreeError, TreePoint
 
 import hyperboloid_oracle as oracle
 import kernel_reference as loops
-from conftest import TREE_EDGES, TREE_LEAVES, ideal_for
+from conftest import TREE_EDGES, TREE_LEAVES, ideal_for, random_point
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -494,13 +502,13 @@ def test_hyperbolic_ray_separation_matches_the_oracle(s, near):
 
 
 def test_random_point_deterministic(any_space):
-    assert sp.random_point(any_space, 42, 3.0) == sp.random_point(any_space, 42, 3.0)
+    assert random_point(any_space, 42, 3.0) == random_point(any_space, 42, 3.0)
 
 
 def test_random_point_within_scale(any_space):
     o = basepoint(any_space)
     for seed in range(1000):
-        p = sp.random_point(any_space, seed, 3.0)
+        p = random_point(any_space, seed, 3.0)
         sp.canonical_point(any_space, p)
         assert sp.distance(any_space, o, p) <= 3.0 + 1e-12
 
@@ -533,7 +541,7 @@ NON_FINITE_PARAMETER = {
     "step": lambda space, v: sp._random_shift(
         space, basepoint(space), v, sp.sub_rng(0), "step", v
     ),
-    "scale": lambda space, v: sp.random_point(space, 0, v),
+    "scale": lambda space, v: random_point(space, 0, v),
 }
 
 
@@ -581,6 +589,67 @@ def test_wrong_length_hyperbolic_points_raise(hyp2, kernel):
     for x in ((1.0, 0.0), (1.0, 0.0, 0.0, 0.0)):
         with pytest.raises(GeometryError, match=rf"^expected 3 coordinates, got {len(x)}$"):
             WITH_A_POINT[kernel](hyp2, x)
+
+
+# A bad point beside a good one, for every reader of points: NaN, +-inf,
+# off the sheet or past an edge's end, and a list or tuple where the space
+# wants a tuple or a TreePoint.
+BAD_POINTS = {
+    "euclid2": [(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf), [0.0, 0.0]],
+    "hyp2": [
+        (math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0), (1.0, -math.inf, 0.0),
+        (1.0, 5.0, 0.0), [1.0, 0.0, 0.0],
+    ],
+    "tree_space": [
+        TreePoint("A-B", math.nan), TreePoint("A-B", math.inf), TreePoint("B-D", 9.0),
+        ("A-B", 0.5),
+    ],
+}
+READERS = {
+    "distance": lambda space, x, p, xi: sp.distance(space, x, p),
+    "geodesic_point at 0": lambda space, x, p, xi: sp.geodesic_point(space, x, p, 0.0),
+    "geodesic_point at 0.5": lambda space, x, p, xi: sp.geodesic_point(space, p, x, 0.5),
+    "geodesic_point at 1": lambda space, x, p, xi: sp.geodesic_point(space, p, x, 1.0),
+    "diameter": lambda space, x, p, xi: sp.diameter(space, [x, p]),
+    "ray_separation": lambda space, x, p, xi: sp.ray_separation(space, x, p, xi, 1.0),
+    "busemann": lambda space, x, p, xi: sp.busemann(space, xi, p),
+    "ray_point": lambda space, x, p, xi: sp.ray_point(space, p, xi, 1.0),
+    "project_to_level": lambda space, x, p, xi: project_to_level(space, p, xi, -1.0),
+    "first_horosphere": lambda space, x, p, xi: first_horosphere(space, ConvexBody((x, p)), xi),
+    "classify_body": lambda space, x, p, xi: classify_body(space, ConvexBody((x, p)), xi),
+    "limit_separation": lambda space, x, p, xi: limit_separation(space, x, p, xi),
+    "hausdorff": lambda space, x, p, xi: hausdorff(space, ConvexBody((x,)), ConvexBody((x, p))),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("name", sorted(BAD_POINTS))
+def test_every_reader_of_points_refuses_with_the_point_rule(name, reader, request):
+    """canonical_point is the one point rule: each reader refuses what it
+    refuses, with its message, also where it would not read the point (t
+    = 0 and 1) and for bodies built past ConvexBody.of."""
+    space = request.getfixturevalue(name)
+    x, xi = basepoint(space), ideal_for(space)
+    for p in BAD_POINTS[name]:
+        with pytest.raises(GeometryError) as rule:
+            sp.canonical_point(space, p)
+        with pytest.raises(GeometryError) as got:
+            READERS[reader](space, x, p, xi)
+        assert str(got.value) == str(rule.value), p
+
+
+def test_the_point_rule_reads_accepted_points_as_given(tree_space):
+    """A point the rule copies or snaps is read as given: a tree point
+    within VERTEX_SNAP of a vertex keeps its offset, and a float subclass
+    its type, in what the readers return."""
+    near = TreePoint("A-B", 1e-12)
+    assert sp.canonical_point(tree_space, near) != near  # the gate snaps it to A
+    far = TreePoint("B-C", 2.0)
+    assert sp.geodesic_point(tree_space, near, far, 0.0) is near
+    assert repr(sp.distance(tree_space, near, far)) == repr(tree_space.tree.distance(near, far))
+    hyp2 = sp.Space.hyperbolic(2)
+    x = tuple(map(np.float64, random_point(hyp2, 3, 2.0)))
+    assert sp.geodesic_point(hyp2, x, x, 1.0) is x
 
 
 
@@ -649,7 +718,7 @@ def test_a_canonical_point_is_kept_not_copied(hyp2, tree_space):
     TreePoint with a str edge and a float offset, passes the gate as the
     same object, so bodies and configurations that share a point share
     its storage; other input is converted to that form."""
-    p = sp.random_point(hyp2, 1, 2.0)
+    p = random_point(hyp2, 1, 2.0)
     assert sp.canonical_point(hyp2, p) is p
     assert ConvexBody.of(hyp2, [p, sp.basepoint(hyp2)]).generators[0] is p
 
@@ -838,12 +907,16 @@ def test_distance_convexity_between_geodesics(any_space, seed, t):
 @pytest.mark.parametrize("p", [(-1.0, 0.0, 0.0), (math.nan, 0.0, 0.0)])
 def test_a_raw_point_off_the_sheet_is_blamed_not_the_ideal_point(p):
     # xi passes validate_ideal, so a level or ray that cannot be read is
-    # the point's fault, and the message names it
+    # the point's fault, and the point rule's message names it
     space, xi = sp.Space.hyperbolic(2), IdealPoint.null_vector((1, 1, 0))
+    if p[0] < 0.0:
+        message = "hyperboloid point must have positive first coordinate"
+    else:
+        message = f"point coordinates must be finite, got {p}"
     for call in (lambda: sp.busemann(space, xi, p), lambda: sp.ray_point(space, p, xi, 1.0)):
         with pytest.raises(GeometryError) as got:
             call()
-        assert str(got.value) == f"point {p} is off the hyperboloid sheet"
+        assert str(got.value) == message
 
 
 @settings(max_examples=60, deadline=None)
@@ -1133,7 +1206,7 @@ def test_each_dimension_compiles_its_own_family_once():
         space = sp.Space.hyperbolic(dim)
         assert sp.kernels(space) == (family.quadrance, sp._quadrance_distance, family.geodesic)
         assert sp.horofunction(space, sp.draw_ideal(space, sp.sub_rng(45, dim)))[1].func is family.ray
-        x = sp.random_point(space, dim, 2.0)
+        x = random_point(space, dim, 2.0)
         assert family.on_sheet(x) and sp.canonical_point(space, x) is x
 
 
@@ -1150,7 +1223,7 @@ def test_a_wrapper_of_kernels_or_horofunction_sees_every_recursion_and_select(mo
     )
     for dim in (1, 2, 3, 4):
         space = sp.Space.hyperbolic(dim)
-        points = [sp.random_point(space, k, 1.5) for k in range(4)]
+        points = [random_point(space, k, 1.5) for k in range(4)]
         config = unit_configuration(space, points)
         for step in (lambda: center_of_mass(space, config), lambda: leave_one_out_step(space, config)):
             del took[:]
@@ -1362,5 +1435,7 @@ def test_diameter_names_the_first_wrong_length_pair(hyp3, bad, width):
         reference_diameter(hyp3, points)
     with pytest.raises(GeometryError) as got:
         sp.diameter(hyp3, points)
-    assert str(got.value) == str(expected.value)
-    assert sp.diameter(hyp3, points[bad : bad + 1]) == 0.0  # one point: no pair
+    assert str(got.value) == f"expected 4 coordinates, got {width}"
+    with pytest.raises(GeometryError) as alone:  # one point: no pair, still refused
+        sp.diameter(hyp3, points[bad : bad + 1])
+    assert str(alone.value) == str(got.value)

@@ -16,6 +16,7 @@ from horocenter.horosphere import ConvexBody, SelectOptions, ShrinkClass
 from horocenter.lipschitz import LipschitzReport, ScanParams, ScanRecord
 from horocenter.spaces import MAX_DIM, IdealPoint, Space
 from horocenter.trees import Tree, TreeEdge, TreePoint
+from horocenter.values import Frozen
 
 E2 = Space("euclidean", 2)
 UNIT = WeightedPoint((0.0,), 1.0)
@@ -193,3 +194,24 @@ def test_scan_record_is_a_named_tuple():
     assert RECORD == (0, 0.1, 0.05, 0.5)
     assert RECORD._fields == ("sample", "in_disp", "out_disp", "ratio")
     assert RECORD._asdict() == {"sample": 0, "in_disp": 0.1, "out_disp": 0.05, "ratio": 0.5}
+
+
+class _Parent(Frozen):
+    __slots__ = ("a",)
+
+
+class _Child(_Parent):
+    __slots__ = ("b",)
+    _defaults = {"b": 0}
+
+
+def test_a_subclass_keeps_its_parents_fields():
+    """A record subclass that adds slots takes its parent's fields first:
+    it builds, prints, compares and hashes them, and its defaults extend
+    its parent's."""
+    child = _Child(1, 2)
+    assert (child.a, child.b) == (1, 2) and _Child._fields == ("a", "b")
+    assert repr(child) == "_Child(a=1, b=2)"
+    assert child != _Child(3, 2) and hash(child) != hash(_Child(3, 2))
+    assert _Child(a=1) == _Child(1, 0)
+    assert pickle.loads(pickle.dumps(child)) == child

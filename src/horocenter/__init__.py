@@ -21,7 +21,7 @@ _EXPORTS = {  # home module -> its public names
     "trees": "Tree TreeError TreePoint",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
-_SUBMODULES = {*_EXPORTS, "cli", "errors", "jsonio", "stream", "values"}
+_SUBMODULES = {*_EXPORTS, "cli", "errors", "jsonio", "stream"}
 __all__ = sorted(_HOME)
 
 

@@ -40,6 +40,7 @@ past it gets the same refusal, and scales masses whose sum reaches
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import cache
 from itertools import combinations, starmap
 from operator import itemgetter, mul
@@ -47,7 +48,6 @@ from operator import itemgetter, mul
 from . import spaces
 from .spaces import EUCLIDEAN, HYPERBOLIC, TREE, GeometryError, Space, _left_sum
 from .trees import Tree, TreePoint
-from .values import Frozen, Value
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 200
@@ -67,12 +67,11 @@ class ConvergenceError(RuntimeError):
         self.result = result
 
 
-class WeightedPoint(Frozen):
-    __slots__ = ("point", "mass")
+WeightedPoint = namedtuple("WeightedPoint", "point mass")
 
 
-class Configuration(Frozen):
-    __slots__ = ("items",)  # a tuple of WeightedPoints
+class Configuration(namedtuple("Configuration", "items")):  # items: a tuple of WeightedPoints
+    __slots__ = ()
 
     @classmethod
     def of(cls, space: Space, items) -> "Configuration":
@@ -91,9 +90,10 @@ class Configuration(Frozen):
     def __len__(self) -> int:
         return len(self.items)
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # the inherited one checks len()
 
-class BarycenterResult(Value):
-    __slots__ = ("center", "iterations", "diameter_trace", "converged")
+
+BarycenterResult = namedtuple("BarycenterResult", "center iterations diameter_trace converged")
 
 
 def _checked_items(space: Space, items) -> list:
@@ -107,20 +107,16 @@ def _checked_items(space: Space, items) -> list:
     out = []
     canonical = spaces.canonical_point
     for i, item in enumerate(items):
-        if isinstance(item, WeightedPoint):
-            point, mass = item.point, item.mass
-            value = mass if type(mass) is float else _mass_value(i, mass)
-        else:
-            try:
-                point, mass = item
-            except (TypeError, ValueError):
-                raise GeometryError(
-                    f"points[{i}]: expected a (point, mass) pair or a WeightedPoint, "
-                    f"got {type(item).__name__}"
-                ) from None
-            value = mass = mass if type(mass) is float else _mass_value(i, mass)
+        try:
+            point, mass = item
+        except (TypeError, ValueError):
+            raise GeometryError(
+                f"points[{i}]: expected a (point, mass) pair or a WeightedPoint, "
+                f"got {type(item).__name__}"
+            ) from None
+        value = mass if type(mass) is float else _mass_value(i, mass)
         if not 0.0 < value < math.inf:
-            raise _refused_mass(i, mass)
+            raise _refused_mass(i, mass if isinstance(item, WeightedPoint) else value)
         try:
             out.append((canonical(space, point), value))
         except GeometryError as exc:
@@ -326,8 +322,10 @@ class _Recursion:
     def __init__(self, space: Space, tol: float, max_iters: int, max_points: int):
         if not 0.0 < tol < math.inf:
             raise GeometryError(f"tol must be positive and finite, got {tol}")
+        max_iters = spaces.checked_integer(max_iters, "max_iters")
         if max_iters < 0:
             raise GeometryError(f"max_iters must be >= 0, got {max_iters}")
+        max_points = spaces.checked_integer(max_points, "max_points")
         self.space, self.tol = space, tol
         # below this diameter a hyperbolic configuration closes in one
         # projected step (see settle); nothing else is near-flat

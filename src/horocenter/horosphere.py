@@ -14,7 +14,9 @@ decide whether the projected set shrinks along rays to the ideal point,
 then either return the contact point (shrinking) or the unit-mass center
 of the projected generators (non-shrinking), and finally smooth the
 output across tree branch vertices.  Singletons short-circuit once the
-ideal point is checked, so select({x}) == x holds exactly.
+ideal point and x are checked, so select({x}) == x holds exactly.  The
+point rule runs on each output: a lone contact or singleton is checked
+as it is returned, and a center is built from a checked configuration.
 
 Classification targets sets on a common horosphere (the projected stage
 of the pipeline) and reads the closed-form ray limit as a spread: the
@@ -25,6 +27,7 @@ level per generator, so sets off one horosphere never shrink to a point.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from itertools import combinations, starmap
 
 from . import spaces
@@ -35,7 +38,6 @@ from .barycenter import (
     unit_configuration,
 )
 from .spaces import EUCLIDEAN, GeometryError, IdealPoint, Space, TREE
-from .values import Frozen
 
 SHRINKING = "shrinking"
 NON_SHRINKING = "non-shrinking"
@@ -45,10 +47,10 @@ DEFAULT_SNAP_TOL = 1e-4
 CONTACT_SLACK = 1e-9
 
 
-class ConvexBody(Frozen):
+class ConvexBody(namedtuple("ConvexBody", "generators")):
     """Convex hull of finitely many generators, stored as the generators."""
 
-    __slots__ = ("generators",)
+    __slots__ = ()
 
     @classmethod
     def of(cls, space: Space, points) -> "ConvexBody":
@@ -66,17 +68,14 @@ class ConvexBody(Frozen):
     def __len__(self) -> int:
         return len(self.generators)
 
-
-class ShrinkClass(Frozen):
-    __slots__ = ("verdict", "max_limit_separation")
+    _make = classmethod(lambda cls, fields: cls(*fields))  # the inherited one checks len()
 
 
-class SelectOptions(Frozen):
-    __slots__ = ("tol", "max_iters", "classify_tol", "snap_tol", "smoothing")
-    _defaults = {
-        "tol": DEFAULT_TOL, "max_iters": DEFAULT_MAX_ITERS, "classify_tol": DEFAULT_CLASSIFY_TOL,
-        "snap_tol": DEFAULT_SNAP_TOL, "smoothing": True,
-    }
+ShrinkClass = namedtuple("ShrinkClass", "verdict max_limit_separation")
+SelectOptions = namedtuple(
+    "SelectOptions", "tol max_iters classify_tol snap_tol smoothing",
+    defaults=(DEFAULT_TOL, DEFAULT_MAX_ITERS, DEFAULT_CLASSIFY_TOL, DEFAULT_SNAP_TOL, True),
+)
 
 
 def first_horosphere(space: Space, body: ConvexBody, xi: IdealPoint):
@@ -163,8 +162,14 @@ def snap_singular(space: Space, x, snap_tol: float = DEFAULT_SNAP_TOL):
 
     Branch vertices are the tree's singular points; clamping makes the
     selector locally constant around them, trading a jump discontinuity
-    for a flat spot.  Smooth spaces have no singular points.
+    for a flat spot.  Smooth spaces have no singular points.  x must pass
+    the point rule (`spaces.checked_points`), in every space.
     """
+    return _snap(space, spaces.checked_points(space, (x,))[0], snap_tol)
+
+
+def _snap(space: Space, x, snap_tol: float):
+    """snap_singular of a point the caller checked."""
     if not 0.0 < snap_tol < math.inf:
         raise GeometryError(f"snap_tol must be positive and finite, got {snap_tol}")
     if space.kind != TREE:
@@ -202,17 +207,17 @@ def _select(space: Space, horo, body: ConvexBody, opts: SelectOptions):
     which a caller that selects many bodies builds once."""
     gens = body.generators
     if len(gens) == 1:
-        return gens[0]
+        return _checked_generator(space, gens, gens[0])
     level, ray = horo
-    # lengths only: ConvexBody.of ran the point rule, which here would cost ~10% of a round
+    # lengths only: the point rule runs on the one generator returned as it is (see spaces)
     levels = [level(spaces._check_length(space, g)) for g in gens]
     t_star, contact = _contact(gens, levels)
     projected = [_project(ray, g, b, t_star) for g, b in zip(gens, levels)]
     # ray built these on the sheet or tree: classify them as they are
     verdict = _classify(opts.classify_tol, lambda: _spread(space, projected, level))
     points = contact if verdict.verdict == SHRINKING else projected
-    if len(points) == 1:
-        picked = points[0]
+    if len(points) == 1:  # the lone contact; ties and projected points pass Configuration.of
+        picked = _checked_generator(space, gens, points[0])
     else:
         picked = center_of_mass(
             space,
@@ -222,5 +227,13 @@ def _select(space: Space, horo, body: ConvexBody, opts: SelectOptions):
             max_points=len(points),
         ).center
     if opts.smoothing:
-        picked = snap_singular(space, picked, opts.snap_tol)
+        picked = _snap(space, picked, opts.snap_tol)
     return picked
+
+
+def _checked_generator(space: Space, gens, g):
+    """g, a generator of gens, once it passes the point rule, which names it."""
+    try:
+        return spaces.checked_points(space, (g,))[0]
+    except GeometryError as exc:
+        raise type(exc)(f"generators[{gens.index(g)}]: {exc}") from None

@@ -50,33 +50,30 @@ from .barycenter import (
 )
 from .horosphere import ConvexBody, SelectOptions, _select
 from .spaces import TREE, GeometryError, IdealPoint, Space, _left_sum
-from .values import Frozen, Value
 
 DEFAULT_SCALE = 2.0
 MASS_LOW, MASS_HIGH = 0.5, 2.0
 STRADDLE_HALVINGS = 4  # the straddle family's delta halves this many times
 
 
-class ScanParams(Frozen):
-    __slots__ = (
-        "space", "n_points", "samples", "epsilon", "seed",
-        "tol", "max_iters", "smoothing", "ideal", "scale",
+class ScanParams(
+    namedtuple(
+        "ScanParams", "space n_points samples epsilon seed tol max_iters smoothing ideal scale",
+        defaults=(4, 100, 0.05, 0, DEFAULT_TOL, DEFAULT_MAX_ITERS, True, None, DEFAULT_SCALE),
     )
-    _defaults = {
-        "n_points": 4, "samples": 100, "epsilon": 0.05, "seed": 0, "tol": DEFAULT_TOL,
-        "max_iters": DEFAULT_MAX_ITERS, "smoothing": True, "ideal": None, "scale": DEFAULT_SCALE,
-    }
+):
+    __slots__ = ()
 
     def validated(self) -> "ScanParams":
-        if self.samples < 1:
+        if spaces.checked_integer(self.samples, "samples") < 1:
             raise GeometryError(f"samples must be >= 1, got {self.samples}")
         for name in ("epsilon", "scale"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise GeometryError(f"{name} must be positive and finite, got {value}")
-        if self.n_points < 1:
+        if spaces.checked_integer(self.n_points, "n_points") < 1:
             raise GeometryError(f"n_points must be >= 1, got {self.n_points}")
-        if self.max_iters < 0:
+        if spaces.checked_integer(self.max_iters, "max_iters") < 0:
             raise GeometryError(f"max_iters must be >= 0, got {self.max_iters}")
         spaces.checked_seed(self.seed)
         return self
@@ -85,9 +82,9 @@ class ScanParams(Frozen):
 ScanRecord = namedtuple("ScanRecord", ["sample", "in_disp", "out_disp", "ratio"])
 
 
-class LipschitzReport(Value):
-    __slots__ = ("records", "max_ratio", "mean_ratio", "failures", "skipped", "straddle")
-    _defaults = {"straddle": None}
+LipschitzReport = namedtuple(
+    "LipschitzReport", "records max_ratio mean_ratio failures skipped straddle", defaults=(None,)
+)
 
 
 def hausdorff(space: Space, a: ConvexBody, b: ConvexBody) -> float:
@@ -229,7 +226,7 @@ def selector_scan(params: ScanParams) -> LipschitzReport:
 
     report = _scan(params, sample, lambda body: _select(space, horo, body, opts))
     if space.kind == TREE and not params.smoothing:
-        report.straddle = branch_straddle_probe(space, xi, smoothing=False)
+        report = report._replace(straddle=branch_straddle_probe(space, xi, smoothing=False))
     return report
 
 

@@ -19,9 +19,9 @@ bit: d(p, q) == d(q, p).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 from .errors import GeometryError
-from .values import Frozen
 
 # Offsets this close to a vertex are canonicalized onto it, so point
 # equality across incident edges is well defined.
@@ -32,14 +32,13 @@ class TreeError(GeometryError):
     """Invalid tree topology or tree point."""
 
 
-class TreePoint(Frozen):
+class TreePoint(namedtuple("TreePoint", "edge offset")):
     """Position on a tree edge: offset from the edge's first vertex."""
 
-    __slots__ = ("edge", "offset")
+    __slots__ = ()
 
 
-class TreeEdge(Frozen):
-    __slots__ = ("u", "v", "length", "eid", "index")
+TreeEdge = namedtuple("TreeEdge", "u v length eid index")
 
 
 class Tree:

@@ -1,12 +1,12 @@
-"""Record constructors derived from ``__slots__`` and ``_defaults``: the
-signatures, names and failures that callers see."""
+"""Record constructors, each the ``__new__`` of a `collections.namedtuple`
+(Space's writes its own checks): the signatures, names and failures that
+callers see."""
 
 import inspect
 
 import pytest
 
 from horocenter import barycenter, horosphere, lipschitz, spaces, trees
-from horocenter.values import Frozen, Value
 
 REQUIRED = inspect.Parameter.empty
 
@@ -50,37 +50,6 @@ def test_signature_names_order_and_defaults(cls):
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
 
 
-def test_only_space_writes_its_constructor():
-    """Every record but Space, which checks its dim, takes the generated
-    constructor, and the generated ones read as methods of their class."""
-    for cls in SIGNATURES:
-        init = cls.__init__
-        assert init.__qualname__ == f"{cls.__qualname__}.__init__"
-        assert init.__module__ == cls.__module__
-        if cls is not spaces.Space:
-            assert init.__code__.co_filename == "<string>", cls
-
-
 def test_a_missing_field_names_the_class():
-    with pytest.raises(TypeError, match=r"^TreePoint\.__init__\(\) missing 1 required"):
+    with pytest.raises(TypeError, match=r"^TreePoint\.__new__\(\) missing 1 required"):
         trees.TreePoint("A-B")
-
-
-@pytest.mark.parametrize("base", [Value, Frozen])
-def test_generated_constructors_set_mutable_and_frozen_fields(base):
-    class Pair(base):
-        __slots__ = ("a", "b")
-        _defaults = {"b": 2}
-
-    pair = Pair(1)
-    assert (pair.a, pair.b) == (1, 2)
-    assert Pair(b=3, a=1) == Pair(1, 3)
-
-
-@pytest.mark.parametrize("defaults", [{"a": 1}, {"c": 1}, {"a": 1, "b": 2, "c": 3}])
-def test_defaults_must_be_trailing_fields(defaults):
-    with pytest.raises(TypeError, match=r"\.Pair\._defaults must name trailing fields$"):
-
-        class Pair(Frozen):
-            __slots__ = ("a", "b")
-            _defaults = defaults

@@ -425,7 +425,74 @@ def test_snap_rejects_bad_tol(tree_space, snap_tol):
         snap_singular(tree_space, TreePoint("B-C", 1.5), snap_tol)
 
 
+# the conftest tree without its end E, so A is a plain leaf
+TREE_C = [("A", "B", 2.0), ("B", "C", 3.0), ("B", "D", 1.5)]
+
+
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        ((math.nan, 0.0, 0.0), r"^point coordinates must be finite, got \(nan, 0\.0, 0\.0\)$"),
+        ((1.0, 5.0, 0.0), r"^point is off the hyperboloid: <x,x> = 24\.0$"),
+        ([1.0, 0.0, 0.0], "^point must be a tuple of floats$"),
+        ((1.0, 0.0), "^expected 3 coordinates, got 2$"),
+    ],
+)
+def test_snap_refuses_what_the_point_rule_refuses(hyp2, x, message):
+    with pytest.raises(GeometryError, match=message):
+        snap_singular(hyp2, x)
+
+
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        (TreePoint("A-B", 99.0), r"^offset 99\.0 beyond edge A-B of length 2\.0$"),
+        (TreePoint("A-B", math.nan), "^non-finite offset on edge A-B$"),
+    ],
+)
+def test_snap_refuses_a_tree_point_off_its_edge(x, message):
+    with pytest.raises(GeometryError, match=message):
+        snap_singular(Space.tree_space(TREE_C, ["C"]), x)
+
+
 # -- the selector ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "space, gens, xi, message",
+    [
+        (
+            Space.hyperbolic(2),
+            ((1.0, 0.0, 0.0), (1.0, 5.0, 0.0)),  # the second is the lone contact
+            IdealPoint.null_vector((1.0, 1.0, 0.0)),
+            r"^generators\[1\]: point is off the hyperboloid: <x,x> = 24\.0$",
+        ),
+        (
+            Space.hyperbolic(2),
+            ((1.0, 5.0, 0.0),),
+            IdealPoint.null_vector((1.0, 1.0, 0.0)),
+            r"^generators\[0\]: point is off the hyperboloid: <x,x> = 24\.0$",
+        ),
+        (
+            Space.euclidean(2),
+            ((math.nan, 0.0),),
+            IdealPoint.direction((1.0, 0.0)),
+            r"^generators\[0\]: point coordinates must be finite, got \(nan, 0\.0\)$",
+        ),
+        (
+            Space.tree_space(TREE_C, ["C"]),
+            (TreePoint("A-B", 99.0),),
+            IdealPoint.end("C"),
+            r"^generators\[0\]: offset 99\.0 beyond edge A-B of length 2\.0$",
+        ),
+    ],
+    ids=["H2-contact", "H2-singleton", "E2-singleton", "tree-singleton"],
+)
+def test_select_returns_no_point_the_point_rule_refuses(space, gens, xi, message):
+    """A body built past ConvexBody.of: the generator select would return
+    as it is passes the point rule first, and a refusal names it."""
+    with pytest.raises(GeometryError, match=message):
+        select(space, ConvexBody(gens), xi)
 
 
 def test_select_singleton_short_circuits(any_space):

@@ -95,6 +95,26 @@ def test_sub_rng_refuses_an_index_that_would_alias(index):
         sp.sub_rng(5, index)
 
 
+@pytest.mark.parametrize("value", [2.7, 2.0, "5", True, None])
+@pytest.mark.parametrize("name", ["seed", "samples", "n_points", "max_iters"])
+def test_scan_params_refuse_a_count_that_is_no_integer(euclid2, name, value):
+    """seed=2.7 drew seed 2's samples and seed="5" seed 5's, and a float
+    sample count or size failed in range() with no name."""
+    params = ScanParams(euclid2, **{"n_points": 2, "samples": 1, name: value})
+    message = f"^{name} must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(GeometryError, match=message):
+        params.validated()
+    with pytest.raises(GeometryError, match=message):
+        point_shift_scan(params)
+
+
+def test_seeds_and_indices_take_numpy_integers(euclid2):
+    assert sp.checked_seed(np.int64(5)) == 5 and type(sp.checked_seed(np.uint8(5))) is int
+    assert sp.sub_rng(np.int64(5), np.int32(3)).random() == sp.sub_rng(5, 3).random()
+    with pytest.raises(GeometryError, match=r"^index must be an integer, got 3\.0$"):
+        sp.sub_rng(5, 3.0)
+
+
 def test_the_seed_range_ends_draw_their_own_samples(euclid2):
     """0 and 2**63 - 1 are both accepted and share no sample."""
     def ratios(seed):

@@ -29,7 +29,7 @@ HOMES = {
     ],
     "trees": ["Tree", "TreeError", "TreePoint"],
 }
-SUBMODULES = [*HOMES, "cli", "errors", "jsonio", "stream", "values"]
+SUBMODULES = [*HOMES, "cli", "errors", "jsonio", "stream"]
 
 SCRIPT = f"""
 import importlib, sys

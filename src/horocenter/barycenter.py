@@ -22,7 +22,10 @@ apply to it.
 
 Hyperbolic configurations and tree points spread over branches take the
 recursion, `_Recursion`, on plain (point, mass) tuples; `Configuration`,
-`WeightedPoint` and `BarycenterResult` exist only at its boundary.  One
+`WeightedPoint` and `BarycenterResult` exist only at its boundary.  Its
+leave-one-out loop is written once, as a template over the item index,
+and compiled for n items on the first step of an n-item configuration
+(`_loop`), as `spaces` compiles the H^n kernels per dimension.  One
 top-level call computes each distinct sub-configuration's center once
 and measures each pair of a configuration once, but every step moves the
 points, so each sub-center's later steps start afresh and the cost still
@@ -277,29 +280,18 @@ def _sheet_mean(items, table, d: float):
     return spaces._lift([math.fsum(map(mul, weights, c)) / s for c in columns], "diameter", d)
 
 
-@cache
-def _complements(n: int) -> tuple:
-    """For each item i of n, getters of the other items and of the entries
-    of their pair table, those that leave i out."""
-    def leaving(i, k):  # the k-subsets of range(n) that leave i out, by position
-        return itemgetter(*(j for j, s in enumerate(combinations(range(n), k)) if i not in s))
-    return tuple((leaving(i, 1), leaving(i, 2)) for i in range(n))
-
-
 class _Recursion:
     """The construction of one top-level call, on (point, mass) tuples.
 
     Every configuration carries its pair table: the measure of
     `spaces.kernels` (the quadrance in H^n) of each pair of its points, in
     `combinations` order, taken once.  Its diameter, its complements'
-    tables (`_complements`), the two-point rule's distance and the
-    near-flat close read from it; a move toward a complement's center, a
-    pair no table holds, leaves its quadrance to the interpolator.
-    `settle` iterates to (center, iterations, diameter trace); it takes
-    each leave-one-out step with no call of its own, moving as `between`
-    does.  Three items, the recursion's leaves, settle in a loop of their
-    own that keeps the items and the table in locals and closes a
-    near-flat triple inline; more items take the generic loop.
+    tables, the two-point rule's distance and the near-flat close read
+    from it; a move toward a complement's center, a pair no table holds,
+    leaves its quadrance to the interpolator.
+    `settle` iterates to (center, iterations, diameter trace) in the loop
+    compiled for the item count (`_loop`), which keeps the items, the
+    table and the places in locals and moves as `between` does.
 
     A generation begins at the top-level configuration and at every later
     step: the configurations that first steps reach from it are its
@@ -334,10 +326,6 @@ class _Recursion:
         self.max_iters, self.max_points = max_iters, max_points
         self.measure, self.to_distance, self.interpolate = spaces.kernels(space)
 
-    def table(self, items) -> list:
-        """The pair table of items."""
-        return list(starmap(self.measure, combinations([p for p, _ in items], 2)))
-
     def between(self, x, mx, y, my, d=None):
         """The two-point center of (x, mx) and (y, my), d apart if given."""
         t = my / (mx + my)
@@ -349,10 +337,10 @@ class _Recursion:
 
     def settle(self, items, table, places, memo, once=False):
         """(center, iterations, diameter trace) from items and pair table,
-        with every step taken in this frame.  `places` are the items'
-        positions in the configuration that began their generation, whose
-        memo is `memo`.  With `once` it takes one step without the checks
-        below and returns the moved items (`leave_one_out_step`).
+        every sub-configuration's entry.  `places` are the items' positions
+        in the configuration that began their generation, whose memo is
+        `memo`.  With `once` it takes one step without the checks below and
+        returns the moved items (`leave_one_out_step`).
 
         A flat configuration closes in closed form (`_flat_center`), and a
         hyperbolic one in one projected step, `_sheet_mean`, once its
@@ -366,145 +354,131 @@ class _Recursion:
         0.0; max_iters and the cap apply as to any step before it, and the
         cap not to the projected step itself.
 
-        Three items, the recursion's leaves and most of its settles, run a
-        loop of their own on locals: each complement is a pair, whose center
-        the two-point rule gives from the pair's table entry, and the
-        near-flat close is `_sheet_mean` written out for three items, with
-        the same fsums over the same terms.  More items run the generic
-        loop, which takes each complement's center from `settle`.
+        The checks before the first step run here, with the flat close and
+        the cap, which can fire only there, so a configuration done before
+        its first step compiles nothing.  The steps run in the loop compiled
+        for n items (`_loop`), which checks the diameter, tol, max_iters and
+        the near-flat close after each.
         """
-        tol, max_iters, to_distance = self.tol, self.max_iters, self.to_distance
-        measure, interpolate, between = self.measure, self.interpolate, self.between
-        n = len(items)
-        trace, iterations = [], 0
-        if n == 3:
-            (a, ma), (b, mb), (c, mc) = items
-            qab, qac, qbc = table
-            i, j, k = places
-            while True:
-                if not once:
-                    d = to_distance(max(0.0, qab, qac, qbc))
-                    if not math.isfinite(d):
-                        raise _overflows(d)
-                    trace.append(d)
-                    if d < tol:
-                        return a, iterations, trace
-                    if iterations >= max_iters:
-                        raise _unconverged(d, tol, a, iterations, trace)
-                    if not iterations and self.flat:  # items and table are still the arguments
-                        center = _flat_center(self.space, items, table, d)
-                        if center is not None:
-                            return center, 1, [d, 0.0]
-                    if d < self.near_flat:  # _sheet_mean, for three items
-                        trace.append(0.0)
-                        total = math.fsum((ma, mb, mc))
-                        wa, wb, wc = ma / total, mb / total, mc / total
-                        vv = 1.0 + math.fsum((wa * wb * qab, wa * wc * qac, wb * wc * qbc))
-                        if vv <= 0.0:
-                            raise _cancelled(vv, d)
-                        s = math.sqrt(vv)
-                        columns = zip(a, b, c)
-                        next(columns)  # x0, which the lift gives
-                        spatial = [math.fsum((wa * x, wb * y, wc * z)) / s for x, y, z in columns]
-                        return spaces._lift(spatial, "diameter", d), iterations + 1, trace
-                    if n > self.max_points:
-                        raise _over_cap(n, self.max_points)
-                total, first = ma + mb + mc, not iterations
-                # a's complement (b, c)
-                ra = total - ma or math.fsum([mb, mc])  # M - m_i cancels to 0
-                ca = memo.get((j, k)) if first else None
-                if ca is None:  # overflow fails a diameter or point check
-                    d = to_distance(qbc)
-                    if 0.0 < (t := mc / (mb + mc)) < 1.0:
-                        ca = interpolate(b, c, t, d)
-                    else:  # t is 0 or 1
-                        ca = between(b, mb, c, mc, d)
-                    if first:
-                        memo[j, k] = ca
-                if 0.0 < (t := ra / (ma + ra)) < 1.0:
-                    pa = interpolate(a, ca, t, None)
-                else:
-                    pa = between(a, ma, ca, ra)
-                # b's complement (a, c)
-                rb = total - mb or math.fsum([ma, mc])
-                cb = memo.get((i, k)) if first else None
-                if cb is None:
-                    d = to_distance(qac)
-                    if 0.0 < (t := mc / (ma + mc)) < 1.0:
-                        cb = interpolate(a, c, t, d)
-                    else:
-                        cb = between(a, ma, c, mc, d)
-                    if first:
-                        memo[i, k] = cb
-                if 0.0 < (t := rb / (mb + rb)) < 1.0:
-                    pb = interpolate(b, cb, t, None)
-                else:
-                    pb = between(b, mb, cb, rb)
-                # c's complement (a, b)
-                rc = total - mc or math.fsum([ma, mb])
-                cc = memo.get((i, j)) if first else None
-                if cc is None:
-                    d = to_distance(qab)
-                    if 0.0 < (t := mb / (ma + mb)) < 1.0:
-                        cc = interpolate(a, b, t, d)
-                    else:
-                        cc = between(a, ma, b, mb, d)
-                    if first:
-                        memo[i, j] = cc
-                if 0.0 < (t := rc / (mc + rc)) < 1.0:
-                    pc = interpolate(c, cc, t, None)
-                else:
-                    pc = between(c, mc, cc, rc)
-                a, ma, b, mb, c, mc = pa, ra / 2, pb, rb / 2, pc, rc / 2
-                if once:
-                    return [(a, ma), (b, mb), (c, mc)]
-                iterations += 1
-                qab, qac, qbc = measure(a, b), measure(a, c), measure(b, c)
+        n, trace = len(items), []
+        if not once:
+            d = self.to_distance(max((0.0, *table)))
+            if not math.isfinite(d):
+                raise _overflows(d)
+            trace.append(d)
+            if d < self.tol:
+                return items[0][0], 0, trace
+            if not self.max_iters:
+                raise _unconverged(d, self.tol, items[0][0], 0, trace)
+            if self.flat and (center := _flat_center(self.space, items, table, d)) is not None:
+                return center, 1, [d, 0.0]
+            if d < self.near_flat:
+                return _sheet_mean(items, table, d), 1, [d, 0.0]
+            if n > self.max_points:
+                raise _over_cap(n, self.max_points)
+        return _loop(n)(self, items, table, places, memo, once, trace)
+
+
+# -- the settle loop ---------------------------------------------------------
+# _LOOP is the leave-one-out loop written once over the item index; _loop
+# fills in its {fields} for n items.  Item i is (x{i}, m{i}) at place i{i},
+# and q{j}_{k} is the table entry of items j < k.  A step runs _STEP for
+# each item: the center c{i} of its complement, of mass r{i} = M - m_i,
+# comes from the memo on a first step, else from _PAIR (the two-point rule)
+# or _REST (settled on the table rows that pick{i} reads), and the item
+# moves to p{i}.  A t that rounds to 0 or 1 leaves the endpoint to `between`.
+
+_LOOP = """
+def settle(self, items, table, places, memo, once, trace):
+    tol, max_iters, near_flat = self.tol, self.max_iters, self.near_flat
+    measure, to_distance = self.measure, self.to_distance
+    interpolate, between = self.interpolate, self.between
+    {items} = items
+    {entries} = table
+    {places} = places
+    iterations = 0
+    try:
         while True:
-            if not once:
-                d = to_distance(max((0.0, *table)))  # farthest, without its frame
-                if not math.isfinite(d):
-                    raise _overflows(d)
-                trace.append(d)
-                if d < tol:
-                    return items[0][0], iterations, trace
-                if iterations >= max_iters:
-                    raise _unconverged(d, tol, items[0][0], iterations, trace)
-                if not iterations and self.flat:
-                    c = _flat_center(self.space, items, table, d)
-                    if c is not None:
-                        return c, 1, [d, 0.0]
-                if d < self.near_flat:
-                    trace.append(0.0)
-                    return _sheet_mean(items, table, d), iterations + 1, trace
-                if n > self.max_points:
-                    raise _over_cap(n, self.max_points)
-            total = 0.0  # _left_sum, without its frame
-            for _, m in items:
-                total += m
-            first, moved = not iterations, []
-            try:
-                for (x, m), (others, pick) in zip(items, _complements(n)):
-                    rest = others(items)
-                    rest_mass = total - m or math.fsum([other for _, other in rest])
-                    key = others(places)
-                    center = memo.get(key) if first else None
-                    if center is None:
-                        center = self.settle(rest, pick(table), key, memo)[0]
-                        if first:
-                            memo[key] = center
-                    if 0.0 < (t := rest_mass / (m + rest_mass)) < 1.0:
-                        moved.append((interpolate(x, center, t, None), rest_mass / (n - 1)))
-                    else:
-                        moved.append((between(x, m, center, rest_mass), rest_mass / (n - 1)))
-            except ConvergenceError as exc:  # a sub-configuration's; report ours
-                if not once:
-                    exc.result = BarycenterResult(items[0][0], iterations, trace, False)
-                raise
+            total, first = {total}, not iterations
+{steps}
+            {points_masses} = {moves}
             if once:
-                return moved
-            items, table, iterations = moved, self.table(moved), iterations + 1
-            places, memo = range(n), {}  # the next step's complements begin a generation
+                return [{items}]
+            iterations += 1
+            {entries} = table = [{measures}]
+            d = to_distance(max(0.0, {entries}))
+            if not math.isfinite(d):
+                raise _overflows(d)
+            trace.append(d)
+            if d < tol:
+                return x0, iterations, trace
+            if iterations >= max_iters:
+                raise _unconverged(d, tol, x0, iterations, trace)
+            if d < near_flat:
+                trace.append(0.0)
+                return _sheet_mean([{items}], table, d), iterations + 1, trace
+            {places}, memo = {positions}, {{}}  # the next step begins a generation
+    except ConvergenceError as exc:  # a sub-configuration's; report ours
+        if not once:
+            exc.result = BarycenterResult(x0, iterations, trace, False)
+        raise
+"""
+
+_STEP = """\
+            r{i} = total - m{i} or math.fsum([{rest_masses}])  # M - m_i cancels to 0
+            c{i} = memo.get({key}) if first else None
+            if c{i} is None:
+{center}
+                if first:
+                    memo[{key}] = c{i}
+            if 0.0 < (t := r{i} / (m{i} + r{i})) < 1.0:
+                p{i} = interpolate(x{i}, c{i}, t, None)
+            else:
+                p{i} = between(x{i}, m{i}, c{i}, r{i})"""
+
+_PAIR = """\
+                d = to_distance(q{j}_{k})
+                if 0.0 < (t := m{k} / (m{j} + m{k})) < 1.0:
+                    c{i} = interpolate(x{j}, x{k}, t, d)
+                else:
+                    c{i} = between(x{j}, m{j}, x{k}, m{k}, d)"""
+
+_REST = """\
+                c{i} = self.settle(({rest_items}), pick{i}(table), {key}, memo)[0]"""
+
+
+@cache
+def _loop(n: int):
+    """The settle loop of n >= 3 items: _LOOP compiled on the first step
+    of an n-item configuration and kept for the process, about 1 ms for
+    three items and 0.4 s for 120."""
+    def each(pattern, indices=range(n), sep=", "):
+        return sep.join(pattern.format(i) for i in indices)
+
+    pairs = list(combinations(range(n), 2))
+    namespace, steps = dict(globals()), []
+    for i in range(n):
+        rest = [j for j in range(n) if j != i]
+        key = f"({each('i{}', rest)})"
+        if n == 3:
+            center = _PAIR.format(i=i, j=rest[0], k=rest[1])
+        else:
+            center = _REST.format(i=i, rest_items=each("(x{0}, m{0})", rest), key=key)
+            namespace[f"pick{i}"] = itemgetter(*(p for p, s in enumerate(pairs) if i not in s))
+        steps.append(_STEP.format(i=i, key=key, rest_masses=each("m{}", rest), center=center))
+    source = _LOOP.format(
+        items=each("(x{0}, m{0})"),
+        entries=", ".join(f"q{j}_{k}" for j, k in pairs),
+        places=each("i{}"),
+        total=each("m{}", sep=" + "),
+        steps="\n".join(steps),
+        points_masses=each("x{0}, m{0}"),
+        moves=each(f"p{{0}}, r{{0}} / {n - 1}"),
+        measures=", ".join(f"measure(x{j}, x{k})" for j, k in pairs),
+        positions=each("{}"),
+    )
+    exec(compile(source, f"<settle loop of {n} items>", "exec"), namespace)
+    return namespace["settle"]
 
 
 def _overflows(d: float) -> GeometryError:
@@ -544,8 +518,8 @@ def _start(space: Space, config: Configuration, tol, max_iters, max_points):
     recursion = _Recursion(space, tol, max_iters, max_points)
     points, masses = zip(*_checked_items(space, config.items))
     masses, k = _finite_masses(masses)
-    items = tuple(zip(points, masses))
-    return recursion, items, recursion.table(items), k
+    table = list(starmap(recursion.measure, combinations(points, 2)))
+    return recursion, tuple(zip(points, masses)), table, k
 
 
 def leave_one_out_step(
@@ -562,7 +536,8 @@ def leave_one_out_step(
     mass label is (M - m_i)/(n - 1), so total mass is preserved.  Where
     M - m_i rounds to 0 (m_i dwarfs the rest), the exact sum of the other
     masses stands in for it.  Masses whose sum reaches 2**1023 are stepped
-    at 2**-64 scale and scaled back.
+    at 2**-64 scale and scaled back.  `max_points` caps the complements,
+    whose centers take the recursion, but not this step itself.
     """
     n = len(config)
     if n < 3:

@@ -32,6 +32,7 @@ from horocenter.barycenter import (
     unit_configuration,
     _finite_masses,
     _flat_center,
+    _loop,
     _Recursion,
     _sheet_mean,
 )
@@ -758,6 +759,35 @@ def test_each_pair_is_measured_once_per_configuration(monkeypatch):
     assert sum(1 for args in interpolated if args[3] is None) == 939
 
 
+def test_only_a_step_compiles_a_settle_loop():
+    """The loop for n items is compiled on the first step of an n-item
+    configuration and kept: a configuration done before its first step
+    does not even look it up.  That is a 200-point E^2 center (closed
+    form), a 30-point H^2 configuration within 1e-3 of the basepoint (the
+    near-flat close, which the cap does not limit), an 11-point H^2
+    configuration over the default cap (refused) and a single point.  A
+    second step of 13 E^2 points compiles nothing more than the first."""
+    e2, h2 = Space.euclidean(2), Space.hyperbolic(2)
+    rng = sp.sub_rng(41)
+    before = _loop.cache_info()
+    flat = unit_configuration(e2, [sp.draw_point(e2, rng, 2.0) for _ in range(200)])
+    near = unit_configuration(h2, [sp.draw_point(h2, rng, 1e-3) for _ in range(30)])
+    for space, cfg in ((e2, flat), (h2, near)):
+        assert center_of_mass(space, cfg).diameter_trace[1:] == [0.0]
+    wide = unit_configuration(h2, [sp.draw_point(h2, rng, 2.0) for _ in range(11)])
+    with pytest.raises(GeometryError, match="^11 points exceeds the recursion cap 7; "):
+        center_of_mass(h2, wide)
+    assert center_of_mass(h2, unit_configuration(h2, [sp.draw_point(h2, rng, 2.0)])).converged
+    assert _loop.cache_info() == before
+    cfg = unit_configuration(e2, [sp.draw_point(e2, rng, 2.0) for _ in range(13)])
+    leave_one_out_step(e2, cfg)
+    first = _loop.cache_info()
+    assert first.currsize >= 1 and first.misses + first.hits == before.misses + before.hits + 1
+    leave_one_out_step(e2, cfg)
+    second = _loop.cache_info()
+    assert (second.misses, second.currsize) == (first.misses, first.currsize)
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_the_unrolled_kernels_give_every_caller_the_generic_bits(dim, monkeypatch):
     """`kernels` hands out kernels compiled for the dimension, their loops
@@ -866,11 +896,11 @@ DOMINANT = ((1e300, 1e-300, 1.0), (1e300, 1e-300, 1e-300))
 
 @pytest.mark.parametrize("name", sorted(THREE_POINT_SPACES))
 def test_three_point_settles_match_the_reference(name):
-    """Three items settle in a loop of their own, the two-point rule for
-    each complement and the moves in one frame, with position keys in the
-    memo.  Its center, iterations and trace, and the partial result of a
-    non-convergence at max_iters 0 and 1, are those of the memo-free
-    reference, bit for bit, and `leave_one_out_step` moves each item as
+    """Three items settle in the loop compiled for three, the two-point
+    rule for each complement and the moves in one frame, with position
+    keys in the memo.  Its center, iterations and trace, and the partial
+    result of a non-convergence at max_iters 0 and 1, are those of the
+    memo-free reference, bit for bit, and `leave_one_out_step` moves each item as
     the composition does: for random masses, for a point repeated, for
     signed zeros, which no two memo keys share, and for a dominant mass,
     where a complement's or a move's t rounds to 0 or 1 and the two-point
@@ -1423,10 +1453,10 @@ def test_the_projection_keeps_its_digits_far_out(dim):
 
 @pytest.mark.parametrize("dim", [2, 3, 5])
 def test_the_three_point_close_is_the_sheet_mean(dim):
-    """A near-flat triple closes in the three-item loop, which writes
-    `_sheet_mean` out: its center is `_sheet_mean`'s on the same items,
-    table and diameter, by repr.  Masses are log-uniform in [1e-300,
-    1e300], and in every fourth case two of them sum past the largest
+    """A near-flat triple closes through `_sheet_mean`, the one near-flat
+    close of every item count: its center is `_sheet_mean`'s on the same
+    items, table and diameter, by repr.  Masses are log-uniform in
+    [1e-300, 1e300], and in every fourth case two of them sum past the largest
     double, so `center_of_mass` closes the masses `_finite_masses` scales."""
     space = Space.hyperbolic(dim)
     rng = np.random.default_rng(35 + dim)
@@ -1685,8 +1715,8 @@ def test_a_near_flat_close_whose_quadrances_cancel_is_named(hyp2):
     """Far out, a pair-table quadrance <x-y, x-y> of near points cancels
     and can come out negative, and with it 1 + sum w_i w_j q_ij, which the
     near-flat close takes the square root of: an error that names the
-    cancellation, not math.sqrt's, in the three-item close and in
-    `_sheet_mean`."""
+    cancellation, not math.sqrt's, in a triple's close and in
+    `_sheet_mean` called directly."""
     cfg = Configuration.of(hyp2, _on_the_x_axis(*CANCELLING))
     with pytest.raises(GeometryError, match=r"pair quadrances cancel, 1 \+ sum w_i w_j q_ij = -"):
         center_of_mass(hyp2, cfg)
@@ -1945,7 +1975,7 @@ def test_the_three_item_loop_keeps_the_recursion_cap(hyp2):
 
 def test_an_overflowing_four_point_settle_names_its_cause(hyp2):
     """Four raw H^2 points at spatial +-1e154, whose quadrances overflow:
-    the generic loop's diameter check refuses them."""
+    the diameter check before the first step refuses them."""
     spatial = [(1e154, 0.0), (-1e154, 0.0), (0.0, 1e154), (0.0, -1e154)]
     cfg = Configuration(tuple(WeightedPoint((math.hypot(1.0, *y), *y), 1.0) for y in spatial))
     with pytest.raises(GeometryError, match="^configuration overflows: diameter inf$"):

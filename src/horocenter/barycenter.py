@@ -34,10 +34,10 @@ configuration that takes a recursive step (default 7) and can be raised
 explicitly.  Every step shrinks the diameter, but convergence can be
 only linear: near a tree branch vertex the ratio per step stays
 constant.  `center_of_mass`, `leave_one_out_step` and `two_point_center`
-enter the recursion through `_start`, which reads each item through the
-loop `Configuration.of` runs (`_checked_items`), so a configuration built
-past it gets the same refusal, and scales masses whose sum reaches
-2**1023 by 2**-64 (see `_finite_masses`).
+enter the recursion through `_start`, which reads any items that
+`Configuration.of` did not check in the same space through its loop
+(`_checked_items`), and scales masses whose sum reaches 2**1023 by
+2**-64 (see `_finite_masses`).
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ class Configuration(namedtuple("Configuration", "items")):  # items: a tuple of 
     def of(cls, space: Space, items) -> "Configuration":
         """The configuration of (point, mass) pairs or WeightedPoints, as
         `_checked_items` reads them; an error names its entry."""
-        return cls(tuple(starmap(WeightedPoint, _checked_items(space, items))))
+        return cls(_checked_items(space, items))
 
     @property
     def total_mass(self) -> float:
@@ -99,14 +99,18 @@ class Configuration(namedtuple("Configuration", "items")):  # items: a tuple of 
 BarycenterResult = namedtuple("BarycenterResult", "center iterations diameter_trace converged")
 
 
-def _checked_items(space: Space, items) -> list:
-    """The (point, mass) pairs of (point, mass) pairs or WeightedPoints, or
-    an error that names its entry, as points[i] or points[i].mass: the one
-    reading of items, behind Configuration.of and the recursion's door
-    (`_start`).  A point is what spaces.canonical_point returns.  A mass
-    is anything float() reads but a str or bytes, stored as that float,
-    which must be positive and finite; a refusal shows a WeightedPoint's
-    mass as given and a pair's as the float it reads as."""
+def _checked_items(space: Space, items) -> tuple:
+    """items as they are if Configuration.of checked them in space, else
+    their WeightedPoints in a tuple so marked (`spaces._checked_tuple`),
+    or an error that names its entry, as points[i] or points[i].mass: the
+    one reading of items, behind Configuration.of and `_start`.  A point
+    is what spaces.canonical_point returns.  A mass is anything float()
+    reads but a str or bytes, stored as that float, which must be positive
+    and finite; a refusal shows a WeightedPoint's mass as given and a
+    pair's as the float it reads as."""
+    checked = spaces._checked_tuple(space, "items")
+    if type(items) is checked:
+        return items
     out = []
     canonical = spaces.canonical_point
     for i, item in enumerate(items):
@@ -121,12 +125,12 @@ def _checked_items(space: Space, items) -> list:
         if not 0.0 < value < math.inf:
             raise _refused_mass(i, mass if isinstance(item, WeightedPoint) else value)
         try:
-            out.append((canonical(space, point), value))
+            out.append(WeightedPoint(canonical(space, point), value))
         except GeometryError as exc:
             raise type(exc)(f"points[{i}]: {exc}") from None
     if not out:
         raise GeometryError("points: a configuration needs at least one point")
-    return out
+    return checked(out)
 
 
 def _refused_mass(i: int, mass) -> GeometryError:
@@ -512,9 +516,9 @@ def _over_cap(n: int, cap: int) -> GeometryError:
 
 def _start(space: Space, config: Configuration, tol, max_iters, max_points):
     """The recursion of one top-level call, the configuration's items and
-    pair table, and the mass scale k of `_finite_masses`.  The items are
-    read as Configuration.of reads them (`_checked_items`), so a
-    configuration built past it is refused with its message."""
+    pair table, and the mass scale k of `_finite_masses`.  Items that
+    Configuration.of did not check in space are read as it reads them
+    (`_checked_items`), and refused with its message."""
     recursion = _Recursion(space, tol, max_iters, max_points)
     points, masses = zip(*_checked_items(space, config.items))
     masses, k = _finite_masses(masses)
@@ -580,6 +584,7 @@ def replace_point(config: Configuration, index: int, point) -> Configuration:
 
 
 def replace_mass(config: Configuration, index: int, mass: float) -> Configuration:
+    """config with mass, as given, at index: `_start` reads it as Configuration.of would."""
     items = list(config.items)
-    items[index] = WeightedPoint(items[index].point, float(mass))
+    items[index] = WeightedPoint(items[index].point, mass)
     return Configuration(tuple(items))

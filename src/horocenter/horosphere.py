@@ -14,9 +14,10 @@ decide whether the projected set shrinks along rays to the ideal point,
 then either return the contact point (shrinking) or the unit-mass center
 of the projected generators (non-shrinking), and finally smooth the
 output across tree branch vertices.  Singletons short-circuit once the
-ideal point and x are checked, so select({x}) == x holds exactly.  The
-point rule runs on each output: a lone contact or singleton is checked
-as it is returned, and a center is built from a checked configuration.
+ideal point and x are checked, so select({x}) == x holds exactly.  Each
+generator passes the point rule once, in `ConvexBody.of` or, for a body
+built past it or in another space, in the same loop at `select`'s door
+(`_checked_generators`); a center is built from a checked configuration.
 
 Classification targets sets on a common horosphere (the projected stage
 of the pipeline) and reads the closed-form ray limit as a spread: the
@@ -55,20 +56,30 @@ class ConvexBody(namedtuple("ConvexBody", "generators")):
     @classmethod
     def of(cls, space: Space, points) -> "ConvexBody":
         """The body spanned by points; an error names its generators[i]."""
-        canon, canonical = [], spaces.canonical_point
-        try:
-            for p in points:
-                canon.append(canonical(space, p))
-        except GeometryError as exc:  # canon holds the points before it
-            raise type(exc)(f"generators[{len(canon)}]: {exc}") from None
-        if not canon:
-            raise GeometryError("generators: a body needs at least one generator")
-        return cls(tuple(dict.fromkeys(canon)))  # first of equal points, in order
+        return cls(_checked_generators(space, points))
 
     def __len__(self) -> int:
         return len(self.generators)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # the inherited one checks len()
+
+
+def _checked_generators(space: Space, points) -> tuple:
+    """points as they are if ConvexBody.of checked them in space, else the
+    distinct points canonical_point returns, first of equal points, in a
+    tuple so marked (`spaces._checked_tuple`); an error names generators[i]."""
+    checked = spaces._checked_tuple(space, "generators")
+    if type(points) is checked:
+        return points
+    canon, canonical = [], spaces.canonical_point
+    try:
+        for p in points:
+            canon.append(canonical(space, p))
+    except GeometryError as exc:  # canon holds the points before it
+        raise type(exc)(f"generators[{len(canon)}]: {exc}") from None
+    if not canon:
+        raise GeometryError("generators: a body needs at least one generator")
+    return checked(dict.fromkeys(canon))
 
 
 ShrinkClass = namedtuple("ShrinkClass", "verdict max_limit_separation")
@@ -205,19 +216,18 @@ def select(
 def _select(space: Space, horo, body: ConvexBody, opts: SelectOptions):
     """select through horo, the (level, ray) pair toward the ideal point,
     which a caller that selects many bodies builds once."""
-    gens = body.generators
+    gens = _checked_generators(space, body.generators)
     if len(gens) == 1:
-        return _checked_generator(space, gens, gens[0])
+        return gens[0]
     level, ray = horo
-    # lengths only: the point rule runs on the one generator returned as it is (see spaces)
-    levels = [level(spaces._check_length(space, g)) for g in gens]
+    levels = list(map(level, gens))
     t_star, contact = _contact(gens, levels)
     projected = [_project(ray, g, b, t_star) for g, b in zip(gens, levels)]
     # ray built these on the sheet or tree: classify them as they are
     verdict = _classify(opts.classify_tol, lambda: _spread(space, projected, level))
     points = contact if verdict.verdict == SHRINKING else projected
     if len(points) == 1:  # the lone contact; ties and projected points pass Configuration.of
-        picked = _checked_generator(space, gens, points[0])
+        picked = points[0]
     else:
         picked = center_of_mass(
             space,
@@ -229,11 +239,3 @@ def _select(space: Space, horo, body: ConvexBody, opts: SelectOptions):
     if opts.smoothing:
         picked = _snap(space, picked, opts.snap_tol)
     return picked
-
-
-def _checked_generator(space: Space, gens, g):
-    """g, a generator of gens, once it passes the point rule, which names it."""
-    try:
-        return spaces.checked_points(space, (g,))[0]
-    except GeometryError as exc:
-        raise type(exc)(f"generators[{gens.index(g)}]: {exc}") from None

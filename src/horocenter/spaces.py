@@ -21,20 +21,17 @@ with no loop over its coordinates.  The spaces:
 * ``tree`` -- a finite metric tree with marked ends (see ``trees``).
 
 Points and ideal vectors have ``coordinate_count`` entries, n in R^n and
-n + 1 in H^n.  ``canonical_point`` is the one point rule.
-``Configuration.of`` and ``ConvexBody.of`` store what it returns, and the
-center recursion's door (``barycenter._start``) reads each item through
-the loop ``Configuration.of`` runs.  Every other reader of points --
-``distance``, ``geodesic_point``, ``diameter``, ``busemann``,
-``ray_point``, ``ray_separation``, the horosphere readers and
-``hausdorff`` -- passes them through ``checked_points``, which refuses
-with canonical_point's message and then reads the points as given.  Only
-``select``'s levels read no more than each generator's length, and the
-rule runs on the one generator that ``select`` can return as it is, so
-one rule call per ``select``: the full rule on every generator as well
-took the ``select`` benchmark's median round from 0.291 to 0.306 ms (+5%,
-4 alternating 6 s runs of its pool on a 2-core host).  An ideal point is
-checked in one place:
+n + 1 in H^n.  ``canonical_point`` is the one point rule, and each point
+of a record passes it once: ``Configuration.of`` and ``ConvexBody.of``
+store what it returns in a tuple marked as checked in their space
+(``_checked_tuple``), which the doors of the center recursion
+(``barycenter._start``) and of ``select`` read as it is, and any other
+field through the loop ``.of`` runs, naming points[i] or generators[i].
+Every other reader of points -- ``distance``, ``geodesic_point``,
+``diameter``, ``busemann``, ``ray_point``, ``ray_separation``, the other
+horosphere readers and ``hausdorff`` -- passes them through
+``checked_points``, which refuses with canonical_point's message and
+then reads the points as given.  An ideal point is checked in one place:
 ``horofunction`` builds its pair from what ``validate_ideal`` returns, and
 every level, ray and selector reads through such a pair, so the library
 refuses what ``validate_ideal`` refuses, with its message.
@@ -68,7 +65,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from itertools import chain, combinations, starmap
 
 from .errors import GeometryError
@@ -369,6 +366,16 @@ def checked_points(space: Space, points):
     for p in points:
         canonical_point(space, p)
     return points
+
+
+@lru_cache(maxsize=64)  # bounded: a tree space holds its Tree
+def _checked_tuple(space: Space, field: str) -> type:
+    """The tuple type in which `.of` stores a record's field, `items` or
+    `generators`, whose points passed canonical_point in space: a plain
+    tuple in repr, equality and hash, with no per-record cost.  Slicing,
+    `+`, pickling and copy.deepcopy give a plain tuple, read again."""
+    reduce = lambda fields: (tuple, (tuple(fields),))  # what copies and unpickles
+    return type(f"Checked{field.capitalize()}", (tuple,), {"__slots__": (), "__reduce__": reduce})
 
 
 def canonical_point(space: Space, p):

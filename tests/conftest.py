@@ -44,6 +44,20 @@ def any_space(request, euclid2, euclid3, hyp2, tree_space):
     }[request.param]
 
 
+@pytest.fixture
+def rule_calls(monkeypatch):
+    """The points that spaces.canonical_point, the point rule, is called
+    on, in order, while the test runs."""
+    calls, rule = [], spaces.canonical_point
+
+    def counted(space, p):
+        calls.append(p)
+        return rule(space, p)
+
+    monkeypatch.setattr(spaces, "canonical_point", counted)
+    return calls
+
+
 def ideal_for(space) -> IdealPoint:
     """A fixed, valid ideal point for any of the fixture spaces."""
     if space.kind == "euclidean":

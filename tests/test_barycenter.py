@@ -1677,6 +1677,48 @@ def test_the_center_is_not_w1_lipschitz_in_its_masses(tree_space):
     assert moved <= bound
 
 
+# -- splitting an atom --------------------------------------------------------
+# {x: 1, x: 1, y: 1, z: 1} and {x: 2, y: 1, z: 1} are one measure.  Where the
+# center has a closed form, on a line, they share it; in H^2 off one
+# geodesic the recursion reads the labelled list, not the measure.
+
+
+def _split_and_merged(space, x, y, z):
+    split = Configuration.of(space, [(x, 1.0), (x, 1.0), (y, 1.0), (z, 1.0)])
+    merged = Configuration.of(space, [(x, 2.0), (y, 1.0), (z, 1.0)])
+    return (center_of_mass(space, config).center for config in (split, merged))
+
+
+def test_splitting_an_atom_keeps_the_euclidean_center_bit_for_bit(euclid2):
+    x, y, z = (0.1, -2.3), (1.7, 0.4), (-0.6, 3.9)
+    split, merged = _split_and_merged(euclid2, x, y, z)
+    exact = tuple(float((2 * Fraction(a) + Fraction(b) + Fraction(c)) / 4) for a, b, c in zip(x, y, z))
+    assert split == merged == exact
+
+
+def test_splitting_an_atom_keeps_the_center_on_one_tree_geodesic(tree_space):
+    x, y, z = TreePoint("A-E", 0.5), TreePoint("A-B", 1.25), TreePoint("B-C", 2.0)
+    split, merged = _split_and_merged(tree_space, x, y, z)
+    assert sp.distance(tree_space, split, merged) <= DEFAULT_TOL
+
+
+def test_splitting_an_atom_keeps_the_center_on_one_h2_geodesic(hyp2):
+    x, y, z = ((math.cosh(a), math.sinh(a), 0.0) for a in (-1.0, 0.5, 2.0))
+    split, merged = _split_and_merged(hyp2, x, y, z)
+    assert sp.distance(hyp2, split, merged) <= DEFAULT_TOL
+
+
+def test_splitting_an_atom_moves_an_h2_center(hyp2):
+    """The center is a function of the labelled list, not of the measure
+    (ROADMAP direction 21): three points drawn at scale 2 (diameter 3.65),
+    with x split in two, move the center by 5.6e-3."""
+    x = (2.188642957468308, 0.4498446100635814, 1.8941483104742265)
+    y = (3.6257387500460383, 3.4837378490191386, -0.09773475787515025)
+    z = (3.4722332785743135, -1.9805873659772355, -2.6708945367742025)
+    split, merged = _split_and_merged(hyp2, x, y, z)
+    assert sp.distance(hyp2, split, merged) > 1e-4
+
+
 # -- refusals that no other test reaches ---------------------------------------
 
 

@@ -20,10 +20,18 @@ import pytest
 
 import gate_reference as ref
 from conftest import TREE_EDGES, TREE_LEAVES
+from test_bits import NO_SMOOTHING, bodies, corpus
 from horocenter import GeometryError, Space
 from horocenter import spaces as sp
-from horocenter.barycenter import Configuration, WeightedPoint
-from horocenter.horosphere import ConvexBody
+from horocenter.barycenter import (
+    Configuration,
+    WeightedPoint,
+    center_of_mass,
+    leave_one_out_step,
+    replace_mass,
+    replace_point,
+)
+from horocenter.horosphere import ConvexBody, first_horosphere, select
 from horocenter.trees import TreeError, TreePoint
 
 SPACES = {
@@ -126,12 +134,17 @@ def _outcome(call, *args):
         value = call(*args)
     except Exception as exc:  # noqa: BLE001 - the type itself is compared
         return "raises", type(exc), str(exc)
-    return "returns", repr(value), _types(value)
+    return "returns", repr(value), _types(value, args[0])
 
 
-def _types(value):
+def _types(value, space):
+    """The types of value and of its fields.  The field that `.of` stores
+    carries the mark of the space it was checked in, and reads as tuple."""
     if isinstance(value, TreePoint):
         return type(value), type(value.edge), type(value.offset)
+    if isinstance(value, (Configuration, ConvexBody)) and type(value[0]) is not tuple:
+        assert type(value[0]) is sp._checked_tuple(space, value._fields[0])
+        return type(value), tuple
     if isinstance(value, tuple):
         return (type(value),) + tuple(map(type, value))
     return type(value)
@@ -259,3 +272,102 @@ def test_a_subclass_without_slots_of_its_own_prints_its_fields():
     """A caller's TreePoint type declares no slots; its repr names the
     fields it inherits, not an empty list."""
     assert repr(Placed("A-B", 1.0)) == "Placed(edge='A-B', offset=1.0)"
+
+
+# -- each point once ---------------------------------------------------------
+# The bodies and configurations below are the .of-built corpora of
+# test_bits.py.  A door reads a record that .of built in its space as it
+# is, and any other record through .of's loop, so each point passes the
+# rule once, where the record is built or at the door.
+
+
+def _same(calls, points):
+    return len(calls) == len(points) and all(c is p for c, p in zip(calls, points))
+
+
+def test_select_checks_each_generator_once(rule_calls):
+    """On an .of body a singleton or a lone contact calls the rule on
+    nothing, and a tie's or the projected body's center calls it once on
+    each point of its unit configuration.  A raw-built body adds one call
+    per generator, at select's door, in order."""
+    lone = 0
+    for space, body, xi in bodies():
+        contact = first_horosphere(space, body, xi)[1]
+        rule_calls.clear()
+        picked = select(space, body, xi, NO_SMOOTHING)
+        marked = list(rule_calls)
+        if len(contact) == 1 and picked is contact[0]:
+            assert marked == [], body
+            lone += 1
+        else:
+            assert len(marked) in (len(contact), len(body)), body
+        raw = ConvexBody(tuple(body.generators))
+        rule_calls.clear()
+        assert repr(select(space, raw, xi, NO_SMOOTHING)) == repr(picked)
+        assert _same(rule_calls[: len(body)], body.generators)
+        assert len(rule_calls) == len(body) + len(marked)
+    assert lone >= 150
+
+
+@pytest.mark.parametrize("door", [center_of_mass, leave_one_out_step])
+def test_the_recursion_checks_each_item_once(rule_calls, door):
+    """center_of_mass and leave_one_out_step call the rule on no point of
+    an .of configuration, and once on each point of a raw-built one."""
+    for space, config in corpus():
+        if door is leave_one_out_step and len(config) < 3:
+            continue
+        rule_calls.clear()
+        door(space, config)
+        assert rule_calls == [], config
+        raw = Configuration(tuple(config.items))
+        door(space, raw)
+        assert _same(rule_calls, raw.points), config
+
+
+def test_what_the_library_builds_past_of_is_read_again(rule_calls):
+    """leave_one_out_step, replace_point and replace_mass return
+    configurations that no rule has seen whole, so they are left unmarked
+    and the recursion's door reads every point of them."""
+    space = SPACES["H2"]
+    config = next(c for s, c in corpus() if s == space and len(c) == 4)
+    built = [
+        leave_one_out_step(space, config),
+        replace_point(config, 1, config.points[0]),
+        replace_mass(config, 1, 2.5),
+    ]
+    for other in built:
+        assert type(other.items) is tuple
+        rule_calls.clear()
+        center_of_mass(space, other)
+        assert _same(rule_calls, other.points)
+
+
+@pytest.mark.parametrize(
+    "mass, message",
+    [
+        ("2.5", r"points\[1\]\.mass: must be a real number, got str"),
+        (None, r"points\[1\]\.mass: must be a real number, got NoneType"),
+        (10**400, r"points\[1\]\.mass: must be positive and finite, got an out-of-range int"),
+        (-1.0, r"points\[1\]\.mass: must be positive and finite, got -1\.0"),
+    ],
+    ids=["str", "none", "out-of-range-int", "negative"],
+)
+def test_replace_mass_stores_the_mass_for_the_door_to_refuse(euclid2, mass, message):
+    """replace_mass took "2.5" as 2.5 and raised a bare TypeError on None
+    and OverflowError on 10**400; it stores the mass as given, and the
+    recursion's door refuses it as Configuration.of does."""
+    config = Configuration.of(euclid2, [((0.0, 0.0), 1.0), ((1.0, 0.0), 1.0)])
+    replaced = replace_mass(config, 1, mass)
+    assert replaced.items[1].mass is mass
+    with pytest.raises(GeometryError, match=f"^{message}$"):
+        center_of_mass(euclid2, replaced)
+
+
+def test_select_reads_a_raw_body_as_convex_body_of_builds_it(euclid2):
+    """A repeated generator of a raw-built body counted twice in the E^2
+    center of the projected generators, (0, 1/3) here; at the door it is
+    merged, as ConvexBody.of merges it."""
+    gens = ((0.0, 0.0), (0.0, 0.0), (0.0, 1.0))
+    xi = sp.IdealPoint.direction((1.0, 0.0))
+    assert select(euclid2, ConvexBody(gens), xi) == select(euclid2, ConvexBody.of(euclid2, gens), xi)
+    assert select(euclid2, ConvexBody(gens), xi) == (0.0, 0.5)

@@ -3,21 +3,24 @@ repr, equality, hash and immutability.
 
 Error messages embed these reprs, so they are pinned here.  A record
 equals the plain tuple of its fields, and `len()` of a Configuration or a
-ConvexBody counts its items or generators.
+ConvexBody counts its items or generators.  The field that `.of` checked
+is marked for its space and behaves as a plain tuple; every copy of it
+is a plain tuple, which the doors (`center_of_mass`, `select`) read again.
 """
 
 import copy
+import math
 import pickle
 import sys
 
 import pytest
 
-from horocenter import GeometryError
-from horocenter.barycenter import BarycenterResult, Configuration, WeightedPoint
-from horocenter.horosphere import ConvexBody, SelectOptions, ShrinkClass
+from horocenter import GeometryError, spaces
+from horocenter.barycenter import BarycenterResult, Configuration, WeightedPoint, center_of_mass
+from horocenter.horosphere import ConvexBody, SelectOptions, ShrinkClass, select
 from horocenter.lipschitz import LipschitzReport, ScanParams, ScanRecord
 from horocenter.spaces import MAX_DIM, IdealPoint, Space
-from horocenter.trees import Tree, TreeEdge, TreePoint
+from horocenter.trees import Tree, TreeEdge, TreeError, TreePoint
 
 E2 = Space("euclidean", 2)
 UNIT = WeightedPoint((0.0,), 1.0)
@@ -224,3 +227,80 @@ def test_len_counts_items_and_generators():
     body = ConvexBody(((0.0, 0.0), (1.0, 0.0)))
     assert (len(config), len(body)) == (3, 2)
     assert tuple(config) == ((UNIT, UNIT, UNIT),) and tuple(body) == (body.generators,)
+
+
+# -- records that .of built ----------------------------------------------------
+
+H1, H2, H3 = (Space("hyperbolic", n) for n in (1, 2, 3))
+ITEMS = [WeightedPoint((0.5, 0.25), 1.0), WeightedPoint((1.0, 2.0), 2.5)]
+POINTS = [(0.5, 0.25), (1.5, 0.25)]  # the second is select's lone contact toward +x
+TOWARD_E2 = IdealPoint.direction((1.0, 0.0))
+
+
+def _built_and_raw():
+    """(.of-built record, the raw-built record it equals, its door)."""
+    return [
+        (Configuration.of(E2, ITEMS), Configuration(tuple(ITEMS)), lambda c: center_of_mass(E2, c)),
+        (ConvexBody.of(E2, POINTS), ConvexBody(tuple(POINTS)), lambda b: select(E2, b, TOWARD_E2)),
+    ]
+
+
+@pytest.mark.parametrize("k", [0, 1], ids=["Configuration", "ConvexBody"])
+def test_an_of_built_record_is_its_raw_built_record(k):
+    built, raw, _ = _built_and_raw()[k]
+    field = built[0]
+    assert type(field) is spaces._checked_tuple(E2, built._fields[0]) and type(raw[0]) is tuple
+    assert repr(built) == repr(raw) and repr(field) == repr(raw[0])
+    assert built == raw and raw == built and field == raw[0]
+    assert hash(built) == hash(raw) and hash(field) == hash(raw[0])
+    for copied in (copy.deepcopy(built), pickle.loads(pickle.dumps(built))):
+        assert copied == raw and repr(copied) == repr(raw)
+    assert copy.copy(built)[0] is field
+
+
+@pytest.mark.parametrize("k", [0, 1], ids=["Configuration", "ConvexBody"])
+def test_every_copy_of_a_checked_field_is_read_again(rule_calls, k):
+    """The door reads an .of-built record with no rule call, and each of
+    these with one call per point: a `_replace`d field, a pickle round
+    trip, a deep copy, a slice and a `+`."""
+    built, _, door = _built_and_raw()[k]
+    name, field = built._fields[0], built[0]
+    rule_calls.clear()
+    door(built)
+    assert rule_calls == []
+    copies = [
+        built._replace(**{name: (field[0],) + field[1:]}),
+        pickle.loads(pickle.dumps(built)),
+        copy.deepcopy(built),
+        type(built)(field[:]),
+        type(built)(field + ()),
+    ]
+    for other in copies:
+        assert type(other[0]) is tuple and other == built
+        rule_calls.clear()
+        assert door(other) == door(built)
+        assert len(rule_calls) == len(field)
+
+
+def test_a_record_checked_in_another_space_is_read_again():
+    """An E^2 record in H^1 (points of the same length), an H^2 record in
+    H^3, and a body from one tree in a second tree where its point lies
+    past its edge's end are each read through .of's loop, and refused."""
+    config, body = Configuration.of(E2, ITEMS), ConvexBody.of(E2, POINTS)
+    off_sheet = r"point is off the hyperboloid: <x,x> = -0\.1875$"
+    with pytest.raises(GeometryError, match=rf"^points\[0\]: {off_sheet}"):
+        center_of_mass(H1, config)
+    with pytest.raises(GeometryError, match=rf"^generators\[0\]: {off_sheet}"):
+        select(H1, body, IdealPoint.null_vector((1.0, 1.0)))
+    sheet = [(1.0, 0.0, 0.0), (math.cosh(1.0), math.sinh(1.0), 0.0)]
+    config, body = Configuration.of(H2, [(p, 1.0) for p in sheet]), ConvexBody.of(H2, sheet)
+    with pytest.raises(GeometryError, match=r"^points\[0\]: expected 4 coordinates, got 3$"):
+        center_of_mass(H3, config)
+    with pytest.raises(GeometryError, match=r"^generators\[0\]: expected 4 coordinates, got 3$"):
+        select(H3, body, IdealPoint.null_vector((1.0, 1.0, 0.0, 0.0)))
+    long_ab = Space.tree_space([("A", "B", 2.0), ("B", "C", 1.0)], ["C"])
+    short_ab = Space.tree_space([("A", "B", 1.0), ("B", "C", 1.0)], ["C"])
+    body = ConvexBody.of(long_ab, [TreePoint("B-C", 0.5), TreePoint("A-B", 1.5)])
+    with pytest.raises(TreeError, match=r"^generators\[1\]: "):
+        select(short_ab, body, IdealPoint.end("C"))
+    assert select(long_ab, body, IdealPoint.end("C")) == TreePoint("B-C", 0.5)

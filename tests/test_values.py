@@ -304,3 +304,14 @@ def test_a_record_checked_in_another_space_is_read_again():
     with pytest.raises(TreeError, match=r"^generators\[1\]: "):
         select(short_ab, body, IdealPoint.end("C"))
     assert select(long_ab, body, IdealPoint.end("C")) == TreePoint("B-C", 0.5)
+
+
+def test_a_field_checked_for_one_record_is_read_again_in_the_other():
+    """Items and generators carry different marks: a body built on a
+    configuration's checked items, and a configuration on a body's checked
+    generators, are read through .of's loop at the door, and refused."""
+    items, gens = Configuration.of(E2, ITEMS).items, ConvexBody.of(E2, POINTS).generators
+    with pytest.raises(GeometryError, match=r"^generators\[0\]: point must be a tuple of floats$"):
+        select(E2, ConvexBody(items), TOWARD_E2)
+    with pytest.raises(GeometryError, match=r"^points\[0\]: point must be a tuple of floats$"):
+        center_of_mass(E2, Configuration(gens))

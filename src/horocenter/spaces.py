@@ -374,7 +374,7 @@ def _checked_tuple(space: Space, field: str) -> type:
     `generators`, whose points passed canonical_point in space: a plain
     tuple in repr, equality and hash, with no per-record cost.  Slicing,
     `+`, pickling and copy.deepcopy give a plain tuple, read again."""
-    reduce = lambda fields: (tuple, (tuple(fields),))  # what copies and unpickles
+    reduce = lambda fields: (tuple, (tuple(fields),))  # copies and pickles as a plain tuple
     return type(f"Checked{field.capitalize()}", (tuple,), {"__slots__": (), "__reduce__": reduce})
 
 
